@@ -80,6 +80,10 @@ class ExperimentConfig:
             raise ValidationError(f"horizon_steps must be >= 0, got {self.horizon_steps}")
         if self.master_seed < 0:
             raise ValidationError(f"master_seed must be >= 0, got {self.master_seed}")
+        if self.measurement.state_dim != 2:
+            raise ValidationError(
+                f"measurement C must have 2 columns (the Duffing state), "
+                f"got {self.measurement.state_dim}")
         filters = tuple(self.filters)
         if not filters:
             raise ValidationError("at least one filter must be enabled")
@@ -253,9 +257,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         except Exception as exc:
             _abort(step, "propagation", exc)
 
-        meas_rng = _derived_rng(seed, _STREAM_MEAS, step)
-        noise = meas_rng.standard_normal(model.meas_dim) @ r_factor.T
-        y = model.C @ x_true + noise
+        try:
+            meas_rng = _derived_rng(seed, _STREAM_MEAS, step)
+            noise = meas_rng.standard_normal(model.meas_dim) @ r_factor.T
+            y = model.C @ x_true + noise
+        except Exception as exc:
+            _abort(step, "measurement", exc)
 
         # Prepare per-filter priors. Filters share one cloud and one fit at
         # step 1; afterwards each filter owns its lineage.

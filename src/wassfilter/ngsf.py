@@ -277,8 +277,9 @@ def apply_ngsf_solution(problem: NgsfProblem, solution: NgsfSolution) -> GsfUpda
         nodes.append(Gaussian(mean, ensure_spd(cov), eig_floor=0.0))
         pairs.append(GainPair(G=eye - h @ model.C, H=h))
         costs.append(update_error_cost(h, node.cov, model))
-    weights = np.asarray(solution.weights, float)
-    posterior = GaussianMixture.from_unnormalized(weights, nodes)
+    # The solver's weights are already on the simplex; renormalizing them
+    # could move each by an ulp away from the weights it costed.
+    posterior = GaussianMixture(tuple(zip(solution.weights, nodes)))
     return GsfUpdateResult(posterior=posterior, gains=tuple(pairs),
                            component_costs=np.array(costs))
 

@@ -4,6 +4,11 @@ Holds the oscillator dynamics, a fixed-step RK4 integrator, vectorized
 ensemble propagation, and an EM fitter that turns a propagated point cloud
 back into a Gaussian mixture. The filters never see dynamics directly; they
 consume the fitted mixtures.
+
+Each EM iteration works on all K components at once: the E-step factors the
+``(K, d, d)`` covariance stack with one batched Cholesky call, the M-step
+forms every weighted covariance with one batched product, and one batched
+eigendecomposition applies the covariance floor.
 """
 
 from __future__ import annotations
@@ -11,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DivergenceError, FitError, ValidationError
 from .gaussian import Gaussian, GaussianMixture
@@ -136,21 +140,34 @@ class EmFitConfig:
 
 @dataclass(frozen=True, eq=False)
 class EmDiagnostics:
-    """Bookkeeping from the winning EM restart."""
+    """Bookkeeping from the winning EM restart.
+
+    ``iterations`` is the length of ``log_likelihoods``; ``converged`` says
+    whether the ``tol`` test stopped the run before ``max_iters``.
+    """
 
     log_likelihoods: np.ndarray
     reseeds: int
     restart_index: int
     final_log_likelihood: float
+    iterations: int
+    converged: bool
 
 
-def _floor_cov(cov: np.ndarray, floor: float) -> np.ndarray:
-    cov = 0.5 * (cov + cov.T)
-    w, v = np.linalg.eigh(cov)
-    if float(w.min()) >= floor:
-        return cov
-    lifted = (v * np.clip(w, floor, None)) @ v.T
-    return 0.5 * (lifted + lifted.T)
+def _floor_cov(covs: np.ndarray, floor: float) -> np.ndarray:
+    """Symmetrize a ``(K, d, d)`` stack and lift eigenvalues below ``floor``.
+
+    Only components whose smallest eigenvalue is below the floor are rebuilt
+    from their eigendecomposition; the rest come back symmetrized only.
+    """
+    covs = 0.5 * (covs + np.swapaxes(covs, 1, 2))
+    w, v = np.linalg.eigh(covs)
+    low = w[:, 0] < floor
+    if low.any():
+        v = v[low]
+        lifted = (v * np.clip(w[low], floor, None)[:, None, :]) @ np.swapaxes(v, 1, 2)
+        covs[low] = 0.5 * (lifted + np.swapaxes(lifted, 1, 2))
+    return covs
 
 
 def _kmeanspp_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -169,50 +186,74 @@ def _kmeanspp_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> n
 
 
 def _component_logpdfs(points: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
-    """(N, K) log densities of each point under each component."""
+    """(N, K) log densities of each point under each component.
+
+    One Cholesky factorization and one inversion of the ``(K, d, d)`` stack;
+    every whitened residual ``L_k^-1 x_n - L_k^-1 mu_k`` then comes from a
+    single ``(K*d, d) @ (d, N)`` product. Raises ``LinAlgError`` if any
+    covariance is not positive definite.
+    """
     n_points, dim = points.shape
-    out = np.empty((n_points, means.shape[0]))
-    for k in range(means.shape[0]):
-        chol = np.linalg.cholesky(covs[k])
-        diff = points - means[k]
-        z = solve_triangular(chol, diff.T, lower=True)
-        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        out[:, k] = -0.5 * (dim * np.log(2.0 * np.pi) + logdet + np.sum(z * z, axis=0))
-    return out
+    k = means.shape[0]
+    chol = np.linalg.cholesky(covs)
+    inv = np.linalg.inv(chol)
+    z = inv.reshape(k * dim, dim) @ points.T - (inv @ means[:, :, None]).reshape(k * dim, 1)
+    z *= z
+    out = z.reshape(k, dim, n_points).sum(axis=1)
+    out += (dim * np.log(2.0 * np.pi)
+            + 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1))[:, None]
+    out *= -0.5
+    return out.T
+
+
+def _e_step(points: np.ndarray, weights: np.ndarray, means: np.ndarray, covs: np.ndarray):
+    """Responsibilities ``(N, K)`` and per-point log mixture density ``(N,)``."""
+    with np.errstate(divide="ignore"):
+        joint = _component_logpdfs(points, means, covs) + np.log(weights)
+    peak = joint.max(axis=1, keepdims=True)
+    dens = np.exp(joint - peak)
+    total = dens.sum(axis=1, keepdims=True)
+    return dens / total, (peak + np.log(total))[:, 0]
+
+
+def _m_step(points: np.ndarray, resp: np.ndarray, mass: np.ndarray, floor: float):
+    """Weighted means ``(K, d)`` and floored covariances ``(K, d, d)``.
+
+    ``resp`` is ``(N, K)`` and ``mass`` its column sums; all K covariances
+    come from one batched product over the ``(K, d, N)`` residuals.
+    """
+    means = (resp.T @ points) / mass[:, None]
+    diff = np.ascontiguousarray(points.T)[None, :, :] - means[:, :, None]
+    weighted = diff * np.ascontiguousarray(resp.T)[:, None, :]
+    covs = weighted @ np.swapaxes(diff, 1, 2) / mass[:, None, None]
+    return means, _floor_cov(covs, floor)
 
 
 def _em_run(points: np.ndarray, config: EmFitConfig, rng: np.random.Generator):
     n, dim = points.shape
     k = config.n_components
-    overall_cov = _floor_cov(np.cov(points, rowvar=False).reshape(dim, dim),
-                             config.covariance_floor)
+    floor = config.covariance_floor
+    overall_cov = _floor_cov(np.cov(points, rowvar=False).reshape(1, dim, dim), floor)[0]
 
+    # Start from each point's nearest k-means++ center; a center that wins no
+    # point keeps its own location, the overall covariance and weight 1/n.
     centers = _kmeanspp_centers(points, k, rng)
     assign = np.argmin(((points[:, None, :] - centers[None, :, :]) ** 2).sum(-1), axis=1)
-    weights = np.empty(k)
-    means = np.empty((k, dim))
-    covs = np.empty((k, dim, dim))
-    for j in range(k):
-        members = points[assign == j]
-        weights[j] = max(len(members), 1) / n
-        if len(members) == 0:
-            means[j] = centers[j]
-            covs[j] = overall_cov
-            continue
-        means[j] = members.mean(axis=0)
-        diff = members - means[j]
-        covs[j] = _floor_cov(diff.T @ diff / len(members), config.covariance_floor)
-    weights /= weights.sum()
+    counts = np.bincount(assign, minlength=k).astype(float)
+    empty = counts == 0
+    counts[empty] = 1.0
+    hard = (assign[:, None] == np.arange(k)).astype(float)
+    means, covs = _m_step(points, hard, counts, floor)
+    means[empty] = centers[empty]
+    covs[empty] = overall_cov
+    weights = counts / counts.sum()
 
     lls = []
     reseeds = 0
+    converged = False
     for _ in range(config.max_iters):
-        with np.errstate(divide="ignore"):
-            joint = _component_logpdfs(points, means, covs) + np.log(weights)
-        m = joint.max(axis=1, keepdims=True)
-        log_norm = m[:, 0] + np.log(np.exp(joint - m).sum(axis=1))
+        resp, log_norm = _e_step(points, weights, means, covs)
         ll = float(log_norm.sum())
-        resp = np.exp(joint - log_norm[:, None])
 
         mass = resp.sum(axis=0)
         collapsed = np.nonzero(mass < _COLLAPSE_MASS * n)[0]
@@ -221,37 +262,29 @@ def _em_run(points: np.ndarray, config: EmFitConfig, rng: np.random.Generator):
             if reseeds > _MAX_RESEEDS:
                 raise FitError(f"EM failed after {reseeds} component reseeds")
             # Reseed each dead component at the point the mixture explains worst.
-            worst = np.argsort(log_norm)
-            for r, j in enumerate(collapsed):
-                means[j] = points[worst[r]]
-                covs[j] = overall_cov
-                weights[j] = 1.0 / n
+            means[collapsed] = points[np.argsort(log_norm)[:collapsed.size]]
+            covs[collapsed] = overall_cov
+            weights[collapsed] = 1.0 / n
             weights /= weights.sum()
             continue
 
         weights = mass / n
-        means = (resp.T @ points) / mass[:, None]
-        for j in range(k):
-            diff = points - means[j]
-            covs[j] = _floor_cov((diff * resp[:, j:j + 1]).T @ diff / mass[j],
-                                 config.covariance_floor)
+        means, covs = _m_step(points, resp, mass, floor)
 
         if lls and ll - lls[-1] <= config.tol * (1.0 + abs(lls[-1])):
             lls.append(ll)
+            converged = True
             break
         lls.append(ll)
 
     if not lls:
         # Every iteration reseeded a component; score the final parameters.
-        with np.errstate(divide="ignore"):
-            joint = _component_logpdfs(points, means, covs) + np.log(weights)
-        m = joint.max(axis=1, keepdims=True)
-        lls.append(float((m[:, 0] + np.log(np.exp(joint - m).sum(axis=1))).sum()))
+        lls.append(float(_e_step(points, weights, means, covs)[1].sum()))
 
     mixture = GaussianMixture.from_unnormalized(
         weights, [Gaussian(means[j], covs[j], eig_floor=0.0) for j in range(k)]
     )
-    return mixture, np.array(lls), reseeds
+    return mixture, np.array(lls), reseeds, converged
 
 
 def fit_gmm_em(cloud, config: EmFitConfig, rng: np.random.Generator | None = None,
@@ -259,8 +292,12 @@ def fit_gmm_em(cloud, config: EmFitConfig, rng: np.random.Generator | None = Non
     """Fit a Gaussian mixture to a point cloud by EM with k-means++ starts.
 
     Runs ``config.restarts`` independent initializations and keeps the run
-    with the best final log-likelihood. Covariance eigenvalues are floored at
-    ``config.covariance_floor`` after every M-step. With ``details=True``
+    with the best final log-likelihood. Each iteration is batched over the
+    components: one stacked Cholesky factorization and one matrix product
+    give every component's log density (E-step), one batched product gives
+    every weighted covariance (M-step), and one batched eigendecomposition
+    floors the covariance eigenvalues at ``config.covariance_floor`` after
+    every M-step. The cloud may have any dimension. With ``details=True``
     returns ``(mixture, EmDiagnostics)``.
     """
     points = np.asarray(cloud, dtype=float)
@@ -278,13 +315,14 @@ def fit_gmm_em(cloud, config: EmFitConfig, rng: np.random.Generator | None = Non
 
     best = None
     for restart in range(config.restarts):
-        mixture, lls, reseeds = _em_run(points, config, rng)
+        mixture, lls, reseeds, converged = _em_run(points, config, rng)
         if best is None or lls[-1] > best[1][-1]:
-            best = (mixture, lls, reseeds, restart)
+            best = (mixture, lls, reseeds, converged, restart)
 
-    mixture, lls, reseeds, restart = best
+    mixture, lls, reseeds, converged, restart = best
     if details:
         return mixture, EmDiagnostics(log_likelihoods=lls, reseeds=reseeds,
                                       restart_index=restart,
-                                      final_log_likelihood=float(lls[-1]))
+                                      final_log_likelihood=float(lls[-1]),
+                                      iterations=len(lls), converged=converged)
     return mixture

@@ -285,6 +285,14 @@ class TestCli:
         assert cli_main(["run", "--config", str(bad)]) == 1
         assert "invalid input" in capsys.readouterr().err
 
+    def test_measurement_state_dim_exit_code(self, tmp_path, capsys):
+        # A 3-column C cannot observe the 2-D Duffing state; it is rejected
+        # when the config is built, before any step runs.
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"measurement": {"C": [[1.0, 0.0, 0.0]], "R": [[0.1]]}}))
+        assert cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert "invalid input" in capsys.readouterr().err
+
     def test_missing_config_exit_code(self, tmp_path):
         assert cli_main(["run", "--config", str(tmp_path / "absent.json")]) == 1
 

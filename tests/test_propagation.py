@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from wassfilter import (DivergenceError, DuffingModel, EmFitConfig, Gaussian,
                         GaussianMixture, ValidationError, duffing_rhs, fit_gmm_em,
                         integrate_rk4, mixture_mean_cov, propagate_cloud,
                         sample_gaussian, sample_mixture)
+from wassfilter.propagation import _component_logpdfs, _floor_cov, _m_step
+
+from conftest import random_spd
 
 # Seed for the non-Gaussianity check; the propagated velocity coordinate has
 # excess kurtosis ~ +3.4 at this seed, far beyond the 0.1 threshold.
@@ -195,3 +199,107 @@ class TestFitGmmEm:
         a = fit_gmm_em(cloud, config)
         b = fit_gmm_em(cloud, config)
         np.testing.assert_array_equal(a.weights, b.weights)
+
+
+def _loop_logpdfs(points, means, covs):
+    """Reference E-step: one Cholesky factor and triangular solve per component."""
+    n_points, dim = points.shape
+    out = np.empty((n_points, means.shape[0]))
+    for k in range(means.shape[0]):
+        chol = np.linalg.cholesky(covs[k])
+        z = solve_triangular(chol, (points - means[k]).T, lower=True)
+        logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+        out[:, k] = -0.5 * (dim * np.log(2.0 * np.pi) + logdet + np.sum(z * z, axis=0))
+    return out
+
+
+def _spd_stack(rng, k, dim):
+    return np.stack([random_spd(rng, dim, base=0.05) for _ in range(k)])
+
+
+class TestBatchedEm:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_e_step_matches_component_loop(self, rng, dim):
+        k = 6
+        floor = EmFitConfig().covariance_floor
+        means = 2.0 * rng.standard_normal((k, dim))
+        covs = _spd_stack(rng, k, dim)
+        # One component sits at the covariance floor, with points on top of it
+        # as well as far away, so its log densities span many decades.
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        covs[2] = q @ np.diag(floor * (1.0 + np.arange(dim))) @ q.T
+        points = np.concatenate([2.0 * rng.standard_normal((400, dim)),
+                                 means[2] + 2e-3 * rng.standard_normal((100, dim))])
+        ref = _loop_logpdfs(points, means, covs)
+        assert np.abs(ref).max() > 1e5
+        np.testing.assert_allclose(_component_logpdfs(points, means, covs), ref,
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_e_step_rejects_non_pd_component(self, rng):
+        covs = _spd_stack(rng, 3, 2)
+        covs[1] = [[1.0, 2.0], [2.0, 1.0]]
+        with pytest.raises(np.linalg.LinAlgError):
+            _component_logpdfs(rng.standard_normal((20, 2)), np.zeros((3, 2)), covs)
+
+    def test_m_step_matches_component_loop(self, rng):
+        n, k, dim = 500, 5, 2
+        points = rng.standard_normal((n, dim)) * [3.0, 0.5]
+        resp = rng.dirichlet(np.ones(k), n)
+        mass = resp.sum(axis=0)
+        means, covs = _m_step(points, resp, mass, 1e-12)
+        for j in range(k):
+            mean = resp[:, j] @ points / mass[j]
+            diff = points - mean
+            cov = (diff * resp[:, j:j + 1]).T @ diff / mass[j]
+            np.testing.assert_allclose(means[j], mean, rtol=1e-12)
+            np.testing.assert_allclose(covs[j], cov, rtol=1e-12)
+
+    def test_floor_lifts_only_low_components(self, rng):
+        floor = 1e-4
+        covs = _spd_stack(rng, 5, 2)
+        covs[1] = [[1.0, 0.0], [0.0, 1e-7]]
+        covs[3] = [[2e-5, 1e-5], [1e-5, 2e-5]]
+        covs += 1e-13 * rng.standard_normal(covs.shape)  # slightly asymmetric
+        sym = 0.5 * (covs + np.swapaxes(covs, 1, 2))
+        out = _floor_cov(covs.copy(), floor)
+        for j in (0, 2, 4):
+            np.testing.assert_array_equal(out[j], sym[j])
+        for j in (1, 3):
+            np.testing.assert_array_equal(out[j], out[j].T)
+            w_in, v_in = np.linalg.eigh(sym[j])
+            w_out = np.linalg.eigvalsh(out[j])
+            assert w_out.min() >= floor * (1 - 1e-9)
+            np.testing.assert_allclose(w_out, np.clip(w_in, floor, None), rtol=1e-9)
+            np.testing.assert_allclose(out[j] @ v_in, v_in * np.clip(w_in, floor, None),
+                                       atol=1e-12)
+
+    def test_three_dimensional_cloud(self, rng):
+        gen = GaussianMixture((
+            (0.5, Gaussian([-3.0, 0.0, 1.0], np.eye(3))),
+            (0.5, Gaussian([3.0, 1.0, -1.0], [[1.0, 0.3, 0.0], [0.3, 0.5, 0.1],
+                                               [0.0, 0.1, 0.8]])),
+        ))
+        cloud = sample_mixture(gen, 2_000, rng)
+        mix, diag = fit_gmm_em(cloud, EmFitConfig(n_components=3, restarts=2),
+                               np.random.default_rng(39), details=True)
+        assert mix.order == 3 and mix.dim == 3
+        assert mix.means().shape == (3, 3)
+        assert mix.covs().shape == (3, 3, 3)
+        assert np.all(np.diff(diag.log_likelihoods) >= -1e-9)
+
+
+class TestEmDiagnostics:
+    def test_single_component_converges(self, rng):
+        cloud = rng.standard_normal((1_000, 2)) @ [[1.0, 0.4], [0.0, 0.7]]
+        _, diag = fit_gmm_em(cloud, EmFitConfig(n_components=1, restarts=1),
+                             np.random.default_rng(40), details=True)
+        assert diag.converged
+        assert diag.iterations == len(diag.log_likelihoods)
+        assert diag.iterations < EmFitConfig().max_iters
+
+    def test_iteration_cap_not_converged(self, rng):
+        cloud = propagate_cloud(rng.standard_normal((1_500, 2)), DuffingModel(), 0.5)
+        _, diag = fit_gmm_em(cloud, EmFitConfig(n_components=10, max_iters=3),
+                             np.random.default_rng(41), details=True)
+        assert not diag.converged
+        assert diag.iterations == len(diag.log_likelihoods) == 3
