@@ -4,8 +4,8 @@ A measurement update is framed as transport: pick the linear posterior map
 whose error distribution is cheapest to move onto a point mass at the origin
 under the squared 2-Wasserstein metric. For Gaussian priors that recovers the
 Kalman update; for Gaussian-mixture priors a convex upper bound yields the
-Gaussian Sum Filter, and direct minimization of the exact weighted objective
-(warm-started at the GSF solution) gives the nonlinear GSF. A Duffing
+Gaussian Sum Filter, and the closed-form minimum of the exact weighted
+objective (at the GSF gains) gives the nonlinear GSF. A Duffing
 oscillator harness benchmarks the filters end to end.
 """
 
@@ -22,9 +22,8 @@ from .kalman import (GainPair, LinearMeasurementModel, LinearPropagationModel,
                      stationary_prior_error_cov, update_error_cost,
                      wasserstein_posterior_cost)
 from .gsf import GsfUpdateResult, gsf_bound_cost, gsf_update
-from .ngsf import (NgsfOptions, NgsfProblem, NgsfSolution, apply_ngsf_solution,
-                   kkt_residuals, ngsf_cost, ngsf_gradients, ngsf_solve,
-                   ngsf_update, simplex_project)
+from .ngsf import (NgsfProblem, NgsfSolution, apply_ngsf_solution, kkt_residuals,
+                   ngsf_cost, ngsf_gradients, ngsf_solve, ngsf_update)
 from .propagation import (DuffingModel, EmFitConfig, EmDiagnostics, duffing_rhs,
                           fit_gmm_em, integrate_rk4, propagate_cloud)
 from .harness import (ComparisonResult, ExperimentConfig, ExperimentResult,
@@ -46,9 +45,8 @@ __all__ = [
     "orthogonality_residuals", "orthogonality_scales",
     "stationary_prior_error_cov", "update_error_cost", "wasserstein_posterior_cost",
     "GsfUpdateResult", "gsf_bound_cost", "gsf_update",
-    "NgsfOptions", "NgsfProblem", "NgsfSolution", "apply_ngsf_solution",
+    "NgsfProblem", "NgsfSolution", "apply_ngsf_solution",
     "kkt_residuals", "ngsf_cost", "ngsf_gradients", "ngsf_solve", "ngsf_update",
-    "simplex_project",
     "DuffingModel", "EmFitConfig", "EmDiagnostics", "duffing_rhs", "fit_gmm_em",
     "integrate_rk4", "propagate_cloud",
     "ComparisonResult", "ExperimentConfig", "ExperimentResult", "FilterStepRecord",

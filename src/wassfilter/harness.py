@@ -27,8 +27,9 @@ from .gaussian import (Gaussian, GaussianMixture, _readonly, mixture_mean_cov,
                        sample_mixture)
 from .kalman import LinearMeasurementModel, _psd_factor, kalman_update
 from .gsf import gsf_update
-from .ngsf import NgsfOptions, NgsfProblem, apply_ngsf_solution, ngsf_solve
-from .propagation import DuffingModel, EmFitConfig, fit_gmm_em, integrate_rk4, propagate_cloud
+from .ngsf import NgsfProblem, apply_ngsf_solution, ngsf_solve
+from .propagation import (MIN_POINTS_PER_COMPONENT, DuffingModel, EmFitConfig, fit_gmm_em,
+                          integrate_rk4, propagate_cloud)
 
 KNOWN_FILTERS = ("gsf", "ngsf", "kf_momentmatch")
 
@@ -66,7 +67,6 @@ class ExperimentConfig:
     true_x0: np.ndarray = (1.0, 1.0)
     master_seed: int = 0
     filters: tuple = ("gsf", "ngsf")
-    ngsf: NgsfOptions = field(default_factory=NgsfOptions)
     output_dir: str | None = None
     save_clouds: bool = True
 
@@ -74,8 +74,10 @@ class ExperimentConfig:
         x0 = np.asarray(self.true_x0, dtype=float)
         if x0.shape != (2,) or not np.all(np.isfinite(x0)):
             raise ValidationError(f"true_x0 must be a finite 2-vector, got {self.true_x0!r}")
-        if self.ensemble_size < 1:
-            raise ValidationError(f"ensemble_size must be >= 1, got {self.ensemble_size}")
+        if self.ensemble_size < MIN_POINTS_PER_COMPONENT * self.em.n_components:
+            raise ValidationError(
+                f"ensemble_size {self.ensemble_size} cannot support {self.em.n_components} "
+                f"mixture components (need at least {MIN_POINTS_PER_COMPONENT} per component)")
         if self.horizon_steps < 0:
             raise ValidationError(f"horizon_steps must be >= 0, got {self.horizon_steps}")
         if self.master_seed < 0:
@@ -120,11 +122,6 @@ class ExperimentConfig:
             "true_x0": self.true_x0.tolist(),
             "master_seed": self.master_seed,
             "filters": list(self.filters),
-            "ngsf": {
-                "max_iters": self.ngsf.max_iters,
-                "tol": self.ngsf.tol,
-                "step_policy": self.ngsf.step_policy,
-            },
             "output_dir": self.output_dir,
             "save_clouds": self.save_clouds,
         }
@@ -135,7 +132,7 @@ class ExperimentConfig:
         if not isinstance(data, dict):
             raise ValidationError("config JSON must be an object")
         known = {"duffing", "em", "measurement", "ensemble_size", "horizon_steps",
-                 "true_x0", "master_seed", "filters", "ngsf", "output_dir", "save_clouds"}
+                 "true_x0", "master_seed", "filters", "output_dir", "save_clouds"}
         unknown = set(data) - known
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
@@ -146,8 +143,6 @@ class ExperimentConfig:
             kwargs["em"] = EmFitConfig(**data["em"])
         if "measurement" in data:
             kwargs["measurement"] = LinearMeasurementModel(**data["measurement"])
-        if "ngsf" in data:
-            kwargs["ngsf"] = NgsfOptions(**data["ngsf"])
         for key in ("ensemble_size", "horizon_steps", "true_x0", "master_seed",
                     "filters", "output_dir", "save_clouds"):
             if key in data:
@@ -169,8 +164,6 @@ class FilterStepRecord:
     wall_time: float
     warm_cost: float | None = None
     final_cost: float | None = None
-    ngsf_iterations: int | None = None
-    ngsf_converged: bool | None = None
 
 
 @dataclass(eq=False)
@@ -305,14 +298,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 elif name == "ngsf":
                     warm = gsf_update(prior, model, y)
                     problem = NgsfProblem.from_gsf(prior, model, y, gsf_result=warm)
-                    solution = ngsf_solve(problem, config.ngsf)
+                    solution = ngsf_solve(problem)
                     posterior = apply_ngsf_solution(problem, solution).posterior
-                    extras = {
-                        "warm_cost": float(solution.cost_trajectory[0]),
-                        "final_cost": float(solution.cost_trajectory[-1]),
-                        "ngsf_iterations": solution.iterations,
-                        "ngsf_converged": solution.converged,
-                    }
+                    extras = {"warm_cost": solution.warm_cost,
+                              "final_cost": solution.final_cost}
                 else:
                     posterior = _moment_match_update(prior, model, y)
             except Exception as exc:

@@ -1,19 +1,21 @@
-"""Nonlinear Gaussian Sum Filter: simplex-constrained refinement of the GSF.
+"""Nonlinear Gaussian Sum Filter: the exact-objective refinement of the GSF.
 
 The GSF gains minimize a convex upper bound, not the exact weighted objective
 
-    J(w, {H_i}) = sum_i w_i tr((H_i C - I) S_i- (H_i C - I)^T + H_i R H_i^T),
+    J(w, {H_i}) = sum_i w_i c_i(H_i),
+    c_i(H_i) = tr((H_i C - I) S_i- (H_i C - I)^T + H_i R H_i^T),
     subject to sum_i w_i = 1, w_i >= 0.
 
-This module minimizes J directly by projected gradient descent with Armijo
-backtracking, warm-started at the GSF solution (its gains and Bayesian
-weights). ``G_i`` never appears: the first-order condition ``G_i = I - H_i C``
-eliminates it analytically.
-
-J is linear in the weights for fixed gains, so unconstrained descent drives
-the weight vector toward a simplex vertex; the iteration cap and the recorded
-cost trajectory keep that collapse observable. The posterior applies the
-quadratic-form covariance update, which stays PSD for non-Kalman gains.
+``G_i`` never appears: the first-order condition ``G_i = I - H_i C``
+eliminates it analytically. Each ``c_i`` is strictly convex with its minimum
+at the Kalman gain ``K_i``, which the GSF warm start already holds, and J is
+linear in w. So the global minimum is ``min_i c_i(K_i)``, reached by any
+weight vector on the simplex face of the cheapest components: no iteration is
+needed. ``ngsf_solve`` returns that closed form, which also makes the GSF
+suboptimality explicit: the nGSF puts all weight on the cheapest components.
+``ngsf_cost``, ``ngsf_gradients`` and ``kkt_residuals`` evaluate the objective
+at arbitrary points as diagnostics. The posterior applies the quadratic-form
+covariance update, which stays PSD for any gain.
 """
 
 from __future__ import annotations
@@ -30,20 +32,6 @@ from .kalman import GainPair, LinearMeasurementModel, update_error_cost
 # Off-simplex rejection tolerances for user-supplied weight vectors.
 _SUM_ATOL = 1e-8
 _NEG_ATOL = 1e-12
-
-
-def simplex_project(v) -> np.ndarray:
-    """Euclidean projection onto ``{w : sum w = 1, w >= 0}`` (sorted-threshold rule).
-
-    Returns exact zeros for clipped coordinates.
-    """
-    v = np.asarray(v, dtype=float)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    j = np.arange(1, v.size + 1)
-    rho = int(np.nonzero(u + (1.0 - css) / j > 0.0)[0][-1])
-    theta = (1.0 - css[rho]) / (rho + 1.0)
-    return np.maximum(v + theta, 0.0)
 
 
 def _check_simplex(weights: np.ndarray) -> np.ndarray:
@@ -148,114 +136,39 @@ class NgsfProblem:
                    warm_gains=tuple(pair.H for pair in gsf_result.gains))
 
 
-@dataclass(frozen=True)
-class NgsfOptions:
-    """Solver knobs exposed through the harness config."""
-
-    max_iters: int = 500
-    tol: float = 1e-10
-    step_policy: str = "armijo"
-
-    def __post_init__(self):
-        if self.max_iters < 0:
-            raise ValidationError(f"max_iters must be >= 0, got {self.max_iters}")
-        if self.tol <= 0.0:
-            raise ValidationError(f"tol must be positive, got {self.tol}")
-        if self.step_policy not in ("armijo", "fixed"):
-            raise ValidationError(f"unknown step policy {self.step_policy!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class NgsfSolution:
-    """Solver output: final point, per-iteration costs, convergence status."""
+    """Solver output: the minimizing weights and gains, with the warm and final costs."""
 
     weights: np.ndarray
     gains: tuple
-    cost_trajectory: np.ndarray
-    converged: bool
-    iterations: int
+    warm_cost: float
+    final_cost: float
 
     def __post_init__(self):
-        trajectory = np.asarray(self.cost_trajectory, float)
-        if trajectory.size and trajectory[-1] > trajectory[0] + 1e-12:
-            raise ValidationError("cost trajectory ends above its starting value")
+        if self.final_cost > self.warm_cost + 1e-12:
+            raise ValidationError(
+                f"final cost {self.final_cost!r} is above the warm-start cost {self.warm_cost!r}")
         object.__setattr__(self, "weights", _readonly(np.asarray(self.weights, float)))
         object.__setattr__(self, "gains", tuple(_readonly(np.asarray(h, float))
                                                 for h in self.gains))
-        object.__setattr__(self, "cost_trajectory", _readonly(trajectory))
 
 
-# Armijo sufficient-decrease coefficient.
-_ARMIJO_C = 1e-4
-# Step shrink factor and smallest step relative to the initial one.
-_BACKTRACK = 0.5
-_MIN_STEP_REL = 1e-20
-# Step growth cap relative to the curvature-based initial step.
-_MAX_STEP_REL = 1e8
+def ngsf_solve(problem: NgsfProblem) -> NgsfSolution:
+    """Global minimum of the exact objective, in closed form.
 
-
-def _curvature_step(prior: GaussianMixture, model: LinearMeasurementModel) -> float:
-    """Initial step 1/L from the largest innovation-covariance eigenvalue."""
-    lmax = 0.0
-    for node in prior.nodes:
-        s = model.C @ node.cov @ model.C.T + model.R
-        lmax = max(lmax, float(np.linalg.eigvalsh(0.5 * (s + s.T)).max()))
-    return 1.0 / (2.0 * max(lmax, 1e-300))
-
-
-def ngsf_solve(problem: NgsfProblem, opts: NgsfOptions = NgsfOptions()) -> NgsfSolution:
-    """Projected-gradient descent on the exact objective from the warm start.
-
-    The weight block is projected onto the simplex after every gradient step;
-    the gain blocks are unconstrained. Iteration stops when the relative cost
-    decrease falls below ``opts.tol`` or after ``opts.max_iters`` iterations.
-    The cost trajectory is non-increasing and the final cost never exceeds the
-    warm-start cost.
+    The warm-start gains are the per-component Kalman gains, which minimize
+    every ``c_i``; J is then linear in the weights, so its minimum over the
+    simplex is ``min_i c_i``. Weight is split evenly over the components that
+    tie at that minimum, and the gains are kept.
     """
     prior, model = problem.prior, problem.model
-    weights = np.array(problem.warm_weights)
-    gains = [np.array(h) for h in problem.warm_gains]
-    cost = ngsf_cost(weights, gains, prior, model)
-    trajectory = [cost]
-
-    t0 = _curvature_step(prior, model)
-    step = t0
-    converged = False
-    iterations = 0
-    for iterations in range(1, opts.max_iters + 1):
-        grad_w, grad_h = ngsf_gradients(weights, gains, prior, model)
-        backtracked = False
-        while True:
-            new_weights = simplex_project(weights - step * grad_w)
-            new_gains = [h - step * gh for h, gh in zip(gains, grad_h)]
-            new_cost = ngsf_cost(new_weights, new_gains, prior, model)
-            inner = float(grad_w @ (new_weights - weights)) + sum(
-                float(np.sum(gh * (nh - h)))
-                for gh, nh, h in zip(grad_h, new_gains, gains)
-            )
-            if new_cost <= cost + _ARMIJO_C * inner:
-                break
-            step *= _BACKTRACK
-            backtracked = True
-            if step < _MIN_STEP_REL * t0:
-                # No usable descent direction left: numerically stationary.
-                new_weights, new_gains, new_cost = weights, gains, cost
-                break
-        decrease = cost - new_cost
-        if decrease > 0.0:
-            weights, gains, cost = new_weights, new_gains, new_cost
-        trajectory.append(cost)
-        if decrease <= opts.tol * max(1.0, abs(trajectory[-2])):
-            converged = True
-            break
-        if opts.step_policy == "armijo" and not backtracked:
-            step = min(step * 2.0, _MAX_STEP_REL * t0)
-        elif opts.step_policy == "fixed":
-            step = t0
-
-    return NgsfSolution(weights=weights, gains=tuple(gains),
-                        cost_trajectory=np.array(trajectory),
-                        converged=converged, iterations=iterations)
+    costs = component_costs(problem.warm_gains, prior, model)
+    face = costs == costs.min()
+    weights = face / face.sum()
+    return NgsfSolution(weights=weights, gains=problem.warm_gains,
+                        warm_cost=float(problem.warm_weights @ costs),
+                        final_cost=float(weights @ costs))
 
 
 def apply_ngsf_solution(problem: NgsfProblem, solution: NgsfSolution) -> GsfUpdateResult:
@@ -284,6 +197,6 @@ def apply_ngsf_solution(problem: NgsfProblem, solution: NgsfSolution) -> GsfUpda
                            component_costs=np.array(costs))
 
 
-def ngsf_update(problem: NgsfProblem, opts: NgsfOptions = NgsfOptions()) -> GsfUpdateResult:
+def ngsf_update(problem: NgsfProblem) -> GsfUpdateResult:
     """Solve the nGSF problem and apply the optimized update."""
-    return apply_ngsf_solution(problem, ngsf_solve(problem, opts))
+    return apply_ngsf_solution(problem, ngsf_solve(problem))

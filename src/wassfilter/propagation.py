@@ -24,6 +24,8 @@ from .gaussian import Gaussian, GaussianMixture
 # collapsed and gets reseeded.
 _COLLAPSE_MASS = 1e-10
 _MAX_RESEEDS = 3
+# Smallest cloud size per mixture component that EM will fit.
+MIN_POINTS_PER_COMPONENT = 10
 
 
 def duffing_rhs(x, damping: float = 0.25, cubic: float = 1.0) -> np.ndarray:
@@ -53,6 +55,9 @@ class DuffingModel:
     sample_time: float = 0.5
 
     def __post_init__(self):
+        for name in ("damping", "cubic", "dt", "sample_time"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.dt <= 0.0:
             raise ValidationError(f"dt must be positive, got {self.dt}")
         ratio = self.sample_time / self.dt
@@ -74,7 +79,7 @@ def integrate_rk4(x0, rhs, dt: float, steps: int) -> np.ndarray:
 
     ``rhs`` maps an array to a same-shaped array, so a whole ensemble can be
     advanced in one call. Raises :class:`DivergenceError` if the state leaves
-    the finite range.
+    the finite range, naming the first non-finite row of a stacked state.
     """
     if dt <= 0.0:
         raise ValidationError(f"dt must be positive, got {dt}")
@@ -88,6 +93,9 @@ def integrate_rk4(x0, rhs, dt: float, steps: int) -> np.ndarray:
         k4 = rhs(x + dt * k3)
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(x)):
+            if x.ndim == 2:
+                bad = int(np.nonzero(~np.isfinite(x).all(axis=1))[0][0])
+                raise DivergenceError(f"particle {bad} diverged")
             raise DivergenceError("integration produced a non-finite state")
     return x
 
@@ -103,19 +111,7 @@ def propagate_cloud(cloud, model: DuffingModel, duration: float) -> np.ndarray:
     ratio = duration / model.dt
     if abs(ratio - round(ratio)) > 1e-9:
         raise ValidationError(f"duration {duration} is not a multiple of dt {model.dt}")
-    steps = int(round(ratio))
-    x = cloud.copy()
-    for _ in range(steps):
-        k1 = model.rhs(x)
-        k2 = model.rhs(x + 0.5 * model.dt * k1)
-        k3 = model.rhs(x + 0.5 * model.dt * k2)
-        k4 = model.rhs(x + model.dt * k3)
-        x = x + (model.dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        finite = np.isfinite(x).all(axis=1)
-        if not finite.all():
-            bad = int(np.nonzero(~finite)[0][0])
-            raise DivergenceError(f"particle {bad} diverged during propagation")
-    return x
+    return integrate_rk4(cloud, model.rhs, model.dt, int(round(ratio)))
 
 
 @dataclass(frozen=True)
@@ -305,10 +301,10 @@ def fit_gmm_em(cloud, config: EmFitConfig, rng: np.random.Generator | None = Non
         raise ValidationError(f"cloud must be (N, n), got shape {points.shape}")
     if not np.all(np.isfinite(points)):
         raise ValidationError("cloud contains non-finite entries")
-    if points.shape[0] < 10 * config.n_components:
+    if points.shape[0] < MIN_POINTS_PER_COMPONENT * config.n_components:
         raise ValidationError(
             f"{points.shape[0]} points cannot support {config.n_components} components "
-            "(need at least 10 per component)"
+            f"(need at least {MIN_POINTS_PER_COMPONENT} per component)"
         )
     if rng is None:
         rng = np.random.default_rng(config.init_seed)

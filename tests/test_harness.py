@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from wassfilter import (DuffingModel, EmFitConfig, ExperimentConfig,
-                        LinearMeasurementModel, NgsfOptions, ValidationError,
-                        emit_outputs, monte_carlo_compare, run_experiment)
+                        LinearMeasurementModel, ValidationError, emit_outputs,
+                        gsf_update, monte_carlo_compare, run_experiment)
+from wassfilter.ngsf import component_costs
 from wassfilter.cli import main as cli_main
 
 
@@ -44,8 +45,10 @@ class TestConfig:
         assert config.measurement.R[0, 0] == 0.1
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ValidationError):
-            ExperimentConfig.from_json_dict({"horizon": 3})
+        # "ngsf" held solver settings; the closed-form update has none.
+        for data in ({"horizon": 3}, {"ngsf": {}}):
+            with pytest.raises(ValidationError):
+                ExperimentConfig.from_json_dict(data)
 
     def test_unknown_filter_rejected(self):
         with pytest.raises(ValidationError):
@@ -107,38 +110,37 @@ class TestRunExperiment:
         assert first == second
         assert len(first) >= 10
 
-    def test_ngsf_max_iters_zero_matches_gsf(self):
-        # Disabled optimizer: warm start returned unmodified, so both filters
-        # apply the same gains and weights (covariance forms differ only at
-        # roundoff) and the estimates coincide.
-        config = _small_config(horizon_steps=2, ngsf=NgsfOptions(max_iters=0))
-        result = run_experiment(config)
-        first = result.records[0].filters
-        np.testing.assert_array_equal(first["ngsf"].posterior.weights,
-                                      first["gsf"].posterior.weights)
-        for rec in result.records:
-            gsf, ngsf = rec.filters["gsf"], rec.filters["ngsf"]
-            # Posterior covariance forms (short vs quadratic) agree only to
-            # roundoff, so later steps match to tolerance rather than bitwise.
-            np.testing.assert_allclose(ngsf.posterior.weights, gsf.posterior.weights,
-                                       atol=1e-12)
-            np.testing.assert_allclose(ngsf.estimate, gsf.estimate, rtol=1e-9, atol=1e-12)
+    def test_step1_ngsf_weights_are_cheapest_gsf_components(self):
+        # At step 1 both filters share one prior; the nGSF puts equal weight
+        # on the components whose GSF (Kalman) cost is the smallest, zero on
+        # the rest.
+        result = run_experiment(_small_config(horizon_steps=1))
+        rec = result.records[0]
+        prior = rec.filters["gsf"].prior
+        model = result.config.measurement
+        gains = [pair.H for pair in gsf_update(prior, model, rec.measurement).gains]
+        costs = component_costs(gains, prior, model)
+        face = costs == costs.min()
+        np.testing.assert_array_equal(rec.filters["ngsf"].posterior.weights,
+                                      face / face.sum())
+        assert rec.filters["ngsf"].final_cost == costs.min()
 
     def test_kf_momentmatch_baseline(self):
         result = run_experiment(_small_config(filters=("gsf", "kf_momentmatch")))
         rec = result.records[0]
         assert rec.filters["kf_momentmatch"].posterior.order == 1
 
-    def test_abort_names_step_and_module_and_flushes(self, tmp_path):
-        from wassfilter import HarnessError
+    def test_abort_names_step_and_module_and_flushes(self, tmp_path, monkeypatch):
+        from wassfilter import FitError, HarnessError
 
-        # 50 particles cannot support 10 mixture components: the EM fit at
-        # step 1 fails, the error names the step and module, and the partial
-        # output tree (config plus headers) is still written.
+        # A failing EM fit at step 1: the error names the step and module,
+        # and the partial output tree (config plus headers) is still written.
+        def failing_fit(*args, **kwargs):
+            raise FitError("EM failed")
+
+        monkeypatch.setattr("wassfilter.harness.fit_gmm_em", failing_fit)
         out = tmp_path / "o"
-        config = _small_config(ensemble_size=50,
-                               em=EmFitConfig(n_components=10),
-                               output_dir=str(out))
+        config = _small_config(output_dir=str(out))
         with pytest.raises(HarnessError, match=r"step 1, module em_fit"):
             run_experiment(config)
         assert (out / "config.json").exists()
@@ -222,14 +224,6 @@ class TestMonteCarloCompare:
             counts = signs[state]
             assert counts["ngsf_better"] + counts["gsf_better"] + counts["ties"] == 3
 
-    def test_disabled_optimizer_identical_statistics(self):
-        config = _small_config(horizon_steps=2, ngsf=NgsfOptions(max_iters=0))
-        comparison = monte_carlo_compare(config, 2)
-        gsf = comparison.per_filter["gsf"]
-        ngsf = comparison.per_filter["ngsf"]
-        np.testing.assert_allclose(ngsf["rmse"], gsf["rmse"], rtol=1e-9)
-        np.testing.assert_allclose(ngsf["error_variance"], gsf["error_variance"], rtol=1e-9)
-
     def test_rejects_single_run(self):
         with pytest.raises(ValidationError):
             monte_carlo_compare(_small_config(), 1)
@@ -292,6 +286,17 @@ class TestCli:
         bad.write_text(json.dumps({"measurement": {"C": [[1.0, 0.0, 0.0]], "R": [[0.1]]}}))
         assert cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
         assert "invalid input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data", [
+        {"ensemble_size": 5},  # too few particles for 10 mixture components
+        {"duffing": {"damping": float("nan")}},
+    ], ids=["ensemble_below_components", "nan_damping"])
+    def test_bad_config_rejected_before_step_one(self, tmp_path, capsys, data):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
+        assert "invalid input" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_exit_code(self, tmp_path):
         assert cli_main(["run", "--config", str(tmp_path / "absent.json")]) == 1
