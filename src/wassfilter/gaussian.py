@@ -255,49 +255,46 @@ def psd_sqrt(m) -> np.ndarray:
 
 
 def ensure_spd(cov: np.ndarray, psd_tol: float = 1e-12, lift_rel: float = 1e-14) -> np.ndarray:
-    """Symmetrize a structurally-PSD covariance and lift near-zero eigenvalues.
+    """Symmetrize structurally-PSD covariances and lift near-zero eigenvalues.
 
     Used by filter updates whose covariance formulas are PSD analytically but
-    can drift a hair negative in floating point. Eigenvalues below
-    ``-psd_tol * max(1, lambda_max)`` mean the matrix is genuinely broken and
-    raise :class:`DegeneracyError`; eigenvalues in the roundoff band are lifted
-    to ``lift_rel * lambda_max`` so downstream Cholesky factorizations succeed.
-    Well-conditioned matrices are returned symmetrized but otherwise untouched.
+    can drift a hair negative in floating point. Takes one ``(n, n)`` matrix
+    or a ``(K, n, n)`` stack and treats each matrix of a stack as if alone.
+    Eigenvalues below ``-psd_tol * max(1, lambda_max)`` mean a matrix is
+    genuinely broken and raise :class:`DegeneracyError` (for the first such
+    matrix); eigenvalues in the roundoff band are lifted to
+    ``lift_rel * lambda_max`` so downstream Cholesky factorizations succeed.
+    Only matrices with a lifted eigenvalue are rebuilt; the rest are returned
+    symmetrized but otherwise untouched.
     """
-    cov = 0.5 * (cov + cov.T)
-    w = np.linalg.eigvalsh(cov)
-    lmax = max(float(w.max()), 0.0)
-    if float(w.min()) < -psd_tol * max(1.0, lmax):
-        raise DegeneracyError(
-            f"covariance eigenvalue {w.min():.6e} is negative beyond roundoff tolerance"
-        )
+    cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
+    stack = cov.reshape((-1,) + cov.shape[-2:])
+    w = np.linalg.eigvalsh(stack)
+    lmax = np.maximum(w[:, -1], 0.0)
+    broken = w[:, 0] < -psd_tol * np.maximum(1.0, lmax)
+    if broken.any():
+        bad = w[np.argmax(broken), 0]
+        raise DegeneracyError(f"covariance eigenvalue {bad:.6e} is negative beyond roundoff tolerance")
     lift = lift_rel * lmax
-    if float(w.min()) >= lift:
-        return cov
-    w2, v = np.linalg.eigh(cov)
-    lifted = (v * np.clip(w2, lift, None)) @ v.T
-    return 0.5 * (lifted + lifted.T)
-
-
-def _chol_logpdf(mean: np.ndarray, chol_lower: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Log normal density at ``points`` (rows) given a lower Cholesky factor."""
-    from scipy.linalg import solve_triangular
-
-    diff = np.atleast_2d(points) - mean
-    z = solve_triangular(chol_lower, diff.T, lower=True)
-    quad = np.sum(z * z, axis=0)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol_lower))))
-    n = mean.shape[0]
-    return -0.5 * (n * np.log(2.0 * np.pi) + logdet + quad)
+    low = w[:, 0] < lift
+    if low.any():
+        w2, v = np.linalg.eigh(stack[low])
+        lifted = (v * np.clip(w2, lift[low][:, None], None)[:, None, :]) @ np.swapaxes(v, 1, 2)
+        stack[low] = 0.5 * (lifted + np.swapaxes(lifted, 1, 2))
+    return stack.reshape(cov.shape)
 
 
 def gaussian_logpdf(g: Gaussian, x) -> float:
     """Log of the multivariate normal density of ``g`` at point ``x``."""
+    from scipy.linalg import solve_triangular
+
     x = _as_vector(x, "x")
     if x.shape[0] != g.dim:
         raise ValidationError(f"point has dimension {x.shape[0]}, Gaussian has {g.dim}")
     chol = np.linalg.cholesky(g.cov)
-    return float(_chol_logpdf(g.mean, chol, x[None, :])[0])
+    z = solve_triangular(chol, x - g.mean, lower=True)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
+    return float(-0.5 * (g.dim * np.log(2.0 * np.pi) + logdet + np.sum(z * z)))
 
 
 def sample_gaussian(g: Gaussian, count: int, rng: np.random.Generator) -> np.ndarray:

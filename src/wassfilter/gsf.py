@@ -13,6 +13,10 @@ Posterior weights follow the Bayesian reweighting
 computed in log space with max-subtraction so distant components underflow
 gracefully. Component order is preserved: posterior node i descends from
 prior node i.
+
+The K problems share one shape, so one stacked factorization of the
+innovation covariances (see ``kalman.py``) gives every gain, posterior moment,
+cost and likelihood weight without a per-component loop.
 """
 
 from __future__ import annotations
@@ -22,9 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, ValidationError, WeightUnderflowError
-from .gaussian import GaussianMixture, _as_vector, _chol_logpdf, _readonly
-from .kalman import (LinearMeasurementModel, _apply_linear_update,
-                     _innovation_chol, kalman_gains, update_error_cost)
+from .gaussian import Gaussian, GaussianMixture, _as_vector, _readonly
+# kalman_gains is unused here but stays a module attribute: perfbench/layertrace.py patches it.
+from .kalman import (GainPair, LinearMeasurementModel, _apply_linear_update,  # noqa: F401
+                     _innovation_gains, kalman_gains, update_error_cost)
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,23 +52,6 @@ class GsfUpdateResult:
         object.__setattr__(self, "component_costs", _readonly(costs))
 
 
-def posterior_log_weights(prior_weights, means, innovation_chols, y) -> np.ndarray:
-    """Unnormalized posterior log weights: ``log w_i- + log N(y; C mu_i-, S_i)``.
-
-    ``means`` are the predicted measurements ``C mu_i-`` and
-    ``innovation_chols`` the lower Cholesky factors of the innovation
-    covariances. Scale-invariant in the prior weights up to a common shift.
-    """
-    prior_weights = np.asarray(prior_weights, dtype=float)
-    with np.errstate(divide="ignore"):
-        log_prior = np.log(prior_weights)
-    log_like = np.array([
-        _chol_logpdf(mean, chol, y[None, :])[0]
-        for mean, chol in zip(means, innovation_chols)
-    ])
-    return log_prior + log_like
-
-
 def _normalize_log_weights(log_w: np.ndarray) -> np.ndarray:
     finite = np.isfinite(log_w)
     if not np.any(finite):
@@ -80,28 +68,26 @@ def gsf_update(prior: GaussianMixture, model: LinearMeasurementModel, y) -> GsfU
     if prior.dim != model.state_dim:
         raise ValidationError(f"prior has dimension {prior.dim}, model expects {model.state_dim}")
 
-    gains = []
-    nodes = []
-    costs = []
-    pred_means = []
-    innovation_chols = []
-    for i, (_, node) in enumerate(prior.components):
-        try:
-            _, innovation = _innovation_chol(node.cov, model)
-            pair = kalman_gains(node.cov, model)
-        except ConditioningError as exc:
-            raise ConditioningError(f"component {i}: {exc}") from exc
-        gains.append(pair)
-        nodes.append(_apply_linear_update(node.mean, node.cov, pair, model, y))
-        costs.append(update_error_cost(pair.H, node.cov, model))
-        pred_means.append(model.C @ node.mean)
-        innovation_chols.append(np.linalg.cholesky(innovation))
+    means, covs = prior.means(), prior.covs()
+    try:
+        chol, inv, h = _innovation_gains(covs, model)
+    except ConditioningError as exc:
+        raise ConditioningError(f"component {exc.component}: {exc}") from exc
+    post_means, post_covs = _apply_linear_update(means, covs, h, model, y)
 
-    log_w = posterior_log_weights(prior.weights, pred_means, innovation_chols, y)
-    weights = _normalize_log_weights(log_w)
-    posterior = GaussianMixture(tuple(zip(weights, nodes)))
-    return GsfUpdateResult(posterior=posterior, gains=tuple(gains),
-                           component_costs=np.array(costs))
+    # log w_i- + log N(y; C mu_i-, L_i L_i^T) from the whitened innovations.
+    z = (inv @ (y - means @ model.C.T)[:, :, None])[:, :, 0]
+    log_like = -0.5 * (model.meas_dim * np.log(2.0 * np.pi)
+                       + 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+                       + (z * z).sum(axis=1))
+    with np.errstate(divide="ignore"):
+        weights = _normalize_log_weights(np.log(prior.weights) + log_like)
+
+    g = np.eye(model.state_dim) - h @ model.C
+    nodes = [Gaussian(m, c, eig_floor=0.0) for m, c in zip(post_means, post_covs)]
+    return GsfUpdateResult(posterior=GaussianMixture(tuple(zip(weights, nodes))),
+                           gains=tuple(GainPair(G=gk, H=hk) for gk, hk in zip(g, h)),
+                           component_costs=update_error_cost(h, covs, model))
 
 
 def gsf_bound_cost(result: GsfUpdateResult) -> float:

@@ -86,6 +86,12 @@ class ExperimentConfig:
             raise ValidationError(
                 f"measurement C must have 2 columns (the Duffing state), "
                 f"got {self.measurement.state_dim}")
+        try:
+            np.linalg.cholesky(self.measurement.C @ self.measurement.C.T + self.measurement.R)
+        except np.linalg.LinAlgError:
+            raise ValidationError(
+                "measurement C C^T + R is not positive definite, so the innovation "
+                "covariance C S C^T + R is singular for every prior covariance S") from None
         filters = tuple(self.filters)
         if not filters:
             raise ValidationError("at least one filter must be enabled")

@@ -12,9 +12,11 @@ applies the measurement update, evaluates the posterior-error trace cost for
 arbitrary gains, and estimates the orthogonality residuals
 ``E[e+ x-^T]`` and ``E[e+ y^T]`` by closed-loop Monte Carlo.
 
-Numerical policy: the innovation covariance is factorized by Cholesky (never
-inverted explicitly) and posterior covariances are symmetrized before being
-returned, so the update can be chained without drift.
+Numerical policy: the update works on a ``(K, n, n)`` stack of prior
+covariances (a single Gaussian is a stack of one). Each innovation covariance
+is factored once, by one batched Cholesky call per stack, and the gains come
+from the inverse of that factor. Posterior covariances are symmetrized before
+being returned, so the update can be chained without drift.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ConditioningError, DivergenceError, ValidationError
 from .gaussian import Gaussian, _as_matrix, _as_vector, _check_symmetric, _readonly, ensure_spd
@@ -111,17 +112,30 @@ class LinearPropagationModel:
         return self.A.shape[0]
 
 
-def _innovation_chol(prior_err_cov: np.ndarray, model: LinearMeasurementModel):
-    """Cholesky factorization of ``C S C^T + R`` with a conditioning guard."""
-    s = model.C @ prior_err_cov @ model.C.T + model.R
-    s = 0.5 * (s + s.T)
+def _innovation_gains(covs: np.ndarray, model: LinearMeasurementModel):
+    """Cholesky factors ``L_k`` of ``C S_k C^T + R``, their inverses and the gains
+    ``H_k = S_k C^T L_k^-T L_k^-1`` for a ``(K, n, n)`` stack of covariances ``S_k``.
+
+    The :class:`ConditioningError` of the guard carries the index of the first
+    failing covariance as ``component``.
+    """
+    s = model.C @ covs @ model.C.T + model.R
+    s = 0.5 * (s + np.swapaxes(s, 1, 2))
     w = np.linalg.eigvalsh(s)
-    if float(w.min()) <= 0.0 or float(w.max()) / float(w.min()) > MAX_INNOVATION_CONDITION:
-        raise ConditioningError(
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bad = (w[:, 0] <= 0.0) | (w[:, -1] / w[:, 0] > MAX_INNOVATION_CONDITION)
+    if bad.any():
+        i = int(np.argmax(bad))
+        exc = ConditioningError(
             f"innovation covariance condition number exceeds {MAX_INNOVATION_CONDITION:.0e} "
-            f"(eigenvalues in [{w.min():.3e}, {w.max():.3e}])"
+            f"(eigenvalues in [{w[i, 0]:.3e}, {w[i, -1]:.3e}])"
         )
-    return cho_factor(s, lower=True), s
+        exc.component = i
+        raise exc
+    chol = np.linalg.cholesky(s)
+    inv = np.linalg.inv(chol)
+    gains = np.swapaxes(inv @ (model.C @ covs), 1, 2) @ inv
+    return chol, inv, gains
 
 
 def kalman_gains(prior_err_cov, model: LinearMeasurementModel) -> GainPair:
@@ -132,20 +146,18 @@ def kalman_gains(prior_err_cov, model: LinearMeasurementModel) -> GainPair:
         raise ValidationError(
             f"prior_err_cov is {sigma.shape[0]}x{sigma.shape[1]} but C has {model.state_dim} columns"
         )
-    chol, _ = _innovation_chol(sigma, model)
-    # H = S C^T (C S C^T + R)^-1, computed as a solve against C S.
-    h = cho_solve(chol, model.C @ sigma).T
+    _, _, h = _innovation_gains(sigma[None], model)
     g = np.eye(model.state_dim) - h @ model.C
-    return GainPair(G=g, H=h)
+    return GainPair(G=g[0], H=h[0])
 
 
-def _apply_linear_update(prior_mean: np.ndarray, prior_err_cov: np.ndarray,
-                         gains: GainPair, model: LinearMeasurementModel,
-                         y: np.ndarray) -> Gaussian:
-    """Measurement update at the optimal gains: mean shift plus covariance contraction."""
-    mean = prior_mean + gains.H @ (y - model.C @ prior_mean)
-    cov = prior_err_cov - gains.H @ (model.C @ prior_err_cov)
-    return Gaussian(mean, ensure_spd(cov), eig_floor=0.0)
+def _apply_linear_update(means: np.ndarray, covs: np.ndarray, gains: np.ndarray,
+                         model: LinearMeasurementModel, y: np.ndarray):
+    """Measurement update of ``(K, n)`` means and ``(K, n, n)`` covariances at the
+    ``(K, n, m)`` optimal gains: mean shift plus covariance contraction."""
+    innovations = y - means @ model.C.T
+    means = means + (gains @ innovations[:, :, None])[:, :, 0]
+    return means, ensure_spd(covs - gains @ (model.C @ covs))
 
 
 def kalman_update(prior: Gaussian, prior_err_cov, model: LinearMeasurementModel, y) -> Gaussian:
@@ -162,20 +174,25 @@ def kalman_update(prior: Gaussian, prior_err_cov, model: LinearMeasurementModel,
         raise ValidationError(f"prior has dimension {prior.dim}, model expects {model.state_dim}")
     sigma = _as_matrix(prior_err_cov, "prior_err_cov")
     gains = kalman_gains(sigma, model)
-    return _apply_linear_update(prior.mean, sigma, gains, model, y)
+    means, covs = _apply_linear_update(prior.mean[None], sigma[None], gains.H[None], model, y)
+    return Gaussian(means[0], covs[0], eig_floor=0.0)
 
 
 def update_error_cost(H: np.ndarray, prior_err_cov: np.ndarray,
-                      model: LinearMeasurementModel) -> float:
+                      model: LinearMeasurementModel):
     """Posterior-error trace for gain ``H`` with ``G = I - H C``:
 
     ``tr((H C - I) S (H C - I)^T + H R H^T)``.
 
     This is the quadratic-form (Joseph-equivalent) expression, PSD for any
-    gain, and the per-component cost in the mixture filters.
+    gain, and the per-component cost in the mixture filters. Given a single
+    gain and covariance it returns a float; given ``(K, n, m)`` gains and
+    ``(K, n, n)`` covariances it returns the ``(K,)`` costs.
     """
     a = H @ model.C - np.eye(model.state_dim)
-    return float(np.trace(a @ prior_err_cov @ a.T) + np.trace(H @ model.R @ H.T))
+    cost = (np.trace(a @ prior_err_cov @ np.swapaxes(a, -1, -2), axis1=-2, axis2=-1)
+            + np.trace(H @ model.R @ np.swapaxes(H, -1, -2), axis1=-2, axis2=-1))
+    return float(cost) if np.ndim(cost) == 0 else cost
 
 
 def wasserstein_posterior_cost(gains: GainPair, prior: Gaussian, prior_err_cov,
@@ -217,9 +234,8 @@ def stationary_prior_error_cov(model: LinearMeasurementModel, prop: LinearPropag
         # Zero process noise: the deterministic fixed point is the zero matrix.
         return np.zeros_like(sigma)
     for _ in range(max_iters):
-        chol, _ = _innovation_chol(sigma, model)
-        hc_sigma = (cho_solve(chol, model.C @ sigma).T) @ (model.C @ sigma)
-        post = ensure_spd(sigma - hc_sigma)
+        _, _, h = _innovation_gains(sigma[None], model)
+        post = ensure_spd(sigma - h[0] @ (model.C @ sigma))
         nxt = prop.A @ post @ prop.A.T + prop.Q
         nxt = 0.5 * (nxt + nxt.T)
         if float(np.abs(nxt - sigma).max()) <= tol * max(1.0, float(np.abs(sigma).max())):

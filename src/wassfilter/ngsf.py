@@ -58,10 +58,7 @@ def _check_problem_dims(weights, gains, prior: GaussianMixture, model: LinearMea
 
 def component_costs(gains, prior: GaussianMixture, model: LinearMeasurementModel) -> np.ndarray:
     """Per-component posterior-error traces ``c_i(H_i)`` at the given gains."""
-    return np.array([
-        update_error_cost(h, node.cov, model)
-        for h, node in zip(gains, prior.nodes)
-    ])
+    return update_error_cost(np.stack(gains), prior.covs(), model)
 
 
 def ngsf_cost(weights, gains, prior: GaussianMixture, model: LinearMeasurementModel) -> float:
@@ -179,22 +176,19 @@ def apply_ngsf_solution(problem: NgsfProblem, solution: NgsfSolution) -> GsfUpda
     which stays PSD even for gains far from the Kalman point.
     """
     model, prior, y = problem.model, problem.prior, problem.y
-    eye = np.eye(model.state_dim)
-    nodes = []
-    pairs = []
-    costs = []
-    for h, node in zip(solution.gains, prior.nodes):
-        mean = node.mean + h @ (y - model.C @ node.mean)
-        a = h @ model.C - eye
-        cov = a @ node.cov @ a.T + h @ model.R @ h.T
-        nodes.append(Gaussian(mean, ensure_spd(cov), eig_floor=0.0))
-        pairs.append(GainPair(G=eye - h @ model.C, H=h))
-        costs.append(update_error_cost(h, node.cov, model))
+    h = np.stack(solution.gains)
+    means, covs = prior.means(), prior.covs()
+    post_means = means + (h @ (y - means @ model.C.T)[:, :, None])[:, :, 0]
+    g = np.eye(model.state_dim) - h @ model.C
+    post_covs = ensure_spd(g @ covs @ np.swapaxes(g, 1, 2)
+                           + h @ model.R @ np.swapaxes(h, 1, 2))
+    nodes = [Gaussian(m, c, eig_floor=0.0) for m, c in zip(post_means, post_covs)]
     # The solver's weights are already on the simplex; renormalizing them
     # could move each by an ulp away from the weights it costed.
     posterior = GaussianMixture(tuple(zip(solution.weights, nodes)))
-    return GsfUpdateResult(posterior=posterior, gains=tuple(pairs),
-                           component_costs=np.array(costs))
+    return GsfUpdateResult(posterior=posterior,
+                           gains=tuple(GainPair(G=gk, H=hk) for gk, hk in zip(g, h)),
+                           component_costs=update_error_cost(h, covs, model))
 
 
 def ngsf_update(problem: NgsfProblem) -> GsfUpdateResult:

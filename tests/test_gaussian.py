@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wassfilter import (DegeneracyError, DiracPoint, Gaussian, GaussianMixture,
                         ValidationError, gaussian_logpdf, mixture_mean_cov,
                         sample_gaussian, sample_mixture, spd_sqrt)
+from wassfilter.gaussian import ensure_spd
 
 from conftest import random_gaussian, random_spd
 
@@ -236,3 +239,37 @@ class TestJsonInterchange:
 def test_dirac_point_requires_finite():
     with pytest.raises(ValidationError):
         DiracPoint([np.inf, 0.0])
+
+
+class TestEnsureSpdStack:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), order=st.integers(1, 10), n=st.integers(1, 3))
+    def test_stack_equals_per_matrix(self, seed, order, n):
+        # Mixed stack: about half the matrices have a zero eigenvalue, which
+        # roundoff leaves below the lift level; the rest are well conditioned.
+        # All carry a slight asymmetry.
+        rng = np.random.default_rng(seed)
+        stack = np.empty((order, n, n))
+        for k in range(order):
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            w = rng.uniform(0.5, 2.0, n)
+            if rng.uniform() < 0.5:
+                w[0] = 0.0
+            skew = 1e-14 * rng.standard_normal((n, n))
+            stack[k] = q @ np.diag(w) @ q.T + (skew - skew.T)
+        out = ensure_spd(stack)
+        assert out.shape == stack.shape
+        for k in range(order):
+            np.testing.assert_array_equal(out[k], ensure_spd(stack[k]))
+            sym = 0.5 * (stack[k] + stack[k].T)
+            w = np.linalg.eigvalsh(sym)
+            lift = 1e-14 * w[-1]
+            if w[0] < lift:
+                assert np.linalg.eigvalsh(out[k]).min() >= 0.5 * lift
+            else:
+                np.testing.assert_array_equal(out[k], sym)
+
+    def test_stack_names_negative_eigenvalue(self):
+        stack = np.stack([np.eye(2), np.diag([1.0, -1e-3]), np.diag([1.0, -1.0])])
+        with pytest.raises(DegeneracyError, match="-1.000000e-03"):
+            ensure_spd(stack)

@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import cho_solve, solve_triangular
 
 from wassfilter import (ConditioningError, Gaussian, GaussianMixture,
                         LinearMeasurementModel, WeightUnderflowError,
                         gsf_bound_cost, gsf_update, kalman_gains, kalman_update,
                         update_error_cost)
 from wassfilter.gsf import _normalize_log_weights
+from wassfilter.kalman import MAX_INNOVATION_CONDITION
 
-from conftest import random_mixture, random_spd
+from conftest import assert_close_12, random_mixture, random_spd
 
 
 def _scalar_model(r=1.0):
@@ -145,3 +149,73 @@ class TestBoundCost:
                 h = pair.H + 1e-2 * rng.standard_normal(pair.H.shape)
                 perturbed += update_error_cost(h, node.cov, model)
             assert perturbed >= base - 1e-12
+
+
+def _loop_gsf(prior, model, y):
+    """Reference GSF update: one Cholesky factor, solve and cost per component."""
+    eye = np.eye(model.state_dim)
+    gains, means, covs, costs, log_w = [], [], [], [], []
+    for w, node in prior.components:
+        s = model.C @ node.cov @ model.C.T + model.R
+        chol = np.linalg.cholesky(0.5 * (s + s.T))
+        h = cho_solve((chol, True), model.C @ node.cov).T
+        a = h @ model.C - eye
+        cov = node.cov - h @ model.C @ node.cov
+        z = solve_triangular(chol, y - model.C @ node.mean, lower=True)
+        gains.append(h)
+        means.append(node.mean + h @ (y - model.C @ node.mean))
+        covs.append(0.5 * (cov + cov.T))
+        costs.append(np.trace(a @ node.cov @ a.T) + np.trace(h @ model.R @ h.T))
+        log_w.append(np.log(w) - 0.5 * (model.meas_dim * np.log(2.0 * np.pi)
+                                        + 2.0 * np.sum(np.log(np.diag(chol))) + z @ z))
+    weights = np.exp(np.array(log_w) - max(log_w))
+    return gains, means, covs, np.array(costs), weights / weights.sum()
+
+
+def _ill_conditioned_cov(rng, scale):
+    """2x2 SPD covariance with eigenvalues ``scale`` and ``1e-8``, rotated."""
+    q, _ = np.linalg.qr(rng.standard_normal((2, 2)))
+    return q @ np.diag([scale, 1e-8]) @ q.T
+
+
+class TestBatchedUpdate:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), order=st.integers(1, 10),
+           n=st.integers(1, 3), m=st.integers(1, 2))
+    def test_matches_component_loop(self, seed, order, n, m):
+        rng = np.random.default_rng(seed)
+        prior = random_mixture(rng, order, n)
+        model = LinearMeasurementModel(rng.standard_normal((m, n)), random_spd(rng, m, base=0.3))
+        y = rng.standard_normal(m)
+        res = gsf_update(prior, model, y)
+        gains, means, covs, costs, weights = _loop_gsf(prior, model, y)
+        assert_close_12(res.posterior.weights, weights)
+        assert_close_12(res.component_costs, costs)
+        for k, (pair, node) in enumerate(zip(res.gains, res.posterior.nodes)):
+            assert_close_12(pair.H, gains[k])
+            assert_close_12(pair.G, np.eye(n) - gains[k] @ model.C)
+            assert_close_12(node.mean, means[k])
+            assert_close_12(node.cov, covs[k])
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), order=st.integers(1, 10))
+    def test_conditioning_guard_names_first_bad_component(self, seed, order):
+        # Each component is either well conditioned or has an innovation
+        # condition number within a factor of 2 of the guard, on either side.
+        rng = np.random.default_rng(seed)
+        model = LinearMeasurementModel(np.eye(2), 1e-6 * np.eye(2))
+        covs = [_ill_conditioned_cov(rng, 1e6 * 2.0 ** rng.uniform(-1, 1))
+                if rng.uniform() < 0.5 else random_spd(rng, 2) for _ in range(order)]
+        prior = GaussianMixture.from_arrays(np.full(order, 1.0 / order),
+                                            rng.standard_normal((order, 2)), covs)
+        first_bad = None
+        for k, cov in enumerate(covs):
+            w = np.linalg.eigvalsh(cov + model.R)
+            if w.min() <= 0.0 or w.max() / w.min() > MAX_INNOVATION_CONDITION:
+                first_bad = k
+                break
+        if first_bad is None:
+            assert gsf_update(prior, model, np.zeros(2)).posterior.order == order
+        else:
+            with pytest.raises(ConditioningError, match=f"^component {first_bad}: "):
+                gsf_update(prior, model, np.zeros(2))

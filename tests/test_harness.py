@@ -290,13 +290,23 @@ class TestCli:
     @pytest.mark.parametrize("data", [
         {"ensemble_size": 5},  # too few particles for 10 mixture components
         {"duffing": {"damping": float("nan")}},
-    ], ids=["ensemble_below_components", "nan_damping"])
+        # C C^T + R singular: every innovation covariance C S C^T + R is too.
+        {"measurement": {"C": [[0.0, 0.0]], "R": [[0.0]]}},
+    ], ids=["ensemble_below_components", "nan_damping", "uninformative_sensor"])
     def test_bad_config_rejected_before_step_one(self, tmp_path, capsys, data):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
         assert cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
         assert "invalid input" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_noiseless_informative_sensor_runs(self, tmp_path):
+        # R = 0 is allowed when C alone makes C C^T + R positive definite.
+        config = _small_config(horizon_steps=1,
+                               measurement=LinearMeasurementModel([[1.0, 0.0]], [[0.0]]))
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config.to_json_dict()))
+        assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
     def test_missing_config_exit_code(self, tmp_path):
         assert cli_main(["run", "--config", str(tmp_path / "absent.json")]) == 1

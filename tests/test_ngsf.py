@@ -10,7 +10,7 @@ from wassfilter import (Gaussian, GaussianMixture, LinearMeasurementModel,
                         gsf_update, kalman_gains, kalman_update, kkt_residuals,
                         ngsf_cost, ngsf_gradients, ngsf_solve, ngsf_update)
 
-from conftest import random_mixture, random_spd
+from conftest import assert_close_12, random_mixture, random_spd
 
 
 def _problem(rng, order=3, n=2, m=1):
@@ -244,3 +244,41 @@ class TestUpdate:
                              problem.prior, problem.model)
             final = ngsf_cost(sol.weights, sol.gains, problem.prior, problem.model)
             assert final <= warm + 1e-12
+
+
+def _loop_apply(problem, solution):
+    """Reference nGSF posterior: one quadratic-form covariance and cost per component."""
+    model, y = problem.model, problem.y
+    eye = np.eye(model.state_dim)
+    means, covs, g_list, costs = [], [], [], []
+    for h, node in zip(solution.gains, problem.prior.nodes):
+        a = h @ model.C - eye
+        cov = a @ node.cov @ a.T + h @ model.R @ h.T
+        means.append(node.mean + h @ (y - model.C @ node.mean))
+        covs.append(0.5 * (cov + cov.T))
+        g_list.append(eye - h @ model.C)
+        costs.append(np.trace(a @ node.cov @ a.T) + np.trace(h @ model.R @ h.T))
+    return means, covs, g_list, np.array(costs)
+
+
+class TestBatchedApply:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), order=st.integers(1, 10), m=st.integers(1, 2))
+    def test_matches_component_loop(self, seed, order, m):
+        # Random simplex weights and gains away from the Kalman point, so the
+        # quadratic-form covariance is exercised off the optimum.
+        rng = np.random.default_rng(seed)
+        problem = _problem(rng, order=order, m=m)
+        weights = rng.dirichlet(np.ones(order))
+        gains = tuple(h + 0.3 * rng.standard_normal(h.shape) for h in problem.warm_gains)
+        cost = ngsf_cost(weights, gains, problem.prior, problem.model)
+        solution = NgsfSolution(weights=weights, gains=gains, warm_cost=cost, final_cost=cost)
+        res = apply_ngsf_solution(problem, solution)
+        means, covs, g_list, costs = _loop_apply(problem, solution)
+        np.testing.assert_array_equal(res.posterior.weights, solution.weights)
+        assert_close_12(res.component_costs, costs)
+        for k, (pair, node) in enumerate(zip(res.gains, res.posterior.nodes)):
+            np.testing.assert_array_equal(pair.H, gains[k])
+            assert_close_12(pair.G, g_list[k])
+            assert_close_12(node.mean, means[k])
+            assert_close_12(node.cov, covs[k])
