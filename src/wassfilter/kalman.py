@@ -15,8 +15,8 @@ arbitrary gains, and estimates the orthogonality residuals
 Numerical policy: the update works on a ``(K, n, n)`` stack of prior
 covariances (a single Gaussian is a stack of one). Each innovation covariance
 is factored once, by one batched Cholesky call per stack, and the gains come
-from the inverse of that factor. Posterior covariances are symmetrized before
-being returned, so the update can be chained without drift.
+from the inverse of that factor. Posterior covariances take the quadratic form
+of ``_posterior_covs`` and are symmetrized, so updates chain without drift.
 """
 
 from __future__ import annotations
@@ -151,13 +151,19 @@ def kalman_gains(prior_err_cov, model: LinearMeasurementModel) -> GainPair:
     return GainPair(G=g[0], H=h[0])
 
 
+def _posterior_covs(covs: np.ndarray, gains: np.ndarray, model: LinearMeasurementModel):
+    """``G S G^T + H R H^T`` with ``G = I - H C`` for stacked covariances and gains: a sum
+    of PSD terms for any gain, where the short form drifts negative for noiseless sensors."""
+    g = np.eye(model.state_dim) - gains @ model.C
+    return ensure_spd(g @ covs @ np.swapaxes(g, 1, 2) + gains @ model.R @ np.swapaxes(gains, 1, 2))
+
+
 def _apply_linear_update(means: np.ndarray, covs: np.ndarray, gains: np.ndarray,
                          model: LinearMeasurementModel, y: np.ndarray):
-    """Measurement update of ``(K, n)`` means and ``(K, n, n)`` covariances at the
-    ``(K, n, m)`` optimal gains: mean shift plus covariance contraction."""
+    """Stacked means ``mu + H (y - C mu)`` and their :func:`_posterior_covs` covariances."""
     innovations = y - means @ model.C.T
     means = means + (gains @ innovations[:, :, None])[:, :, 0]
-    return means, ensure_spd(covs - gains @ (model.C @ covs))
+    return means, _posterior_covs(covs, gains, model)
 
 
 def kalman_update(prior: Gaussian, prior_err_cov, model: LinearMeasurementModel, y) -> Gaussian:
@@ -225,9 +231,9 @@ def stationary_prior_error_cov(model: LinearMeasurementModel, prop: LinearPropag
                                tol: float = 1e-14, max_iters: int = 200_000) -> np.ndarray:
     """Fixed point of the optimal-filter error-covariance recursion.
 
-    Iterates ``S <- A (S - S C^T (C S C^T + R)^-1 C S) A^T + Q`` from ``Q``
-    until the update stalls. The Kalman gains computed from this covariance
-    are the stationary optimal gains of the simulated system.
+    Iterates ``S <- A ((I - H C) S (I - H C)^T + H R H^T) A^T + Q`` (``H`` the
+    Kalman gain of ``S``) from ``Q`` until it stalls. The Kalman gains computed
+    from this covariance are the stationary optimal gains of the simulated system.
     """
     sigma = np.array(prop.Q, dtype=float)
     if not np.any(sigma):
@@ -235,7 +241,7 @@ def stationary_prior_error_cov(model: LinearMeasurementModel, prop: LinearPropag
         return np.zeros_like(sigma)
     for _ in range(max_iters):
         _, _, h = _innovation_gains(sigma[None], model)
-        post = ensure_spd(sigma - h[0] @ (model.C @ sigma))
+        post = _posterior_covs(sigma[None], h, model)[0]
         nxt = prop.A @ post @ prop.A.T + prop.Q
         nxt = 0.5 * (nxt + nxt.T)
         if float(np.abs(nxt - sigma).max()) <= tol * max(1.0, float(np.abs(sigma).max())):

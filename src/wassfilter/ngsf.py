@@ -14,8 +14,8 @@ weight vector on the simplex face of the cheapest components: no iteration is
 needed. ``ngsf_solve`` returns that closed form, which also makes the GSF
 suboptimality explicit: the nGSF puts all weight on the cheapest components.
 ``ngsf_cost``, ``ngsf_gradients`` and ``kkt_residuals`` evaluate the objective
-at arbitrary points as diagnostics. The posterior applies the quadratic-form
-covariance update, which stays PSD for any gain.
+at arbitrary points as diagnostics. The posterior is the GSF result reweighted
+onto that face in O(K); the costs depend on the prior covariances, C and R only.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .gaussian import Gaussian, GaussianMixture, _as_vector, _readonly, ensure_spd
+from .gaussian import GaussianMixture, _as_vector, _readonly
 from .gsf import GsfUpdateResult, gsf_update
-from .kalman import GainPair, LinearMeasurementModel, update_error_cost
+from .kalman import LinearMeasurementModel, update_error_cost
 
 # Off-simplex rejection tolerances for user-supplied weight vectors.
 _SUM_ATOL = 1e-8
@@ -106,21 +106,25 @@ def kkt_residuals(weights, gains, prior: GaussianMixture,
 
 @dataclass(frozen=True, eq=False)
 class NgsfProblem:
-    """One nGSF measurement-update instance with its warm start."""
+    """One nGSF measurement-update instance and the GSF update ``warm`` it starts from."""
 
     prior: GaussianMixture
     model: LinearMeasurementModel
     y: np.ndarray
-    warm_weights: np.ndarray
-    warm_gains: tuple
+    warm: GsfUpdateResult
 
     def __post_init__(self):
         y = _as_vector(self.y, "y")
-        w = _check_problem_dims(self.warm_weights, self.warm_gains, self.prior, self.model)
+        _check_problem_dims(self.warm_weights, self.warm_gains, self.prior, self.model)
         object.__setattr__(self, "y", _readonly(y))
-        object.__setattr__(self, "warm_weights", _readonly(w))
-        object.__setattr__(self, "warm_gains", tuple(_readonly(np.asarray(h, float))
-                                                     for h in self.warm_gains))
+
+    @property
+    def warm_weights(self) -> np.ndarray:
+        return self.warm.posterior.weights
+
+    @property
+    def warm_gains(self) -> tuple:
+        return tuple(pair.H for pair in self.warm.gains)
 
     @classmethod
     def from_gsf(cls, prior: GaussianMixture, model: LinearMeasurementModel, y,
@@ -128,9 +132,7 @@ class NgsfProblem:
         """Warm start from one GSF update (its gains and Bayesian weights)."""
         if gsf_result is None:
             gsf_result = gsf_update(prior, model, y)
-        return cls(prior=prior, model=model, y=np.asarray(y, float),
-                   warm_weights=gsf_result.posterior.weights,
-                   warm_gains=tuple(pair.H for pair in gsf_result.gains))
+        return cls(prior=prior, model=model, y=np.asarray(y, float), warm=gsf_result)
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,10 +159,9 @@ def ngsf_solve(problem: NgsfProblem) -> NgsfSolution:
     The warm-start gains are the per-component Kalman gains, which minimize
     every ``c_i``; J is then linear in the weights, so its minimum over the
     simplex is ``min_i c_i``. Weight is split evenly over the components that
-    tie at that minimum, and the gains are kept.
+    tie at that minimum; the gains are kept and the costs are the GSF's.
     """
-    prior, model = problem.prior, problem.model
-    costs = component_costs(problem.warm_gains, prior, model)
+    costs = problem.warm.component_costs
     face = costs == costs.min()
     weights = face / face.sum()
     return NgsfSolution(weights=weights, gains=problem.warm_gains,
@@ -169,26 +170,19 @@ def ngsf_solve(problem: NgsfProblem) -> NgsfSolution:
 
 
 def apply_ngsf_solution(problem: NgsfProblem, solution: NgsfSolution) -> GsfUpdateResult:
-    """Build the posterior mixture from optimized weights and gains.
+    """The nGSF posterior: the solution's weights on the GSF posterior nodes.
 
-    Component means follow ``mu_i+ = mu_i- + H_i (y - C mu_i-)``; covariances
-    use the quadratic form ``(H_i C - I) S_i- (H_i C - I)^T + H_i R H_i^T``,
-    which stays PSD even for gains far from the Kalman point.
+    With the Kalman gains kept, the nodes, gains and costs are the GSF's. Raises
+    :class:`ValidationError` when ``solution.gains`` are not the warm gains.
     """
-    model, prior, y = problem.model, problem.prior, problem.y
-    h = np.stack(solution.gains)
-    means, covs = prior.means(), prior.covs()
-    post_means = means + (h @ (y - means @ model.C.T)[:, :, None])[:, :, 0]
-    g = np.eye(model.state_dim) - h @ model.C
-    post_covs = ensure_spd(g @ covs @ np.swapaxes(g, 1, 2)
-                           + h @ model.R @ np.swapaxes(h, 1, 2))
-    nodes = [Gaussian(m, c, eig_floor=0.0) for m, c in zip(post_means, post_covs)]
+    if not np.array_equal(solution.gains, problem.warm_gains):
+        raise ValidationError("nGSF solution gains are not the warm-start (Kalman) gains")
+    warm = problem.warm
     # The solver's weights are already on the simplex; renormalizing them
     # could move each by an ulp away from the weights it costed.
-    posterior = GaussianMixture(tuple(zip(solution.weights, nodes)))
-    return GsfUpdateResult(posterior=posterior,
-                           gains=tuple(GainPair(G=gk, H=hk) for gk, hk in zip(g, h)),
-                           component_costs=update_error_cost(h, covs, model))
+    posterior = GaussianMixture(tuple(zip(solution.weights, warm.posterior.nodes, strict=True)))
+    return GsfUpdateResult(posterior=posterior, gains=warm.gains,
+                           component_costs=warm.component_costs)
 
 
 def ngsf_update(problem: NgsfProblem) -> GsfUpdateResult:

@@ -78,6 +78,20 @@ class TestGsfUpdate:
             np.testing.assert_array_equal(pair.H, ref.H)
             np.testing.assert_array_equal(pair.G, ref.G)
 
+    def test_noiseless_full_rank_sensor(self):
+        # R = 0 with an invertible 2x2 C observes the state exactly: the
+        # posterior mean is C^-1 y and the covariance collapses. The short
+        # form S - H C S drifted below ensure_spd's tolerance on such updates.
+        rng = np.random.default_rng(20260810)
+        for _ in range(200):
+            c = rng.standard_normal((2, 2))
+            model = LinearMeasurementModel(c, np.zeros((2, 2)))
+            prior = Gaussian(10.0 * rng.standard_normal(2), 10.0 * random_spd(rng, 2))
+            x = 10.0 * rng.standard_normal(2)
+            node = gsf_update(GaussianMixture(((1.0, prior),)), model, c @ x).posterior.nodes[0]
+            np.testing.assert_allclose(node.mean, x, rtol=0, atol=1e-9 * max(1.0, np.abs(x).max()))
+            assert np.abs(node.cov).max() <= 1e-12 * np.abs(prior.cov).max()
+
     def test_weight_scale_invariance(self, rng):
         nodes = [Gaussian(rng.standard_normal(1), random_spd(rng, 1)) for _ in range(3)]
         w = np.array([0.2, 0.3, 0.5])

@@ -300,10 +300,15 @@ class TestCli:
         assert "invalid input" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_noiseless_informative_sensor_runs(self, tmp_path):
+    @pytest.mark.parametrize("c", [
+        [[1.0, 0.0]],
+        # Observes the whole state: the posterior covariances nearly vanish.
+        [[1.0, 0.5], [-0.3, 1.0]],
+    ], ids=["one_row", "two_rows"])
+    def test_noiseless_informative_sensor_runs(self, tmp_path, c):
         # R = 0 is allowed when C alone makes C C^T + R positive definite.
-        config = _small_config(horizon_steps=1,
-                               measurement=LinearMeasurementModel([[1.0, 0.0]], [[0.0]]))
+        model = LinearMeasurementModel(c, np.zeros((len(c), len(c))))
+        config = _small_config(horizon_steps=1, measurement=model)
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(config.to_json_dict()))
         assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wassfilter import (ConditioningError, DiracPoint, DivergenceError, GainPair,
                         Gaussian, LinearMeasurementModel, LinearPropagationModel,
@@ -11,7 +13,9 @@ from wassfilter import (ConditioningError, DiracPoint, DivergenceError, GainPair
                         update_error_cost, w2_gaussian_dirac,
                         wasserstein_posterior_cost)
 
-from conftest import random_spd
+from wassfilter.kalman import _apply_linear_update
+
+from conftest import assert_close_12, random_mixture, random_spd
 
 
 def _random_instance(rng, n=None, m=None):
@@ -117,6 +121,40 @@ class TestKalmanUpdate:
         post = kalman_update(Gaussian(np.zeros(model.state_dim), sigma), sigma,
                              model, rng.standard_normal(model.meas_dim))
         np.testing.assert_array_equal(post.cov, post.cov.T)
+
+
+def _loop_update(means, covs, gains, model, y):
+    """Reference update: one quadratic-form covariance and cost per component."""
+    eye = np.eye(model.state_dim)
+    post_means, post_covs, costs = [], [], []
+    for mu, s, h in zip(means, covs, gains):
+        a = h @ model.C - eye
+        cov = a @ s @ a.T + h @ model.R @ h.T
+        post_means.append(mu + h @ (y - model.C @ mu))
+        post_covs.append(0.5 * (cov + cov.T))
+        costs.append(np.trace(a @ s @ a.T) + np.trace(h @ model.R @ h.T))
+    return post_means, post_covs, np.array(costs)
+
+
+class TestQuadraticFormUpdate:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), order=st.integers(1, 10), m=st.integers(1, 2))
+    def test_matches_component_loop(self, seed, order, m):
+        # Gains away from the Kalman point, so the quadratic form is exercised
+        # off the optimum, where the short form S - H C S would be wrong.
+        rng = np.random.default_rng(seed)
+        prior = random_mixture(rng, order, 2)
+        model = LinearMeasurementModel(rng.standard_normal((m, 2)), random_spd(rng, m, base=0.3))
+        y = rng.standard_normal(m)
+        means, covs = prior.means(), prior.covs()
+        gains = np.stack([kalman_gains(s, model).H + 0.3 * rng.standard_normal((2, m))
+                          for s in covs])
+        post_means, post_covs = _apply_linear_update(means, covs, gains, model, y)
+        ref_means, ref_covs, ref_costs = _loop_update(means, covs, gains, model, y)
+        assert_close_12(update_error_cost(gains, covs, model), ref_costs)
+        for k in range(order):
+            assert_close_12(post_means[k], ref_means[k])
+            assert_close_12(post_covs[k], ref_covs[k])
 
 
 class TestPosteriorCost:

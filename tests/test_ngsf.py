@@ -10,7 +10,7 @@ from wassfilter import (Gaussian, GaussianMixture, LinearMeasurementModel,
                         gsf_update, kalman_gains, kalman_update, kkt_residuals,
                         ngsf_cost, ngsf_gradients, ngsf_solve, ngsf_update)
 
-from conftest import assert_close_12, random_mixture, random_spd
+from conftest import random_mixture, random_spd
 
 
 def _problem(rng, order=3, n=2, m=1):
@@ -156,6 +156,20 @@ class TestSolve:
             gains = [h + scale * rng.standard_normal(h.shape) for h in problem.warm_gains]
             assert ngsf_cost(weights, gains, prior, model) >= sol.final_cost - 1e-12
 
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), order=st.integers(1, 6), m=st.integers(1, 2))
+    def test_weights_ignore_measurement_and_prior_weights(self, seed, order, m):
+        # c_i(K_i) depends only on S_i, C and R, so neither y nor the prior
+        # weights can move the solution by a single bit.
+        rng = np.random.default_rng(seed)
+        problem = _problem(rng, order=order, m=m)
+        prior, model = problem.prior, problem.model
+        other = GaussianMixture.from_unnormalized(rng.uniform(0.01, 1.0, order), prior.nodes)
+        base = ngsf_solve(problem).weights
+        for p, y in ((prior, 10.0 * rng.standard_normal(m)), (other, problem.y)):
+            np.testing.assert_array_equal(ngsf_solve(NgsfProblem.from_gsf(p, model, y)).weights,
+                                          base)
+
     def test_kkt_at_convergence(self, rng):
         for _ in range(30):
             problem = _problem(rng, order=int(rng.integers(2, 6)))
@@ -211,8 +225,7 @@ class TestUpdate:
 
     def test_warm_start_solution_reproduces_gsf_posterior(self, rng):
         # Applying the warm start itself (GSF gains and weights) must give the
-        # GSF posterior: weights bit-equal, nodes equal up to the roundoff
-        # between the quadratic and the short covariance forms.
+        # GSF posterior bit for bit: both share one quadratic-form update.
         for _ in range(20):
             prior = random_mixture(rng, int(rng.integers(1, 6)), 2)
             model = LinearMeasurementModel(rng.standard_normal((1, 2)),
@@ -226,8 +239,18 @@ class TestUpdate:
             res = apply_ngsf_solution(problem, warm)
             np.testing.assert_array_equal(res.posterior.weights, gsf_res.posterior.weights)
             for a, b in zip(res.posterior.nodes, gsf_res.posterior.nodes):
-                np.testing.assert_allclose(a.mean, b.mean, rtol=0, atol=1e-12)
-                np.testing.assert_allclose(a.cov, b.cov, rtol=0, atol=1e-12)
+                np.testing.assert_array_equal(a.mean, b.mean)
+                np.testing.assert_array_equal(a.cov, b.cov)
+
+    def test_rejects_non_warm_gains(self, rng):
+        problem = _problem(rng, order=3)
+        weights = problem.warm_weights
+        gains = list(problem.warm_gains)
+        gains[1] = gains[1] + 1e-9
+        for bad in (tuple(gains), problem.warm_gains[:2]):
+            solution = NgsfSolution(weights=weights, gains=bad, warm_cost=1.0, final_cost=1.0)
+            with pytest.raises(ValidationError, match="warm-start"):
+                apply_ngsf_solution(problem, solution)
 
     def test_random_problems_posterior_psd(self, rng):
         for _ in range(100):
@@ -244,41 +267,3 @@ class TestUpdate:
                              problem.prior, problem.model)
             final = ngsf_cost(sol.weights, sol.gains, problem.prior, problem.model)
             assert final <= warm + 1e-12
-
-
-def _loop_apply(problem, solution):
-    """Reference nGSF posterior: one quadratic-form covariance and cost per component."""
-    model, y = problem.model, problem.y
-    eye = np.eye(model.state_dim)
-    means, covs, g_list, costs = [], [], [], []
-    for h, node in zip(solution.gains, problem.prior.nodes):
-        a = h @ model.C - eye
-        cov = a @ node.cov @ a.T + h @ model.R @ h.T
-        means.append(node.mean + h @ (y - model.C @ node.mean))
-        covs.append(0.5 * (cov + cov.T))
-        g_list.append(eye - h @ model.C)
-        costs.append(np.trace(a @ node.cov @ a.T) + np.trace(h @ model.R @ h.T))
-    return means, covs, g_list, np.array(costs)
-
-
-class TestBatchedApply:
-    @settings(max_examples=60, deadline=None, database=None)
-    @given(seed=st.integers(0, 2**32 - 1), order=st.integers(1, 10), m=st.integers(1, 2))
-    def test_matches_component_loop(self, seed, order, m):
-        # Random simplex weights and gains away from the Kalman point, so the
-        # quadratic-form covariance is exercised off the optimum.
-        rng = np.random.default_rng(seed)
-        problem = _problem(rng, order=order, m=m)
-        weights = rng.dirichlet(np.ones(order))
-        gains = tuple(h + 0.3 * rng.standard_normal(h.shape) for h in problem.warm_gains)
-        cost = ngsf_cost(weights, gains, problem.prior, problem.model)
-        solution = NgsfSolution(weights=weights, gains=gains, warm_cost=cost, final_cost=cost)
-        res = apply_ngsf_solution(problem, solution)
-        means, covs, g_list, costs = _loop_apply(problem, solution)
-        np.testing.assert_array_equal(res.posterior.weights, solution.weights)
-        assert_close_12(res.component_costs, costs)
-        for k, (pair, node) in enumerate(zip(res.gains, res.posterior.nodes)):
-            np.testing.assert_array_equal(pair.H, gains[k])
-            assert_close_12(pair.G, g_list[k])
-            assert_close_12(node.mean, means[k])
-            assert_close_12(node.cov, covs[k])
