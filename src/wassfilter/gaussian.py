@@ -21,8 +21,10 @@ number generators are the only mutable state and belong to the caller.
 from __future__ import annotations
 
 import json
+import numbers
+import types
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
@@ -39,8 +41,34 @@ _SYM_RTOL = 1e-12
 _SIMPLEX_ATOL = 1e-12
 
 
+# Values accepted per scalar field annotation; numbers never accept a bool.
+_FIELD_TYPES = {int: numbers.Integral, float: numbers.Real, bool: bool, tuple: (tuple, list)}
+
+
+def _check_field_types(obj) -> None:
+    """Reject dataclass field values that do not match a scalar or union
+    annotation such as ``int`` or ``str | None``; other fields are left to the class."""
+    for name, hint in get_type_hints(type(obj)).items():
+        expected = _FIELD_TYPES.get(hint, hint if isinstance(hint, types.UnionType) else None)
+        value = getattr(obj, name)
+        if expected is not None and (not isinstance(value, expected)
+                                     or (isinstance(value, bool) and hint is not bool)):
+            raise ValidationError(
+                f"{name} must be of type {getattr(hint, '__name__', hint)}, got {value!r}")
+
+
+def _as_float_array(x, name: str) -> np.ndarray:
+    try:
+        a = np.asarray(x)
+        if a.dtype.kind in "iuf":
+            return a.astype(float, copy=False)
+    except ValueError:  # ragged nesting
+        pass
+    raise ValidationError(f"{name} must be a numeric array, got {x!r}")
+
+
 def _as_vector(x, name: str) -> np.ndarray:
-    v = np.asarray(x, dtype=float)
+    v = _as_float_array(x, name)
     if v.ndim != 1:
         raise ValidationError(f"{name} must be a 1-D vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
@@ -49,7 +77,7 @@ def _as_vector(x, name: str) -> np.ndarray:
 
 
 def _as_matrix(x, name: str) -> np.ndarray:
-    m = np.asarray(x, dtype=float)
+    m = _as_float_array(x, name)
     if m.ndim != 2:
         raise ValidationError(f"{name} must be a 2-D matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -297,6 +325,15 @@ def gaussian_logpdf(g: Gaussian, x) -> float:
     return float(-0.5 * (g.dim * np.log(2.0 * np.pi) + logdet + np.sum(z * z)))
 
 
+def _sampling_factor(cov: np.ndarray) -> np.ndarray:
+    """Cholesky factor of ``cov``, or its PSD square root when ``cov`` is singular
+    (an all-zero posterior, which ``ensure_spd`` cannot lift, samples its mean)."""
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        return psd_sqrt(cov)
+
+
 def sample_gaussian(g: Gaussian, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` i.i.d. samples from ``g`` as an ``(count, n)`` array.
 
@@ -305,7 +342,7 @@ def sample_gaussian(g: Gaussian, count: int, rng: np.random.Generator) -> np.nda
     """
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
-    chol = np.linalg.cholesky(g.cov)
+    chol = _sampling_factor(g.cov)
     z = rng.standard_normal((count, g.dim))
     return g.mean + z @ chol.T
 
@@ -321,7 +358,7 @@ def sample_mixture(mix: GaussianMixture, count: int, rng: np.random.Generator) -
         return sample_gaussian(mix.components[0][1], count, rng)
     idx = rng.choice(mix.order, size=count, p=mix.weights)
     z = rng.standard_normal((count, mix.dim))
-    chols = np.stack([np.linalg.cholesky(g.cov) for g in mix.nodes])
+    chols = np.stack([_sampling_factor(g.cov) for g in mix.nodes])
     out = mix.means()[idx] + np.einsum("kij,kj->ki", chols[idx], z)
     return out
 

@@ -7,24 +7,27 @@ each filter's posterior into its next prior cloud.
 
 Every random draw comes from a generator keyed on
 ``(master_seed, stream, step, filter)``, so reruns are bit-identical and all
-filters in a run see the same initial cloud and the same measurements. At the
-first step the filters' posteriors have not diverged yet, so the propagated
-cloud is fitted once and the identical mixture object is handed to every
-filter (paired fairness).
+filters in a run see the same initial cloud and the same measurements. Each
+step propagates and fits every distinct cloud once, keyed by object identity:
+at the first step every filter still holds the initial cloud, so one fit, the
+identical mixture object, goes to every filter (paired fairness); afterwards
+each filter owns its resampled cloud and gets its own fit.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from .errors import HarnessError, ValidationError
-from .gaussian import (Gaussian, GaussianMixture, _readonly, mixture_mean_cov,
-                       sample_mixture)
+from .gaussian import (Gaussian, GaussianMixture, _as_vector, _check_field_types,
+                       mixture_mean_cov, _readonly, sample_mixture)
 from .kalman import LinearMeasurementModel, _psd_factor, kalman_update
 from .gsf import gsf_update
 from .ngsf import NgsfProblem, apply_ngsf_solution, ngsf_solve
@@ -55,6 +58,32 @@ def _default_measurement() -> LinearMeasurementModel:
     return LinearMeasurementModel(C=[[1.0, 0.0]], R=[[0.1]])
 
 
+def _to_json(value):
+    if is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return list(value) if isinstance(value, tuple) else value
+
+
+def _from_json(cls, data, where: str):
+    """Build dataclass ``cls`` from a JSON object, reading dataclass-typed fields
+    recursively; missing keys keep defaults. Unknown keys, missing required keys
+    and non-objects raise :class:`ValidationError`; the classes check value types."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"{where} must be a JSON object, got {data!r}")
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValidationError(f"unknown {where} keys: {sorted(unknown)}")
+    missing = [f.name for f in fields(cls)
+               if f.name not in data and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValidationError(f"{where} needs the keys {missing}")
+    hints = get_type_hints(cls)
+    return cls(**{name: _from_json(hints[name], value, name) if is_dataclass(hints[name]) else value
+                  for name, value in data.items()})
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """Resolved experiment settings; every field has a usable default."""
@@ -71,8 +100,9 @@ class ExperimentConfig:
     save_clouds: bool = True
 
     def __post_init__(self):
-        x0 = np.asarray(self.true_x0, dtype=float)
-        if x0.shape != (2,) or not np.all(np.isfinite(x0)):
+        _check_field_types(self)
+        x0 = _as_vector(self.true_x0, "true_x0")
+        if x0.shape != (2,):
             raise ValidationError(f"true_x0 must be a finite 2-vector, got {self.true_x0!r}")
         if self.ensemble_size < MIN_POINTS_PER_COMPONENT * self.em.n_components:
             raise ValidationError(
@@ -104,56 +134,12 @@ class ExperimentConfig:
         object.__setattr__(self, "filters", filters)
 
     def to_json_dict(self) -> dict:
-        return {
-            "duffing": {
-                "damping": self.duffing.damping,
-                "cubic": self.duffing.cubic,
-                "dt": self.duffing.dt,
-                "sample_time": self.duffing.sample_time,
-            },
-            "em": {
-                "n_components": self.em.n_components,
-                "max_iters": self.em.max_iters,
-                "tol": self.em.tol,
-                "covariance_floor": self.em.covariance_floor,
-                "init_seed": self.em.init_seed,
-                "restarts": self.em.restarts,
-            },
-            "measurement": {
-                "C": self.measurement.C.tolist(),
-                "R": self.measurement.R.tolist(),
-            },
-            "ensemble_size": self.ensemble_size,
-            "horizon_steps": self.horizon_steps,
-            "true_x0": self.true_x0.tolist(),
-            "master_seed": self.master_seed,
-            "filters": list(self.filters),
-            "output_dir": self.output_dir,
-            "save_clouds": self.save_clouds,
-        }
+        return _to_json(self)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExperimentConfig":
         """Build a config from a possibly partial JSON dict; missing keys keep defaults."""
-        if not isinstance(data, dict):
-            raise ValidationError("config JSON must be an object")
-        known = {"duffing", "em", "measurement", "ensemble_size", "horizon_steps",
-                 "true_x0", "master_seed", "filters", "output_dir", "save_clouds"}
-        unknown = set(data) - known
-        if unknown:
-            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {}
-        if "duffing" in data:
-            kwargs["duffing"] = DuffingModel(**data["duffing"])
-        if "em" in data:
-            kwargs["em"] = EmFitConfig(**data["em"])
-        if "measurement" in data:
-            kwargs["measurement"] = LinearMeasurementModel(**data["measurement"])
-        for key in ("ensemble_size", "horizon_steps", "true_x0", "master_seed",
-                    "filters", "output_dir", "save_clouds"):
-            if key in data:
-                kwargs[key] = tuple(data[key]) if key == "filters" else data[key]
-        return cls(**kwargs)
+        return _from_json(cls, data, "config")
 
 
 @dataclass(eq=False)
@@ -197,18 +183,21 @@ def _moment_match_update(prior: GaussianMixture, model: LinearMeasurementModel, 
     return GaussianMixture(((1.0, posterior),))
 
 
+def _error_stats(errors: np.ndarray) -> dict:
+    """Per-coordinate RMSE and error variance of an ``(n, 2)`` error stack."""
+    mean_err = errors.mean(axis=0)
+    return {"rmse": np.sqrt((errors ** 2).mean(axis=0)).tolist(),
+            "error_variance": ((errors - mean_err) ** 2).mean(axis=0).tolist()}
+
+
 def _summarize(records: list, filters: tuple) -> dict:
     summary: dict = {"steps": len(records), "filters": list(filters), "per_filter": {}}
     if not records:
         return summary
     for name in filters:
         errors = np.stack([rec.filters[name].error for rec in records])
-        mean_err = errors.mean(axis=0)
-        summary["per_filter"][name] = {
-            "rmse": np.sqrt((errors ** 2).mean(axis=0)).tolist(),
-            "error_variance": ((errors - mean_err) ** 2).mean(axis=0).tolist(),
-            "mean_error": mean_err.tolist(),
-        }
+        summary["per_filter"][name] = {**_error_stats(errors),
+                                       "mean_error": errors.mean(axis=0).tolist()}
     if "ngsf" in filters:
         warm = np.array([rec.filters["ngsf"].warm_cost for rec in records])
         final = np.array([rec.filters["ngsf"].final_cost for rec in records])
@@ -239,66 +228,52 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     r_factor = _psd_factor(model.R)
     records: list[StepRecord] = []
 
-    def _abort(step: int, module: str, exc: Exception):
-        result = ExperimentResult(config=config, initial_state=np.array(config.true_x0),
-                                  initial_cloud=initial_cloud, records=records,
-                                  summary=_summarize(records, config.filters))
-        if config.output_dir is not None:
-            try:
-                emit_outputs(result, config.output_dir)
-            except OSError:
-                pass
-        raise HarnessError(f"step {step}, module {module}: {exc}") from exc
+    def _result() -> ExperimentResult:
+        return ExperimentResult(config=config, initial_state=np.array(config.true_x0),
+                                initial_cloud=initial_cloud, records=records,
+                                summary=_summarize(records, config.filters))
+
+    @contextmanager
+    def _stage(step: int, module: str):
+        try:
+            yield
+        except Exception as exc:
+            if config.output_dir is not None:
+                try:
+                    emit_outputs(_result(), config.output_dir)
+                except OSError:
+                    pass
+            raise HarnessError(f"step {step}, module {module}: {exc}") from exc
 
     for step in range(1, config.horizon_steps + 1):
-        try:
+        with _stage(step, "propagation"):
             x_true = integrate_rk4(x_true, duffing.rhs, duffing.dt, duffing.steps_per_sample)
-        except Exception as exc:
-            _abort(step, "propagation", exc)
 
-        try:
+        with _stage(step, "measurement"):
             meas_rng = _derived_rng(seed, _STREAM_MEAS, step)
             noise = meas_rng.standard_normal(model.meas_dim) @ r_factor.T
             y = model.C @ x_true + noise
-        except Exception as exc:
-            _abort(step, "measurement", exc)
 
-        # Prepare per-filter priors. Filters share one cloud and one fit at
-        # step 1; afterwards each filter owns its lineage.
-        priors: dict[str, GaussianMixture] = {}
-        prior_clouds: dict[str, np.ndarray] = {}
-        if step == 1:
-            try:
-                propagated = propagate_cloud(initial_cloud, duffing, duffing.sample_time)
-            except Exception as exc:
-                _abort(step, "propagation", exc)
-            try:
-                shared = fit_gmm_em(propagated, config.em,
-                                    _derived_rng(seed, _STREAM_EMFIT, step))
-            except Exception as exc:
-                _abort(step, "em_fit", exc)
-            for name in config.filters:
-                priors[name] = shared
-                prior_clouds[name] = propagated
-        else:
-            for name in config.filters:
-                try:
-                    propagated = propagate_cloud(clouds[name], duffing, duffing.sample_time)
-                except Exception as exc:
-                    _abort(step, "propagation", exc)
-                try:
-                    priors[name] = fit_gmm_em(propagated, config.em,
-                                              _derived_rng(seed, _STREAM_EMFIT, step))
-                except Exception as exc:
-                    _abort(step, "em_fit", exc)
-                prior_clouds[name] = propagated
+        # Propagate and fit each distinct cloud once, before any update runs.
+        # At step 1 every filter holds the initial cloud and so gets the same
+        # fit object; afterwards each filter owns its lineage.
+        fits: dict[int, tuple] = {}
+        for cloud in clouds.values():
+            if id(cloud) not in fits:
+                with _stage(step, "propagation"):
+                    propagated = propagate_cloud(cloud, duffing, duffing.sample_time)
+                with _stage(step, "em_fit"):
+                    prior = fit_gmm_em(propagated, config.em,
+                                       _derived_rng(seed, _STREAM_EMFIT, step))
+                fits[id(cloud)] = (propagated, prior)
+        priors = {name: fits[id(clouds[name])] for name in config.filters}
 
         step_filters: dict[str, FilterStepRecord] = {}
         for name in config.filters:
-            prior = priors[name]
+            prior_cloud, prior = priors[name]
             tic = time.perf_counter()
             extras: dict = {}
-            try:
+            with _stage(step, name):
                 if name == "gsf":
                     posterior = gsf_update(prior, model, y).posterior
                 elif name == "ngsf":
@@ -310,29 +285,23 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                               "final_cost": solution.final_cost}
                 else:
                     posterior = _moment_match_update(prior, model, y)
-            except Exception as exc:
-                _abort(step, name, exc)
-            try:
+            with _stage(step, "resample"):
                 resample_rng = _derived_rng(seed, _STREAM_RESAMPLE, step)
                 clouds[name] = sample_mixture(posterior, config.ensemble_size, resample_rng)
-            except Exception as exc:
-                _abort(step, "resample", exc)
             wall = time.perf_counter() - tic
 
             estimate, est_cov = mixture_mean_cov(posterior)
             step_filters[name] = FilterStepRecord(
                 name=name, prior=prior, posterior=posterior,
                 estimate=estimate, estimate_cov=est_cov,
-                error=estimate - x_true, prior_cloud=prior_clouds[name],
+                error=estimate - x_true, prior_cloud=prior_cloud,
                 wall_time=wall, **extras)
 
         records.append(StepRecord(step=step, time=step * duffing.sample_time,
                                   true_state=x_true.copy(), measurement=np.array(y),
                                   filters=step_filters))
 
-    result = ExperimentResult(config=config, initial_state=np.array(config.true_x0),
-                              initial_cloud=initial_cloud, records=records,
-                              summary=_summarize(records, config.filters))
+    result = _result()
     if config.output_dir is not None:
         emit_outputs(result, config.output_dir)
     return result
@@ -468,34 +437,23 @@ def monte_carlo_compare(config: ExperimentConfig, n_runs: int) -> ComparisonResu
         result = run_experiment(run_config)
         run_summaries.append(result.summary)
         for name in config.filters:
-            all_errors[name].append(np.stack(
-                [rec.filters[name].error for rec in result.records]))
+            all_errors[name] += [rec.filters[name].error for rec in result.records]
         if "ngsf" in config.filters:
             cost_gaps.append([
                 rec.filters["ngsf"].final_cost - rec.filters["ngsf"].warm_cost
                 for rec in result.records
             ])
 
-    per_filter = {}
-    for name in config.filters:
-        errors = np.concatenate(all_errors[name])
-        mean_err = errors.mean(axis=0)
-        per_filter[name] = {
-            "rmse": np.sqrt((errors ** 2).mean(axis=0)).tolist(),
-            "error_variance": ((errors - mean_err) ** 2).mean(axis=0).tolist(),
-        }
+    per_filter = {name: _error_stats(np.array(all_errors[name])) for name in config.filters}
 
     paired = None
     if "ngsf" in config.filters and "gsf" in config.filters:
         gaps = np.array(cost_gaps)
+        variances = {name: np.array([s["per_filter"][name]["error_variance"]
+                                     for s in run_summaries]) for name in ("ngsf", "gsf")}
         signs = {}
         for j, state in enumerate(("x1", "x2")):
-            diffs = []
-            for summary in run_summaries:
-                var_n = summary["per_filter"]["ngsf"]["error_variance"][j]
-                var_g = summary["per_filter"]["gsf"]["error_variance"][j]
-                diffs.append(var_n - var_g)
-            diffs = np.array(diffs)
+            diffs = variances["ngsf"][:, j] - variances["gsf"][:, j]
             signs[state] = {
                 "ngsf_better": int(np.sum(diffs < 0)),
                 "gsf_better": int(np.sum(diffs > 0)),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, FitError, ValidationError
-from .gaussian import Gaussian, GaussianMixture
+from .gaussian import Gaussian, GaussianMixture, _check_field_types
 
 # Fraction of total responsibility mass below which a component counts as
 # collapsed and gets reseeded.
@@ -55,6 +55,7 @@ class DuffingModel:
     sample_time: float = 0.5
 
     def __post_init__(self):
+        _check_field_types(self)
         for name in ("damping", "cubic", "dt", "sample_time"):
             if not np.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -122,10 +123,10 @@ class EmFitConfig:
     max_iters: int = 200
     tol: float = 1e-8
     covariance_floor: float = 1e-6
-    init_seed: int | None = None
     restarts: int = 3
 
     def __post_init__(self):
+        _check_field_types(self)
         if self.n_components < 1:
             raise ValidationError(f"n_components must be >= 1, got {self.n_components}")
         if self.max_iters < 1 or self.restarts < 1:
@@ -283,8 +284,7 @@ def _em_run(points: np.ndarray, config: EmFitConfig, rng: np.random.Generator):
     return mixture, np.array(lls), reseeds, converged
 
 
-def fit_gmm_em(cloud, config: EmFitConfig, rng: np.random.Generator | None = None,
-               details: bool = False):
+def fit_gmm_em(cloud, config: EmFitConfig, rng: np.random.Generator, details: bool = False):
     """Fit a Gaussian mixture to a point cloud by EM with k-means++ starts.
 
     Runs ``config.restarts`` independent initializations and keeps the run
@@ -306,9 +306,6 @@ def fit_gmm_em(cloud, config: EmFitConfig, rng: np.random.Generator | None = Non
             f"{points.shape[0]} points cannot support {config.n_components} components "
             f"(need at least {MIN_POINTS_PER_COMPONENT} per component)"
         )
-    if rng is None:
-        rng = np.random.default_rng(config.init_seed)
-
     best = None
     for restart in range(config.restarts):
         mixture, lls, reseeds, converged = _em_run(points, config, rng)

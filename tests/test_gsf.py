@@ -9,7 +9,7 @@ from scipy.linalg import cho_solve, solve_triangular
 from wassfilter import (ConditioningError, Gaussian, GaussianMixture,
                         LinearMeasurementModel, WeightUnderflowError,
                         gsf_bound_cost, gsf_update, kalman_gains, kalman_update,
-                        update_error_cost)
+                        mixture_mean_cov, sample_mixture, update_error_cost)
 from wassfilter.gsf import _normalize_log_weights
 from wassfilter.kalman import MAX_INNOVATION_CONDITION
 
@@ -92,6 +92,19 @@ class TestGsfUpdate:
             np.testing.assert_allclose(node.mean, x, rtol=0, atol=1e-9 * max(1.0, np.abs(x).max()))
             assert np.abs(node.cov).max() <= 1e-12 * np.abs(prior.cov).max()
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_pinned_state_posterior_samples_its_mean(self, order):
+        # C = I and R = 0 pin the state exactly: every posterior covariance is
+        # all zero, too small for ensure_spd's relative lift to move, and
+        # resampling must still succeed, landing on the posterior mean.
+        model = LinearMeasurementModel(np.eye(2), np.zeros((2, 2)))
+        node = Gaussian([0.0, 0.0], np.eye(2))
+        prior = GaussianMixture.from_unnormalized(np.ones(order), [node] * order)
+        posterior = gsf_update(prior, model, [0.3, -0.2]).posterior
+        assert not np.any(posterior.covs())
+        cloud = sample_mixture(posterior, 50, np.random.default_rng(0))
+        np.testing.assert_allclose(cloud, np.tile([0.3, -0.2], (50, 1)), rtol=0, atol=1e-12)
+
     def test_weight_scale_invariance(self, rng):
         nodes = [Gaussian(rng.standard_normal(1), random_spd(rng, 1)) for _ in range(3)]
         w = np.array([0.2, 0.3, 0.5])
@@ -163,6 +176,56 @@ class TestBoundCost:
                 h = pair.H + 1e-2 * rng.standard_normal(pair.H.shape)
                 perturbed += update_error_cost(h, node.cov, model)
             assert perturbed >= base - 1e-12
+
+
+def _gaussian_density(x, mean, cov):
+    d = x - mean
+    q = np.einsum("pi,ij,pj->p", d, np.linalg.inv(cov), d)
+    return np.exp(-0.5 * q) / np.sqrt(np.linalg.det(2.0 * np.pi * cov))
+
+
+def _grid_bayes(prior, model, y, points=801):
+    """Bayes posterior by brute-force quadrature, with no Kalman algebra.
+
+    Prior density times likelihood ``N(y; C x, R)`` on a uniform 2-D grid
+    reaching 10 prior standard deviations past every mean; the trapezoid rule
+    is spectrally accurate for these Gaussian integrands. Returns each prior
+    component's share of the posterior mass, the posterior mean and its
+    covariance.
+    """
+    means, covs = prior.means(), prior.covs()
+    half = 10.0 * np.sqrt(np.linalg.eigvalsh(covs).max())
+    axes = [np.linspace(lo - half, hi + half, points)
+            for lo, hi in zip(means.min(axis=0), means.max(axis=0))]
+    x = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    like = _gaussian_density(x @ model.C.T, y, model.R)
+    joint = np.stack([w * _gaussian_density(x, m, c) * like
+                      for w, m, c in zip(prior.weights, means, covs)])
+    mass = joint.sum(axis=1)
+    density = joint.sum(axis=0) / mass.sum()
+    mean = density @ x
+    d = x - mean
+    return mass / mass.sum(), mean, (d * density[:, None]).T @ d
+
+
+class TestBayesOracle:
+    # For a Gaussian-mixture prior and a linear Gaussian sensor the GSF
+    # posterior is the exact Bayes posterior (Alspach & Sorenson, IEEE TAC
+    # 1972), so its weights and moments match a quadrature of prior x likelihood.
+    @pytest.mark.parametrize("m", [1, 2], ids=["scalar", "two_rows"])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_matches_grid_quadrature(self, order, m):
+        rng = np.random.default_rng(1000 * order + m)
+        prior = random_mixture(rng, order, 2)
+        model = LinearMeasurementModel(rng.standard_normal((m, 2)), random_spd(rng, m, base=0.3))
+        x = sample_mixture(prior, 1, rng)[0]
+        y = model.C @ x + np.linalg.cholesky(model.R) @ rng.standard_normal(m)
+        weights, mean, cov = _grid_bayes(prior, model, y)
+        posterior = gsf_update(prior, model, y).posterior
+        gsf_mean, gsf_cov = mixture_mean_cov(posterior)
+        np.testing.assert_allclose(posterior.weights, weights, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(gsf_mean, mean, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(gsf_cov, cov, rtol=0, atol=1e-9)
 
 
 def _loop_gsf(prior, model, y):

@@ -1,6 +1,7 @@
 """Tests for the experiment runner, output emission and CLI."""
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,27 @@ class TestConfig:
     def test_empty_filters_rejected(self):
         with pytest.raises(ValidationError):
             _small_config(filters=())
+
+    def test_json_keys_are_the_dataclass_fields(self):
+        data = ExperimentConfig().to_json_dict()
+        assert set(data) == {f.name for f in fields(ExperimentConfig)}
+        assert set(data["em"]) == {"n_components", "max_iters", "tol",
+                                   "covariance_floor", "restarts"}
+        assert data["measurement"] == {"C": [[1.0, 0.0]], "R": [[0.1]]}
+        assert data["filters"] == ["gsf", "ngsf"] and data["true_x0"] == [1.0, 1.0]
+
+    @pytest.mark.parametrize("kwargs", [
+        {"horizon_steps": 2.5}, {"master_seed": True}, {"save_clouds": 1},
+        {"output_dir": Path("o")}, {"filters": "gsf"},
+    ])
+    def test_field_types_checked_on_construction(self, kwargs):
+        with pytest.raises(ValidationError):
+            ExperimentConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        config = ExperimentConfig(master_seed=np.uint64(7), ensemble_size=np.int64(400),
+                                  em=EmFitConfig(n_components=np.int32(3)))
+        assert config.master_seed == 7
 
 
 class TestRunExperiment:
@@ -292,7 +314,29 @@ class TestCli:
         {"duffing": {"damping": float("nan")}},
         # C C^T + R singular: every innovation covariance C S C^T + R is too.
         {"measurement": {"C": [[0.0, 0.0]], "R": [[0.0]]}},
-    ], ids=["ensemble_below_components", "nan_damping", "uninformative_sensor"])
+        {"duffing": {"dampng": 0.1}},
+        {"em": {"n_component": 3}},
+        {"measurement": {"C": [[1.0, 0.0]], "R": [[0.1]], "Q": [[0.1]]}},
+        {"em": 3},
+        {"measurement": {"C": [[1.0, 0.0]]}},
+        {"ensemble_size": "many"},
+        {"true_x0": "ab"},
+        {"horizon_steps": 2.5},
+        {"em": {"n_components": 2.5}},
+        {"master_seed": 1.5},
+        {"save_clouds": "no"},
+        {"output_dir": 3},
+        {"ensemble_size": True},
+        {"em": {"restarts": False}},
+        {"duffing": {"dt": "0.01"}},
+        # Never took effect: the harness always hands EM a derived generator.
+        {"em": {"init_seed": 5}},
+    ], ids=["ensemble_below_components", "nan_damping", "uninformative_sensor",
+            "unknown_duffing_key", "unknown_em_key", "unknown_measurement_key",
+            "section_not_object", "measurement_without_R", "string_ensemble_size",
+            "string_true_x0", "fractional_horizon", "fractional_components",
+            "fractional_seed", "string_save_clouds", "numeric_output_dir",
+            "bool_ensemble_size", "bool_restarts", "string_dt", "em_init_seed"])
     def test_bad_config_rejected_before_step_one(self, tmp_path, capsys, data):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))

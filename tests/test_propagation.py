@@ -193,13 +193,6 @@ class TestFitGmmEm:
             fit_gmm_em(rng.standard_normal((19, 2)), EmFitConfig(n_components=2),
                        np.random.default_rng(0))
 
-    def test_config_seed_used_when_rng_omitted(self, rng):
-        cloud = rng.standard_normal((200, 2))
-        config = EmFitConfig(n_components=2, init_seed=77, restarts=1)
-        a = fit_gmm_em(cloud, config)
-        b = fit_gmm_em(cloud, config)
-        np.testing.assert_array_equal(a.weights, b.weights)
-
 
 def _loop_logpdfs(points, means, covs):
     """Reference E-step: one Cholesky factor and triangular solve per component."""
