@@ -23,8 +23,12 @@ from .validate import run_validation
 
 def _load_config(args) -> ExperimentConfig:
     if args.config is not None:
-        with open(args.config) as handle:
-            config = ExperimentConfig.from_json_dict(json.load(handle))
+        try:
+            with open(args.config, encoding="utf-8") as handle:
+                data = json.load(handle)
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValidationError(f"cannot read config {args.config}: {exc}") from exc
+        config = ExperimentConfig.from_json_dict(data)
     else:
         config = ExperimentConfig()
     overrides = {}
@@ -106,7 +110,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except ValidationError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 1
     except WassFilterError as exc:

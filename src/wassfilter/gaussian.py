@@ -5,8 +5,13 @@ Types
 ``Gaussian``
     Mean vector plus symmetric positive-definite covariance. Immutable.
 ``GaussianMixture``
-    Weighted list of ``Gaussian`` nodes on the probability simplex.
-    Component order is significant and preserved by every operation.
+    K components held as three stacked arrays: weights ``(K,)`` on the
+    probability simplex, means ``(K, n)`` and covariances ``(K, n, n)``, all
+    checked in one batched pass at construction. ``nodes`` and ``components``
+    are views that build ``Gaussian`` values from the rows on demand; the
+    filter pipeline (EM fit, updates, resampling, output) works on the stacks
+    and builds none. Component order is significant and preserved by every
+    operation.
 ``DiracPoint``
     A point mass; the degenerate reference distribution.
 
@@ -71,7 +76,7 @@ def _as_vector(x, name: str) -> np.ndarray:
     v = _as_float_array(x, name)
     if v.ndim != 1:
         raise ValidationError(f"{name} must be a 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValidationError(f"{name} contains non-finite entries")
     return v
 
@@ -80,17 +85,40 @@ def _as_matrix(x, name: str) -> np.ndarray:
     m = _as_float_array(x, name)
     if m.ndim != 2:
         raise ValidationError(f"{name} must be a 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValidationError(f"{name} contains non-finite entries")
     return m
 
 
-def _check_symmetric(m: np.ndarray, name: str) -> None:
-    if m.shape[0] != m.shape[1]:
+def _where(bad: np.ndarray) -> str:
+    """Error prefix naming the first flagged matrix of a stack; empty for one matrix."""
+    return f"component {int(np.argmax(bad))}: " if bad.ndim else ""
+
+
+def _check_symmetric(m: np.ndarray, name: str) -> np.ndarray:
+    """Reject a matrix, or any matrix of a ``(K, n, n)`` stack, that is not square or
+    not symmetric to ``_SYM_RTOL`` relative to its own largest entry. Returns the
+    symmetric part, which is ``m`` itself when ``m`` is exactly symmetric."""
+    if m.shape[-1] != m.shape[-2]:
         raise ValidationError(f"{name} must be square, got shape {m.shape}")
-    scale = max(1.0, float(np.abs(m).max()))
-    if float(np.abs(m - m.T).max()) > _SYM_RTOL * scale:
-        raise ValidationError(f"{name} is not symmetric to within {_SYM_RTOL} relative tolerance")
+    mt = np.swapaxes(m, -1, -2)
+    if (m == mt).all():
+        return m
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    bad = np.abs(m - mt).max(axis=(-2, -1)) > _SYM_RTOL * scale
+    if bad.any():
+        raise ValidationError(
+            f"{_where(bad)}{name} is not symmetric to within {_SYM_RTOL} relative tolerance")
+    return 0.5 * (m + mt)
+
+
+def _check_eig_floor(sym: np.ndarray, eig_floor: float) -> None:
+    """Reject a symmetric matrix, or a stack, with an eigenvalue below ``eig_floor``."""
+    low = np.linalg.eigvalsh(sym)[..., 0]
+    bad = low < eig_floor
+    if bad.any():
+        raise DegeneracyError(f"{_where(bad)}covariance eigenvalue {low.flat[np.argmax(bad)]:.6e} "
+                              f"is below the floor {eig_floor:.1e}")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -116,16 +144,12 @@ class Gaussian:
     def __post_init__(self):
         mean = _as_vector(self.mean, "mean")
         cov = _as_matrix(self.cov, "cov")
-        _check_symmetric(cov, "cov")
+        sym = _check_symmetric(cov, "cov")
         if cov.shape[0] != mean.shape[0]:
             raise ValidationError(
                 f"mean has dimension {mean.shape[0]} but cov is {cov.shape[0]}x{cov.shape[1]}"
             )
-        eigvals = np.linalg.eigvalsh(0.5 * (cov + cov.T))
-        if float(eigvals.min()) < self.eig_floor:
-            raise DegeneracyError(
-                f"covariance eigenvalue {eigvals.min():.6e} is below the floor {self.eig_floor:.1e}"
-            )
+        _check_eig_floor(sym, self.eig_floor)
         object.__setattr__(self, "mean", _readonly(mean))
         object.__setattr__(self, "cov", _readonly(cov))
 
@@ -135,14 +159,14 @@ class Gaussian:
 
     def to_json_dict(self) -> dict:
         """Single-component form of the mixture interchange schema."""
-        return GaussianMixture(((1.0, self),)).to_json_dict()
+        return _as_mixture(self).to_json_dict()
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Gaussian":
         mix = GaussianMixture.from_json_dict(data)
         if mix.order != 1:
             raise ValidationError(f"expected a single component, got {mix.order}")
-        return mix.components[0][1]
+        return mix.nodes[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,90 +183,83 @@ class DiracPoint:
         return self.location.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianMixture:
-    """Ordered list of ``(weight, Gaussian)`` pairs with weights on the simplex."""
+    """K Gaussian components as stacked read-only arrays: ``weights`` ``(K,)`` on
+    the simplex, ``means`` ``(K, n)`` and covariances ``covs`` ``(K, n, n)``.
 
-    components: tuple
+    ``eig_floor`` is the smallest covariance eigenvalue accepted, as for
+    :class:`Gaussian`. Component order is significant and preserved by every
+    operation.
+    """
+
+    weights: np.ndarray
+    means: np.ndarray
+    covs: np.ndarray
+    eig_floor: float = field(default=DEFAULT_EIG_FLOOR, repr=False)
 
     def __post_init__(self):
-        comps = tuple((float(w), g) for w, g in self.components)
-        if not comps:
-            raise ValidationError("mixture needs at least one component")
-        weights = np.array([w for w, _ in comps])
-        if np.any(weights < 0.0):
+        weights = _as_vector(self.weights, "weights")
+        means = _as_matrix(self.means, "means")
+        covs = _as_float_array(self.covs, "covs")
+        k = weights.shape[0]
+        if k < 1 or means.shape[0] != k or covs.shape != (k,) + means.shape[1:] * 2:
+            raise ValidationError(f"{k} weights need means of shape ({k}, n) and covs of shape "
+                                  f"({k}, n, n), got {means.shape} and {covs.shape}")
+        if not np.isfinite(covs).all():
+            raise ValidationError("covs contains non-finite entries")
+        if (weights < 0.0).any():
             raise ValidationError(f"negative mixture weight {weights.min()}")
         if abs(float(weights.sum()) - 1.0) > _SIMPLEX_ATOL:
             raise ValidationError(f"mixture weights sum to {weights.sum()!r}, not 1")
-        dims = {g.dim for _, g in comps}
-        if len(dims) != 1:
-            raise ValidationError(f"component dimensions differ: {sorted(dims)}")
-        for _, g in comps:
-            if not isinstance(g, Gaussian):
-                raise ValidationError("mixture components must be Gaussian instances")
-        object.__setattr__(self, "components", comps)
-
-    @classmethod
-    def from_arrays(cls, weights, means, covs, eig_floor: float = DEFAULT_EIG_FLOOR) -> "GaussianMixture":
-        weights = np.asarray(weights, dtype=float)
-        return cls(tuple(
-            (float(w), Gaussian(m, c, eig_floor=eig_floor))
-            for w, m, c in zip(weights, means, covs, strict=True)
-        ))
+        _check_eig_floor(_check_symmetric(covs, "cov"), self.eig_floor)
+        object.__setattr__(self, "weights", _readonly(weights))
+        object.__setattr__(self, "means", _readonly(means))
+        object.__setattr__(self, "covs", _readonly(covs))
 
     @classmethod
     def from_unnormalized(cls, weights, nodes: Sequence[Gaussian]) -> "GaussianMixture":
-        """Build a mixture from nonnegative weights, normalizing their sum to 1."""
+        """Build a mixture from nonnegative weights, normalizing their sum to 1, and
+        ``Gaussian`` nodes; the mixture keeps the loosest of the nodes' floors."""
         w = np.asarray(weights, dtype=float)
-        if np.any(w < 0.0) or not np.all(np.isfinite(w)):
-            raise ValidationError("weights must be finite and nonnegative")
         total = float(w.sum())
-        if total <= 0.0:
-            raise ValidationError("weights must have a positive sum")
-        return cls(tuple((float(wi / total), g) for wi, g in zip(w, nodes, strict=True)))
+        if not 0.0 < total < np.inf:  # a negative weight fails the constructor's check
+            raise ValidationError(f"weights must have a positive finite sum, got {total!r}")
+        if not all(isinstance(g, Gaussian) for g in nodes):
+            raise ValidationError("mixture components must be Gaussian instances")
+        return cls(w / total, [g.mean for g in nodes], [g.cov for g in nodes],
+                   eig_floor=min((g.eig_floor for g in nodes), default=DEFAULT_EIG_FLOOR))
 
     @property
     def order(self) -> int:
-        return len(self.components)
+        return self.weights.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.components[0][1].dim
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([w for w, _ in self.components])
+        return self.means.shape[1]
 
     @property
     def nodes(self) -> tuple:
-        return tuple(g for _, g in self.components)
+        """The components as ``Gaussian`` values, built from the stacked rows on each access."""
+        return tuple(Gaussian(m, c, eig_floor=self.eig_floor) for m, c in zip(self.means, self.covs))
 
-    def means(self) -> np.ndarray:
-        return np.stack([g.mean for _, g in self.components])
-
-    def covs(self) -> np.ndarray:
-        return np.stack([g.cov for _, g in self.components])
+    @property
+    def components(self) -> tuple:
+        """``(weight, Gaussian)`` pairs, built on each access."""
+        return tuple(zip(self.weights.tolist(), self.nodes))
 
     def to_json_dict(self) -> dict:
         """Interchange schema: ``{"weights": [...], "means": [[...]], "covs": [[[...]]]}``."""
-        return {
-            "weights": [w for w, _ in self.components],
-            "means": [g.mean.tolist() for _, g in self.components],
-            "covs": [g.cov.tolist() for _, g in self.components],
-        }
+        return {"weights": self.weights.tolist(), "means": self.means.tolist(),
+                "covs": self.covs.tolist()}
 
     @classmethod
     def from_json_dict(cls, data: dict, eig_floor: float = DEFAULT_EIG_FLOOR) -> "GaussianMixture":
         try:
-            weights = data["weights"]
-            means = data["means"]
-            covs = data["covs"]
+            weights, means, covs = data["weights"], data["means"], data["covs"]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"mixture JSON needs weights/means/covs: {exc}") from exc
-        if not (len(weights) == len(means) == len(covs)):
-            raise ValidationError("weights, means and covs must have equal length")
-        return cls.from_arrays(weights, [np.asarray(m, float) for m in means],
-                               [np.asarray(c, float) for c in covs], eig_floor=eig_floor)
+        return cls(weights, means, covs, eig_floor=eig_floor)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -250,6 +267,11 @@ class GaussianMixture:
     @classmethod
     def from_json(cls, text: str) -> "GaussianMixture":
         return cls.from_json_dict(json.loads(text))
+
+
+def _as_mixture(g: Gaussian) -> GaussianMixture:
+    """``g`` as a one-component mixture with the same floor."""
+    return GaussianMixture(np.ones(1), g.mean[None], g.cov[None], eig_floor=g.eig_floor)
 
 
 def spd_sqrt(m, eig_floor: float = DEFAULT_EIG_FLOOR) -> np.ndarray:
@@ -312,26 +334,45 @@ def ensure_spd(cov: np.ndarray, psd_tol: float = 1e-12, lift_rel: float = 1e-14)
     return stack.reshape(cov.shape)
 
 
+def _component_logpdfs(points: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
+    """(N, K) log densities of each point under each component.
+
+    One Cholesky factorization and one inversion of the ``(K, d, d)`` stack;
+    every whitened residual ``L_k^-1 x_n - L_k^-1 mu_k`` then comes from a
+    single ``(K*d, d) @ (d, N)`` product. Raises ``LinAlgError`` if any
+    covariance is not positive definite.
+    """
+    n_points, dim = points.shape
+    k = means.shape[0]
+    chol = np.linalg.cholesky(covs)
+    inv = np.linalg.inv(chol)
+    z = inv.reshape(k * dim, dim) @ points.T - (inv @ means[:, :, None]).reshape(k * dim, 1)
+    z *= z
+    out = z.reshape(k, dim, n_points).sum(axis=1)
+    out += (dim * np.log(2.0 * np.pi)
+            + 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1))[:, None]
+    out *= -0.5
+    return out.T
+
+
 def gaussian_logpdf(g: Gaussian, x) -> float:
     """Log of the multivariate normal density of ``g`` at point ``x``."""
-    from scipy.linalg import solve_triangular
-
     x = _as_vector(x, "x")
     if x.shape[0] != g.dim:
         raise ValidationError(f"point has dimension {x.shape[0]}, Gaussian has {g.dim}")
-    chol = np.linalg.cholesky(g.cov)
-    z = solve_triangular(chol, x - g.mean, lower=True)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    return float(-0.5 * (g.dim * np.log(2.0 * np.pi) + logdet + np.sum(z * z)))
+    return float(_component_logpdfs(x[None], g.mean[None], g.cov[None])[0, 0])
 
 
-def _sampling_factor(cov: np.ndarray) -> np.ndarray:
-    """Cholesky factor of ``cov``, or its PSD square root when ``cov`` is singular
-    (an all-zero posterior, which ``ensure_spd`` cannot lift, samples its mean)."""
+def _sampling_factors(covs: np.ndarray) -> np.ndarray:
+    """Cholesky factors of a ``(K, n, n)`` stack; a singular matrix (an all-zero
+    posterior, which ``ensure_spd`` cannot lift) gets its PSD square root instead,
+    so it samples its mean."""
     try:
-        return np.linalg.cholesky(cov)
+        return np.linalg.cholesky(covs)
     except np.linalg.LinAlgError:
-        return psd_sqrt(cov)
+        if covs.shape[0] == 1:
+            return psd_sqrt(covs[0])[None]
+        return np.concatenate([_sampling_factors(c[None]) for c in covs])
 
 
 def sample_gaussian(g: Gaussian, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -340,27 +381,23 @@ def sample_gaussian(g: Gaussian, count: int, rng: np.random.Generator) -> np.nda
     Uses the Cholesky factor of the covariance, so identical generator state
     yields identical output bits.
     """
-    if count < 1:
-        raise ValidationError(f"count must be >= 1, got {count}")
-    chol = _sampling_factor(g.cov)
-    z = rng.standard_normal((count, g.dim))
-    return g.mean + z @ chol.T
+    return sample_mixture(_as_mixture(g), count, rng)
+
 
 def sample_mixture(mix: GaussianMixture, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``count`` samples from a mixture: categorical component pick, then Gaussian draw.
 
-    A single-component mixture delegates to :func:`sample_gaussian` without
-    consuming a categorical draw, so it is bit-identical to sampling the node.
+    A single-component mixture consumes no categorical draw, so it is
+    bit-identical to :func:`sample_gaussian` on its node.
     """
     if count < 1:
         raise ValidationError(f"count must be >= 1, got {count}")
+    chols = _sampling_factors(mix.covs)
     if mix.order == 1:
-        return sample_gaussian(mix.components[0][1], count, rng)
+        return mix.means[0] + rng.standard_normal((count, mix.dim)) @ chols[0].T
     idx = rng.choice(mix.order, size=count, p=mix.weights)
     z = rng.standard_normal((count, mix.dim))
-    chols = np.stack([_sampling_factor(g.cov) for g in mix.nodes])
-    out = mix.means()[idx] + np.einsum("kij,kj->ki", chols[idx], z)
-    return out
+    return mix.means[idx] + np.einsum("kij,kj->ki", chols[idx], z)
 
 
 def mixture_mean_cov(mix: GaussianMixture) -> tuple[np.ndarray, np.ndarray]:
@@ -370,8 +407,7 @@ def mixture_mean_cov(mix: GaussianMixture) -> tuple[np.ndarray, np.ndarray]:
     cov  = sum_i w_i (S_i + (mu_i - mean)(mu_i - mean)^T)
     """
     w = mix.weights
-    means = mix.means()
-    mean = w @ means
-    diff = means - mean
-    cov = np.einsum("k,kij->ij", w, mix.covs()) + (diff.T * w) @ diff
+    mean = w @ mix.means
+    diff = mix.means - mean
+    cov = np.einsum("k,kij->ij", w, mix.covs) + (diff.T * w) @ diff
     return mean, 0.5 * (cov + cov.T)

@@ -26,29 +26,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, ValidationError, WeightUnderflowError
-from .gaussian import Gaussian, GaussianMixture, _as_vector, _readonly
+from .gaussian import GaussianMixture, _as_vector, _readonly
 # kalman_gains is unused here but stays a module attribute: perfbench/layertrace.py patches it.
-from .kalman import (GainPair, LinearMeasurementModel, _apply_linear_update,  # noqa: F401
+from .kalman import (LinearMeasurementModel, _apply_linear_update,  # noqa: F401
                      _innovation_gains, kalman_gains, update_error_cost)
 
 
 @dataclass(frozen=True, eq=False)
 class GsfUpdateResult:
-    """Posterior mixture plus the per-component gains and posterior-error traces."""
+    """Posterior mixture, the ``(K, n, m)`` stack of measurement gains ``H`` (the
+    state gains are ``kalman.state_gain``) and the posterior-error traces."""
 
     posterior: GaussianMixture
-    gains: tuple
+    gains: np.ndarray
     component_costs: np.ndarray
 
     def __post_init__(self):
-        if len(self.gains) != self.posterior.order:
-            raise ValidationError(
-                f"{len(self.gains)} gain pairs for a {self.posterior.order}-component posterior"
-            )
+        gains = np.asarray(self.gains, dtype=float)
+        order, dim = self.posterior.order, self.posterior.dim
+        if gains.ndim != 3 or gains.shape[:2] != (order, dim):
+            raise ValidationError(f"gains of shape {gains.shape} for a {order}-component "
+                                  f"posterior of dimension {dim}")
         costs = np.asarray(self.component_costs, dtype=float)
-        if costs.shape != (self.posterior.order,):
+        if costs.shape != (order,):
             raise ValidationError(f"component_costs has shape {costs.shape}")
-        object.__setattr__(self, "gains", tuple(self.gains))
+        object.__setattr__(self, "gains", _readonly(gains))
         object.__setattr__(self, "component_costs", _readonly(costs))
 
 
@@ -68,7 +70,7 @@ def gsf_update(prior: GaussianMixture, model: LinearMeasurementModel, y) -> GsfU
     if prior.dim != model.state_dim:
         raise ValidationError(f"prior has dimension {prior.dim}, model expects {model.state_dim}")
 
-    means, covs = prior.means(), prior.covs()
+    means, covs = prior.means, prior.covs
     try:
         chol, inv, h = _innovation_gains(covs, model)
     except ConditioningError as exc:
@@ -83,11 +85,8 @@ def gsf_update(prior: GaussianMixture, model: LinearMeasurementModel, y) -> GsfU
     with np.errstate(divide="ignore"):
         weights = _normalize_log_weights(np.log(prior.weights) + log_like)
 
-    g = np.eye(model.state_dim) - h @ model.C
-    nodes = [Gaussian(m, c, eig_floor=0.0) for m, c in zip(post_means, post_covs)]
-    return GsfUpdateResult(posterior=GaussianMixture(tuple(zip(weights, nodes))),
-                           gains=tuple(GainPair(G=gk, H=hk) for gk, hk in zip(g, h)),
-                           component_costs=update_error_cost(h, covs, model))
+    return GsfUpdateResult(posterior=GaussianMixture(weights, post_means, post_covs, eig_floor=0.0),
+                           gains=h, component_costs=update_error_cost(h, covs, model))
 
 
 def gsf_bound_cost(result: GsfUpdateResult) -> float:

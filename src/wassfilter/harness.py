@@ -26,9 +26,9 @@ from typing import get_type_hints
 import numpy as np
 
 from .errors import HarnessError, ValidationError
-from .gaussian import (Gaussian, GaussianMixture, _as_vector, _check_field_types,
-                       mixture_mean_cov, _readonly, sample_mixture)
-from .kalman import LinearMeasurementModel, _psd_factor, kalman_update
+from .gaussian import (GaussianMixture, _as_vector, _check_field_types, mixture_mean_cov,
+                       _readonly, sample_mixture)
+from .kalman import LinearMeasurementModel, _apply_linear_update, _innovation_gains, _psd_factor
 from .gsf import gsf_update
 from .ngsf import NgsfProblem, apply_ngsf_solution, ngsf_solve
 from .propagation import (MIN_POINTS_PER_COMPONENT, DuffingModel, EmFitConfig, fit_gmm_em,
@@ -177,10 +177,12 @@ class ExperimentResult:
 
 
 def _moment_match_update(prior: GaussianMixture, model: LinearMeasurementModel, y):
-    """Single-Gaussian Kalman baseline on the moment-matched prior."""
+    """Single-Gaussian Kalman baseline on the moment-matched prior, as a
+    one-component mixture."""
     mean, cov = mixture_mean_cov(prior)
-    posterior = kalman_update(Gaussian(mean, cov, eig_floor=0.0), cov, model, y)
-    return GaussianMixture(((1.0, posterior),))
+    gains = _innovation_gains(cov[None], model)[2]
+    means, covs = _apply_linear_update(mean[None], cov[None], gains, model, y)
+    return GaussianMixture(np.ones(1), means, covs, eig_floor=0.0)
 
 
 def _error_stats(errors: np.ndarray) -> dict:

@@ -138,6 +138,12 @@ def _innovation_gains(covs: np.ndarray, model: LinearMeasurementModel):
     return chol, inv, gains
 
 
+def state_gain(H: np.ndarray, model: LinearMeasurementModel) -> np.ndarray:
+    """``G = I - H C``, the prior-state gain that goes with measurement gain ``H``
+    (one ``(n, m)`` gain or a ``(K, n, m)`` stack); the only place ``G`` is formed."""
+    return np.eye(model.state_dim) - H @ model.C
+
+
 def kalman_gains(prior_err_cov, model: LinearMeasurementModel) -> GainPair:
     """Wasserstein-optimal gain pair ``(G*, H*)`` for a given prior error covariance."""
     sigma = _as_matrix(prior_err_cov, "prior_err_cov")
@@ -146,15 +152,14 @@ def kalman_gains(prior_err_cov, model: LinearMeasurementModel) -> GainPair:
         raise ValidationError(
             f"prior_err_cov is {sigma.shape[0]}x{sigma.shape[1]} but C has {model.state_dim} columns"
         )
-    _, _, h = _innovation_gains(sigma[None], model)
-    g = np.eye(model.state_dim) - h @ model.C
-    return GainPair(G=g[0], H=h[0])
+    h = _innovation_gains(sigma[None], model)[2][0]
+    return GainPair(G=state_gain(h, model), H=h)
 
 
 def _posterior_covs(covs: np.ndarray, gains: np.ndarray, model: LinearMeasurementModel):
     """``G S G^T + H R H^T`` with ``G = I - H C`` for stacked covariances and gains: a sum
     of PSD terms for any gain, where the short form drifts negative for noiseless sensors."""
-    g = np.eye(model.state_dim) - gains @ model.C
+    g = state_gain(gains, model)
     return ensure_spd(g @ covs @ np.swapaxes(g, 1, 2) + gains @ model.R @ np.swapaxes(gains, 1, 2))
 
 
@@ -195,8 +200,8 @@ def update_error_cost(H: np.ndarray, prior_err_cov: np.ndarray,
     gain and covariance it returns a float; given ``(K, n, m)`` gains and
     ``(K, n, n)`` covariances it returns the ``(K,)`` costs.
     """
-    a = H @ model.C - np.eye(model.state_dim)
-    cost = (np.trace(a @ prior_err_cov @ np.swapaxes(a, -1, -2), axis1=-2, axis2=-1)
+    g = state_gain(H, model)
+    cost = (np.trace(g @ prior_err_cov @ np.swapaxes(g, -1, -2), axis1=-2, axis2=-1)
             + np.trace(H @ model.R @ np.swapaxes(H, -1, -2), axis1=-2, axis2=-1))
     return float(cost) if np.ndim(cost) == 0 else cost
 

@@ -20,14 +20,14 @@ onto that face in O(K); the costs depend on the prior covariances, C and R only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ValidationError
-from .gaussian import GaussianMixture, _as_vector, _readonly
+from .gaussian import GaussianMixture, _as_float_array, _as_vector, _readonly
 from .gsf import GsfUpdateResult, gsf_update
-from .kalman import LinearMeasurementModel, update_error_cost
+from .kalman import LinearMeasurementModel, state_gain, update_error_cost
 
 # Off-simplex rejection tolerances for user-supplied weight vectors.
 _SUM_ATOL = 1e-8
@@ -44,43 +44,37 @@ def _check_simplex(weights: np.ndarray) -> np.ndarray:
 
 
 def _check_problem_dims(weights, gains, prior: GaussianMixture, model: LinearMeasurementModel):
+    """The checked weights and the gains as one ``(K, n, m)`` stack."""
     w = _check_simplex(weights)
-    if len(gains) != prior.order or w.shape[0] != prior.order:
-        raise ValidationError(
-            f"expected {prior.order} gains and weights, got {len(gains)} and {w.shape[0]}"
-        )
-    for i, h in enumerate(gains):
-        if h.shape != (model.state_dim, model.meas_dim):
-            raise ValidationError(f"gain {i} has shape {h.shape}, expected "
-                                  f"({model.state_dim}, {model.meas_dim})")
-    return w
+    h = _as_float_array(gains, "gains")
+    expected = (prior.order, model.state_dim, model.meas_dim)
+    if w.shape[0] != prior.order or h.shape != expected:
+        raise ValidationError(f"expected {prior.order} weights and gains of shape {expected}, "
+                              f"got {w.shape[0]} and {h.shape}")
+    return w, h
 
 
 def component_costs(gains, prior: GaussianMixture, model: LinearMeasurementModel) -> np.ndarray:
     """Per-component posterior-error traces ``c_i(H_i)`` at the given gains."""
-    return update_error_cost(np.stack(gains), prior.covs(), model)
+    return update_error_cost(np.asarray(gains, dtype=float), prior.covs, model)
 
 
 def ngsf_cost(weights, gains, prior: GaussianMixture, model: LinearMeasurementModel) -> float:
     """Exact weighted objective ``sum_i w_i c_i(H_i)``."""
-    w = _check_problem_dims(weights, gains, prior, model)
-    return float(w @ component_costs(gains, prior, model))
+    w, h = _check_problem_dims(weights, gains, prior, model)
+    return float(w @ component_costs(h, prior, model))
 
 
 def ngsf_gradients(weights, gains, prior: GaussianMixture,
-                   model: LinearMeasurementModel) -> tuple[np.ndarray, list]:
-    """Analytic gradients of the exact objective.
+                   model: LinearMeasurementModel) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic gradients of the exact objective, the gain block as a ``(K, n, m)`` stack.
 
     dJ/dw_i = c_i(H_i)
-    dJ/dH_i = 2 w_i ((H_i C - I) S_i- C^T + H_i R)
+    dJ/dH_i = 2 w_i ((H_i C - I) S_i- C^T + H_i R) = 2 w_i (H_i R - G_i S_i- C^T)
     """
-    w = _check_problem_dims(weights, gains, prior, model)
-    grad_w = component_costs(gains, prior, model)
-    eye = np.eye(model.state_dim)
-    grad_h = [
-        2.0 * wi * ((h @ model.C - eye) @ node.cov @ model.C.T + h @ model.R)
-        for wi, h, node in zip(w, gains, prior.nodes)
-    ]
+    w, h = _check_problem_dims(weights, gains, prior, model)
+    grad_w = component_costs(h, prior, model)
+    grad_h = 2.0 * w[:, None, None] * (h @ model.R - state_gain(h, model) @ prior.covs @ model.C.T)
     return grad_w, grad_h
 
 
@@ -93,8 +87,8 @@ def kkt_residuals(weights, gains, prior: GaussianMixture,
     at a stationary point) and ``violation`` is how far any zero-weight
     component's gradient falls below the support's common value.
     """
-    w = _check_problem_dims(weights, gains, prior, model)
-    grad_w, _ = ngsf_gradients(w, gains, prior, model)
+    w, h = _check_problem_dims(weights, gains, prior, model)
+    grad_w = component_costs(h, prior, model)
     support = w > 0.0
     spread = float(grad_w[support].max() - grad_w[support].min())
     nu = float(grad_w[support].min())
@@ -123,8 +117,8 @@ class NgsfProblem:
         return self.warm.posterior.weights
 
     @property
-    def warm_gains(self) -> tuple:
-        return tuple(pair.H for pair in self.warm.gains)
+    def warm_gains(self) -> np.ndarray:
+        return self.warm.gains
 
     @classmethod
     def from_gsf(cls, prior: GaussianMixture, model: LinearMeasurementModel, y,
@@ -137,10 +131,11 @@ class NgsfProblem:
 
 @dataclass(frozen=True, eq=False)
 class NgsfSolution:
-    """Solver output: the minimizing weights and gains, with the warm and final costs."""
+    """Solver output: the minimizing weights and ``(K, n, m)`` gains, with the warm
+    and final costs."""
 
     weights: np.ndarray
-    gains: tuple
+    gains: np.ndarray
     warm_cost: float
     final_cost: float
 
@@ -149,8 +144,7 @@ class NgsfSolution:
             raise ValidationError(
                 f"final cost {self.final_cost!r} is above the warm-start cost {self.warm_cost!r}")
         object.__setattr__(self, "weights", _readonly(np.asarray(self.weights, float)))
-        object.__setattr__(self, "gains", tuple(_readonly(np.asarray(h, float))
-                                                for h in self.gains))
+        object.__setattr__(self, "gains", _readonly(_as_float_array(self.gains, "gains")))
 
 
 def ngsf_solve(problem: NgsfProblem) -> NgsfSolution:
@@ -170,7 +164,7 @@ def ngsf_solve(problem: NgsfProblem) -> NgsfSolution:
 
 
 def apply_ngsf_solution(problem: NgsfProblem, solution: NgsfSolution) -> GsfUpdateResult:
-    """The nGSF posterior: the solution's weights on the GSF posterior nodes.
+    """The nGSF posterior: the GSF posterior with the solution's weights swapped in.
 
     With the Kalman gains kept, the nodes, gains and costs are the GSF's. Raises
     :class:`ValidationError` when ``solution.gains`` are not the warm gains.
@@ -180,7 +174,7 @@ def apply_ngsf_solution(problem: NgsfProblem, solution: NgsfSolution) -> GsfUpda
     warm = problem.warm
     # The solver's weights are already on the simplex; renormalizing them
     # could move each by an ulp away from the weights it costed.
-    posterior = GaussianMixture(tuple(zip(solution.weights, warm.posterior.nodes, strict=True)))
+    posterior = replace(warm.posterior, weights=solution.weights)
     return GsfUpdateResult(posterior=posterior, gains=warm.gains,
                            component_costs=warm.component_costs)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, FitError, ValidationError
-from .gaussian import Gaussian, GaussianMixture, _check_field_types
+from .gaussian import GaussianMixture, _check_field_types, _component_logpdfs
 
 # Fraction of total responsibility mass below which a component counts as
 # collapsed and gets reseeded.
@@ -26,6 +26,12 @@ _COLLAPSE_MASS = 1e-10
 _MAX_RESEEDS = 3
 # Smallest cloud size per mixture component that EM will fit.
 MIN_POINTS_PER_COMPONENT = 10
+
+
+def _check_finite_fields(obj, *names: str) -> None:
+    for name in names:
+        if not np.isfinite(getattr(obj, name)):
+            raise ValidationError(f"{name} must be finite, got {getattr(obj, name)!r}")
 
 
 def duffing_rhs(x, damping: float = 0.25, cubic: float = 1.0) -> np.ndarray:
@@ -56,9 +62,7 @@ class DuffingModel:
 
     def __post_init__(self):
         _check_field_types(self)
-        for name in ("damping", "cubic", "dt", "sample_time"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite, got {getattr(self, name)!r}")
+        _check_finite_fields(self, "damping", "cubic", "dt", "sample_time")
         if self.dt <= 0.0:
             raise ValidationError(f"dt must be positive, got {self.dt}")
         ratio = self.sample_time / self.dt
@@ -127,6 +131,7 @@ class EmFitConfig:
 
     def __post_init__(self):
         _check_field_types(self)
+        _check_finite_fields(self, "tol", "covariance_floor")
         if self.n_components < 1:
             raise ValidationError(f"n_components must be >= 1, got {self.n_components}")
         if self.max_iters < 1 or self.restarts < 1:
@@ -180,27 +185,6 @@ def _kmeanspp_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> n
         centers.append(points[idx])
         d2 = np.minimum(d2, np.sum((points - centers[-1]) ** 2, axis=1))
     return np.stack(centers)
-
-
-def _component_logpdfs(points: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
-    """(N, K) log densities of each point under each component.
-
-    One Cholesky factorization and one inversion of the ``(K, d, d)`` stack;
-    every whitened residual ``L_k^-1 x_n - L_k^-1 mu_k`` then comes from a
-    single ``(K*d, d) @ (d, N)`` product. Raises ``LinAlgError`` if any
-    covariance is not positive definite.
-    """
-    n_points, dim = points.shape
-    k = means.shape[0]
-    chol = np.linalg.cholesky(covs)
-    inv = np.linalg.inv(chol)
-    z = inv.reshape(k * dim, dim) @ points.T - (inv @ means[:, :, None]).reshape(k * dim, 1)
-    z *= z
-    out = z.reshape(k, dim, n_points).sum(axis=1)
-    out += (dim * np.log(2.0 * np.pi)
-            + 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1))[:, None]
-    out *= -0.5
-    return out.T
 
 
 def _e_step(points: np.ndarray, weights: np.ndarray, means: np.ndarray, covs: np.ndarray):
@@ -278,10 +262,8 @@ def _em_run(points: np.ndarray, config: EmFitConfig, rng: np.random.Generator):
         # Every iteration reseeded a component; score the final parameters.
         lls.append(float(_e_step(points, weights, means, covs)[1].sum()))
 
-    mixture = GaussianMixture.from_unnormalized(
-        weights, [Gaussian(means[j], covs[j], eig_floor=0.0) for j in range(k)]
-    )
-    return mixture, np.array(lls), reseeds, converged
+    return (GaussianMixture(weights / weights.sum(), means, covs, eig_floor=0.0),
+            np.array(lls), reseeds, converged)
 
 
 def fit_gmm_em(cloud, config: EmFitConfig, rng: np.random.Generator, details: bool = False):

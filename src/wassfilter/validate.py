@@ -13,19 +13,24 @@ from pathlib import Path
 
 import numpy as np
 
-from .gaussian import Gaussian, GaussianMixture, spd_sqrt
+from .gaussian import (DiracPoint, Gaussian, GaussianMixture, _component_logpdfs,
+                       mixture_mean_cov, sample_mixture, spd_sqrt)
 from .harness import ExperimentConfig, run_experiment
 from .kalman import LinearMeasurementModel, kalman_update
 from .gsf import gsf_update
 from .ngsf import NgsfProblem, ngsf_cost, ngsf_solve
 from .propagation import DuffingModel, EmFitConfig
 from .wasserstein import w2_gaussian_gaussian, w2_mixture_dirac
-from .gaussian import DiracPoint
 
 
 def _random_spd(rng: np.random.Generator, n: int) -> np.ndarray:
     a = rng.standard_normal((n, n))
     return a @ a.T + (0.3 + rng.uniform()) * np.eye(n)
+
+
+def _random_prior(rng, order: int) -> GaussianMixture:
+    nodes = [Gaussian(rng.standard_normal(2), _random_spd(rng, 2)) for _ in range(order)]
+    return GaussianMixture.from_unnormalized(rng.uniform(0.2, 1.0, order), nodes)
 
 
 def _suite_spd_sqrt(rng):
@@ -72,29 +77,23 @@ def _suite_kalman(rng):
 
 
 def _suite_gsf(rng):
-    ok = True
-    detail = "simplex and contraction hold"
     for _ in range(20):
-        order = int(rng.choice([2, 5]))
-        nodes = [Gaussian(rng.standard_normal(2), _random_spd(rng, 2)) for _ in range(order)]
-        prior = GaussianMixture.from_unnormalized(rng.uniform(0.2, 1.0, order), nodes)
-        model = LinearMeasurementModel([[1.0, 0.0]], [[0.4]])
-        res = gsf_update(prior, model, rng.standard_normal(1))
+        prior = _random_prior(rng, int(rng.choice([2, 5])))
+        res = gsf_update(prior, LinearMeasurementModel([[1.0, 0.0]], [[0.4]]), rng.standard_normal(1))
         w = res.posterior.weights
         if abs(w.sum() - 1.0) > 1e-12 or w.min() < 0.0:
             return False, f"posterior weights off simplex: sum={w.sum()!r}"
-        for node, post in zip(prior.nodes, res.posterior.nodes):
-            if np.trace(post.cov) > np.trace(node.cov) + 1e-12:
-                return False, "posterior trace exceeded prior trace"
-    return ok, detail
+        traces = [np.trace(mix.covs, axis1=1, axis2=2) for mix in (prior, res.posterior)]
+        if np.any(traces[1] > traces[0] + 1e-12):
+            return False, "posterior trace exceeded prior trace"
+    return True, "simplex and contraction hold"
 
 
 def _suite_ngsf(rng):
     worst_gap = -np.inf
     for _ in range(10):
         order = int(rng.choice([2, 5]))
-        nodes = [Gaussian(rng.standard_normal(2), _random_spd(rng, 2)) for _ in range(order)]
-        prior = GaussianMixture.from_unnormalized(rng.uniform(0.2, 1.0, order), nodes)
+        prior = _random_prior(rng, order)
         model = LinearMeasurementModel([[1.0, 0.0]], [[0.4]])
         problem = NgsfProblem.from_gsf(prior, model, rng.standard_normal(1))
         sol = ngsf_solve(problem)
@@ -107,6 +106,59 @@ def _suite_ngsf(rng):
         warm = ngsf_cost(problem.warm_weights, problem.warm_gains, prior, model)
         worst_gap = max(worst_gap, final - warm)
     return worst_gap <= 1e-12, f"worst final-minus-warm gap {worst_gap:.2e}"
+
+
+def _grid_bayes(prior: GaussianMixture, model: LinearMeasurementModel, y, points: int = 801):
+    """Bayes posterior of a 2-D mixture prior by brute-force quadrature, with no Kalman algebra.
+
+    Prior density times likelihood ``N(y; C x, R)`` on a uniform 2-D grid
+    reaching 10 prior standard deviations past every mean; the trapezoid rule
+    is spectrally accurate for these Gaussian integrands. Returns each prior
+    component's share of the posterior mass, the posterior mean and its
+    covariance.
+    """
+    means, covs = prior.means, prior.covs
+    half = 10.0 * np.sqrt(np.linalg.eigvalsh(covs).max())
+    axes = [np.linspace(lo - half, hi + half, points)
+            for lo, hi in zip(means.min(axis=0), means.max(axis=0))]
+    x = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    like = np.exp(_component_logpdfs(x @ model.C.T, np.asarray(y)[None], model.R[None]))
+    joint = (np.exp(_component_logpdfs(x, means, covs)) * like * prior.weights).T
+    mass = joint.sum(axis=1)
+    density = joint.sum(axis=0) / mass.sum()
+    mean = density @ x
+    d = x - mean
+    return mass / mass.sum(), mean, (d * density[:, None]).T @ d
+
+
+def _suite_gsf_bayes(rng):
+    # With a mixture prior and a linear Gaussian sensor the GSF posterior is
+    # the exact Bayes posterior, so quadrature of prior x likelihood is an oracle.
+    worst = 0.0
+    for order, m in ((1, 1), (3, 1), (2, 2)):
+        prior = _random_prior(rng, order)
+        model = LinearMeasurementModel(rng.standard_normal((m, 2)), _random_spd(rng, m))
+        y = model.C @ sample_mixture(prior, 1, rng)[0] + rng.standard_normal(m)
+        weights, mean, cov = _grid_bayes(prior, model, y, points=301)
+        posterior = gsf_update(prior, model, y).posterior
+        gsf_mean, gsf_cov = mixture_mean_cov(posterior)
+        worst = max(worst, np.abs(posterior.weights - weights).max(),
+                    np.abs(gsf_mean - mean).max(), np.abs(gsf_cov - cov).max())
+    return worst < 1e-9, f"worst gap to grid quadrature {worst:.2e}"
+
+
+def _suite_ngsf_weights_invariance(rng):
+    # The nGSF weights come from costs that depend on the prior covariances,
+    # C and R only, so neither y nor the prior weights may move a single bit.
+    for _ in range(10):
+        prior = _random_prior(rng, int(rng.choice([2, 5])))
+        model = LinearMeasurementModel(rng.standard_normal((1, 2)), _random_spd(rng, 1))
+        reweighted = GaussianMixture(rng.dirichlet(np.ones(prior.order)), prior.means, prior.covs)
+        solved = [ngsf_solve(NgsfProblem.from_gsf(p, model, 10.0 * rng.standard_normal(1))).weights
+                  for p in (prior, prior, reweighted)]
+        if not all(np.array_equal(w, solved[0]) for w in solved):
+            return False, "nGSF weights moved with the measurement or the prior weights"
+    return True, "nGSF weights bit-identical across measurements and prior weights"
 
 
 def _suite_determinism(rng):
@@ -141,6 +193,8 @@ SUITES = (
     ("kalman_information_form", _suite_kalman),
     ("gsf_simplex_contraction", _suite_gsf),
     ("ngsf_global_minimum_dominance", _suite_ngsf),
+    ("gsf_bayes_oracle", _suite_gsf_bayes),
+    ("ngsf_weights_ignore_y_and_prior_weights", _suite_ngsf_weights_invariance),
     ("experiment_determinism", _suite_determinism),
 )
 

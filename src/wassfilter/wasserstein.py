@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .gaussian import DiracPoint, Gaussian, GaussianMixture, psd_sqrt, spd_sqrt
+from .gaussian import DiracPoint, Gaussian, GaussianMixture, _as_mixture, psd_sqrt, spd_sqrt
 
 # Largest cloud the exact assignment oracle accepts (O(N^3) solve).
 EMPIRICAL_MAX_POINTS = 256
@@ -45,10 +45,7 @@ def w2_distance(a: Gaussian, b: Gaussian) -> float:
 
 def w2_gaussian_dirac(g: Gaussian, d: DiracPoint) -> float:
     """Squared 2-Wasserstein distance between a Gaussian and a point mass."""
-    if g.dim != d.dim:
-        raise ValidationError(f"dimension mismatch: {g.dim} vs {d.dim}")
-    gap = g.mean - d.location
-    return float(gap @ gap + np.trace(g.cov))
+    return w2_mixture_dirac(_as_mixture(g), d)
 
 
 def w2_mixture_dirac(mix: GaussianMixture, d: DiracPoint) -> float:
@@ -58,7 +55,8 @@ def w2_mixture_dirac(mix: GaussianMixture, d: DiracPoint) -> float:
     """
     if mix.dim != d.dim:
         raise ValidationError(f"dimension mismatch: {mix.dim} vs {d.dim}")
-    return float(sum(w * w2_gaussian_dirac(g, d) for w, g in mix.components))
+    gap = mix.means - d.location
+    return float(mix.weights @ (np.einsum("ki,ki->k", gap, gap) + np.trace(mix.covs, axis1=1, axis2=2)))
 
 
 def w2_empirical(a, b) -> float:

@@ -97,14 +97,15 @@ def test_criterion_2_wasserstein_identities():
 
         # Mixture-Dirac linearity in the weights, exact to 1e-12.
         nodes = [random_gaussian(rng, 2) for _ in range(4)]
+        means, covs = np.stack([g.mean for g in nodes]), np.stack([g.cov for g in nodes])
         d = DiracPoint(rng.standard_normal(2))
         w1 = np.array([0.1, 0.2, 0.3, 0.4])
         w2v = np.array([0.4, 0.3, 0.2, 0.1])
-        v1 = w2_mixture_dirac(GaussianMixture(tuple(zip(w1, nodes))), d)
-        v2 = w2_mixture_dirac(GaussianMixture(tuple(zip(w2v, nodes))), d)
+        v1 = w2_mixture_dirac(GaussianMixture(w1, means, covs), d)
+        v2 = w2_mixture_dirac(GaussianMixture(w2v, means, covs), d)
         for theta in (0.2, 0.5, 0.8):
             blend = w2_mixture_dirac(
-                GaussianMixture(tuple(zip(theta * w1 + (1 - theta) * w2v, nodes))), d)
+                GaussianMixture(theta * w1 + (1 - theta) * w2v, means, covs), d)
             assert abs(blend - (theta * v1 + (1 - theta) * v2)) < 1e-12
 
 
@@ -175,21 +176,18 @@ def test_criterion_5_gsf_correctness():
         g = random_gaussian(rng, 2)
         model = LinearMeasurementModel(rng.standard_normal((1, 2)), [[0.5]])
         y = rng.standard_normal(1)
-        res = gsf_update(GaussianMixture(((1.0, g),)), model, y)
+        res = gsf_update(GaussianMixture([1.0], [g.mean], [g.cov]), model, y)
         ref = kalman_update(g, g.cov, model, y)
         assert np.abs(res.posterior.nodes[0].mean - ref.mean).max() <= 1e-14
         assert np.abs(res.posterior.nodes[0].cov - ref.cov).max() <= 1e-14
         assert res.posterior.weights[0] == 1.0
 
         same = Gaussian([0.7], [[1.3]])
-        sym = gsf_update(GaussianMixture(((0.5, same), (0.5, same))),
+        sym = gsf_update(GaussianMixture([0.5, 0.5], [same.mean] * 2, [same.cov] * 2),
                          LinearMeasurementModel([[1.0]], [[1.0]]), [0.2])
         np.testing.assert_allclose(sym.posterior.weights, [0.5, 0.5], atol=1e-15)
 
-        two = GaussianMixture((
-            (0.5, Gaussian([0.0], [[1.0]])),
-            (0.5, Gaussian([4.0], [[1.0]])),
-        ))
+        two = GaussianMixture([0.5, 0.5], [[0.0], [4.0]], [[[1.0]], [[1.0]]])
         res2 = gsf_update(two, LinearMeasurementModel([[1.0]], [[1.0]]), [0.0])
         assert abs(res2.posterior.weights[0] - np.exp(4.0) / (np.exp(4.0) + 1.0)) < 1e-12
 

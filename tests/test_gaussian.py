@@ -110,24 +110,18 @@ class TestSampleGaussian:
 class TestSampleMixture:
     def test_single_component_matches_gaussian_bitwise(self):
         g = Gaussian([2.0], [[0.5]])
-        mix = GaussianMixture(((1.0, g),))
+        mix = GaussianMixture([1.0], [g.mean], [g.cov])
         a = sample_mixture(mix, 64, np.random.default_rng(7))
         b = sample_gaussian(g, 64, np.random.default_rng(7))
         np.testing.assert_array_equal(a, b)
 
     def test_degenerate_weight_selects_first(self):
-        mix = GaussianMixture((
-            (1.0, Gaussian([0.0], [[1.0]])),
-            (0.0, Gaussian([100.0], [[1.0]])),
-        ))
+        mix = GaussianMixture([1.0, 0.0], [[0.0], [100.0]], [[[1.0]], [[1.0]]])
         x = sample_mixture(mix, 1000, np.random.default_rng(8))
         assert np.all(np.abs(x) < 10.0)
 
     def test_component_frequency(self):
-        mix = GaussianMixture((
-            (0.5, Gaussian([-50.0], [[1.0]])),
-            (0.5, Gaussian([50.0], [[1.0]])),
-        ))
+        mix = GaussianMixture([0.5, 0.5], [[-50.0], [50.0]], [[[1.0]], [[1.0]]])
         x = sample_mixture(mix, 100_000, np.random.default_rng(9))
         freq = float(np.mean(x[:, 0] < 0.0))
         assert abs(freq - 0.5) < 0.01
@@ -136,16 +130,13 @@ class TestSampleMixture:
 class TestMixtureMeanCov:
     def test_single_component(self):
         g = Gaussian([1.0, 2.0], [[2.0, 0.5], [0.5, 1.0]])
-        mean, cov = mixture_mean_cov(GaussianMixture(((1.0, g),)))
+        mean, cov = mixture_mean_cov(GaussianMixture([1.0], [g.mean], [g.cov]))
         np.testing.assert_array_equal(mean, g.mean)
         np.testing.assert_array_equal(cov, g.cov)
 
     def test_symmetric_pair_closed_form(self):
         a = np.array([1.5, -0.5])
-        mix = GaussianMixture((
-            (0.5, Gaussian(a, np.eye(2))),
-            (0.5, Gaussian(-a, np.eye(2))),
-        ))
+        mix = GaussianMixture([0.5, 0.5], [a, -a], [np.eye(2), np.eye(2)])
         mean, cov = mixture_mean_cov(mix)
         np.testing.assert_allclose(mean, np.zeros(2), atol=1e-15)
         np.testing.assert_allclose(cov, np.eye(2) + np.outer(a, a), atol=1e-15)
@@ -172,33 +163,71 @@ class TestMixtureMeanCov:
 
 class TestValidation:
     def test_rejects_off_simplex_weights(self):
-        g = Gaussian([0.0], [[1.0]])
-        with pytest.raises(ValidationError):
-            GaussianMixture(((0.4, g), (0.4, g)))
+        for weights in ([0.4, 0.4], [0.5, 0.5 + 1e-11]):
+            with pytest.raises(ValidationError):
+                GaussianMixture(weights, [[0.0], [0.0]], [[[1.0]], [[1.0]]])
 
     def test_rejects_negative_weight(self):
-        g = Gaussian([0.0], [[1.0]])
         with pytest.raises(ValidationError):
-            GaussianMixture(((1.2, g), (-0.2, g)))
+            GaussianMixture([1.2, -0.2], [[0.0], [0.0]], [[[1.0]], [[1.0]]])
 
     def test_rejects_non_spd_covariance(self):
         with pytest.raises(DegeneracyError):
             Gaussian([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(DegeneracyError, match="^component 1: "):
+            GaussianMixture([0.5, 0.5], np.zeros((2, 2)),
+                            [np.eye(2), [[1.0, 2.0], [2.0, 1.0]]])
 
     def test_rejects_eigenvalue_below_floor(self):
         with pytest.raises(DegeneracyError):
             Gaussian([0.0], [[1e-13]])
+        # Components 1 and 2 are both below the floor; the first is named.
+        with pytest.raises(DegeneracyError, match="^component 1: .*-1.000000e-13"):
+            GaussianMixture([0.2, 0.3, 0.5], np.zeros((3, 1)),
+                            [[[1.0]], [[-1e-13]], [[1e-13]]])
 
     def test_floor_is_configurable(self):
         g = Gaussian([0.0], [[1e-13]], eig_floor=1e-14)
         assert g.cov[0, 0] == 1e-13
+        mix = GaussianMixture([1.0], [[0.0]], [[[1e-13]]], eig_floor=1e-14)
+        assert mix.nodes[0].cov[0, 0] == 1e-13
 
     def test_rejects_mixed_dimensions(self):
         with pytest.raises(ValidationError):
-            GaussianMixture((
-                (0.5, Gaussian([0.0], [[1.0]])),
-                (0.5, Gaussian([0.0, 0.0], np.eye(2))),
-            ))
+            GaussianMixture.from_unnormalized([0.5, 0.5], [Gaussian([0.0], [[1.0]]),
+                                                           Gaussian([0.0, 0.0], np.eye(2))])
+        for weights, means, covs in (
+                ([0.5, 0.5], [[0.0], [0.0, 0.0]], [[[1.0]], [[1.0]]]),  # ragged means
+                ([0.5, 0.5], [[0.0], [0.0]], np.ones((2, 2, 2))),  # covs of dimension 2
+                ([0.2, 0.3, 0.5], [[0.0], [0.0]], [[[1.0]], [[1.0]]]),  # 3 weights, 2 rows
+                ([0.5, 0.5], [[0.0], [0.0]], [[[1.0]]]),  # 1 covariance
+                ([0.5, 0.5], [[0.0], [0.0]], np.ones((2, 1, 2))),  # not square
+                ([[0.5, 0.5]], [[0.0], [0.0]], [[[1.0]], [[1.0]]]),  # 2-D weights
+                ([], np.zeros((0, 1)), np.zeros((0, 1, 1))),  # no component
+        ):
+            with pytest.raises(ValidationError):
+                GaussianMixture(weights, means, covs)
+
+    @pytest.mark.parametrize("bad", ["weights", "means", "covs"])
+    def test_rejects_non_finite_entries(self, bad):
+        stacks = {"weights": np.array([0.5, 0.5]), "means": np.zeros((2, 2)),
+                  "covs": np.stack([np.eye(2), np.eye(2)])}
+        stacks[bad] = stacks[bad].copy()
+        stacks[bad].flat[-1] = np.nan
+        with pytest.raises(ValidationError, match=f"^{bad} contains non-finite"):
+            GaussianMixture(**stacks)
+
+    def test_rejects_asymmetric_covariance(self):
+        with pytest.raises(ValidationError):
+            Gaussian([0.0, 0.0], [[1.0, 0.5], [0.4, 1.0]])
+        # The tolerance is relative to each matrix's own scale: component 0's
+        # 1e-8 asymmetry at scale 1e6 passes, component 2's at scale 1 does not.
+        covs = np.stack([1e6 * np.eye(2), np.eye(2), np.eye(2), np.eye(2)])
+        covs[0, 0, 1] += 1e-8
+        covs[2, 0, 1] += 1e-8
+        covs[3, 0, 1] += 1e-8
+        with pytest.raises(ValidationError, match="^component 2: cov is not symmetric"):
+            GaussianMixture(np.full(4, 0.25), np.zeros((4, 2)), covs)
 
     def test_rejects_mean_cov_mismatch(self):
         with pytest.raises(ValidationError):
@@ -208,6 +237,24 @@ class TestValidation:
         g = Gaussian([0.0], [[1.0]])
         with pytest.raises(ValueError):
             g.mean[0] = 5.0
+        mix = GaussianMixture([1.0], [[0.0]], [[[1.0]]])
+        for a in (mix.weights, mix.means, mix.covs):
+            with pytest.raises(ValueError):
+                a.flat[0] = 5.0
+
+    def test_views_are_the_stacked_rows(self, rng):
+        raw = rng.uniform(0.1, 1.0, 4)
+        nodes = [random_gaussian(rng, 3) for _ in range(4)]
+        mix = GaussianMixture.from_unnormalized(raw, nodes)
+        total = float(raw.sum())
+        assert mix.weights.tolist() == [float(w / total) for w in raw]
+        for i, ((w, g), node) in enumerate(zip(mix.components, mix.nodes)):
+            assert w == mix.weights[i]
+            for view in (g, node):
+                np.testing.assert_array_equal(view.mean, mix.means[i])
+                np.testing.assert_array_equal(view.cov, mix.covs[i])
+            np.testing.assert_array_equal(mix.means[i], nodes[i].mean)
+            np.testing.assert_array_equal(mix.covs[i], nodes[i].cov)
 
 
 class TestJsonInterchange:
@@ -228,10 +275,7 @@ class TestJsonInterchange:
         assert d["covs"] == [[[2.0]]]
 
     def test_gaussian_from_json_rejects_multi_component(self):
-        mix = GaussianMixture((
-            (0.5, Gaussian([0.0], [[1.0]])),
-            (0.5, Gaussian([1.0], [[1.0]])),
-        ))
+        mix = GaussianMixture([0.5, 0.5], [[0.0], [1.0]], [[[1.0]], [[1.0]]])
         with pytest.raises(ValidationError):
             Gaussian.from_json_dict(mix.to_json_dict())
 

@@ -11,7 +11,8 @@ from wassfilter import (ConditioningError, Gaussian, GaussianMixture,
                         gsf_bound_cost, gsf_update, kalman_gains, kalman_update,
                         mixture_mean_cov, sample_mixture, update_error_cost)
 from wassfilter.gsf import _normalize_log_weights
-from wassfilter.kalman import MAX_INNOVATION_CONDITION
+from wassfilter.kalman import MAX_INNOVATION_CONDITION, state_gain
+from wassfilter.validate import _grid_bayes
 
 from conftest import assert_close_12, random_mixture, random_spd
 
@@ -25,7 +26,7 @@ class TestGsfUpdate:
         g = Gaussian(rng.standard_normal(2), random_spd(rng, 2))
         model = LinearMeasurementModel(rng.standard_normal((1, 2)), [[0.5]])
         y = rng.standard_normal(1)
-        res = gsf_update(GaussianMixture(((1.0, g),)), model, y)
+        res = gsf_update(GaussianMixture([1.0], [g.mean], [g.cov]), model, y)
         ref = kalman_update(g, g.cov, model, y)
         np.testing.assert_array_equal(res.posterior.nodes[0].mean, ref.mean)
         np.testing.assert_array_equal(res.posterior.nodes[0].cov, ref.cov)
@@ -33,17 +34,14 @@ class TestGsfUpdate:
 
     def test_identical_components_keep_equal_weights(self):
         g = Gaussian([1.0], [[2.0]])
-        prior = GaussianMixture(((0.5, g), (0.5, g)))
+        prior = GaussianMixture([0.5, 0.5], [g.mean, g.mean], [g.cov, g.cov])
         res = gsf_update(prior, _scalar_model(), [0.3])
         np.testing.assert_allclose(res.posterior.weights, [0.5, 0.5], atol=1e-15)
 
     def test_weight_ratio_worked_example(self):
         # Components N(0,1), N(4,1), equal prior weights, C=1, R=1, y=0:
         # innovation variance 2, likelihood ratio exp(0)/exp(-16/4) = e^4.
-        prior = GaussianMixture((
-            (0.5, Gaussian([0.0], [[1.0]])),
-            (0.5, Gaussian([4.0], [[1.0]])),
-        ))
+        prior = GaussianMixture([0.5, 0.5], [[0.0], [4.0]], [[[1.0]], [[1.0]]])
         res = gsf_update(prior, _scalar_model(), [0.0])
         expected = np.exp(4.0) / (np.exp(4.0) + 1.0)
         assert abs(res.posterior.weights[0] - expected) < 1e-12
@@ -65,18 +63,18 @@ class TestGsfUpdate:
         model = LinearMeasurementModel(rng.standard_normal((1, 2)), [[0.7]])
         y = rng.standard_normal(1)
         res = gsf_update(prior, model, y)
-        for node, pair, post in zip(prior.nodes, res.gains, res.posterior.nodes):
-            expected_mean = node.mean + pair.H @ (y - model.C @ node.mean)
+        for node, h, post in zip(prior.nodes, res.gains, res.posterior.nodes):
+            expected_mean = node.mean + h @ (y - model.C @ node.mean)
             np.testing.assert_allclose(post.mean, expected_mean, atol=1e-14)
 
     def test_gains_match_kalman_gains_bitwise(self, rng):
         prior = random_mixture(rng, 4, 2)
         model = LinearMeasurementModel(rng.standard_normal((1, 2)), [[0.6]])
         res = gsf_update(prior, model, rng.standard_normal(1))
-        for node, pair in zip(prior.nodes, res.gains):
+        for node, h in zip(prior.nodes, res.gains):
             ref = kalman_gains(node.cov, model)
-            np.testing.assert_array_equal(pair.H, ref.H)
-            np.testing.assert_array_equal(pair.G, ref.G)
+            np.testing.assert_array_equal(h, ref.H)
+            np.testing.assert_array_equal(state_gain(h, model), ref.G)
 
     def test_noiseless_full_rank_sensor(self):
         # R = 0 with an invertible 2x2 C observes the state exactly: the
@@ -88,7 +86,8 @@ class TestGsfUpdate:
             model = LinearMeasurementModel(c, np.zeros((2, 2)))
             prior = Gaussian(10.0 * rng.standard_normal(2), 10.0 * random_spd(rng, 2))
             x = 10.0 * rng.standard_normal(2)
-            node = gsf_update(GaussianMixture(((1.0, prior),)), model, c @ x).posterior.nodes[0]
+            node = gsf_update(GaussianMixture([1.0], [prior.mean], [prior.cov]), model,
+                              c @ x).posterior.nodes[0]
             np.testing.assert_allclose(node.mean, x, rtol=0, atol=1e-9 * max(1.0, np.abs(x).max()))
             assert np.abs(node.cov).max() <= 1e-12 * np.abs(prior.cov).max()
 
@@ -101,7 +100,7 @@ class TestGsfUpdate:
         node = Gaussian([0.0, 0.0], np.eye(2))
         prior = GaussianMixture.from_unnormalized(np.ones(order), [node] * order)
         posterior = gsf_update(prior, model, [0.3, -0.2]).posterior
-        assert not np.any(posterior.covs())
+        assert not np.any(posterior.covs)
         cloud = sample_mixture(posterior, 50, np.random.default_rng(0))
         np.testing.assert_allclose(cloud, np.tile([0.3, -0.2], (50, 1)), rtol=0, atol=1e-12)
 
@@ -115,10 +114,7 @@ class TestGsfUpdate:
         np.testing.assert_allclose(res1.posterior.weights, res2.posterior.weights, atol=1e-14)
 
     def test_distant_component_underflows_gracefully(self):
-        prior = GaussianMixture((
-            (0.5, Gaussian([0.0], [[1.0]])),
-            (0.5, Gaussian([1e4], [[1.0]])),
-        ))
+        prior = GaussianMixture([0.5, 0.5], [[0.0], [1e4]], [[[1.0]], [[1.0]]])
         res = gsf_update(prior, _scalar_model(), [0.0])
         w = res.posterior.weights
         assert np.all(np.isfinite(w))
@@ -126,19 +122,14 @@ class TestGsfUpdate:
         assert w[1] == 0.0  # fully underflowed, retained with zero weight
 
     def test_zero_weight_component_retained(self):
-        prior = GaussianMixture((
-            (1.0, Gaussian([0.0], [[1.0]])),
-            (0.0, Gaussian([5.0], [[1.0]])),
-        ))
+        prior = GaussianMixture([1.0, 0.0], [[0.0], [5.0]], [[[1.0]], [[1.0]]])
         res = gsf_update(prior, _scalar_model(), [1.0])
         assert res.posterior.order == 2
         assert res.posterior.weights[1] == 0.0
 
     def test_conditioning_error_names_component(self):
-        prior = GaussianMixture((
-            (0.5, Gaussian(np.zeros(2), np.eye(2))),
-            (0.5, Gaussian(np.zeros(2), np.diag([1e10, 1e-10]), eig_floor=0.0)),
-        ))
+        prior = GaussianMixture([0.5, 0.5], np.zeros((2, 2)),
+                                [np.eye(2), np.diag([1e10, 1e-10])], eig_floor=0.0)
         model = LinearMeasurementModel(np.eye(2), np.diag([1e-14, 1e-14]))
         with pytest.raises(ConditioningError, match="component 1"):
             gsf_update(prior, model, np.zeros(2))
@@ -152,7 +143,7 @@ class TestBoundCost:
     def test_single_component_posterior_trace(self, rng):
         g = Gaussian(rng.standard_normal(2), random_spd(rng, 2))
         model = LinearMeasurementModel(rng.standard_normal((1, 2)), [[0.5]])
-        res = gsf_update(GaussianMixture(((1.0, g),)), model, rng.standard_normal(1))
+        res = gsf_update(GaussianMixture([1.0], [g.mean], [g.cov]), model, rng.standard_normal(1))
         assert gsf_bound_cost(res) == pytest.approx(
             float(np.trace(res.posterior.nodes[0].cov)), rel=1e-12)
 
@@ -172,40 +163,10 @@ class TestBoundCost:
         base = gsf_bound_cost(res)
         for _ in range(100):
             perturbed = 0.0
-            for pair, node in zip(res.gains, prior.nodes):
-                h = pair.H + 1e-2 * rng.standard_normal(pair.H.shape)
+            for gain, node in zip(res.gains, prior.nodes):
+                h = gain + 1e-2 * rng.standard_normal(gain.shape)
                 perturbed += update_error_cost(h, node.cov, model)
             assert perturbed >= base - 1e-12
-
-
-def _gaussian_density(x, mean, cov):
-    d = x - mean
-    q = np.einsum("pi,ij,pj->p", d, np.linalg.inv(cov), d)
-    return np.exp(-0.5 * q) / np.sqrt(np.linalg.det(2.0 * np.pi * cov))
-
-
-def _grid_bayes(prior, model, y, points=801):
-    """Bayes posterior by brute-force quadrature, with no Kalman algebra.
-
-    Prior density times likelihood ``N(y; C x, R)`` on a uniform 2-D grid
-    reaching 10 prior standard deviations past every mean; the trapezoid rule
-    is spectrally accurate for these Gaussian integrands. Returns each prior
-    component's share of the posterior mass, the posterior mean and its
-    covariance.
-    """
-    means, covs = prior.means(), prior.covs()
-    half = 10.0 * np.sqrt(np.linalg.eigvalsh(covs).max())
-    axes = [np.linspace(lo - half, hi + half, points)
-            for lo, hi in zip(means.min(axis=0), means.max(axis=0))]
-    x = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
-    like = _gaussian_density(x @ model.C.T, y, model.R)
-    joint = np.stack([w * _gaussian_density(x, m, c) * like
-                      for w, m, c in zip(prior.weights, means, covs)])
-    mass = joint.sum(axis=1)
-    density = joint.sum(axis=0) / mass.sum()
-    mean = density @ x
-    d = x - mean
-    return mass / mass.sum(), mean, (d * density[:, None]).T @ d
 
 
 class TestBayesOracle:
@@ -268,9 +229,9 @@ class TestBatchedUpdate:
         gains, means, covs, costs, weights = _loop_gsf(prior, model, y)
         assert_close_12(res.posterior.weights, weights)
         assert_close_12(res.component_costs, costs)
-        for k, (pair, node) in enumerate(zip(res.gains, res.posterior.nodes)):
-            assert_close_12(pair.H, gains[k])
-            assert_close_12(pair.G, np.eye(n) - gains[k] @ model.C)
+        for k, (h, node) in enumerate(zip(res.gains, res.posterior.nodes)):
+            assert_close_12(h, gains[k])
+            assert_close_12(state_gain(h, model), np.eye(n) - gains[k] @ model.C)
             assert_close_12(node.mean, means[k])
             assert_close_12(node.cov, covs[k])
 
@@ -283,8 +244,7 @@ class TestBatchedUpdate:
         model = LinearMeasurementModel(np.eye(2), 1e-6 * np.eye(2))
         covs = [_ill_conditioned_cov(rng, 1e6 * 2.0 ** rng.uniform(-1, 1))
                 if rng.uniform() < 0.5 else random_spd(rng, 2) for _ in range(order)]
-        prior = GaussianMixture.from_arrays(np.full(order, 1.0 / order),
-                                            rng.standard_normal((order, 2)), covs)
+        prior = GaussianMixture(np.full(order, 1.0 / order), rng.standard_normal((order, 2)), covs)
         first_bad = None
         for k, cov in enumerate(covs):
             w = np.linalg.eigvalsh(cov + model.R)

@@ -140,7 +140,7 @@ class TestRunExperiment:
         rec = result.records[0]
         prior = rec.filters["gsf"].prior
         model = result.config.measurement
-        gains = [pair.H for pair in gsf_update(prior, model, rec.measurement).gains]
+        gains = gsf_update(prior, model, rec.measurement).gains
         costs = component_costs(gains, prior, model)
         face = costs == costs.min()
         np.testing.assert_array_equal(rec.filters["ngsf"].posterior.weights,
@@ -331,12 +331,15 @@ class TestCli:
         {"duffing": {"dt": "0.01"}},
         # Never took effect: the harness always hands EM a derived generator.
         {"em": {"init_seed": 5}},
+        {"em": {"tol": float("nan")}},
+        {"em": {"covariance_floor": float("inf")}},
     ], ids=["ensemble_below_components", "nan_damping", "uninformative_sensor",
             "unknown_duffing_key", "unknown_em_key", "unknown_measurement_key",
             "section_not_object", "measurement_without_R", "string_ensemble_size",
             "string_true_x0", "fractional_horizon", "fractional_components",
             "fractional_seed", "string_save_clouds", "numeric_output_dir",
-            "bool_ensemble_size", "bool_restarts", "string_dt", "em_init_seed"])
+            "bool_ensemble_size", "bool_restarts", "string_dt", "em_init_seed",
+            "nan_em_tol", "infinite_covariance_floor"])
     def test_bad_config_rejected_before_step_one(self, tmp_path, capsys, data):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
@@ -359,6 +362,17 @@ class TestCli:
 
     def test_missing_config_exit_code(self, tmp_path):
         assert cli_main(["run", "--config", str(tmp_path / "absent.json")]) == 1
+
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+    def test_unreadable_config_exit_code(self, tmp_path, capsys, kind):
+        path = tmp_path / "config"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"horizon_steps": 2, "output_dir": "\xff"}')
+        assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "invalid input" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_validate_subcommand(self, capsys):
         assert cli_main(["validate"]) == 0

@@ -146,7 +146,7 @@ class TestQuadraticFormUpdate:
         prior = random_mixture(rng, order, 2)
         model = LinearMeasurementModel(rng.standard_normal((m, 2)), random_spd(rng, m, base=0.3))
         y = rng.standard_normal(m)
-        means, covs = prior.means(), prior.covs()
+        means, covs = prior.means, prior.covs
         gains = np.stack([kalman_gains(s, model).H + 0.3 * rng.standard_normal((2, m))
                           for s in covs])
         post_means, post_covs = _apply_linear_update(means, covs, gains, model, y)

@@ -22,7 +22,7 @@ def _problem(rng, order=3, n=2, m=1):
 class TestCost:
     def test_single_component_kalman_gain_gives_posterior_trace(self, rng):
         g = Gaussian(rng.standard_normal(2), random_spd(rng, 2))
-        prior = GaussianMixture(((1.0, g),))
+        prior = GaussianMixture([1.0], [g.mean], [g.cov])
         model = LinearMeasurementModel(rng.standard_normal((1, 2)), [[0.5]])
         h = kalman_gains(g.cov, model).H
         post = kalman_update(g, g.cov, model, np.zeros(1))
@@ -125,10 +125,7 @@ class TestSolve:
         # component costs tie, so the weight is split evenly over both.
         mu = np.array([2.0, -1.0])
         cov = np.array([[1.5, 0.2], [0.2, 0.8]])
-        prior = GaussianMixture((
-            (0.5, Gaussian(mu, cov)),
-            (0.5, Gaussian(-mu, cov)),
-        ))
+        prior = GaussianMixture([0.5, 0.5], [mu, -mu], [cov, cov])
         model = LinearMeasurementModel([[1.0, 0.0]], [[0.5]])
         problem = NgsfProblem.from_gsf(prior, model, [0.0])
         grad_w, _ = ngsf_gradients(problem.warm_weights, problem.warm_gains, prior, model)
@@ -198,7 +195,7 @@ class TestUpdate:
         g = Gaussian(rng.standard_normal(2), random_spd(rng, 2))
         model = LinearMeasurementModel(rng.standard_normal((1, 2)), [[0.5]])
         y = rng.standard_normal(1)
-        problem = NgsfProblem.from_gsf(GaussianMixture(((1.0, g),)), model, y)
+        problem = NgsfProblem.from_gsf(GaussianMixture([1.0], [g.mean], [g.cov]), model, y)
         res = ngsf_update(problem)
         ref = kalman_update(g, g.cov, model, y)
         np.testing.assert_allclose(res.posterior.nodes[0].mean, ref.mean, atol=1e-12)
@@ -209,10 +206,7 @@ class TestUpdate:
         # split evenly and the nodes equal the GSF posterior nodes.
         mu = np.array([1.0, 0.5])
         cov = np.array([[1.0, 0.1], [0.1, 0.6]])
-        prior = GaussianMixture((
-            (0.5, Gaussian(mu, cov)),
-            (0.5, Gaussian(-mu, cov)),
-        ))
+        prior = GaussianMixture([0.5, 0.5], [mu, -mu], [cov, cov])
         model = LinearMeasurementModel([[1.0, 0.0]], [[0.5]])
         gsf_res = gsf_update(prior, model, [0.0])
         problem = NgsfProblem.from_gsf(prior, model, [0.0], gsf_result=gsf_res)

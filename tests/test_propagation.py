@@ -142,10 +142,7 @@ class TestFitGmmEm:
 
     def test_well_separated_weights(self):
         rng = np.random.default_rng(33)
-        gen = GaussianMixture((
-            (0.3, Gaussian([-20.0, 0.0], np.eye(2))),
-            (0.7, Gaussian([20.0, 0.0], np.eye(2))),
-        ))
+        gen = GaussianMixture([0.3, 0.7], [[-20.0, 0.0], [20.0, 0.0]], [np.eye(2), np.eye(2)])
         cloud = sample_mixture(gen, 5_000, rng)
         mix = fit_gmm_em(cloud, EmFitConfig(n_components=2), np.random.default_rng(34))
         weights = np.sort(mix.weights)
@@ -267,17 +264,14 @@ class TestBatchedEm:
                                        atol=1e-12)
 
     def test_three_dimensional_cloud(self, rng):
-        gen = GaussianMixture((
-            (0.5, Gaussian([-3.0, 0.0, 1.0], np.eye(3))),
-            (0.5, Gaussian([3.0, 1.0, -1.0], [[1.0, 0.3, 0.0], [0.3, 0.5, 0.1],
-                                               [0.0, 0.1, 0.8]])),
-        ))
+        gen = GaussianMixture([0.5, 0.5], [[-3.0, 0.0, 1.0], [3.0, 1.0, -1.0]],
+                              [np.eye(3), [[1.0, 0.3, 0.0], [0.3, 0.5, 0.1], [0.0, 0.1, 0.8]]])
         cloud = sample_mixture(gen, 2_000, rng)
         mix, diag = fit_gmm_em(cloud, EmFitConfig(n_components=3, restarts=2),
                                np.random.default_rng(39), details=True)
         assert mix.order == 3 and mix.dim == 3
-        assert mix.means().shape == (3, 3)
-        assert mix.covs().shape == (3, 3, 3)
+        assert mix.means.shape == (3, 3)
+        assert mix.covs.shape == (3, 3, 3)
         assert np.all(np.diff(diag.log_likelihoods) >= -1e-9)
 
 

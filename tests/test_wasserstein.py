@@ -89,13 +89,13 @@ class TestMixtureDirac:
     def test_single_component(self, rng):
         g = random_gaussian(rng, 2)
         d = DiracPoint(rng.standard_normal(2))
-        mix = GaussianMixture(((1.0, g),))
+        mix = GaussianMixture([1.0], [g.mean], [g.cov])
         assert w2_mixture_dirac(mix, d) == w2_gaussian_dirac(g, d)
 
     def test_duplicated_node(self, rng):
         g = random_gaussian(rng, 2)
         d = DiracPoint(rng.standard_normal(2))
-        mix = GaussianMixture(((0.5, g), (0.5, g)))
+        mix = GaussianMixture([0.5, 0.5], [g.mean] * 2, [g.cov] * 2)
         assert w2_mixture_dirac(mix, d) == pytest.approx(w2_gaussian_dirac(g, d), abs=1e-14)
 
     def test_term_by_term_oracle(self, rng):
@@ -109,14 +109,15 @@ class TestMixtureDirac:
     def test_linearity_in_weights(self, rng):
         # theta * value(w) + (1 - theta) * value(w') for fixed nodes.
         nodes = [random_gaussian(rng, 2) for _ in range(4)]
+        means, covs = np.stack([g.mean for g in nodes]), np.stack([g.cov for g in nodes])
         d = DiracPoint(rng.standard_normal(2))
         w1 = np.array([0.1, 0.2, 0.3, 0.4])
         w2 = np.array([0.4, 0.3, 0.2, 0.1])
-        v1 = w2_mixture_dirac(GaussianMixture(tuple(zip(w1, nodes))), d)
-        v2 = w2_mixture_dirac(GaussianMixture(tuple(zip(w2, nodes))), d)
+        v1 = w2_mixture_dirac(GaussianMixture(w1, means, covs), d)
+        v2 = w2_mixture_dirac(GaussianMixture(w2, means, covs), d)
         for theta in (0.15, 0.5, 0.85):
             blend = theta * w1 + (1 - theta) * w2
-            vb = w2_mixture_dirac(GaussianMixture(tuple(zip(blend, nodes))), d)
+            vb = w2_mixture_dirac(GaussianMixture(blend, means, covs), d)
             assert abs(vb - (theta * v1 + (1 - theta) * v2)) < 1e-12
 
 
