@@ -17,9 +17,12 @@ each filter owns its resampled cloud and gets its own fit.
 from __future__ import annotations
 
 import json
+import numbers
+import os
 import time
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import get_type_hints
 
@@ -417,40 +420,70 @@ class ComparisonResult:
         return "\n".join(lines)
 
 
-def monte_carlo_compare(config: ExperimentConfig, n_runs: int) -> ComparisonResult:
+def _run_member(config: ExperimentConfig, run: int) -> tuple:
+    """Member run ``run`` of :func:`monte_carlo_compare`.
+
+    Returns what the aggregate reads: the run summary, each filter's
+    ``(steps, 2)`` error stack and the nGSF's per-step cost gaps (``None``
+    without the nGSF); no clouds or mixtures, which a worker would otherwise
+    pickle back. A failure names the run before the step and module.
+    """
+    run_seed = int(np.random.SeedSequence(
+        [config.master_seed, _STREAM_RUN, run]).generate_state(1)[0])
+    try:
+        result = run_experiment(replace(config, master_seed=run_seed, output_dir=None))
+    except HarnessError as exc:
+        raise HarnessError(f"run {run}, {exc}") from exc
+    errors = {name: np.array([rec.filters[name].error for rec in result.records])
+              for name in config.filters}
+    gaps = None
+    if "ngsf" in config.filters:
+        gaps = [rec.filters["ngsf"].final_cost - rec.filters["ngsf"].warm_cost
+                for rec in result.records]
+    return result.summary, errors, gaps
+
+
+def monte_carlo_compare(config: ExperimentConfig, n_runs: int,
+                        jobs: int | None = None) -> ComparisonResult:
     """Run paired experiments with per-run seeds shared across filters.
 
     Each run derives its own master seed from the config seed, so all filters
     inside a run see identical clouds and measurements while runs stay
-    independent.
+    independent. ``jobs`` worker processes run the members, by default one
+    per usable CPU, never more than ``n_runs``; with one, the members run in
+    this process. The pool takes the platform's default start method and is
+    shut down before the call returns or raises. Results are gathered in run
+    order, so the result does not depend on ``jobs``.
     """
     if n_runs < 2:
         raise ValidationError(f"n_runs must be >= 2, got {n_runs}")
     if config.horizon_steps < 1:
         raise ValidationError("monte_carlo_compare needs horizon_steps >= 1")
+    if jobs is None:
+        try:
+            jobs = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity masks on this platform
+            jobs = os.cpu_count() or 1
+    elif isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral) or jobs < 1:
+        raise ValidationError(f"jobs must be a positive integer, got {jobs!r}")
+    jobs = min(jobs, n_runs)
 
-    run_summaries = []
-    all_errors: dict[str, list] = {name: [] for name in config.filters}
-    cost_gaps = []
-    for run in range(n_runs):
-        run_seed = int(np.random.SeedSequence(
-            [config.master_seed, _STREAM_RUN, run]).generate_state(1)[0])
-        run_config = replace(config, master_seed=run_seed, output_dir=None)
-        result = run_experiment(run_config)
-        run_summaries.append(result.summary)
-        for name in config.filters:
-            all_errors[name] += [rec.filters[name].error for rec in result.records]
-        if "ngsf" in config.filters:
-            cost_gaps.append([
-                rec.filters["ngsf"].final_cost - rec.filters["ngsf"].warm_cost
-                for rec in result.records
-            ])
+    member = partial(_run_member, config)
+    if jobs == 1:
+        members = list(map(member, range(n_runs)))
+    else:
+        # Imported here so that ``import wassfilter`` does not load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(jobs) as pool:
+            members = list(pool.map(member, range(n_runs)))
 
-    per_filter = {name: _error_stats(np.array(all_errors[name])) for name in config.filters}
+    run_summaries = [summary for summary, _, _ in members]
+    per_filter = {name: _error_stats(np.concatenate([errors[name] for _, errors, _ in members]))
+                  for name in config.filters}
 
     paired = None
     if "ngsf" in config.filters and "gsf" in config.filters:
-        gaps = np.array(cost_gaps)
+        gaps = np.array([run_gaps for _, _, run_gaps in members])
         variances = {name: np.array([s["per_filter"][name]["error_variance"]
                                      for s in run_summaries]) for name in ("ngsf", "gsf")}
         signs = {}

@@ -1,13 +1,18 @@
 """Tests for the experiment runner, output emission and CLI."""
 
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wassfilter import (DuffingModel, EmFitConfig, ExperimentConfig,
+import wassfilter
+from wassfilter import (DuffingModel, EmFitConfig, ExperimentConfig, HarnessError,
                         LinearMeasurementModel, ValidationError, emit_outputs,
                         gsf_update, monte_carlo_compare, run_experiment)
 from wassfilter.ngsf import component_costs
@@ -25,6 +30,12 @@ def _small_config(**overrides) -> ExperimentConfig:
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def _diverging_config() -> ExperimentConfig:
+    # The cubic term overflows in the first RK4 substep of every member run.
+    return ExperimentConfig(duffing=DuffingModel(cubic=1e200), ensemble_size=300,
+                            horizon_steps=2)
 
 
 def _snapshot(root: Path) -> dict:
@@ -254,6 +265,39 @@ class TestMonteCarloCompare:
         with pytest.raises(ValidationError):
             monte_carlo_compare(_small_config(horizon_steps=0), 2)
 
+    @pytest.mark.parametrize("jobs", [0, -1, 1.5, True])
+    def test_rejects_bad_jobs(self, jobs):
+        with pytest.raises(ValidationError, match="jobs"):
+            monte_carlo_compare(_small_config(), 2, jobs=jobs)
+
+    def test_result_independent_of_worker_count(self):
+        # One in-process run, a two-worker pool, and more workers than runs.
+        config = _small_config(filters=("gsf", "ngsf", "kf_momentmatch"))
+        serial, *pooled = [monte_carlo_compare(config, 3, jobs=jobs) for jobs in (1, 2, 5)]
+        for other in pooled:
+            assert (json.dumps(other.to_json_dict(), sort_keys=True)
+                    == json.dumps(serial.to_json_dict(), sort_keys=True))
+            assert other.run_summaries == serial.run_summaries
+            assert other.to_text() == serial.to_text()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_member_failure_names_run_step_and_module(self, jobs):
+        with pytest.raises(HarnessError, match=r"^run 0, step 1, module propagation: "
+                                               r"integration produced a non-finite state"):
+            monte_carlo_compare(_diverging_config(), 3, jobs=jobs)
+        assert multiprocessing.active_children() == []
+
+    def test_import_loads_no_process_pool(self):
+        code = ("import sys, wassfilter; "
+                "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
+        env = {**os.environ, "PYTHONPATH": str(Path(wassfilter.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=60).stdout
+        assert out.strip() == "[]"
+
 
 class TestCli:
     def _write_config(self, path: Path) -> Path:
@@ -286,6 +330,16 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "cmp" / "comparison.json").exists()
         assert "paired Monte Carlo" in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_compare_member_failure_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "diverging.json"
+        cfg.write_text(json.dumps(_diverging_config().to_json_dict()))
+        assert cli_main(["compare", "--config", str(cfg), "--runs", "3"]) == 2
+        assert ("runtime error: run 0, step 1, module propagation"
+                in capsys.readouterr().err)
+        assert multiprocessing.active_children() == []
 
     def test_filters_flag(self, tmp_path):
         cfg = self._write_config(tmp_path)
