@@ -5,13 +5,15 @@ import multiprocessing
 import os
 import subprocess
 import sys
-from dataclasses import fields
+import warnings
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import wassfilter
+from wassfilter import harness
 from wassfilter import (DuffingModel, EmFitConfig, ExperimentConfig, HarnessError,
                         LinearMeasurementModel, ValidationError, emit_outputs,
                         gsf_update, monte_carlo_compare, run_experiment)
@@ -36,6 +38,22 @@ def _diverging_config() -> ExperimentConfig:
     # The cubic term overflows in the first RK4 substep of every member run.
     return ExperimentConfig(duffing=DuffingModel(cubic=1e200), ensemble_size=300,
                             horizon_steps=2)
+
+
+_REAL_MEMBER = harness._run_member
+
+
+def _marked_member(config: ExperimentConfig, run: int):
+    """A member run that first leaves a marker file in ``config.output_dir``."""
+    (Path(config.output_dir) / f"run{run}").touch()
+    return _REAL_MEMBER(config, run)
+
+
+def _member_failing_from_run_3(config: ExperimentConfig, run: int):
+    """A member run whose dynamics diverge from run 3 on."""
+    if run >= 3:
+        config = replace(config, duffing=DuffingModel(cubic=1e200))
+    return _REAL_MEMBER(config, run)
 
 
 def _snapshot(root: Path) -> dict:
@@ -232,6 +250,23 @@ class TestEmitOutputs:
                                      output_dir=str(out)))
         assert not (out / "clouds").exists()
 
+    def test_cloud_csvs_match_per_value_repr(self, tmp_path):
+        # Each value is written as repr(float(v)), rows in cloud order.
+        out = tmp_path / "o"
+        result = run_experiment(_small_config(horizon_steps=2, output_dir=str(out),
+                                              filters=("gsf", "ngsf", "kf_momentmatch")))
+
+        def old_format(cloud):
+            rows = ["x1,x2"] + [f"{repr(float(p[0]))},{repr(float(p[1]))}" for p in cloud]
+            return ("\n".join(rows) + "\n").encode()
+
+        expected = {"step000_init.csv": old_format(result.initial_cloud)}
+        for rec in result.records:
+            for name, fr in rec.filters.items():
+                expected[f"step{rec.step:03d}_{name}_prior.csv"] = old_format(fr.prior_cloud)
+        on_disk = {p.name: p.read_bytes() for p in (out / "clouds").iterdir()}
+        assert on_disk == expected
+
     def test_emit_returns_written_files(self, tmp_path):
         result = run_experiment(_small_config(horizon_steps=1))
         written = emit_outputs(result, tmp_path / "dest")
@@ -281,13 +316,30 @@ class TestMonteCarloCompare:
             assert other.to_text() == serial.to_text()
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_member_failure_names_run_step_and_module(self, jobs):
         with pytest.raises(HarnessError, match=r"^run 0, step 1, module propagation: "
                                                r"integration produced a non-finite state"):
             monte_carlo_compare(_diverging_config(), 3, jobs=jobs)
+        assert multiprocessing.active_children() == []
+
+    def test_failure_stops_submitting_members(self, tmp_path, monkeypatch):
+        # Every member fails: the first `jobs` start, no later one does.
+        monkeypatch.setattr(harness, "_run_member", _marked_member)
+        config = replace(_diverging_config(), output_dir=str(tmp_path))
+        with pytest.raises(HarnessError, match=r"^run 0, step 1, module propagation"):
+            monte_carlo_compare(config, 12, jobs=2)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run0", "run1"]
+        assert multiprocessing.active_children() == []
+
+    def test_first_failing_run_is_reported(self, monkeypatch):
+        # Runs 0-2 pass and every later one fails; whatever order the pool
+        # finishes them in, the error names run 3, as the in-process loop does.
+        monkeypatch.setattr(harness, "_run_member", _member_failing_from_run_3)
+        for jobs in (1, 2):
+            with pytest.raises(HarnessError, match=r"^run 3, step 1, module propagation"):
+                monte_carlo_compare(_small_config(horizon_steps=1, filters=("gsf",)), 8,
+                                    jobs=jobs)
         assert multiprocessing.active_children() == []
 
     def test_import_loads_no_process_pool(self):
@@ -331,8 +383,6 @@ class TestCli:
         assert (tmp_path / "cmp" / "comparison.json").exists()
         assert "paired Monte Carlo" in capsys.readouterr().out
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
     def test_compare_member_failure_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "diverging.json"
         cfg.write_text(json.dumps(_diverging_config().to_json_dict()))
@@ -340,6 +390,21 @@ class TestCli:
         assert ("runtime error: run 0, step 1, module propagation"
                 in capsys.readouterr().err)
         assert multiprocessing.active_children() == []
+
+    def test_diverging_run_prints_one_error_line(self, tmp_path, capsys):
+        # The truth overflows in its first RK4 substep: exit 2, and the error
+        # line is all that reaches stderr (no numpy RuntimeWarning above it).
+        cfg = tmp_path / "diverging.json"
+        cfg.write_text(json.dumps({"true_x0": [1e300, 1], "ensemble_size": 200,
+                                   "horizon_steps": 2, "em": {"n_components": 2}}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("runtime error: step 1, module propagation: ")
 
     def test_filters_flag(self, tmp_path):
         cfg = self._write_config(tmp_path)
@@ -387,13 +452,15 @@ class TestCli:
         {"em": {"init_seed": 5}},
         {"em": {"tol": float("nan")}},
         {"em": {"covariance_floor": float("inf")}},
+        # Beyond the largest (N, 2) float64 array numpy can index.
+        {"ensemble_size": 10**30},
     ], ids=["ensemble_below_components", "nan_damping", "uninformative_sensor",
             "unknown_duffing_key", "unknown_em_key", "unknown_measurement_key",
             "section_not_object", "measurement_without_R", "string_ensemble_size",
             "string_true_x0", "fractional_horizon", "fractional_components",
             "fractional_seed", "string_save_clouds", "numeric_output_dir",
             "bool_ensemble_size", "bool_restarts", "string_dt", "em_init_seed",
-            "nan_em_tol", "infinite_covariance_floor"])
+            "nan_em_tol", "infinite_covariance_floor", "unallocatable_ensemble"])
     def test_bad_config_rejected_before_step_one(self, tmp_path, capsys, data):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))

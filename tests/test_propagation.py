@@ -1,8 +1,16 @@
 """Tests for Duffing dynamics, RK4 integration, cloud propagation and EM fitting."""
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.linalg import solve_triangular
+from scipy.special import logsumexp
+from scipy.stats import multivariate_normal
 
 from wassfilter import (DivergenceError, DuffingModel, EmFitConfig, Gaussian,
                         GaussianMixture, ValidationError, duffing_rhs, fit_gmm_em,
@@ -46,6 +54,14 @@ class TestDuffingRhs:
         with pytest.raises(ValidationError):
             duffing_rhs([1.0, 2.0, 3.0])
 
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(states=arrays(np.float64, st.tuples(st.integers(1, 64), st.just(2)),
+                         elements=st.floats(-1e100, 1e100)),
+           damping=st.floats(0.0, 10.0), cubic=st.floats(-10.0, 10.0))
+    def test_field_is_exactly_odd(self, states, damping, cubic):
+        np.testing.assert_array_equal(duffing_rhs(-states, damping, cubic),
+                                      -duffing_rhs(states, damping, cubic))
+
 
 class TestRk4:
     def test_equilibrium_fixed_point(self):
@@ -70,6 +86,13 @@ class TestRk4:
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(orders > 3.7)
         assert np.all(orders < 4.3)
+
+    def test_divergence_raises_without_numpy_warnings(self):
+        model = DuffingModel()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError):
+                integrate_rk4(np.array([1e300, 1.0]), model.rhs, model.dt, 2)
 
     def test_divergence_error(self):
         # x' = x^2 from 1 blows up at t = 1.
@@ -101,6 +124,14 @@ class TestPropagateCloud:
         out_perm = propagate_cloud(cloud[perm], model, 0.5)
         np.testing.assert_array_equal(out_perm, out[perm])
 
+    def test_odd_symmetry_on_a_large_cloud(self):
+        # The field is odd and RK4 combines its values linearly, so a mirrored
+        # cloud propagates to the mirrored result, bit for bit.
+        cloud = np.random.default_rng(KURTOSIS_SEED).standard_normal((20_000, 2))
+        model = DuffingModel()
+        np.testing.assert_array_equal(propagate_cloud(-cloud, model, 0.5),
+                                      -propagate_cloud(cloud, model, 0.5))
+
     def test_propagated_cloud_non_gaussian(self):
         # A standard normal cloud leaves the Gaussian family within one
         # 0.5 s filter period; kurtosis is the witness statistic.
@@ -114,8 +145,7 @@ class TestPropagateCloud:
         model = DuffingModel(cubic=1.0, dt=0.01)
         cloud = np.zeros((5, 2))
         cloud[3] = [1e200, 0.0]  # cubic term overflows immediately
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(DivergenceError, match="particle 3"):
+        with pytest.raises(DivergenceError, match="particle 3"):
             propagate_cloud(cloud, model, 0.5)
 
     def test_duration_must_align_with_dt(self, rng):
@@ -290,3 +320,27 @@ class TestEmDiagnostics:
                              np.random.default_rng(41), details=True)
         assert not diag.converged
         assert diag.iterations == len(diag.log_likelihoods) == 3
+
+    @pytest.mark.parametrize("restarts", [1, 3])
+    def test_final_log_likelihood_scores_returned_mixture(self, rng, restarts):
+        cloud = propagate_cloud(rng.standard_normal((1_500, 2)), DuffingModel(), 0.5)
+        mix, diag = fit_gmm_em(cloud, EmFitConfig(n_components=4, max_iters=20,
+                                                  restarts=restarts),
+                               np.random.default_rng(42), details=True)
+        logpdfs = np.stack([multivariate_normal(m, c).logpdf(cloud)
+                            for m, c in zip(mix.means, mix.covs)], axis=1)
+        expected = float(logsumexp(logpdfs + np.log(mix.weights), axis=1).sum())
+        assert diag.final_log_likelihood == pytest.approx(expected, rel=1e-9)
+        # The returned mixture is one M-step past the last scored pass.
+        assert diag.final_log_likelihood >= diag.log_likelihoods[-1] - 1e-9
+
+    def test_restart_chosen_on_returned_mixture(self, rng):
+        cloud = propagate_cloud(rng.standard_normal((1_500, 2)), DuffingModel(), 0.5)
+        config = EmFitConfig(n_components=4, max_iters=5, restarts=1)
+        draws = np.random.default_rng(43)
+        scores = [fit_gmm_em(cloud, config, draws, details=True)[1].final_log_likelihood
+                  for _ in range(4)]
+        _, diag = fit_gmm_em(cloud, replace(config, restarts=4),
+                             np.random.default_rng(43), details=True)
+        assert diag.restart_index == int(np.argmax(scores))
+        assert diag.final_log_likelihood == max(scores)
