@@ -18,9 +18,11 @@ Types
 Point clouds ("ensembles") are plain ``(N, n)`` float arrays throughout the
 library; there is no wrapper class for them.
 
-All types are immutable values after construction (arrays are copied and
-marked read-only), so instances are safe to share across threads. Random
-number generators are the only mutable state and belong to the caller.
+All types are immutable values after construction, so instances are safe to
+share across threads. Input arrays are copied and marked read-only; an input
+that is already a read-only float array owning its data is shared, not
+copied. Random number generators are the only mutable state and belong to
+the caller.
 """
 
 from __future__ import annotations
@@ -121,10 +123,34 @@ def _check_eig_floor(sym: np.ndarray, eig_floor: float) -> None:
                               f"is below the floor {eig_floor:.1e}")
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
+def _readonly(a) -> np.ndarray:
+    """``a`` as a read-only float array that no other handle can write: ``a``
+    itself when it already is one that owns its data, else a copy."""
+    if (isinstance(a, np.ndarray) and a.dtype == float and a.flags.owndata
+            and not a.flags.writeable):
+        return a
     a = np.array(a, dtype=float, copy=True)
     a.setflags(write=False)
     return a
+
+
+def _checked_stacks(weights, means, covs) -> tuple:
+    """The mixture checks that cost O(K): shapes, finite entries and weights on
+    the simplex. Returns the three stacks as float arrays, uncopied where possible."""
+    weights = _as_vector(weights, "weights")
+    means = _as_matrix(means, "means")
+    covs = _as_float_array(covs, "covs")
+    k = weights.shape[0]
+    if k < 1 or means.shape[0] != k or covs.shape != (k,) + means.shape[1:] * 2:
+        raise ValidationError(f"{k} weights need means of shape ({k}, n) and covs of shape "
+                              f"({k}, n, n), got {means.shape} and {covs.shape}")
+    if not np.isfinite(covs).all():
+        raise ValidationError("covs contains non-finite entries")
+    if (weights < 0.0).any():
+        raise ValidationError(f"negative mixture weight {weights.min()}")
+    if abs(float(weights.sum()) - 1.0) > _SIMPLEX_ATOL:
+        raise ValidationError(f"mixture weights sum to {weights.sum()!r}, not 1")
+    return weights, means, covs
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,23 +225,25 @@ class GaussianMixture:
     eig_floor: float = field(default=DEFAULT_EIG_FLOOR, repr=False)
 
     def __post_init__(self):
-        weights = _as_vector(self.weights, "weights")
-        means = _as_matrix(self.means, "means")
-        covs = _as_float_array(self.covs, "covs")
-        k = weights.shape[0]
-        if k < 1 or means.shape[0] != k or covs.shape != (k,) + means.shape[1:] * 2:
-            raise ValidationError(f"{k} weights need means of shape ({k}, n) and covs of shape "
-                                  f"({k}, n, n), got {means.shape} and {covs.shape}")
-        if not np.isfinite(covs).all():
-            raise ValidationError("covs contains non-finite entries")
-        if (weights < 0.0).any():
-            raise ValidationError(f"negative mixture weight {weights.min()}")
-        if abs(float(weights.sum()) - 1.0) > _SIMPLEX_ATOL:
-            raise ValidationError(f"mixture weights sum to {weights.sum()!r}, not 1")
-        _check_eig_floor(_check_symmetric(covs, "cov"), self.eig_floor)
-        object.__setattr__(self, "weights", _readonly(weights))
-        object.__setattr__(self, "means", _readonly(means))
-        object.__setattr__(self, "covs", _readonly(covs))
+        stacks = _checked_stacks(self.weights, self.means, self.covs)
+        _check_eig_floor(_check_symmetric(stacks[2], "cov"), self.eig_floor)
+        for name, a in zip(("weights", "means", "covs"), stacks):
+            object.__setattr__(self, name, _readonly(a))
+
+    @classmethod
+    def _trusted(cls, weights, means, covs, eig_floor: float) -> "GaussianMixture":
+        """A mixture over covariances already certified symmetric with no
+        eigenvalue below ``eig_floor``: just floored by ``ensure_spd``, or taken
+        unchanged from checked values. Runs the constructor's O(K) checks but
+        not its symmetry and eigenvalue passes, and marks the arrays read-only
+        in place instead of copying them, so a caller passes only arrays that
+        it alone holds or that are read-only already."""
+        mix = object.__new__(cls)
+        for name, a in zip(("weights", "means", "covs"), _checked_stacks(weights, means, covs)):
+            a.setflags(write=False)
+            object.__setattr__(mix, name, a)
+        object.__setattr__(mix, "eig_floor", eig_floor)
+        return mix
 
     @classmethod
     def from_unnormalized(cls, weights, nodes: Sequence[Gaussian]) -> "GaussianMixture":
@@ -223,12 +251,13 @@ class GaussianMixture:
         ``Gaussian`` nodes; the mixture keeps the loosest of the nodes' floors."""
         w = np.asarray(weights, dtype=float)
         total = float(w.sum())
-        if not 0.0 < total < np.inf:  # a negative weight fails the constructor's check
+        if not 0.0 < total < np.inf:  # a negative weight fails the simplex check
             raise ValidationError(f"weights must have a positive finite sum, got {total!r}")
         if not all(isinstance(g, Gaussian) for g in nodes):
             raise ValidationError("mixture components must be Gaussian instances")
-        return cls(w / total, [g.mean for g in nodes], [g.cov for g in nodes],
-                   eig_floor=min((g.eig_floor for g in nodes), default=DEFAULT_EIG_FLOOR))
+        # Each node passed its own floor, so every covariance clears the loosest.
+        return cls._trusted(w / total, [g.mean for g in nodes], [g.cov for g in nodes],
+                            eig_floor=min((g.eig_floor for g in nodes), default=DEFAULT_EIG_FLOOR))
 
     @property
     def order(self) -> int:
@@ -304,28 +333,29 @@ def psd_sqrt(m) -> np.ndarray:
     return 0.5 * (root + root.T)
 
 
-def ensure_spd(cov: np.ndarray, psd_tol: float = 1e-12, lift_rel: float = 1e-14) -> np.ndarray:
-    """Symmetrize structurally-PSD covariances and lift near-zero eigenvalues.
+def ensure_spd(cov: np.ndarray, floor: float | None = None) -> np.ndarray:
+    """Symmetrize structurally-PSD covariances and lift each matrix's eigenvalues
+    below its floor.
 
-    Used by filter updates whose covariance formulas are PSD analytically but
-    can drift a hair negative in floating point. Takes one ``(n, n)`` matrix
-    or a ``(K, n, n)`` stack and treats each matrix of a stack as if alone.
-    Eigenvalues below ``-psd_tol * max(1, lambda_max)`` mean a matrix is
-    genuinely broken and raise :class:`DegeneracyError` (for the first such
-    matrix); eigenvalues in the roundoff band are lifted to
-    ``lift_rel * lambda_max`` so downstream Cholesky factorizations succeed.
-    Only matrices with a lifted eigenvalue are rebuilt; the rest are returned
-    symmetrized but otherwise untouched.
+    Takes one ``(n, n)`` matrix or a ``(K, n, n)`` stack and treats each matrix
+    of a stack as if alone. The floor is ``floor`` when given (the EM's
+    absolute covariance floor), else ``1e-14 * lambda_max``: enough for the
+    Cholesky factorizations downstream of filter updates, whose formulas are
+    PSD analytically but can drift a hair negative. Eigenvalues below
+    ``-1e-12 * max(1, lambda_max)`` mean a matrix is genuinely broken and raise
+    :class:`DegeneracyError` (for the first such matrix). One ``eigvalsh`` pass
+    flags the matrices below their floor; only those are decomposed again,
+    with eigenvectors, and rebuilt. The rest come back symmetrized only.
     """
     cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
     stack = cov.reshape((-1,) + cov.shape[-2:])
     w = np.linalg.eigvalsh(stack)
     lmax = np.maximum(w[:, -1], 0.0)
-    broken = w[:, 0] < -psd_tol * np.maximum(1.0, lmax)
+    broken = w[:, 0] < -1e-12 * np.maximum(1.0, lmax)
     if broken.any():
         bad = w[np.argmax(broken), 0]
         raise DegeneracyError(f"covariance eigenvalue {bad:.6e} is negative beyond roundoff tolerance")
-    lift = lift_rel * lmax
+    lift = 1e-14 * lmax if floor is None else np.full(len(stack), floor)
     low = w[:, 0] < lift
     if low.any():
         w2, v = np.linalg.eigh(stack[low])
@@ -334,21 +364,25 @@ def ensure_spd(cov: np.ndarray, psd_tol: float = 1e-12, lift_rel: float = 1e-14)
     return stack.reshape(cov.shape)
 
 
-def _component_logpdfs(points: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
+def _component_logpdfs(points: np.ndarray, means: np.ndarray, covs: np.ndarray,
+                       z: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """(N, K) log densities of each point under each component.
 
     One Cholesky factorization and one inversion of the ``(K, d, d)`` stack;
     every whitened residual ``L_k^-1 x_n - L_k^-1 mu_k`` then comes from a
-    single ``(K*d, d) @ (d, N)`` product. Raises ``LinAlgError`` if any
+    single ``(K*d, d) @ (d, N)`` product. ``z`` (``(K*d, N)``) and ``out``
+    (``(K, N)``) are optional work arrays to fill instead of allocating; the
+    result is the ``.T`` view of ``out``. Raises ``LinAlgError`` if any
     covariance is not positive definite.
     """
     n_points, dim = points.shape
     k = means.shape[0]
     chol = np.linalg.cholesky(covs)
     inv = np.linalg.inv(chol)
-    z = inv.reshape(k * dim, dim) @ points.T - (inv @ means[:, :, None]).reshape(k * dim, 1)
+    z = np.matmul(inv.reshape(k * dim, dim), points.T, out=z)
+    z -= (inv @ means[:, :, None]).reshape(k * dim, 1)
     z *= z
-    out = z.reshape(k, dim, n_points).sum(axis=1)
+    out = np.sum(z.reshape(k, dim, n_points), axis=1, out=out)
     out += (dim * np.log(2.0 * np.pi)
             + 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1))[:, None]
     out *= -0.5

@@ -85,8 +85,10 @@ def gsf_update(prior: GaussianMixture, model: LinearMeasurementModel, y) -> GsfU
     with np.errstate(divide="ignore"):
         weights = _normalize_log_weights(np.log(prior.weights) + log_like)
 
-    return GsfUpdateResult(posterior=GaussianMixture(weights, post_means, post_covs, eig_floor=0.0),
-                           gains=h, component_costs=update_error_cost(h, covs, model))
+    # ensure_spd has just certified post_covs, so the mixture skips that pass.
+    posterior = GaussianMixture._trusted(weights, post_means, post_covs, eig_floor=0.0)
+    return GsfUpdateResult(posterior=posterior, gains=h,
+                           component_costs=update_error_cost(h, covs, model))
 
 
 def gsf_bound_cost(result: GsfUpdateResult) -> float:

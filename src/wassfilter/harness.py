@@ -194,7 +194,8 @@ def _moment_match_update(prior: GaussianMixture, model: LinearMeasurementModel, 
     mean, cov = mixture_mean_cov(prior)
     gains = _innovation_gains(cov[None], model)[2]
     means, covs = _apply_linear_update(mean[None], cov[None], gains, model, y)
-    return GaussianMixture(np.ones(1), means, covs, eig_floor=0.0)
+    # ensure_spd has just certified covs, as in gsf_update.
+    return GaussianMixture._trusted(np.ones(1), means, covs, eig_floor=0.0)
 
 
 def _error_stats(errors: np.ndarray) -> dict:
@@ -235,11 +236,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     duffing = config.duffing
     x_true = np.array(config.true_x0)
 
-    init_rng = _derived_rng(seed, _STREAM_INIT)
-    initial_cloud = x_true + init_rng.standard_normal((config.ensemble_size, 2))
-    clouds = {name: initial_cloud for name in config.filters}
-
-    r_factor = _psd_factor(model.R)
+    # Stays empty in the flushed outputs if the initial draw fails.
+    initial_cloud = np.empty((0, 2))
     records: list[StepRecord] = []
 
     def _result() -> ExperimentResult:
@@ -258,6 +256,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 except OSError:
                     pass
             raise HarnessError(f"step {step}, module {module}: {exc}") from exc
+
+    with _stage(0, "initialization"):
+        init_rng = _derived_rng(seed, _STREAM_INIT)
+        initial_cloud = x_true + init_rng.standard_normal((config.ensemble_size, 2))
+    clouds = {name: initial_cloud for name in config.filters}
+    r_factor = _psd_factor(model.R)
 
     for step in range(1, config.horizon_steps + 1):
         with _stage(step, "propagation"):

@@ -20,7 +20,7 @@ onto that face in O(K); the costs depend on the prior covariances, C and R only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -173,8 +173,11 @@ def apply_ngsf_solution(problem: NgsfProblem, solution: NgsfSolution) -> GsfUpda
         raise ValidationError("nGSF solution gains are not the warm-start (Kalman) gains")
     warm = problem.warm
     # The solver's weights are already on the simplex; renormalizing them
-    # could move each by an ulp away from the weights it costed.
-    posterior = replace(warm.posterior, weights=solution.weights)
+    # could move each by an ulp away from the weights it costed. The nodes are
+    # the checked GSF posterior's, unchanged.
+    prior = warm.posterior
+    posterior = GaussianMixture._trusted(solution.weights, prior.means, prior.covs,
+                                         eig_floor=prior.eig_floor)
     return GsfUpdateResult(posterior=posterior, gains=warm.gains,
                            component_costs=warm.component_costs)
 

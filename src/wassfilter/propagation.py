@@ -11,8 +11,10 @@ and the vector field exactly odd.
 
 Each EM iteration works on all K components at once: the E-step factors the
 ``(K, d, d)`` covariance stack with one batched Cholesky call, the M-step
-forms every weighted covariance with one batched product, and one batched
-eigendecomposition applies the covariance floor.
+forms every weighted covariance with one batched product, and
+``gaussian.ensure_spd`` applies the covariance floor (one batched
+``eigvalsh``, then eigenvectors only for the matrices below the floor). An EM
+run allocates its per-point work arrays once and every pass reuses them.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, FitError, ValidationError
-from .gaussian import GaussianMixture, _check_field_types, _component_logpdfs
+from .gaussian import GaussianMixture, _check_field_types, _component_logpdfs, ensure_spd
 
 # Fraction of total responsibility mass below which a component counts as
 # collapsed and gets reseeded.
@@ -167,22 +169,6 @@ class EmDiagnostics:
     converged: bool
 
 
-def _floor_cov(covs: np.ndarray, floor: float) -> np.ndarray:
-    """Symmetrize a ``(K, d, d)`` stack and lift eigenvalues below ``floor``.
-
-    Only components whose smallest eigenvalue is below the floor are rebuilt
-    from their eigendecomposition; the rest come back symmetrized only.
-    """
-    covs = 0.5 * (covs + np.swapaxes(covs, 1, 2))
-    w, v = np.linalg.eigh(covs)
-    low = w[:, 0] < floor
-    if low.any():
-        v = v[low]
-        lifted = (v * np.clip(w[low], floor, None)[:, None, :]) @ np.swapaxes(v, 1, 2)
-        covs[low] = 0.5 * (lifted + np.swapaxes(lifted, 1, 2))
-    return covs
-
-
 def _kmeanspp_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]
     centers = [points[int(rng.integers(n))]]
@@ -198,34 +184,65 @@ def _kmeanspp_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> n
     return np.stack(centers)
 
 
-def _e_step(points: np.ndarray, weights: np.ndarray, means: np.ndarray, covs: np.ndarray):
-    """Responsibilities ``(N, K)`` and per-point log mixture density ``(N,)``."""
+class _EmWork:
+    """The arrays one EM run reuses on every pass: the cloud and its transpose,
+    the ``(K*d, N)`` whitened residuals (also the M-step's weighted residuals),
+    the ``(K, N)`` log densities that become the transposed responsibilities,
+    the ``(K, d, N)`` residuals and two ``(N, 1)`` per-point columns. Reusing
+    them keeps each pass from allocating and page-faulting its temporaries."""
+
+    def __init__(self, points: np.ndarray, k: int):
+        n, dim = points.shape
+        self.points = points
+        self.points_t = np.ascontiguousarray(points.T)
+        self.z = np.empty((k * dim, n))
+        self.resp_t = np.empty((k, n))
+        self.diff = np.empty((k, dim, n))
+        self.peak = np.empty((n, 1))
+        self.total = np.empty((n, 1))
+
+
+def _e_step(work: _EmWork, weights: np.ndarray, means: np.ndarray, covs: np.ndarray):
+    """Responsibilities ``(N, K)`` and per-point log mixture density ``(N,)``,
+    both views of ``work`` arrays that the next E-step overwrites.
+
+    The responsibilities are the ``.T`` view of the ``(K, N)`` buffer: that
+    memory order fixes the summation order of every reduction over
+    components, and so the fitted bits.
+    """
+    joint = _component_logpdfs(work.points, means, covs, z=work.z, out=work.resp_t)
     with np.errstate(divide="ignore"):
-        joint = _component_logpdfs(points, means, covs) + np.log(weights)
-    peak = joint.max(axis=1, keepdims=True)
-    dens = np.exp(joint - peak)
-    total = dens.sum(axis=1, keepdims=True)
-    return dens / total, (peak + np.log(total))[:, 0]
+        joint += np.log(weights)
+    peak = np.max(joint, axis=1, keepdims=True, out=work.peak)
+    joint -= peak
+    np.exp(joint, out=joint)
+    total = np.sum(joint, axis=1, keepdims=True, out=work.total)
+    joint /= total
+    np.log(total, out=total)
+    total += peak
+    return joint, total[:, 0]
 
 
-def _m_step(points: np.ndarray, resp: np.ndarray, mass: np.ndarray, floor: float):
+def _m_step(work: _EmWork, resp_t: np.ndarray, mass: np.ndarray, floor: float):
     """Weighted means ``(K, d)`` and floored covariances ``(K, d, d)``.
 
-    ``resp`` is ``(N, K)`` and ``mass`` its column sums; all K covariances
-    come from one batched product over the ``(K, d, N)`` residuals.
+    ``resp_t`` is the ``(K, N)`` transposed responsibilities and ``mass`` its
+    row sums; all K covariances come from one batched product over the
+    ``(K, d, N)`` residuals.
     """
-    means = (resp.T @ points) / mass[:, None]
-    diff = np.ascontiguousarray(points.T)[None, :, :] - means[:, :, None]
-    weighted = diff * np.ascontiguousarray(resp.T)[:, None, :]
+    means = (resp_t @ work.points) / mass[:, None]
+    diff = np.subtract(work.points_t, means[:, :, None], out=work.diff)
+    weighted = np.multiply(diff, resp_t[:, None, :], out=work.z.reshape(diff.shape))
     covs = weighted @ np.swapaxes(diff, 1, 2) / mass[:, None, None]
-    return means, _floor_cov(covs, floor)
+    return means, ensure_spd(covs, floor)
 
 
 def _em_run(points: np.ndarray, config: EmFitConfig, rng: np.random.Generator):
     n, dim = points.shape
     k = config.n_components
     floor = config.covariance_floor
-    overall_cov = _floor_cov(np.cov(points, rowvar=False).reshape(1, dim, dim), floor)[0]
+    work = _EmWork(points, k)
+    overall_cov = ensure_spd(np.cov(points, rowvar=False).reshape(1, dim, dim), floor)[0]
 
     # Start from each point's nearest k-means++ center; a center that wins no
     # point keeps its own location, the overall covariance and weight 1/n.
@@ -235,7 +252,7 @@ def _em_run(points: np.ndarray, config: EmFitConfig, rng: np.random.Generator):
     empty = counts == 0
     counts[empty] = 1.0
     hard = (assign[:, None] == np.arange(k)).astype(float)
-    means, covs = _m_step(points, hard, counts, floor)
+    means, covs = _m_step(work, hard.T, counts, floor)
     means[empty] = centers[empty]
     covs[empty] = overall_cov
     weights = counts / counts.sum()
@@ -244,7 +261,7 @@ def _em_run(points: np.ndarray, config: EmFitConfig, rng: np.random.Generator):
     reseeds = 0
     converged = False
     for _ in range(config.max_iters):
-        resp, log_norm = _e_step(points, weights, means, covs)
+        resp, log_norm = _e_step(work, weights, means, covs)
         ll = float(log_norm.sum())
 
         mass = resp.sum(axis=0)
@@ -261,7 +278,7 @@ def _em_run(points: np.ndarray, config: EmFitConfig, rng: np.random.Generator):
             continue
 
         weights = mass / n
-        means, covs = _m_step(points, resp, mass, floor)
+        means, covs = _m_step(work, resp.T, mass, floor)
 
         if lls and ll - lls[-1] <= config.tol * (1.0 + abs(lls[-1])):
             lls.append(ll)
@@ -272,7 +289,7 @@ def _em_run(points: np.ndarray, config: EmFitConfig, rng: np.random.Generator):
     # Each loop score belongs to the parameters before that pass's M-step, so
     # the returned mixture gets one more E-step of its own.
     mixture = GaussianMixture(weights / weights.sum(), means, covs, eig_floor=0.0)
-    final_ll = float(_e_step(points, mixture.weights, mixture.means, mixture.covs)[1].sum())
+    final_ll = float(_e_step(work, mixture.weights, mixture.means, mixture.covs)[1].sum())
     return mixture, np.array(lls), final_ll, reseeds, converged
 
 
@@ -284,9 +301,9 @@ def fit_gmm_em(cloud, config: EmFitConfig, rng: np.random.Generator, details: bo
     iteration is batched over the components: one stacked Cholesky
     factorization and one matrix product give every component's log density
     (E-step), one batched product gives every weighted covariance (M-step),
-    and one batched eigendecomposition floors the covariance eigenvalues at
-    ``config.covariance_floor`` after every M-step. The cloud may have any dimension. With ``details=True``
-    returns ``(mixture, EmDiagnostics)``.
+    and ``ensure_spd`` floors the covariance eigenvalues at
+    ``config.covariance_floor`` after every M-step. The cloud may have any
+    dimension. With ``details=True`` returns ``(mixture, EmDiagnostics)``.
     """
     points = np.asarray(cloud, dtype=float)
     if points.ndim != 2:

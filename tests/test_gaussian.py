@@ -317,3 +317,87 @@ class TestEnsureSpdStack:
         stack = np.stack([np.eye(2), np.diag([1.0, -1e-3]), np.diag([1.0, -1.0])])
         with pytest.raises(DegeneracyError, match="-1.000000e-03"):
             ensure_spd(stack)
+
+
+class TestTrustedStacks:
+    """Mixtures built on the update path skip the symmetry and eigenvalue
+    passes but must equal what the public constructor builds."""
+
+    @staticmethod
+    def _assert_as_public(mix: GaussianMixture):
+        public = GaussianMixture(np.array(mix.weights), np.array(mix.means),
+                                 np.array(mix.covs), eig_floor=mix.eig_floor)
+        for name in ("weights", "means", "covs"):
+            a = getattr(mix, name)
+            assert a.dtype == float and not a.flags.writeable
+            assert a.shape == getattr(public, name).shape
+            assert a.tobytes() == getattr(public, name).tobytes()
+        assert mix.eig_floor == public.eig_floor
+
+    def test_update_paths_match_public_constructor(self, rng):
+        from wassfilter import LinearMeasurementModel, gsf_update
+        from wassfilter.harness import _moment_match_update
+        from wassfilter.ngsf import NgsfProblem, apply_ngsf_solution, ngsf_solve
+
+        nodes = [random_gaussian(rng, 2) for _ in range(5)]
+        raw = rng.uniform(0.2, 1.0, 5)
+        prior = GaussianMixture.from_unnormalized(raw, nodes)
+        self._assert_as_public(prior)
+        reference = GaussianMixture(raw / raw.sum(), [g.mean for g in nodes],
+                                    [g.cov for g in nodes])
+        for name in ("weights", "means", "covs"):
+            assert getattr(prior, name).tobytes() == getattr(reference, name).tobytes()
+
+        model = LinearMeasurementModel(rng.standard_normal((1, 2)), [[0.3]])
+        y = rng.standard_normal(1)
+        warm = gsf_update(prior, model, y)
+        self._assert_as_public(warm.posterior)
+        problem = NgsfProblem.from_gsf(prior, model, y, gsf_result=warm)
+        result = apply_ngsf_solution(problem, ngsf_solve(problem))
+        self._assert_as_public(result.posterior)
+        # The nGSF swaps weights only: nodes, gains and costs are the GSF's arrays.
+        assert result.posterior.means is warm.posterior.means
+        assert result.posterior.covs is warm.posterior.covs
+        assert result.gains is warm.gains
+        assert result.component_costs is warm.component_costs
+        self._assert_as_public(_moment_match_update(prior, model, y))
+
+    def test_trusted_keeps_the_cheap_checks(self):
+        means, covs = np.zeros((2, 2)), np.stack([np.eye(2), np.eye(2)])
+        for weights in ([0.4, 0.4], [1.2, -0.2]):
+            with pytest.raises(ValidationError):
+                GaussianMixture._trusted(np.array(weights), means.copy(), covs.copy(), 0.0)
+        for bad in ("means", "covs"):
+            stacks = {"weights": np.array([0.5, 0.5]), "means": means.copy(),
+                      "covs": covs.copy()}
+            stacks[bad].flat[-1] = np.inf
+            with pytest.raises(ValidationError, match=f"^{bad} contains non-finite"):
+                GaussianMixture._trusted(eig_floor=0.0, **stacks)
+        with pytest.raises(ValidationError):
+            GaussianMixture._trusted(np.array([1.0]), means.copy(), covs.copy(), 0.0)
+
+    def test_caller_inputs_cannot_write_the_mixture(self, rng):
+        weights, means = np.array([0.25, 0.75]), rng.standard_normal((2, 2))
+        covs = np.stack([random_spd(rng, 2) for _ in range(2)])
+        mix = GaussianMixture(weights, means, covs)
+        # A read-only view of an array the caller can still write is copied.
+        frozen = means.view()
+        frozen.setflags(write=False)
+        shared = GaussianMixture(mix.weights, frozen, mix.covs)
+        assert shared.weights is mix.weights and shared.covs is mix.covs
+        weights[:] = 0.5
+        means += 1.0
+        covs *= 2.0
+        assert mix.weights.tolist() == [0.25, 0.75]
+        assert not np.shares_memory(mix.means, means)
+        assert not np.shares_memory(shared.means, means)
+        np.testing.assert_array_equal(shared.means, mix.means)
+        assert not np.shares_memory(mix.covs, covs)
+
+        raw = rng.uniform(0.2, 1.0, 2)
+        nodes = [random_gaussian(rng, 2) for _ in range(2)]
+        built = GaussianMixture.from_unnormalized(raw, nodes)
+        for a in (built.weights, built.means, built.covs):
+            assert not np.shares_memory(a, raw)
+            assert not any(np.shares_memory(a, g.mean) or np.shares_memory(a, g.cov)
+                           for g in nodes)

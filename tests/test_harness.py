@@ -406,6 +406,27 @@ class TestCli:
         assert len(err) == 1
         assert err[0].startswith("runtime error: step 1, module propagation: ")
 
+    def test_failed_initial_draw_names_step_zero(self, tmp_path, capsys, monkeypatch):
+        # An ensemble the config accepts but memory cannot hold fails at the
+        # initial draw: exit 2 naming step 0, with the partial tree flushed.
+        real_rng = harness._derived_rng
+
+        class _NoMemory:
+            def standard_normal(self, size):
+                raise MemoryError(f"Unable to allocate an array of shape {size}")
+
+        monkeypatch.setattr(harness, "_derived_rng", lambda seed, *key: (
+            _NoMemory() if key == (harness._STREAM_INIT,) else real_rng(seed, *key)))
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({"ensemble_size": 10**17}))
+        out = tmp_path / "o"
+        assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["runtime error: step 0, module initialization: "
+                       "Unable to allocate an array of shape (100000000000000000, 2)"]
+        assert (out / "config.json").exists()
+        assert (out / "timeseries.csv").read_text().startswith("step,time,")
+
     def test_filters_flag(self, tmp_path):
         cfg = self._write_config(tmp_path)
         assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "f"),

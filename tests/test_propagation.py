@@ -16,7 +16,9 @@ from wassfilter import (DivergenceError, DuffingModel, EmFitConfig, Gaussian,
                         GaussianMixture, ValidationError, duffing_rhs, fit_gmm_em,
                         integrate_rk4, mixture_mean_cov, propagate_cloud,
                         sample_gaussian, sample_mixture)
-from wassfilter.propagation import _component_logpdfs, _floor_cov, _m_step
+from wassfilter import propagation
+from wassfilter.gaussian import ensure_spd
+from wassfilter.propagation import _component_logpdfs, _EmWork, _m_step
 
 from conftest import random_spd
 
@@ -237,6 +239,50 @@ def _spd_stack(rng, k, dim):
     return np.stack([random_spd(rng, dim, base=0.05) for _ in range(k)])
 
 
+# An allocating E/M step and a full-eigh covariance floor: the reference the
+# buffered EM must match bit for bit.
+def _ref_component_logpdfs(points, means, covs):
+    n_points, dim = points.shape
+    k = means.shape[0]
+    chol = np.linalg.cholesky(covs)
+    inv = np.linalg.inv(chol)
+    z = inv.reshape(k * dim, dim) @ points.T - (inv @ means[:, :, None]).reshape(k * dim, 1)
+    z *= z
+    out = z.reshape(k, dim, n_points).sum(axis=1)
+    out += (dim * np.log(2.0 * np.pi)
+            + 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1))[:, None]
+    out *= -0.5
+    return out.T
+
+
+def _ref_e_step(points, weights, means, covs):
+    with np.errstate(divide="ignore"):
+        joint = _ref_component_logpdfs(points, means, covs) + np.log(weights)
+    peak = joint.max(axis=1, keepdims=True)
+    dens = np.exp(joint - peak)
+    total = dens.sum(axis=1, keepdims=True)
+    return dens / total, (peak + np.log(total))[:, 0]
+
+
+def _ref_floor_cov(covs, floor):
+    covs = 0.5 * (covs + np.swapaxes(covs, 1, 2))
+    w, v = np.linalg.eigh(covs)
+    low = w[:, 0] < floor
+    if low.any():
+        v = v[low]
+        lifted = (v * np.clip(w[low], floor, None)[:, None, :]) @ np.swapaxes(v, 1, 2)
+        covs[low] = 0.5 * (lifted + np.swapaxes(lifted, 1, 2))
+    return covs
+
+
+def _ref_m_step(points, resp, mass, floor):
+    means = (resp.T @ points) / mass[:, None]
+    diff = np.ascontiguousarray(points.T)[None, :, :] - means[:, :, None]
+    weighted = diff * np.ascontiguousarray(resp.T)[:, None, :]
+    covs = weighted @ np.swapaxes(diff, 1, 2) / mass[:, None, None]
+    return means, _ref_floor_cov(covs, floor)
+
+
 class TestBatchedEm:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_e_step_matches_component_loop(self, rng, dim):
@@ -266,7 +312,7 @@ class TestBatchedEm:
         points = rng.standard_normal((n, dim)) * [3.0, 0.5]
         resp = rng.dirichlet(np.ones(k), n)
         mass = resp.sum(axis=0)
-        means, covs = _m_step(points, resp, mass, 1e-12)
+        means, covs = _m_step(_EmWork(points, k), resp.T, mass, 1e-12)
         for j in range(k):
             mean = resp[:, j] @ points / mass[j]
             diff = points - mean
@@ -281,7 +327,7 @@ class TestBatchedEm:
         covs[3] = [[2e-5, 1e-5], [1e-5, 2e-5]]
         covs += 1e-13 * rng.standard_normal(covs.shape)  # slightly asymmetric
         sym = 0.5 * (covs + np.swapaxes(covs, 1, 2))
-        out = _floor_cov(covs.copy(), floor)
+        out = ensure_spd(covs.copy(), floor)
         for j in (0, 2, 4):
             np.testing.assert_array_equal(out[j], sym[j])
         for j in (1, 3):
@@ -292,6 +338,37 @@ class TestBatchedEm:
             np.testing.assert_allclose(w_out, np.clip(w_in, floor, None), rtol=1e-9)
             np.testing.assert_allclose(out[j] @ v_in, v_in * np.clip(w_in, floor, None),
                                        atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_buffered_fit_matches_allocating_reference(self, monkeypatch, dim):
+        # A spread cloud plus a tight, nearly flat cluster, so the covariance
+        # floor lifts some components on some passes.
+        rng = np.random.default_rng(1200 + dim)
+        flat = np.zeros(dim)
+        flat[0] = 1.0
+        cloud = np.concatenate([2.0 * rng.standard_normal((1_200, dim)),
+                                4.0 + np.outer(rng.standard_normal(300), flat)
+                                + 1e-5 * rng.standard_normal((300, dim))])
+        config = EmFitConfig(n_components=6, max_iters=40, restarts=2, covariance_floor=1e-6)
+
+        def fit():
+            return fit_gmm_em(cloud, config, np.random.default_rng(7), details=True)
+
+        mix, diag = fit()
+        monkeypatch.setattr(propagation, "_e_step",
+                            lambda work, w, m, c: _ref_e_step(work.points, w, m, c))
+        monkeypatch.setattr(propagation, "_m_step",
+                            lambda work, resp_t, mass, floor:
+                            _ref_m_step(work.points, resp_t.T, mass, floor))
+        monkeypatch.setattr(propagation, "ensure_spd", _ref_floor_cov)
+        ref, ref_diag = fit()
+        lifted = np.linalg.eigvalsh(ref.covs)[:, 0] <= config.covariance_floor * (1 + 1e-9)
+        assert lifted.any()
+        for name in ("weights", "means", "covs"):
+            assert getattr(mix, name).tobytes() == getattr(ref, name).tobytes()
+        assert diag.log_likelihoods.tobytes() == ref_diag.log_likelihoods.tobytes()
+        assert diag.final_log_likelihood == ref_diag.final_log_likelihood
+        assert (diag.iterations, diag.restart_index) == (ref_diag.iterations, ref_diag.restart_index)
 
     def test_three_dimensional_cloud(self, rng):
         gen = GaussianMixture([0.5, 0.5], [[-3.0, 0.0, 1.0], [3.0, 1.0, -1.0]],
