@@ -17,10 +17,9 @@ from .gaussian import (DEFAULT_EIG_FLOOR, DiracPoint, Gaussian, GaussianMixture,
 from .wasserstein import (w2_distance, w2_empirical, w2_gaussian_dirac,
                           w2_gaussian_gaussian, w2_mixture_dirac)
 from .kalman import (GainPair, LinearMeasurementModel, LinearPropagationModel,
-                     OrthogonalitySim, kalman_gains, kalman_update,
-                     orthogonality_residuals, orthogonality_scales,
-                     stationary_prior_error_cov, update_error_cost,
-                     wasserstein_posterior_cost)
+                     kalman_gains, kalman_update, orthogonality_residuals,
+                     orthogonality_scales, stationary_prior_error_cov,
+                     update_error_cost, wasserstein_posterior_cost)
 from .gsf import GsfUpdateResult, gsf_bound_cost, gsf_update
 from .ngsf import (NgsfProblem, NgsfSolution, apply_ngsf_solution, kkt_residuals,
                    ngsf_cost, ngsf_gradients, ngsf_solve, ngsf_update)
@@ -41,8 +40,7 @@ __all__ = [
     "w2_distance", "w2_empirical", "w2_gaussian_dirac", "w2_gaussian_gaussian",
     "w2_mixture_dirac",
     "GainPair", "LinearMeasurementModel", "LinearPropagationModel",
-    "OrthogonalitySim", "kalman_gains", "kalman_update",
-    "orthogonality_residuals", "orthogonality_scales",
+    "kalman_gains", "kalman_update", "orthogonality_residuals", "orthogonality_scales",
     "stationary_prior_error_cov", "update_error_cost", "wasserstein_posterior_cost",
     "GsfUpdateResult", "gsf_bound_cost", "gsf_update",
     "NgsfProblem", "NgsfSolution", "apply_ngsf_solution",

@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import HarnessError, ValidationError
 from .gaussian import (GaussianMixture, _as_vector, _check_field_types, mixture_mean_cov,
-                       _readonly, sample_mixture)
-from .kalman import LinearMeasurementModel, _apply_linear_update, _innovation_gains, _psd_factor
+                       _readonly, psd_sqrt, sample_mixture)
+from .kalman import LinearMeasurementModel, _apply_linear_update, _innovation_gains
 from .gsf import gsf_update
 from .ngsf import NgsfProblem, apply_ngsf_solution, ngsf_solve
 from .propagation import (MIN_POINTS_PER_COMPONENT, DuffingModel, EmFitConfig, fit_gmm_em,
@@ -261,7 +261,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         init_rng = _derived_rng(seed, _STREAM_INIT)
         initial_cloud = x_true + init_rng.standard_normal((config.ensemble_size, 2))
     clouds = {name: initial_cloud for name in config.filters}
-    r_factor = _psd_factor(model.R)
+    r_sqrt = psd_sqrt(model.R)
 
     for step in range(1, config.horizon_steps + 1):
         with _stage(step, "propagation"):
@@ -269,7 +269,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
         with _stage(step, "measurement"):
             meas_rng = _derived_rng(seed, _STREAM_MEAS, step)
-            noise = meas_rng.standard_normal(model.meas_dim) @ r_factor.T
+            noise = meas_rng.standard_normal(model.meas_dim) @ r_sqrt
             y = model.C @ x_true + noise
 
         # Propagate and fit each distinct cloud once, before any update runs.

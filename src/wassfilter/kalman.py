@@ -9,8 +9,9 @@ yields the Kalman gains
 
 where ``S-`` is the prior error covariance. This module computes those gains,
 applies the measurement update, evaluates the posterior-error trace cost for
-arbitrary gains, and estimates the orthogonality residuals
-``E[e+ x-^T]`` and ``E[e+ y^T]`` by closed-loop Monte Carlo.
+arbitrary gains, and gives the stationary prior error covariance (a Riccati
+solve) and the exact stationary orthogonality residuals ``E[e+ x-^T]`` and
+``E[e+ y^T]`` (a Lyapunov solve) of a linear time-invariant closed loop.
 
 Numerical policy: the update works on a ``(K, n, n)`` stack of prior
 covariances (a single Gaussian is a stack of one). Each innovation covariance
@@ -232,48 +233,28 @@ def wasserstein_posterior_cost(gains: GainPair, prior: Gaussian, prior_err_cov,
     return cost
 
 
-def stationary_prior_error_cov(model: LinearMeasurementModel, prop: LinearPropagationModel,
-                               tol: float = 1e-14, max_iters: int = 200_000) -> np.ndarray:
-    """Fixed point of the optimal-filter error-covariance recursion.
+def _check_system(model: LinearMeasurementModel, prop: LinearPropagationModel) -> None:
+    if model.state_dim != prop.dim:
+        raise ValidationError(f"measurement model has state dimension {model.state_dim}, "
+                              f"propagation has {prop.dim}")
 
-    Iterates ``S <- A ((I - H C) S (I - H C)^T + H R H^T) A^T + Q`` (``H`` the
-    Kalman gain of ``S``) from ``Q`` until it stalls. The Kalman gains computed
-    from this covariance are the stationary optimal gains of the simulated system.
+
+def stationary_prior_error_cov(model: LinearMeasurementModel,
+                               prop: LinearPropagationModel) -> np.ndarray:
+    """Fixed point of ``S <- A ((I - H C) S (I - H C)^T + H R H^T) A^T + Q`` (``H`` the
+    Kalman gain of ``S``): the stabilizing solution of the filter algebraic Riccati
+    equation (Anderson & Moore, *Optimal Filtering*, 1979), whose Kalman gains are
+    the stationary optimal gains. Raises :class:`ConditioningError` when none
+    exists, e.g. for an unstable mode the sensor cannot see.
     """
-    sigma = np.array(prop.Q, dtype=float)
-    if not np.any(sigma):
-        # Zero process noise: the deterministic fixed point is the zero matrix.
-        return np.zeros_like(sigma)
-    for _ in range(max_iters):
-        _, _, h = _innovation_gains(sigma[None], model)
-        post = _posterior_covs(sigma[None], h, model)[0]
-        nxt = prop.A @ post @ prop.A.T + prop.Q
-        nxt = 0.5 * (nxt + nxt.T)
-        if float(np.abs(nxt - sigma).max()) <= tol * max(1.0, float(np.abs(sigma).max())):
-            return nxt
-        sigma = nxt
-    raise ConditioningError("error-covariance recursion did not reach a fixed point")
+    from scipy.linalg import solve_discrete_are
 
-
-@dataclass(frozen=True)
-class OrthogonalitySim:
-    """Configuration for the Monte Carlo orthogonality diagnostic."""
-
-    seed: int
-    n_samples: int
-    steps: int = 8
-
-    def __post_init__(self):
-        if self.n_samples < 1_000:
-            raise ValidationError(f"n_samples must be >= 1000, got {self.n_samples}")
-        if self.steps < 1:
-            raise ValidationError(f"steps must be >= 1, got {self.steps}")
-
-
-def _psd_factor(m: np.ndarray) -> np.ndarray:
-    """Sampling factor F with F F^T = m for symmetric PSD m (possibly singular)."""
-    w, v = np.linalg.eigh(0.5 * (m + m.T))
-    return v * np.sqrt(np.clip(w, 0.0, None))
+    _check_system(model, prop)
+    try:
+        sigma = solve_discrete_are(prop.A.T, model.C.T, prop.Q, model.R)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise ConditioningError(f"filter Riccati equation has no stabilizing solution: {exc}") from exc
+    return 0.5 * (sigma + sigma.T)
 
 
 def _closed_loop_stationary(gains: GainPair, model: LinearMeasurementModel,
@@ -288,6 +269,7 @@ def _closed_loop_stationary(gains: GainPair, model: LinearMeasurementModel,
     """
     from scipy.linalg import solve_discrete_lyapunov
 
+    _check_system(model, prop)
     n = prop.dim
     a, q = prop.A, prop.Q
     slack = gains.G + gains.H @ model.C - np.eye(n)
@@ -304,43 +286,17 @@ def _closed_loop_stationary(gains: GainPair, model: LinearMeasurementModel,
 
 
 def orthogonality_residuals(gains: GainPair, model: LinearMeasurementModel,
-                            prop: LinearPropagationModel,
-                            sim: OrthogonalitySim) -> tuple[float, float]:
-    """Monte Carlo estimates of ``|E[e+ x-^T]|_F`` and ``|E[e+ y^T]|_F``.
-
-    Runs ``sim.n_samples`` independent replicates of the fixed-gain closed
-    loop, started from its stationary law, for ``sim.steps`` propagation and
-    update cycles; the residual matrices are averaged over the final step. At
-    the stationary Kalman gains both residuals vanish at the Monte Carlo rate
-    ``c / sqrt(N)``.
+                            prop: LinearPropagationModel) -> tuple[float, float]:
+    """Exact ``|E[e+ x-^T]|_F`` and ``|E[e+ y^T]|_F`` under the fixed-gain closed
+    loop's stationary law: with ``e+ = M [x; e-] + H n``, ``M = [G + H C - I, G]``
+    and ``J = Cov([x; e-])``, they are ``M J [I; I]`` and ``M J[:, :n] C^T + H R``.
+    Both vanish at the stationary Kalman gains.
     """
     n = prop.dim
-    if model.state_dim != n:
-        raise ValidationError(f"measurement model has state dimension {model.state_dim}, propagation has {n}")
-    rng = np.random.default_rng(sim.seed)
     joint = _closed_loop_stationary(gains, model, prop)
-    z = rng.standard_normal((sim.n_samples, 2 * n))
-    start = z @ _psd_factor(joint).T
-    x, e_prior = start[:, :n], start[:, n:]
-
-    q_factor = _psd_factor(prop.Q)
-    r_factor = _psd_factor(model.R)
-    m = model.meas_dim
-    e_post = x_prior = y = None
-    for _ in range(sim.steps):
-        noise = rng.standard_normal((sim.n_samples, m)) @ r_factor.T
-        x_prior = x + e_prior
-        y = x @ model.C.T + noise
-        x_post = x_prior @ gains.G.T + y @ gains.H.T
-        e_post = x_post - x
-        if not np.all(np.isfinite(e_post)):
-            raise DivergenceError("closed-loop simulation produced non-finite errors")
-        w = rng.standard_normal((sim.n_samples, n)) @ q_factor.T
-        x = x @ prop.A.T + w
-        e_prior = e_post @ prop.A.T - w
-
-    res_state = e_post.T @ x_prior / sim.n_samples
-    res_meas = e_post.T @ y / sim.n_samples
+    m_ep = np.hstack([gains.G + gains.H @ model.C - np.eye(n), gains.G])
+    res_state = m_ep @ joint @ np.vstack([np.eye(n), np.eye(n)])
+    res_meas = m_ep @ joint[:, :n] @ model.C.T + gains.H @ model.R
     return float(np.linalg.norm(res_state)), float(np.linalg.norm(res_meas))
 
 
@@ -350,7 +306,7 @@ def orthogonality_scales(gains: GainPair, model: LinearMeasurementModel,
 
     Returns ``(sqrt(tr E[e+ e+^T] tr E[x- x-^T]), sqrt(tr E[e+ e+^T] tr E[y y^T]))``
     computed from the stationary joint law; dividing a residual by its scale
-    and multiplying by ``sqrt(N)`` gives a dimensionless CLT statistic.
+    makes it dimensionless (at most 1, by Cauchy-Schwarz).
     """
     n = prop.dim
     joint = _closed_loop_stationary(gains, model, prop)

@@ -16,7 +16,9 @@ import numpy as np
 from .gaussian import (DiracPoint, Gaussian, GaussianMixture, _component_logpdfs,
                        mixture_mean_cov, sample_mixture, spd_sqrt)
 from .harness import ExperimentConfig, run_experiment
-from .kalman import LinearMeasurementModel, kalman_update
+from .kalman import (LinearMeasurementModel, LinearPropagationModel, kalman_gains,
+                     kalman_update, orthogonality_residuals, orthogonality_scales,
+                     stationary_prior_error_cov)
 from .gsf import gsf_update
 from .ngsf import NgsfProblem, ngsf_cost, ngsf_solve
 from .propagation import DuffingModel, EmFitConfig
@@ -74,6 +76,25 @@ def _suite_kalman(rng):
         worst = max(worst, np.linalg.norm(post.cov - info_post) / np.linalg.norm(info_post))
         worst = max(worst, np.linalg.norm(post.mean - info_mean) / max(1.0, np.linalg.norm(info_mean)))
     return worst < 1e-12, f"worst information-form deviation {worst:.2e}"
+
+
+def _suite_kalman_recovery(rng):
+    # The stationary covariance solves its Riccati equation, and its Kalman gains
+    # make the posterior error orthogonal to the prior state and to y.
+    worst_riccati = worst_orth = 0.0
+    for n, m in ((1, 1), (2, 1), (2, 2), (3, 2)):
+        a = rng.standard_normal((n, n))
+        a *= 0.7 / np.abs(np.linalg.eigvals(a)).max()
+        prop = LinearPropagationModel(a, _random_spd(rng, n))
+        model = LinearMeasurementModel(rng.standard_normal((m, n)), _random_spd(rng, m))
+        sigma = stationary_prior_error_cov(model, prop)
+        g = kalman_gains(sigma, model)
+        step = a @ (g.G @ sigma @ g.G.T + g.H @ model.R @ g.H.T) @ a.T + prop.Q
+        worst_riccati = max(worst_riccati, np.linalg.norm(step - sigma) / np.linalg.norm(sigma))
+        ratios = np.divide(orthogonality_residuals(g, model, prop), orthogonality_scales(g, model, prop))
+        worst_orth = max(worst_orth, ratios.max())
+    return (worst_riccati < 1e-10 and worst_orth <= 1e-12,
+            f"worst Riccati residual {worst_riccati:.2e}, residual/scale {worst_orth:.2e}")
 
 
 def _suite_gsf(rng):
@@ -196,6 +217,7 @@ SUITES = (
     ("gsf_bayes_oracle", _suite_gsf_bayes),
     ("ngsf_weights_ignore_y_and_prior_weights", _suite_ngsf_weights_invariance),
     ("experiment_determinism", _suite_determinism),
+    ("kalman_recovery_identities", _suite_kalman_recovery),
 )
 
 

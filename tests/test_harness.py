@@ -343,8 +343,10 @@ class TestMonteCarloCompare:
         assert multiprocessing.active_children() == []
 
     def test_import_loads_no_process_pool(self):
+        # Nor scipy: its solvers are imported inside the functions that use them.
         code = ("import sys, wassfilter; "
-                "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
+                "print([m for m in ('concurrent.futures', 'multiprocessing', 'scipy') "
+                "if m in sys.modules])")
         env = {**os.environ, "PYTHONPATH": str(Path(wassfilter.__file__).parents[1])}
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True, timeout=60).stdout
