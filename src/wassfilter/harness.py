@@ -12,6 +12,11 @@ step propagates and fits every distinct cloud once, keyed by object identity:
 at the first step every filter still holds the initial cloud, so one fit, the
 identical mixture object, goes to every filter (paired fairness); afterwards
 each filter owns its resampled cloud and gets its own fit.
+
+Cloud files are written by one worker process during the run when clouds are
+saved and more than one CPU is usable: each step's distinct clouds go to it
+once the step is recorded, and the emit waits for those writes. With one
+usable CPU the emit formats them in-process. The files are the same bytes.
 """
 
 from __future__ import annotations
@@ -55,6 +60,8 @@ _STREAM_RUN = 4
 # Most particles an (N, 2) float64 cloud can hold: numpy sizes arrays in bytes
 # with its signed index type.
 _MAX_ENSEMBLE = np.iinfo(np.intp).max // (2 * np.dtype(float).itemsize)
+
+_INIT_CLOUD = "step000_init.csv"
 
 
 def _derived_rng(master_seed: int, *key: int) -> np.random.Generator:
@@ -225,12 +232,51 @@ def _summarize(records: list, filters: tuple) -> dict:
     return summary
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+@contextmanager
+def _cloud_pool(config: ExperimentConfig):
+    """A one-worker process pool for the run's cloud CSVs, or ``None`` when the
+    run writes no clouds or only one CPU is usable (then :func:`emit_outputs`
+    formats them in-process). The pool takes the platform's default start
+    method and is shut down on every way out, dropping writes not yet started
+    when the run is cut short."""
+    if config.output_dir is None or not config.save_clouds or _usable_cpus() < 2:
+        yield None
+        return
+    # Imported here so that ``import wassfilter`` does not load multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(1)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run one seeded experiment; emits output files when ``config.output_dir`` is set.
+
+    When clouds are saved and more than one CPU is usable, one worker process
+    formats and writes each step's cloud CSVs while the later steps run;
+    :func:`emit_outputs` waits for those writes, so the tree is the same
+    bytes either way.
 
     Any module failure aborts the run with the step index and module named;
     records accumulated so far are flushed to the output directory first.
     """
+    with _cloud_pool(config) as pool:
+        return _run_experiment(config, pool)
+
+
+def _run_experiment(config: ExperimentConfig, pool) -> ExperimentResult:
+    """:func:`run_experiment` with ``pool``, the cloud worker or ``None``."""
     seed = config.master_seed
     model = config.measurement
     duffing = config.duffing
@@ -239,6 +285,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     # Stays empty in the flushed outputs if the initial draw fails.
     initial_cloud = np.empty((0, 2))
     records: list[StepRecord] = []
+    # Futures of the cloud writes handed to the worker, in emit order.
+    pending: list = []
 
     def _result() -> ExperimentResult:
         return ExperimentResult(config=config, initial_state=np.array(config.true_x0),
@@ -252,14 +300,21 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         except Exception as exc:
             if config.output_dir is not None:
                 try:
-                    emit_outputs(_result(), config.output_dir)
+                    emit_outputs(_result(), config.output_dir, pending)
                 except OSError:
                     pass
             raise HarnessError(f"step {step}, module {module}: {exc}") from exc
 
+    def _write_ahead(jobs):
+        if pool is not None:
+            cloud_dir = Path(config.output_dir) / "clouds"
+            pending.extend(pool.submit(_write_cloud, cloud, cloud_dir, names)
+                           for cloud, names in jobs)
+
     with _stage(0, "initialization"):
         init_rng = _derived_rng(seed, _STREAM_INIT)
         initial_cloud = x_true + init_rng.standard_normal((config.ensemble_size, 2))
+    _write_ahead([(initial_cloud, [_INIT_CLOUD])])
     clouds = {name: initial_cloud for name in config.filters}
     r_sqrt = psd_sqrt(model.R)
 
@@ -318,10 +373,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         records.append(StepRecord(step=step, time=step * duffing.sample_time,
                                   true_state=x_true.copy(), measurement=np.array(y),
                                   filters=step_filters))
+        _write_ahead(_step_cloud_jobs(records[-1]))
 
     result = _result()
     if config.output_dir is not None:
-        emit_outputs(result, config.output_dir)
+        emit_outputs(result, config.output_dir, pending)
     return result
 
 
@@ -338,15 +394,50 @@ def _cloud_csv(cloud: np.ndarray) -> str:
     return "x1,x2\n" + ("%r,%r\n" * len(cloud)) % tuple(cloud.ravel().tolist())
 
 
-def emit_outputs(result: ExperimentResult, directory) -> list[Path]:
+def _write_cloud(cloud: np.ndarray, cloud_dir: Path, names: list[str]) -> None:
+    """Format ``cloud`` once and write the text to each file of ``names`` in
+    ``cloud_dir``, creating it. Runs in the cloud worker or in-process; it
+    returns nothing, so no text travels back from a worker."""
+    cloud_dir.mkdir(parents=True, exist_ok=True)
+    text = _cloud_csv(cloud)
+    for name in names:
+        (cloud_dir / name).write_text(text)
+
+
+def _step_cloud_jobs(rec: StepRecord) -> list[tuple[np.ndarray, list[str]]]:
+    """Each distinct prior cloud of ``rec`` with the CSV file names it goes to.
+
+    Filters share a cloud only at step 1, where all of them hold the same one;
+    it is listed once, with every filter's name, so it is formatted once.
+    """
+    jobs: list[tuple[np.ndarray, list[str]]] = []
+    for name, fr in rec.filters.items():
+        file_name = f"step{rec.step:03d}_{name}_prior.csv"
+        if jobs and jobs[-1][0] is fr.prior_cloud:
+            jobs[-1][1].append(file_name)
+        else:
+            jobs.append((fr.prior_cloud, [file_name]))
+    return jobs
+
+
+def emit_outputs(result: ExperimentResult, directory, pending=()) -> list[Path]:
     """Write config.json, timeseries.csv, cloud snapshots, mixtures and summary.json.
 
     All files are plain JSON/CSV with deterministic formatting, so identical
     runs produce byte-identical trees. Per-step wall times stay in memory;
     they are the one record field excluded from files.
+
+    ``pending`` holds the futures of cloud writes already handed to a worker
+    process (:func:`run_experiment` does so when more than one CPU is usable),
+    one per distinct cloud in the order below: the initial cloud, then each
+    step's. Emit waits for them before it writes any file and formats only the
+    remaining clouds itself. Every cloud path is in the returned list either
+    way.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    for future in pending:
+        future.result()
     written: list[Path] = []
     config = result.config
 
@@ -384,22 +475,12 @@ def emit_outputs(result: ExperimentResult, directory) -> list[Path]:
 
     if config.save_clouds:
         cloud_dir = directory / "clouds"
-        cloud_dir.mkdir(exist_ok=True)
-
-        def _write_cloud(path: Path, text: str):
-            path.write_text(text)
-            written.append(path)
-
-        _write_cloud(cloud_dir / "step000_init.csv", _cloud_csv(result.initial_cloud))
-        # Filters share a cloud only at step 1, where all of them hold the same
-        # one; it is formatted once, and only one text is held at a time.
-        shown, text = None, ""
+        jobs = [(result.initial_cloud, [_INIT_CLOUD])]
         for rec in result.records:
-            for name in config.filters:
-                cloud = rec.filters[name].prior_cloud
-                if cloud is not shown:
-                    shown, text = cloud, _cloud_csv(cloud)
-                _write_cloud(cloud_dir / f"step{rec.step:03d}_{name}_prior.csv", text)
+            jobs += _step_cloud_jobs(rec)
+        for cloud, names in jobs[len(pending):]:
+            _write_cloud(cloud, cloud_dir, names)
+        written += [cloud_dir / name for _, names in jobs for name in names]
 
     summary_path = directory / "summary.json"
     summary_payload = dict(result.summary)
@@ -523,10 +604,7 @@ def monte_carlo_compare(config: ExperimentConfig, n_runs: int,
     if config.horizon_steps < 1:
         raise ValidationError("monte_carlo_compare needs horizon_steps >= 1")
     if jobs is None:
-        try:
-            jobs = len(os.sched_getaffinity(0))
-        except AttributeError:  # no affinity masks on this platform
-            jobs = os.cpu_count() or 1
+        jobs = _usable_cpus()
     elif isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral) or jobs < 1:
         raise ValidationError(f"jobs must be a positive integer, got {jobs!r}")
     jobs = min(jobs, n_runs)

@@ -285,6 +285,25 @@ def _closed_loop_stationary(gains: GainPair, model: LinearMeasurementModel,
     return 0.5 * (cov + cov.T)
 
 
+def _orthogonality(gains: GainPair, model: LinearMeasurementModel,
+                   prop: LinearPropagationModel) -> tuple[tuple[float, float], tuple[float, float]]:
+    """:func:`orthogonality_residuals` and :func:`orthogonality_scales` from one
+    stationary solve, for callers that normalize a residual by its scale."""
+    n = prop.dim
+    joint = _closed_loop_stationary(gains, model, prop)
+    m_ep = np.hstack([gains.G + gains.H @ model.C - np.eye(n), gains.G])
+    res_state = m_ep @ joint @ np.vstack([np.eye(n), np.eye(n)])
+    res_meas = m_ep @ joint[:, :n] @ model.C.T + gains.H @ model.R
+    cov_epost = m_ep @ joint @ m_ep.T + gains.H @ model.R @ gains.H.T
+    m_xp = np.hstack([np.eye(n), np.eye(n)])
+    cov_xprior = m_xp @ joint @ m_xp.T
+    cov_y = model.C @ joint[:n, :n] @ model.C.T + model.R
+    tr_e = float(np.trace(cov_epost))
+    return ((float(np.linalg.norm(res_state)), float(np.linalg.norm(res_meas))),
+            (float(np.sqrt(tr_e * np.trace(cov_xprior))),
+             float(np.sqrt(tr_e * np.trace(cov_y)))))
+
+
 def orthogonality_residuals(gains: GainPair, model: LinearMeasurementModel,
                             prop: LinearPropagationModel) -> tuple[float, float]:
     """Exact ``|E[e+ x-^T]|_F`` and ``|E[e+ y^T]|_F`` under the fixed-gain closed
@@ -292,12 +311,7 @@ def orthogonality_residuals(gains: GainPair, model: LinearMeasurementModel,
     and ``J = Cov([x; e-])``, they are ``M J [I; I]`` and ``M J[:, :n] C^T + H R``.
     Both vanish at the stationary Kalman gains.
     """
-    n = prop.dim
-    joint = _closed_loop_stationary(gains, model, prop)
-    m_ep = np.hstack([gains.G + gains.H @ model.C - np.eye(n), gains.G])
-    res_state = m_ep @ joint @ np.vstack([np.eye(n), np.eye(n)])
-    res_meas = m_ep @ joint[:, :n] @ model.C.T + gains.H @ model.R
-    return float(np.linalg.norm(res_state)), float(np.linalg.norm(res_meas))
+    return _orthogonality(gains, model, prop)[0]
 
 
 def orthogonality_scales(gains: GainPair, model: LinearMeasurementModel,
@@ -308,14 +322,4 @@ def orthogonality_scales(gains: GainPair, model: LinearMeasurementModel,
     computed from the stationary joint law; dividing a residual by its scale
     makes it dimensionless (at most 1, by Cauchy-Schwarz).
     """
-    n = prop.dim
-    joint = _closed_loop_stationary(gains, model, prop)
-    slack = gains.G + gains.H @ model.C - np.eye(n)
-    m_ep = np.hstack([slack, gains.G])
-    cov_epost = m_ep @ joint @ m_ep.T + gains.H @ model.R @ gains.H.T
-    m_xp = np.hstack([np.eye(n), np.eye(n)])
-    cov_xprior = m_xp @ joint @ m_xp.T
-    cov_y = model.C @ joint[:n, :n] @ model.C.T + model.R
-    tr_e = float(np.trace(cov_epost))
-    return (float(np.sqrt(tr_e * np.trace(cov_xprior))),
-            float(np.sqrt(tr_e * np.trace(cov_y))))
+    return _orthogonality(gains, model, prop)[1]

@@ -17,11 +17,11 @@ from wassfilter import (DiracPoint, DuffingModel, EmFitConfig, ExperimentConfig,
                         NgsfProblem, gsf_update,
                         kalman_gains, kalman_update, kkt_residuals,
                         monte_carlo_compare, ngsf_cost, ngsf_gradients,
-                        ngsf_solve, orthogonality_residuals,
-                        orthogonality_scales, propagate_cloud, run_experiment,
+                        ngsf_solve, propagate_cloud, run_experiment,
                         sample_gaussian, stationary_prior_error_cov, w2_distance,
                         w2_empirical, w2_gaussian_dirac, w2_gaussian_gaussian,
                         w2_mixture_dirac)
+from wassfilter.kalman import _orthogonality
 
 from conftest import random_gaussian, random_mixture, random_spd
 
@@ -151,15 +151,14 @@ def test_criterion_4_orthogonality():
         sigma = stationary_prior_error_cov(model, prop)
         gains = kalman_gains(sigma, model)
 
-        res_state, res_meas = orthogonality_residuals(gains, model, prop)
-        scale_state, scale_meas = orthogonality_scales(gains, model, prop)
+        (res_state, res_meas), (scale_state, scale_meas) = _orthogonality(gains, model, prop)
         assert res_state <= 1e-12 * scale_state
         assert res_meas <= 1e-12 * scale_meas
 
         h_bad = gains.H + 0.1
         bad = GainPair(G=np.eye(2) - h_bad @ model.C, H=h_bad)
-        res_state_b, res_meas_b = orthogonality_residuals(bad, model, prop)
-        scale_state_b, scale_meas_b = orthogonality_scales(bad, model, prop)
+        (res_state_b, res_meas_b), (scale_state_b, scale_meas_b) = _orthogonality(bad, model,
+                                                                                  prop)
         assert (res_state_b >= 1e-2 * scale_state_b
                 or res_meas_b >= 1e-2 * scale_meas_b)
 

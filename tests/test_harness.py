@@ -3,6 +3,7 @@
 import json
 import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -13,8 +14,8 @@ import numpy as np
 import pytest
 
 import wassfilter
-from wassfilter import harness
-from wassfilter import (DuffingModel, EmFitConfig, ExperimentConfig, HarnessError,
+from wassfilter import harness, validate
+from wassfilter import (DuffingModel, EmFitConfig, ExperimentConfig, FitError, HarnessError,
                         LinearMeasurementModel, ValidationError, emit_outputs,
                         gsf_update, monte_carlo_compare, run_experiment)
 from wassfilter.ngsf import component_costs
@@ -275,6 +276,107 @@ class TestEmitOutputs:
         assert {"config.json", "timeseries.csv", "summary.json"} <= names
 
 
+class TestCloudWorker:
+    """Cloud CSVs written by one worker process during the run (more than one
+    usable CPU) or formatted in-process when the run ends (one CPU)."""
+
+    @staticmethod
+    def _spy(monkeypatch, cpus: int):
+        """Pretend ``cpus`` CPUs are usable; returns the list that counts the
+        clouds formatted in this process and the list of emit's return values."""
+        formatted, emitted = [], []
+        real_csv, real_emit = harness._cloud_csv, harness.emit_outputs
+
+        def counting_csv(cloud):
+            formatted.append(len(cloud))
+            return real_csv(cloud)
+
+        def recording_emit(*args):
+            emitted.append(real_emit(*args))
+            return emitted[-1]
+
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(harness, "_cloud_csv", counting_csv)
+        monkeypatch.setattr(harness, "emit_outputs", recording_emit)
+        return formatted, emitted
+
+    def test_worker_and_in_process_trees_identical(self, tmp_path, monkeypatch):
+        # One output path for both runs: config.json records it.
+        out = tmp_path / "run"
+        config = _small_config(horizon_steps=3, output_dir=str(out),
+                               filters=("gsf", "ngsf", "kf_momentmatch"))
+        trees = {}
+        for cpus in (2, 1):
+            formatted, emitted = self._spy(monkeypatch, cpus)
+            run_experiment(config)
+            trees[cpus] = _snapshot(out)
+            # emit returns every file of the tree, the clouds included.
+            assert sorted(p.relative_to(out) for p in emitted[-1]) == list(trees[cpus])
+            # The initial cloud, the step-1 cloud all filters share, then one
+            # per filter at steps 2 and 3; the worker formats all of them.
+            assert len(formatted) == (0 if cpus > 1 else 8)
+            shutil.rmtree(out)
+        assert len([p for p in trees[1] if p.parent.name == "clouds"]) == 10
+        assert trees[2] == trees[1]
+        assert multiprocessing.active_children() == []
+
+    def test_failure_at_step_two_flushes_the_same_tree(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        config = _small_config(horizon_steps=3, output_dir=str(out),
+                               filters=("gsf", "ngsf", "kf_momentmatch"))
+        real_fit = harness.fit_gmm_em
+        trees = {}
+        for cpus in (2, 1):
+            self._spy(monkeypatch, cpus)
+            fits = []
+
+            def fit_failing_at_step_two(cloud, em, rng):
+                # Step 1 fits the one cloud all filters share.
+                fits.append(rng)
+                if len(fits) > 1:
+                    raise FitError("EM failed")
+                return real_fit(cloud, em, rng)
+
+            monkeypatch.setattr(harness, "fit_gmm_em", fit_failing_at_step_two)
+            with pytest.raises(HarnessError, match=r"^step 2, module em_fit: EM failed$"):
+                run_experiment(config)
+            trees[cpus] = _snapshot(out)
+            shutil.rmtree(out)
+        assert sorted(p.name for p in trees[1] if p.parent.name == "clouds") == [
+            "step000_init.csv", "step001_gsf_prior.csv", "step001_kf_momentmatch_prior.csv",
+            "step001_ngsf_prior.csv"]
+        assert trees[2] == trees[1]
+        assert multiprocessing.active_children() == []
+
+    def test_output_dir_that_is_a_file_fails_alike(self, tmp_path, monkeypatch):
+        # The worker's writes fail too, but emit raises the error an
+        # in-process emit meets first.
+        out = tmp_path / "taken"
+        out.write_text("")
+        errors = {}
+        for cpus in (2, 1):
+            self._spy(monkeypatch, cpus)
+            with pytest.raises(OSError) as caught:
+                run_experiment(_small_config(horizon_steps=1, output_dir=str(out)))
+            errors[cpus] = (type(caught.value), str(caught.value))
+        assert errors[2] == errors[1]
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_without_cloud_files(self, tmp_path, monkeypatch):
+        # Runs without an output tree (compare's members) or without clouds
+        # open no process pool.
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was opened")
+
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        run_experiment(_small_config(horizon_steps=1))
+        run_experiment(_small_config(horizon_steps=1, save_clouds=False,
+                                     output_dir=str(tmp_path / "o")))
+
+
 class TestMonteCarloCompare:
     def test_single_filter_no_paired_section(self):
         comparison = monte_carlo_compare(_small_config(horizon_steps=1,
@@ -523,3 +625,11 @@ class TestCli:
         out = capsys.readouterr().out
         assert "PASS" in out
         assert "FAIL" not in out
+
+    def test_validate_reports_independent_of_suite_order(self, monkeypatch):
+        # Each suite's generator is keyed on its name, not on its position, so
+        # reordering or dropping suites leaves every other report unchanged.
+        forward = validate.run_validation(seed=3)
+        monkeypatch.setattr(validate, "SUITES", validate.SUITES[:0:-1])
+        backward = validate.run_validation(seed=3)
+        assert backward == forward[:0:-1]
