@@ -338,24 +338,32 @@ def ensure_spd(cov: np.ndarray, floor: float | None = None) -> np.ndarray:
     below its floor.
 
     Takes one ``(n, n)`` matrix or a ``(K, n, n)`` stack and treats each matrix
-    of a stack as if alone. The floor is ``floor`` when given (the EM's
-    absolute covariance floor), else ``1e-14 * lambda_max``: enough for the
-    Cholesky factorizations downstream of filter updates, whose formulas are
-    PSD analytically but can drift a hair negative. Eigenvalues below
-    ``-1e-12 * max(1, lambda_max)`` mean a matrix is genuinely broken and raise
-    :class:`DegeneracyError` (for the first such matrix). One ``eigvalsh`` pass
-    flags the matrices below their floor; only those are decomposed again,
-    with eigenvectors, and rebuilt. The rest come back symmetrized only.
+    of a stack as if alone. Without ``floor``, the floor is
+    ``1e-14 * lambda_max``: enough for the Cholesky factorizations downstream
+    of filter updates, whose formulas are PSD analytically but can drift a
+    hair negative, and eigenvalues below ``-1e-12 * max(1, lambda_max)`` mean
+    a matrix is genuinely broken and raise :class:`DegeneracyError` (for the
+    first such matrix). An absolute ``floor`` (the EM's covariance floor)
+    lifts every eigenvalue below it, negative ones included: the EM forms a
+    covariance as ``E[x x^T] - mu mu^T``, PSD in exact arithmetic but, for a
+    tight component far from the cloud's mean, below zero by up to about
+    ``eps * E|x|^2`` in floating point. One ``eigvalsh`` pass flags the
+    matrices below their floor; only those are decomposed again, with
+    eigenvectors, and rebuilt. The rest come back symmetrized only.
     """
     cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
     stack = cov.reshape((-1,) + cov.shape[-2:])
     w = np.linalg.eigvalsh(stack)
-    lmax = np.maximum(w[:, -1], 0.0)
-    broken = w[:, 0] < -1e-12 * np.maximum(1.0, lmax)
-    if broken.any():
-        bad = w[np.argmax(broken), 0]
-        raise DegeneracyError(f"covariance eigenvalue {bad:.6e} is negative beyond roundoff tolerance")
-    lift = 1e-14 * lmax if floor is None else np.full(len(stack), floor)
+    if floor is None:
+        lmax = np.maximum(w[:, -1], 0.0)
+        broken = w[:, 0] < -1e-12 * np.maximum(1.0, lmax)
+        if broken.any():
+            bad = w[np.argmax(broken), 0]
+            raise DegeneracyError(
+                f"covariance eigenvalue {bad:.6e} is negative beyond roundoff tolerance")
+        lift = 1e-14 * lmax
+    else:
+        lift = np.full(len(stack), floor)
     low = w[:, 0] < lift
     if low.any():
         w2, v = np.linalg.eigh(stack[low])
@@ -364,25 +372,22 @@ def ensure_spd(cov: np.ndarray, floor: float | None = None) -> np.ndarray:
     return stack.reshape(cov.shape)
 
 
-def _component_logpdfs(points: np.ndarray, means: np.ndarray, covs: np.ndarray,
-                       z: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+def _component_logpdfs(points: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:
     """(N, K) log densities of each point under each component.
 
     One Cholesky factorization and one inversion of the ``(K, d, d)`` stack;
     every whitened residual ``L_k^-1 x_n - L_k^-1 mu_k`` then comes from a
-    single ``(K*d, d) @ (d, N)`` product. ``z`` (``(K*d, N)``) and ``out``
-    (``(K, N)``) are optional work arrays to fill instead of allocating; the
-    result is the ``.T`` view of ``out``. Raises ``LinAlgError`` if any
+    single ``(K*d, d) @ (d, N)`` product. Raises ``LinAlgError`` if any
     covariance is not positive definite.
     """
     n_points, dim = points.shape
     k = means.shape[0]
     chol = np.linalg.cholesky(covs)
     inv = np.linalg.inv(chol)
-    z = np.matmul(inv.reshape(k * dim, dim), points.T, out=z)
+    z = inv.reshape(k * dim, dim) @ points.T
     z -= (inv @ means[:, :, None]).reshape(k * dim, 1)
     z *= z
-    out = np.sum(z.reshape(k, dim, n_points), axis=1, out=out)
+    out = z.reshape(k, dim, n_points).sum(axis=1)
     out += (dim * np.log(2.0 * np.pi)
             + 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1))[:, None]
     out *= -0.5

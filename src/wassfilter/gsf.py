@@ -43,15 +43,33 @@ class GsfUpdateResult:
 
     def __post_init__(self):
         gains = np.asarray(self.gains, dtype=float)
-        order, dim = self.posterior.order, self.posterior.dim
-        if gains.ndim != 3 or gains.shape[:2] != (order, dim):
-            raise ValidationError(f"gains of shape {gains.shape} for a {order}-component "
-                                  f"posterior of dimension {dim}")
         costs = np.asarray(self.component_costs, dtype=float)
-        if costs.shape != (order,):
-            raise ValidationError(f"component_costs has shape {costs.shape}")
+        _check_shapes(self.posterior, gains, costs)
         object.__setattr__(self, "gains", _readonly(gains))
         object.__setattr__(self, "component_costs", _readonly(costs))
+
+    @classmethod
+    def _trusted(cls, posterior: GaussianMixture, gains: np.ndarray,
+                 component_costs: np.ndarray) -> "GsfUpdateResult":
+        """A result over float arrays just computed: checks the shapes but marks
+        the arrays read-only in place instead of copying them, so a caller
+        passes only arrays that it alone holds or that are read-only already."""
+        _check_shapes(posterior, gains, component_costs)
+        result = object.__new__(cls)
+        object.__setattr__(result, "posterior", posterior)
+        for name, a in (("gains", gains), ("component_costs", component_costs)):
+            a.setflags(write=False)
+            object.__setattr__(result, name, a)
+        return result
+
+
+def _check_shapes(posterior: GaussianMixture, gains: np.ndarray, costs: np.ndarray) -> None:
+    order, dim = posterior.order, posterior.dim
+    if gains.ndim != 3 or gains.shape[:2] != (order, dim):
+        raise ValidationError(f"gains of shape {gains.shape} for a {order}-component "
+                              f"posterior of dimension {dim}")
+    if costs.shape != (order,):
+        raise ValidationError(f"component_costs has shape {costs.shape}")
 
 
 def _normalize_log_weights(log_w: np.ndarray) -> np.ndarray:
@@ -85,10 +103,10 @@ def gsf_update(prior: GaussianMixture, model: LinearMeasurementModel, y) -> GsfU
     with np.errstate(divide="ignore"):
         weights = _normalize_log_weights(np.log(prior.weights) + log_like)
 
-    # ensure_spd has just certified post_covs, so the mixture skips that pass.
+    # ensure_spd has just certified post_covs, so the mixture skips that pass;
+    # the gains and costs are fresh arrays, so the result takes them uncopied.
     posterior = GaussianMixture._trusted(weights, post_means, post_covs, eig_floor=0.0)
-    return GsfUpdateResult(posterior=posterior, gains=h,
-                           component_costs=update_error_cost(h, covs, model))
+    return GsfUpdateResult._trusted(posterior, h, update_error_cost(h, covs, model))
 
 
 def gsf_bound_cost(result: GsfUpdateResult) -> float:

@@ -123,10 +123,22 @@ class NgsfProblem:
     @classmethod
     def from_gsf(cls, prior: GaussianMixture, model: LinearMeasurementModel, y,
                  gsf_result: GsfUpdateResult | None = None) -> "NgsfProblem":
-        """Warm start from one GSF update (its gains and Bayesian weights)."""
+        """Warm start from one GSF update (its gains and Bayesian weights).
+
+        The update's posterior weights are a checked mixture's, on the simplex
+        already, so only the shapes are checked against ``prior`` and ``model``.
+        """
         if gsf_result is None:
             gsf_result = gsf_update(prior, model, y)
-        return cls(prior=prior, model=model, y=np.asarray(y, float), warm=gsf_result)
+        expected = (prior.order, model.state_dim, model.meas_dim)
+        if gsf_result.gains.shape != expected:
+            raise ValidationError(f"expected gains of shape {expected}, "
+                                  f"got {gsf_result.gains.shape}")
+        problem = object.__new__(cls)
+        for name, value in (("prior", prior), ("model", model),
+                            ("y", _readonly(_as_vector(y, "y"))), ("warm", gsf_result)):
+            object.__setattr__(problem, name, value)
+        return problem
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,11 +152,30 @@ class NgsfSolution:
     final_cost: float
 
     def __post_init__(self):
-        if self.final_cost > self.warm_cost + 1e-12:
-            raise ValidationError(
-                f"final cost {self.final_cost!r} is above the warm-start cost {self.warm_cost!r}")
+        _check_dominance(self.warm_cost, self.final_cost)
         object.__setattr__(self, "weights", _readonly(np.asarray(self.weights, float)))
         object.__setattr__(self, "gains", _readonly(_as_float_array(self.gains, "gains")))
+
+    @classmethod
+    def _trusted(cls, weights: np.ndarray, gains: np.ndarray, warm_cost: float,
+                 final_cost: float) -> "NgsfSolution":
+        """A solution over float arrays that the caller alone holds or that are
+        read-only already: checks the costs but marks the arrays read-only in
+        place instead of copying them."""
+        _check_dominance(warm_cost, final_cost)
+        solution = object.__new__(cls)
+        for name, a in (("weights", weights), ("gains", gains)):
+            a.setflags(write=False)
+            object.__setattr__(solution, name, a)
+        object.__setattr__(solution, "warm_cost", warm_cost)
+        object.__setattr__(solution, "final_cost", final_cost)
+        return solution
+
+
+def _check_dominance(warm_cost: float, final_cost: float) -> None:
+    if final_cost > warm_cost + 1e-12:
+        raise ValidationError(
+            f"final cost {final_cost!r} is above the warm-start cost {warm_cost!r}")
 
 
 def ngsf_solve(problem: NgsfProblem) -> NgsfSolution:
@@ -158,9 +189,9 @@ def ngsf_solve(problem: NgsfProblem) -> NgsfSolution:
     costs = problem.warm.component_costs
     face = costs == costs.min()
     weights = face / face.sum()
-    return NgsfSolution(weights=weights, gains=problem.warm_gains,
-                        warm_cost=float(problem.warm_weights @ costs),
-                        final_cost=float(weights @ costs))
+    return NgsfSolution._trusted(weights, problem.warm_gains,
+                                 warm_cost=float(problem.warm_weights @ costs),
+                                 final_cost=float(weights @ costs))
 
 
 def apply_ngsf_solution(problem: NgsfProblem, solution: NgsfSolution) -> GsfUpdateResult:
@@ -178,8 +209,7 @@ def apply_ngsf_solution(problem: NgsfProblem, solution: NgsfSolution) -> GsfUpda
     prior = warm.posterior
     posterior = GaussianMixture._trusted(solution.weights, prior.means, prior.covs,
                                          eig_floor=prior.eig_floor)
-    return GsfUpdateResult(posterior=posterior, gains=warm.gains,
-                           component_costs=warm.component_costs)
+    return GsfUpdateResult._trusted(posterior, warm.gains, warm.component_costs)
 
 
 def ngsf_update(problem: NgsfProblem) -> GsfUpdateResult:

@@ -9,12 +9,15 @@ The Duffing cube is written as two products (see :func:`duffing_rhs`), which
 keeps RK4, a large-ensemble run's main cost, on numpy's vectorized multiply
 and the vector field exactly odd.
 
-Each EM iteration works on all K components at once: the E-step factors the
-``(K, d, d)`` covariance stack with one batched Cholesky call, the M-step
-forms every weighted covariance with one batched product, and
+EM works on the cloud's quadratic features ``[1, x, x_i x_j]``, formed once
+per cloud as one ``(M, N)`` array (``M = 6`` for the Duffing state) that
+every restart shares. A Gaussian's log density is linear in them, so each
+E-step folds every component's precision, log-determinant and weight into a
+``(K, M)`` coefficient matrix and gets all ``(K, N)`` joint log densities
+from one product; each M-step gets every component's mass, mean and second
+moment from one ``(K, N) @ (N, M)`` product over the responsibilities.
 ``gaussian.ensure_spd`` applies the covariance floor (one batched
-``eigvalsh``, then eigenvectors only for the matrices below the floor). An EM
-run allocates its per-point work arrays once and every pass reuses them.
+``eigvalsh``, then eigenvectors only for the matrices below the floor).
 """
 
 from __future__ import annotations
@@ -24,12 +27,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, FitError, ValidationError
-from .gaussian import GaussianMixture, _check_field_types, _component_logpdfs, ensure_spd
+from .gaussian import GaussianMixture, _check_field_types, ensure_spd
 
 # Fraction of total responsibility mass below which a component counts as
 # collapsed and gets reseeded.
 _COLLAPSE_MASS = 1e-10
 _MAX_RESEEDS = 3
+# Log of the smallest responsibility relative to a point's largest. Lower
+# joint log densities are raised to it: their weight (below 1e-152) changes
+# no sum, and it keeps `exp` and the M-step's product on their fast paths.
+# Results below 1e-308 underflow or are subnormal, which took `exp` 17 to 100
+# times and the product about 60 times longer per element on an AVX-512 host.
+_LOG_RESP_FLOOR = -350.0
 # Smallest cloud size per mixture component that EM will fit.
 MIN_POINTS_PER_COMPONENT = 10
 
@@ -185,63 +194,95 @@ def _kmeanspp_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> n
 
 
 class _EmWork:
-    """The arrays one EM run reuses on every pass: the cloud and its transpose,
-    the ``(K*d, N)`` whitened residuals (also the M-step's weighted residuals),
-    the ``(K, N)`` log densities that become the transposed responsibilities,
-    the ``(K, d, N)`` residuals and two ``(N, 1)`` per-point columns. Reusing
-    them keeps each pass from allocating and page-faulting its temporaries."""
+    """What one cloud's EM fit reuses on every pass of every restart: the
+    cloud, its ``(M, N)`` quadratic features ``[1, x, x_i x_j (i <= j)]`` with
+    ``x`` centered at the cloud mean (``M = 1 + d + d(d+1)/2``), and the
+    ``(K, N)`` buffer for the joint log densities that become the transposed
+    responsibilities. Centering keeps the cancellation in the feature form
+    small; reusing the buffer keeps each pass from allocating and
+    page-faulting it."""
 
     def __init__(self, points: np.ndarray, k: int):
         n, dim = points.shape
         self.points = points
-        self.points_t = np.ascontiguousarray(points.T)
-        self.z = np.empty((k * dim, n))
+        self.center = points.mean(axis=0)
+        self.rows, self.cols = np.triu_indices(dim)
+        # Off-diagonal features x_i x_j stand for both (i, j) and (j, i).
+        self.pair_scale = np.where(self.rows == self.cols, -0.5, -1.0)
+        x = (points - self.center).T
+        self.feats = np.concatenate([np.ones((1, n)), x, x[self.rows] * x[self.cols]])
         self.resp_t = np.empty((k, n))
-        self.diff = np.empty((k, dim, n))
-        self.peak = np.empty((n, 1))
-        self.total = np.empty((n, 1))
+
+
+def _joint_logpdfs(work: _EmWork, weights: np.ndarray, means: np.ndarray,
+                   covs: np.ndarray) -> np.ndarray:
+    """``(K, N)`` joint log densities ``log w_k + log N(x_n; mu_k, S_k)`` in
+    ``work.resp_t``, from one ``(K, M) @ (M, N)`` product.
+
+    Each component's log density is linear in the features: its precision
+    ``P``, ``P mu``, ``mu^T P mu``, log-determinant and log-weight fold into
+    one row of coefficients. The quadratic form is then a sum of terms of
+    size ``|P| |x|^2`` rather than the square of a whitened residual. Next to
+    a component at the 1e-6 covariance floor, a log density is about
+    1e-8 absolute from the whitened form of ``gaussian._component_logpdfs``,
+    and the gap grows with the squared distance from the cloud's mean. The
+    weights must be positive. Raises ``LinAlgError`` if any covariance is not
+    positive definite.
+    """
+    dim = means.shape[1]
+    chol = np.linalg.cholesky(covs)
+    prec = np.linalg.inv(covs)
+    mu = means - work.center
+    prec_mu = (prec @ mu[:, :, None])[:, :, 0]
+    coef = np.empty((len(means), work.feats.shape[0]))
+    coef[:, 0] = np.log(weights) - 0.5 * (
+        dim * np.log(2.0 * np.pi)
+        + 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+        + (prec_mu * mu).sum(axis=1))
+    coef[:, 1:1 + dim] = prec_mu
+    coef[:, 1 + dim:] = prec[:, work.rows, work.cols] * work.pair_scale
+    return np.matmul(coef, work.feats, out=work.resp_t)
 
 
 def _e_step(work: _EmWork, weights: np.ndarray, means: np.ndarray, covs: np.ndarray):
-    """Responsibilities ``(N, K)`` and per-point log mixture density ``(N,)``,
-    both views of ``work`` arrays that the next E-step overwrites.
-
-    The responsibilities are the ``.T`` view of the ``(K, N)`` buffer: that
-    memory order fixes the summation order of every reduction over
-    components, and so the fitted bits.
-    """
-    joint = _component_logpdfs(work.points, means, covs, z=work.z, out=work.resp_t)
-    with np.errstate(divide="ignore"):
-        joint += np.log(weights)
-    peak = np.max(joint, axis=1, keepdims=True, out=work.peak)
+    """Transposed responsibilities ``(K, N)`` in ``work.resp_t``, which the
+    next E-step overwrites, and the per-point log mixture density ``(N,)``.
+    The normalization reduces over axis 0 of the joint log densities."""
+    joint = _joint_logpdfs(work, weights, means, covs)
+    peak = joint.max(axis=0)
     joint -= peak
+    np.maximum(joint, _LOG_RESP_FLOOR, out=joint)
     np.exp(joint, out=joint)
-    total = np.sum(joint, axis=1, keepdims=True, out=work.total)
+    total = joint.sum(axis=0)
     joint /= total
-    np.log(total, out=total)
-    total += peak
-    return joint, total[:, 0]
+    log_norm = np.log(total, out=total)
+    log_norm += peak
+    return joint, log_norm
 
 
 def _m_step(work: _EmWork, resp_t: np.ndarray, mass: np.ndarray, floor: float):
     """Weighted means ``(K, d)`` and floored covariances ``(K, d, d)``.
 
     ``resp_t`` is the ``(K, N)`` transposed responsibilities and ``mass`` its
-    row sums; all K covariances come from one batched product over the
-    ``(K, d, N)`` residuals.
+    row sums. One ``(K, N) @ (N, M)`` product gives every component's
+    expected features, so its mean and its second moment ``E[x x^T]``; the
+    covariance is ``E[x x^T] - mu mu^T`` in the centered coordinates.
     """
-    means = (resp_t @ work.points) / mass[:, None]
-    diff = np.subtract(work.points_t, means[:, :, None], out=work.diff)
-    weighted = np.multiply(diff, resp_t[:, None, :], out=work.z.reshape(diff.shape))
-    covs = weighted @ np.swapaxes(diff, 1, 2) / mass[:, None, None]
-    return means, ensure_spd(covs, floor)
+    dim = work.points.shape[1]
+    moments = (resp_t @ work.feats.T) / mass[:, None]
+    mu = moments[:, 1:1 + dim]
+    covs = np.empty((len(mass), dim, dim))
+    covs[:, work.rows, work.cols] = moments[:, 1 + dim:]
+    covs[:, work.cols, work.rows] = moments[:, 1 + dim:]
+    covs -= mu[:, :, None] * mu[:, None, :]
+    return work.center + mu, ensure_spd(covs, floor)
 
 
-def _em_run(points: np.ndarray, config: EmFitConfig, rng: np.random.Generator):
+def _em_run(work: _EmWork, config: EmFitConfig, rng: np.random.Generator):
+    points = work.points
     n, dim = points.shape
     k = config.n_components
     floor = config.covariance_floor
-    work = _EmWork(points, k)
     overall_cov = ensure_spd(np.cov(points, rowvar=False).reshape(1, dim, dim), floor)[0]
 
     # Start from each point's nearest k-means++ center; a center that wins no
@@ -251,8 +292,8 @@ def _em_run(points: np.ndarray, config: EmFitConfig, rng: np.random.Generator):
     counts = np.bincount(assign, minlength=k).astype(float)
     empty = counts == 0
     counts[empty] = 1.0
-    hard = (assign[:, None] == np.arange(k)).astype(float)
-    means, covs = _m_step(work, hard.T, counts, floor)
+    hard_t = (np.arange(k)[:, None] == assign).astype(float)
+    means, covs = _m_step(work, hard_t, counts, floor)
     means[empty] = centers[empty]
     covs[empty] = overall_cov
     weights = counts / counts.sum()
@@ -261,10 +302,10 @@ def _em_run(points: np.ndarray, config: EmFitConfig, rng: np.random.Generator):
     reseeds = 0
     converged = False
     for _ in range(config.max_iters):
-        resp, log_norm = _e_step(work, weights, means, covs)
+        resp_t, log_norm = _e_step(work, weights, means, covs)
         ll = float(log_norm.sum())
 
-        mass = resp.sum(axis=0)
+        mass = resp_t.sum(axis=1)
         collapsed = np.nonzero(mass < _COLLAPSE_MASS * n)[0]
         if collapsed.size:
             reseeds += len(collapsed)
@@ -278,7 +319,7 @@ def _em_run(points: np.ndarray, config: EmFitConfig, rng: np.random.Generator):
             continue
 
         weights = mass / n
-        means, covs = _m_step(work, resp.T, mass, floor)
+        means, covs = _m_step(work, resp_t, mass, floor)
 
         if lls and ll - lls[-1] <= config.tol * (1.0 + abs(lls[-1])):
             lls.append(ll)
@@ -298,12 +339,13 @@ def fit_gmm_em(cloud, config: EmFitConfig, rng: np.random.Generator, details: bo
 
     Runs ``config.restarts`` independent initializations and keeps the run
     whose returned mixture has the highest log-likelihood on the cloud. Each
-    iteration is batched over the components: one stacked Cholesky
-    factorization and one matrix product give every component's log density
-    (E-step), one batched product gives every weighted covariance (M-step),
-    and ``ensure_spd`` floors the covariance eigenvalues at
-    ``config.covariance_floor`` after every M-step. The cloud may have any
-    dimension. With ``details=True`` returns ``(mixture, EmDiagnostics)``.
+    pass works on the cloud's quadratic features, shared by the restarts: one
+    ``(K, M) @ (M, N)`` product gives every component's log density (E-step)
+    and one ``(K, N) @ (N, M)`` product its expected features, so its mass,
+    mean and covariance (M-step); ``ensure_spd`` floors the covariance
+    eigenvalues at ``config.covariance_floor`` after every M-step. The cloud
+    may have any dimension. With ``details=True`` returns
+    ``(mixture, EmDiagnostics)``.
     """
     points = np.asarray(cloud, dtype=float)
     if points.ndim != 2:
@@ -315,9 +357,10 @@ def fit_gmm_em(cloud, config: EmFitConfig, rng: np.random.Generator, details: bo
             f"{points.shape[0]} points cannot support {config.n_components} components "
             f"(need at least {MIN_POINTS_PER_COMPONENT} per component)"
         )
+    work = _EmWork(points, config.n_components)
     best = None
     for restart in range(config.restarts):
-        run = _em_run(points, config, rng)
+        run = _em_run(work, config, rng)
         if best is None or run[2] > best[2]:
             best = (*run, restart)
 

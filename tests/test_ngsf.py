@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wassfilter import (Gaussian, GaussianMixture, LinearMeasurementModel,
+from wassfilter import (Gaussian, GaussianMixture, GsfUpdateResult, LinearMeasurementModel,
                         NgsfProblem, NgsfSolution, ValidationError, apply_ngsf_solution,
                         gsf_update, kalman_gains, kalman_update, kkt_residuals,
                         ngsf_cost, ngsf_gradients, ngsf_solve, ngsf_update)
@@ -261,3 +261,53 @@ class TestUpdate:
                              problem.prior, problem.model)
             final = ngsf_cost(sol.weights, sol.gains, problem.prior, problem.model)
             assert final <= warm + 1e-12
+
+
+class TestTrustedResults:
+    """The update path builds its results without the public constructors'
+    copies; they must hold the same values, read-only."""
+
+    @staticmethod
+    def _assert_frozen_equal(a, b):
+        assert a.dtype == float and not a.flags.writeable
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_results_match_public_constructors(self, rng):
+        prior = random_mixture(rng, 4, 2)
+        model = LinearMeasurementModel(rng.standard_normal((1, 2)), [[0.3]])
+        y = rng.standard_normal(1)
+        warm = gsf_update(prior, model, y)
+        public = GsfUpdateResult(posterior=warm.posterior, gains=np.array(warm.gains),
+                                 component_costs=np.array(warm.component_costs))
+        self._assert_frozen_equal(warm.gains, public.gains)
+        self._assert_frozen_equal(warm.component_costs, public.component_costs)
+
+        problem = NgsfProblem.from_gsf(prior, model, y, gsf_result=warm)
+        public = NgsfProblem(prior=prior, model=model, y=y, warm=warm)
+        self._assert_frozen_equal(problem.y, public.y)
+        assert problem.warm is warm
+
+        solution = ngsf_solve(problem)
+        public = NgsfSolution(weights=np.array(solution.weights), gains=problem.warm_gains,
+                              warm_cost=solution.warm_cost, final_cost=solution.final_cost)
+        self._assert_frozen_equal(solution.weights, public.weights)
+        assert solution.gains is problem.warm_gains
+
+    def test_from_gsf_neither_freezes_nor_shares_the_measurement(self, rng):
+        prior = random_mixture(rng, 3, 2)
+        model = LinearMeasurementModel(rng.standard_normal((1, 2)), [[0.3]])
+        y = rng.standard_normal(1)
+        problem = NgsfProblem.from_gsf(prior, model, y)
+        assert y.flags.writeable and not np.shares_memory(problem.y, y)
+
+    def test_from_gsf_rejects_an_update_of_another_prior(self, rng):
+        model = LinearMeasurementModel(rng.standard_normal((1, 2)), [[0.3]])
+        other = gsf_update(random_mixture(rng, 2, 2), model, [0.0])
+        with pytest.raises(ValidationError, match="gains of shape"):
+            NgsfProblem.from_gsf(random_mixture(rng, 3, 2), model, [0.0], gsf_result=other)
+
+    def test_trusted_solution_keeps_the_dominance_check(self, rng):
+        problem = _problem(rng, order=2)
+        with pytest.raises(ValidationError, match="above the warm-start cost"):
+            NgsfSolution._trusted(np.array(problem.warm_weights), problem.warm_gains,
+                                  warm_cost=1.0, final_cost=1.0 + 1e-9)

@@ -17,8 +17,8 @@ from wassfilter import (DivergenceError, DuffingModel, EmFitConfig, Gaussian,
                         integrate_rk4, mixture_mean_cov, propagate_cloud,
                         sample_gaussian, sample_mixture)
 from wassfilter import propagation
-from wassfilter.gaussian import ensure_spd
-from wassfilter.propagation import _component_logpdfs, _EmWork, _m_step
+from wassfilter.gaussian import _component_logpdfs, ensure_spd
+from wassfilter.propagation import _EmWork, _joint_logpdfs, _m_step
 
 from conftest import random_spd
 
@@ -217,6 +217,21 @@ class TestFitGmmEm:
         for node in mix.nodes:
             assert np.linalg.eigvalsh(node.cov).min() >= floor * (1 - 1e-9)
 
+    @pytest.mark.parametrize("offset", [1e2, 1e4])
+    def test_tight_clusters_far_from_the_cloud_mean(self, rng, offset):
+        # Two clusters of repeated points far from the cloud's mean: their
+        # moment-form covariances cancel to roundoff of order eps * offset^2,
+        # a little below zero, and the floor lifts them.
+        cloud = np.concatenate([rng.standard_normal((200, 2)),
+                                np.repeat(offset + rng.standard_normal((1, 2)), 50, axis=0),
+                                np.repeat(-offset + rng.standard_normal((1, 2)), 50, axis=0)])
+        config = EmFitConfig(n_components=3, restarts=1)
+        mix = fit_gmm_em(cloud, config, np.random.default_rng(3))
+        np.testing.assert_allclose(np.sort(mix.weights), [1 / 6, 1 / 6, 2 / 3], atol=1e-9)
+        low = np.linalg.eigvalsh(mix.covs)[:, 0]
+        assert np.sum(low <= config.covariance_floor * (1 + 1e-9)) == 2
+        assert low.min() >= config.covariance_floor * (1 - 1e-9)
+
     def test_rejects_undersized_cloud(self, rng):
         with pytest.raises(ValidationError):
             fit_gmm_em(rng.standard_normal((19, 2)), EmFitConfig(n_components=2),
@@ -239,8 +254,8 @@ def _spd_stack(rng, k, dim):
     return np.stack([random_spd(rng, dim, base=0.05) for _ in range(k)])
 
 
-# An allocating E/M step and a full-eigh covariance floor: the reference the
-# buffered EM must match bit for bit.
+# The whitened-residual E/M step, allocating, and a full-eigh covariance
+# floor: the reference the feature-form EM must match to within roundoff.
 def _ref_component_logpdfs(points, means, covs):
     n_points, dim = points.shape
     k = means.shape[0]
@@ -261,7 +276,7 @@ def _ref_e_step(points, weights, means, covs):
     peak = joint.max(axis=1, keepdims=True)
     dens = np.exp(joint - peak)
     total = dens.sum(axis=1, keepdims=True)
-    return dens / total, (peak + np.log(total))[:, 0]
+    return (dens / total).T, (peak + np.log(total))[:, 0]
 
 
 def _ref_floor_cov(covs, floor):
@@ -275,31 +290,59 @@ def _ref_floor_cov(covs, floor):
     return covs
 
 
-def _ref_m_step(points, resp, mass, floor):
-    means = (resp.T @ points) / mass[:, None]
+def _ref_m_step(points, resp_t, mass, floor):
+    means = (resp_t @ points) / mass[:, None]
     diff = np.ascontiguousarray(points.T)[None, :, :] - means[:, :, None]
-    weighted = diff * np.ascontiguousarray(resp.T)[:, None, :]
+    weighted = diff * resp_t[:, None, :]
     covs = weighted @ np.swapaxes(diff, 1, 2) / mass[:, None, None]
     return means, _ref_floor_cov(covs, floor)
+
+
+def _reference_fit(cloud, config, seed):
+    """``fit_gmm_em`` run through the reference E/M step and floor."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(propagation, "_e_step",
+                   lambda work, w, m, c: _ref_e_step(work.points, w, m, c))
+        mp.setattr(propagation, "_m_step",
+                   lambda work, resp_t, mass, floor: _ref_m_step(work.points, resp_t, mass, floor))
+        mp.setattr(propagation, "ensure_spd", _ref_floor_cov)
+        return fit_gmm_em(cloud, config, np.random.default_rng(seed), details=True)
+
+
+def _floor_level_case(rng, dim, k=6):
+    """Points, means and covariances where component 2 sits at the EM's
+    covariance floor, with points on top of it as well as far away, so its
+    log densities span many decades."""
+    floor = EmFitConfig().covariance_floor
+    means = 2.0 * rng.standard_normal((k, dim))
+    covs = _spd_stack(rng, k, dim)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    covs[2] = q @ np.diag(floor * (1.0 + np.arange(dim))) @ q.T
+    points = np.concatenate([2.0 * rng.standard_normal((400, dim)),
+                             means[2] + 2e-3 * rng.standard_normal((100, dim))])
+    return points, means, covs
 
 
 class TestBatchedEm:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_e_step_matches_component_loop(self, rng, dim):
-        k = 6
-        floor = EmFitConfig().covariance_floor
-        means = 2.0 * rng.standard_normal((k, dim))
-        covs = _spd_stack(rng, k, dim)
-        # One component sits at the covariance floor, with points on top of it
-        # as well as far away, so its log densities span many decades.
-        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-        covs[2] = q @ np.diag(floor * (1.0 + np.arange(dim))) @ q.T
-        points = np.concatenate([2.0 * rng.standard_normal((400, dim)),
-                                 means[2] + 2e-3 * rng.standard_normal((100, dim))])
+        points, means, covs = _floor_level_case(rng, dim)
         ref = _loop_logpdfs(points, means, covs)
         assert np.abs(ref).max() > 1e5
         np.testing.assert_allclose(_component_logpdfs(points, means, covs), ref,
                                    rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_feature_form_matches_whitened_logpdfs(self, rng, dim):
+        # The feature form trades the whitened residual's square for a sum of
+        # terms of size |P| |x|^2, whose roundoff is largest at the floor. Far
+        # from the floor component the log densities reach about -2e7, whose
+        # own spacing is 4e-9, so a relative 1e-15 rides on the 1e-8.
+        points, means, covs = _floor_level_case(rng, dim)
+        work = _EmWork(points, len(means))
+        joint = _joint_logpdfs(work, np.ones(len(means)), means, covs)
+        np.testing.assert_allclose(joint.T, _component_logpdfs(points, means, covs),
+                                   rtol=1e-15, atol=1e-8)
 
     def test_e_step_rejects_non_pd_component(self, rng):
         covs = _spd_stack(rng, 3, 2)
@@ -340,7 +383,7 @@ class TestBatchedEm:
                                        atol=1e-12)
 
     @pytest.mark.parametrize("dim", [2, 3])
-    def test_buffered_fit_matches_allocating_reference(self, monkeypatch, dim):
+    def test_buffered_fit_matches_allocating_reference(self, dim):
         # A spread cloud plus a tight, nearly flat cluster, so the covariance
         # floor lifts some components on some passes.
         rng = np.random.default_rng(1200 + dim)
@@ -351,24 +394,29 @@ class TestBatchedEm:
                                 + 1e-5 * rng.standard_normal((300, dim))])
         config = EmFitConfig(n_components=6, max_iters=40, restarts=2, covariance_floor=1e-6)
 
-        def fit():
-            return fit_gmm_em(cloud, config, np.random.default_rng(7), details=True)
-
-        mix, diag = fit()
-        monkeypatch.setattr(propagation, "_e_step",
-                            lambda work, w, m, c: _ref_e_step(work.points, w, m, c))
-        monkeypatch.setattr(propagation, "_m_step",
-                            lambda work, resp_t, mass, floor:
-                            _ref_m_step(work.points, resp_t.T, mass, floor))
-        monkeypatch.setattr(propagation, "ensure_spd", _ref_floor_cov)
-        ref, ref_diag = fit()
+        mix, diag = fit_gmm_em(cloud, config, np.random.default_rng(7), details=True)
+        ref, ref_diag = _reference_fit(cloud, config, 7)
         lifted = np.linalg.eigvalsh(ref.covs)[:, 0] <= config.covariance_floor * (1 + 1e-9)
         assert lifted.any()
         for name in ("weights", "means", "covs"):
-            assert getattr(mix, name).tobytes() == getattr(ref, name).tobytes()
-        assert diag.log_likelihoods.tobytes() == ref_diag.log_likelihoods.tobytes()
-        assert diag.final_log_likelihood == ref_diag.final_log_likelihood
+            np.testing.assert_allclose(getattr(mix, name), getattr(ref, name),
+                                       rtol=0.0, atol=1e-10)
+        np.testing.assert_allclose(diag.log_likelihoods, ref_diag.log_likelihoods, rtol=1e-9)
+        assert diag.final_log_likelihood == pytest.approx(ref_diag.final_log_likelihood, rel=1e-9)
         assert (diag.iterations, diag.restart_index) == (ref_diag.iterations, ref_diag.restart_index)
+
+    @pytest.mark.parametrize("periods", [1, 2, 3, 4])
+    def test_duffing_fit_matches_reference(self, periods):
+        # Seeded Duffing clouds at the criterion-8 EM settings: the two forms
+        # of the same EM reach the same restart and the same likelihood.
+        rng = np.random.default_rng(1500 + periods)
+        cloud = propagate_cloud(rng.standard_normal((1_500, 2)) * [1.0, 0.5] + [1.0, 0.0],
+                                DuffingModel(), 0.5 * periods)
+        config = EmFitConfig(n_components=10, max_iters=150, restarts=2)
+        _, diag = fit_gmm_em(cloud, config, np.random.default_rng(periods), details=True)
+        _, ref_diag = _reference_fit(cloud, config, periods)
+        assert diag.restart_index == ref_diag.restart_index
+        assert abs(diag.final_log_likelihood - ref_diag.final_log_likelihood) <= 1e-10 * len(cloud)
 
     def test_three_dimensional_cloud(self, rng):
         gen = GaussianMixture([0.5, 0.5], [[-3.0, 0.0, 1.0], [3.0, 1.0, -1.0]],
