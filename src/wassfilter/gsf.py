@@ -14,9 +14,9 @@ computed in log space with max-subtraction so distant components underflow
 gracefully. Component order is preserved: posterior node i descends from
 prior node i.
 
-The K problems share one shape, so one stacked factorization of the
-innovation covariances (see ``kalman.py``) gives every gain, posterior moment,
-cost and likelihood weight without a per-component loop.
+The K problems share one shape, so one stacked ``eigh`` of the innovation
+covariances (see ``kalman.py``) gives every gain, posterior moment, cost and
+likelihood weight without a per-component loop.
 """
 
 from __future__ import annotations
@@ -29,13 +29,15 @@ from .errors import ConditioningError, ValidationError, WeightUnderflowError
 from .gaussian import GaussianMixture, _as_vector, _readonly
 # kalman_gains is unused here but stays a module attribute: perfbench/layertrace.py patches it.
 from .kalman import (LinearMeasurementModel, _apply_linear_update,  # noqa: F401
-                     _innovation_gains, kalman_gains, update_error_cost)
+                     _innovation_gains, kalman_gains)
 
 
 @dataclass(frozen=True, eq=False)
 class GsfUpdateResult:
     """Posterior mixture, the ``(K, n, m)`` stack of measurement gains ``H`` (the
-    state gains are ``kalman.state_gain``) and the posterior-error traces."""
+    state gains are ``kalman.state_gain``) and ``component_costs``, the ``(K,)``
+    traces of the posterior-error covariances ``G S G^T + H R H^T`` before their
+    eigenvalue floor, equal to ``kalman.update_error_cost`` at those gains."""
 
     posterior: GaussianMixture
     gains: np.ndarray
@@ -90,23 +92,22 @@ def gsf_update(prior: GaussianMixture, model: LinearMeasurementModel, y) -> GsfU
 
     means, covs = prior.means, prior.covs
     try:
-        chol, inv, h = _innovation_gains(covs, model)
+        white, log_det, h = _innovation_gains(covs, model)
     except ConditioningError as exc:
         raise ConditioningError(f"component {exc.component}: {exc}") from exc
-    post_means, post_covs = _apply_linear_update(means, covs, h, model, y)
+    innovations = y - means @ model.C.T
+    post_means, post_covs, costs = _apply_linear_update(means, covs, h, model, innovations)
 
-    # log w_i- + log N(y; C mu_i-, L_i L_i^T) from the whitened innovations.
-    z = (inv @ (y - means @ model.C.T)[:, :, None])[:, :, 0]
-    log_like = -0.5 * (model.meas_dim * np.log(2.0 * np.pi)
-                       + 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-                       + (z * z).sum(axis=1))
+    # log w_i- + log N(y; C mu_i-, C S_i- C^T + R) from the whitened innovations.
+    z = (white @ innovations[:, :, None])[:, :, 0]
+    log_like = -0.5 * (model.meas_dim * np.log(2.0 * np.pi) + log_det + (z * z).sum(axis=1))
     with np.errstate(divide="ignore"):
         weights = _normalize_log_weights(np.log(prior.weights) + log_like)
 
     # ensure_spd has just certified post_covs, so the mixture skips that pass;
     # the gains and costs are fresh arrays, so the result takes them uncopied.
     posterior = GaussianMixture._trusted(weights, post_means, post_covs, eig_floor=0.0)
-    return GsfUpdateResult._trusted(posterior, h, update_error_cost(h, covs, model))
+    return GsfUpdateResult._trusted(posterior, h, costs)
 
 
 def gsf_bound_cost(result: GsfUpdateResult) -> float:

@@ -15,9 +15,12 @@ solve) and the exact stationary orthogonality residuals ``E[e+ x-^T]`` and
 
 Numerical policy: the update works on a ``(K, n, n)`` stack of prior
 covariances (a single Gaussian is a stack of one). Each innovation covariance
-is factored once, by one batched Cholesky call per stack, and the gains come
-from the inverse of that factor. Posterior covariances take the quadratic form
-of ``_posterior_covs`` and are symmetrized, so updates chain without drift.
+``V diag(lambda) V^T`` is factored once, by one batched ``eigh`` call per
+stack: the eigenvalues give the condition guard and the log-determinant, and
+the whitening map ``diag(lambda)^-1/2 V^T`` gives the gains and the whitened
+innovations. Posterior-error covariances take the quadratic form of
+``_error_covs``, whose traces are the costs, and are symmetrized, so updates
+chain without drift.
 """
 
 from __future__ import annotations
@@ -114,17 +117,17 @@ class LinearPropagationModel:
 
 
 def _innovation_gains(covs: np.ndarray, model: LinearMeasurementModel):
-    """Cholesky factors ``L_k`` of ``C S_k C^T + R``, their inverses and the gains
-    ``H_k = S_k C^T L_k^-T L_k^-1`` for a ``(K, n, n)`` stack of covariances ``S_k``.
+    """For a ``(K, n, n)`` stack of covariances ``S_k``, the whitening maps
+    ``W_k = diag(lambda_k)^-1/2 V_k^T`` and log-determinants ``sum(log lambda_k)`` of
+    ``C S_k C^T + R = V_k diag(lambda_k) V_k^T``, and the gains
+    ``H_k = S_k C^T W_k^T W_k``, all from one batched ``eigh``.
 
     The :class:`ConditioningError` of the guard carries the index of the first
     failing covariance as ``component``.
     """
-    s = model.C @ covs @ model.C.T + model.R
-    s = 0.5 * (s + np.swapaxes(s, 1, 2))
-    w = np.linalg.eigvalsh(s)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bad = (w[:, 0] <= 0.0) | (w[:, -1] / w[:, 0] > MAX_INNOVATION_CONDITION)
+    w, v = np.linalg.eigh(model.C @ covs @ model.C.T + model.R)
+    # Written so that the NaN eigenvalues of an overflowed matrix fail too.
+    bad = ~((w[:, 0] > 0.0) & (w[:, -1] <= MAX_INNOVATION_CONDITION * w[:, 0]))
     if bad.any():
         i = int(np.argmax(bad))
         exc = ConditioningError(
@@ -133,10 +136,9 @@ def _innovation_gains(covs: np.ndarray, model: LinearMeasurementModel):
         )
         exc.component = i
         raise exc
-    chol = np.linalg.cholesky(s)
-    inv = np.linalg.inv(chol)
-    gains = np.swapaxes(inv @ (model.C @ covs), 1, 2) @ inv
-    return chol, inv, gains
+    white = np.swapaxes(v, 1, 2) / np.sqrt(w)[:, :, None]
+    gains = np.swapaxes(white @ (model.C @ covs), 1, 2) @ white
+    return white, np.log(w).sum(axis=1), gains
 
 
 def state_gain(H: np.ndarray, model: LinearMeasurementModel) -> np.ndarray:
@@ -157,19 +159,22 @@ def kalman_gains(prior_err_cov, model: LinearMeasurementModel) -> GainPair:
     return GainPair(G=state_gain(h, model), H=h)
 
 
-def _posterior_covs(covs: np.ndarray, gains: np.ndarray, model: LinearMeasurementModel):
-    """``G S G^T + H R H^T`` with ``G = I - H C`` for stacked covariances and gains: a sum
-    of PSD terms for any gain, where the short form drifts negative for noiseless sensors."""
+def _error_covs(covs: np.ndarray, gains: np.ndarray, model: LinearMeasurementModel):
+    """Posterior-error covariances ``G S G^T + H R H^T`` with ``G = I - H C``, for one
+    covariance and gain or stacks of them: a sum of PSD terms for any gain, where the
+    short form ``S - H C S`` drifts negative for noiseless sensors."""
     g = state_gain(gains, model)
-    return ensure_spd(g @ covs @ np.swapaxes(g, 1, 2) + gains @ model.R @ np.swapaxes(gains, 1, 2))
+    return g @ covs @ np.swapaxes(g, -1, -2) + gains @ model.R @ np.swapaxes(gains, -1, -2)
 
 
 def _apply_linear_update(means: np.ndarray, covs: np.ndarray, gains: np.ndarray,
-                         model: LinearMeasurementModel, y: np.ndarray):
-    """Stacked means ``mu + H (y - C mu)`` and their :func:`_posterior_covs` covariances."""
-    innovations = y - means @ model.C.T
+                         model: LinearMeasurementModel, innovations: np.ndarray):
+    """Stacked means ``mu + H (y - C mu)`` from the innovations ``y - C mu``, their
+    :func:`_error_covs` covariances floored by ``ensure_spd``, and the traces of
+    those covariances before the floor."""
     means = means + (gains @ innovations[:, :, None])[:, :, 0]
-    return means, _posterior_covs(covs, gains, model)
+    errors = _error_covs(covs, gains, model)
+    return means, ensure_spd(errors), np.trace(errors, axis1=1, axis2=2)
 
 
 def kalman_update(prior: Gaussian, prior_err_cov, model: LinearMeasurementModel, y) -> Gaussian:
@@ -186,7 +191,8 @@ def kalman_update(prior: Gaussian, prior_err_cov, model: LinearMeasurementModel,
         raise ValidationError(f"prior has dimension {prior.dim}, model expects {model.state_dim}")
     sigma = _as_matrix(prior_err_cov, "prior_err_cov")
     gains = kalman_gains(sigma, model)
-    means, covs = _apply_linear_update(prior.mean[None], sigma[None], gains.H[None], model, y)
+    means, covs, _ = _apply_linear_update(prior.mean[None], sigma[None], gains.H[None], model,
+                                          y - prior.mean[None] @ model.C.T)
     return Gaussian(means[0], covs[0], eig_floor=0.0)
 
 
@@ -201,9 +207,7 @@ def update_error_cost(H: np.ndarray, prior_err_cov: np.ndarray,
     gain and covariance it returns a float; given ``(K, n, m)`` gains and
     ``(K, n, n)`` covariances it returns the ``(K,)`` costs.
     """
-    g = state_gain(H, model)
-    cost = (np.trace(g @ prior_err_cov @ np.swapaxes(g, -1, -2), axis1=-2, axis2=-1)
-            + np.trace(H @ model.R @ np.swapaxes(H, -1, -2), axis1=-2, axis2=-1))
+    cost = np.trace(_error_covs(prior_err_cov, H, model), axis1=-2, axis2=-1)
     return float(cost) if np.ndim(cost) == 0 else cost
 
 

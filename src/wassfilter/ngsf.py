@@ -32,6 +32,9 @@ from .kalman import LinearMeasurementModel, state_gain, update_error_cost
 # Off-simplex rejection tolerances for user-supplied weight vectors.
 _SUM_ATOL = 1e-8
 _NEG_ATOL = 1e-12
+# Absolute slack by which a final cost may exceed its warm-start cost and still
+# count as no worse (the dominance check and the harness's dominance counts).
+DOMINANCE_ATOL = 1e-12
 
 
 def _check_simplex(weights: np.ndarray) -> np.ndarray:
@@ -173,7 +176,7 @@ class NgsfSolution:
 
 
 def _check_dominance(warm_cost: float, final_cost: float) -> None:
-    if final_cost > warm_cost + 1e-12:
+    if final_cost > warm_cost + DOMINANCE_ATOL:
         raise ValidationError(
             f"final cost {final_cost!r} is above the warm-start cost {warm_cost!r}")
 
@@ -185,9 +188,21 @@ def ngsf_solve(problem: NgsfProblem) -> NgsfSolution:
     every ``c_i``; J is then linear in the weights, so its minimum over the
     simplex is ``min_i c_i``. Weight is split evenly over the components that
     tie at that minimum; the gains are kept and the costs are the GSF's.
+
+    A tie is decided up to the rounding of the costs, not by their last bits:
+    the face is every component with ``c_i <= min + tol``. Each cost is the
+    trace of ``G S G^T + H R H^T``, a sum of products computed to within
+    ``gamma_(3n+2m) ~ (3n + 2m) eps`` times the sum of their magnitudes (``n``
+    states, ``m`` measurements; Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002, sec. 3.5). Taking that sum as the cost itself, two costs
+    equal in exact arithmetic differ by less than ``tol = 2 (3n + 2m) eps |min|``.
+    ``tol`` is capped at :data:`DOMINANCE_ATOL`, so the face never lifts the
+    final cost above the cheapest by as much as the dominance check allows.
     """
     costs = problem.warm.component_costs
-    face = costs == costs.min()
+    low = costs.min()
+    terms = 3 * problem.model.state_dim + 2 * problem.model.meas_dim
+    face = costs <= low + min(2 * terms * np.finfo(float).eps * abs(low), DOMINANCE_ATOL)
     weights = face / face.sum()
     return NgsfSolution._trusted(weights, problem.warm_gains,
                                  warm_cost=float(problem.warm_weights @ costs),

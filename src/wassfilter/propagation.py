@@ -41,6 +41,10 @@ _MAX_RESEEDS = 3
 _LOG_RESP_FLOOR = -350.0
 # Smallest cloud size per mixture component that EM will fit.
 MIN_POINTS_PER_COMPONENT = 10
+# Most RK4 substeps per filter sample that a DuffingModel accepts; the default
+# cadence takes 50. A run asks for this many per step for the truth and for
+# every particle, so a larger ratio is rejected when the config is built.
+MAX_STEPS_PER_SAMPLE = 10**6
 
 
 def _check_finite_fields(obj, *names: str) -> None:
@@ -70,7 +74,8 @@ class DuffingModel:
     """Benchmark dynamics plus integration cadence.
 
     ``dt`` is the integrator substep; ``sample_time`` the filter period and
-    must be an integer multiple of ``dt``.
+    must be an integer multiple of ``dt``, at most :data:`MAX_STEPS_PER_SAMPLE`
+    times it.
     """
 
     damping: float = 0.25
@@ -84,6 +89,10 @@ class DuffingModel:
         if self.dt <= 0.0:
             raise ValidationError(f"dt must be positive, got {self.dt}")
         ratio = self.sample_time / self.dt
+        if not ratio < MAX_STEPS_PER_SAMPLE + 0.5:  # an overflowed ratio is inf
+            raise ValidationError(
+                f"sample_time {self.sample_time} / dt {self.dt} asks for {ratio:.3g} RK4 "
+                f"substeps per sample; at most {MAX_STEPS_PER_SAMPLE} are allowed")
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ValidationError(
                 f"sample_time {self.sample_time} is not an integer multiple of dt {self.dt}"
@@ -178,19 +187,30 @@ class EmDiagnostics:
     converged: bool
 
 
-def _kmeanspp_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp_centers(points: np.ndarray, k: int, rng: np.random.Generator):
+    """``k`` k-means++ centers ``(k, d)`` and each point's nearest center ``(N,)``.
+
+    The nearest center is kept during the distance pass that weights the next
+    draw; a strict ``<`` keeps the earliest center on ties, as an ``argmin``
+    over all the distances would.
+    """
     n = points.shape[0]
     centers = [points[int(rng.integers(n))]]
     d2 = np.sum((points - centers[0]) ** 2, axis=1)
-    for _ in range(1, k):
+    nearest = np.zeros(n, dtype=np.intp)
+    for j in range(1, k):
         total = float(d2.sum())
         if total <= 0.0:
+            # Every point sits on a center, so no later one is strictly nearer.
             centers.append(points[int(rng.integers(n))])
             continue
         idx = int(rng.choice(n, p=d2 / total))
         centers.append(points[idx])
-        d2 = np.minimum(d2, np.sum((points - centers[-1]) ** 2, axis=1))
-    return np.stack(centers)
+        new = np.sum((points - centers[-1]) ** 2, axis=1)
+        closer = new < d2
+        nearest[closer] = j
+        d2[closer] = new[closer]
+    return np.stack(centers), nearest
 
 
 class _EmWork:
@@ -287,8 +307,7 @@ def _em_run(work: _EmWork, config: EmFitConfig, rng: np.random.Generator):
 
     # Start from each point's nearest k-means++ center; a center that wins no
     # point keeps its own location, the overall covariance and weight 1/n.
-    centers = _kmeanspp_centers(points, k, rng)
-    assign = np.argmin(((points[:, None, :] - centers[None, :, :]) ** 2).sum(-1), axis=1)
+    centers, assign = _kmeanspp_centers(points, k, rng)
     counts = np.bincount(assign, minlength=k).astype(float)
     empty = counts == 0
     counts[empty] = 1.0

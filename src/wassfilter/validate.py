@@ -20,7 +20,7 @@ from .harness import ExperimentConfig, run_experiment
 from .kalman import (LinearMeasurementModel, LinearPropagationModel, _orthogonality,
                      kalman_gains, kalman_update, stationary_prior_error_cov)
 from .gsf import gsf_update
-from .ngsf import NgsfProblem, ngsf_cost, ngsf_solve
+from .ngsf import DOMINANCE_ATOL, NgsfProblem, ngsf_cost, ngsf_solve
 from .propagation import DuffingModel, EmFitConfig
 from .wasserstein import w2_gaussian_gaussian, w2_mixture_dirac
 
@@ -126,7 +126,7 @@ def _suite_ngsf(rng):
             return False, f"final cost {final!r} is not the vertex minimum {vertex!r}"
         warm = ngsf_cost(problem.warm_weights, problem.warm_gains, prior, model)
         worst_gap = max(worst_gap, final - warm)
-    return worst_gap <= 1e-12, f"worst final-minus-warm gap {worst_gap:.2e}"
+    return worst_gap <= DOMINANCE_ATOL, f"worst final-minus-warm gap {worst_gap:.2e}"
 
 
 def _grid_bayes(prior: GaussianMixture, model: LinearMeasurementModel, y, points: int = 801):

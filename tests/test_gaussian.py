@@ -335,8 +335,8 @@ class TestTrustedStacks:
         assert mix.eig_floor == public.eig_floor
 
     def test_update_paths_match_public_constructor(self, rng):
-        from wassfilter import LinearMeasurementModel, gsf_update
-        from wassfilter.harness import _moment_match_update
+        from wassfilter import (DuffingModel, EmFitConfig, ExperimentConfig,
+                                LinearMeasurementModel, gsf_update, run_experiment)
         from wassfilter.ngsf import NgsfProblem, apply_ngsf_solution, ngsf_solve
 
         nodes = [random_gaussian(rng, 2) for _ in range(5)]
@@ -360,7 +360,14 @@ class TestTrustedStacks:
         assert result.posterior.covs is warm.posterior.covs
         assert result.gains is warm.gains
         assert result.component_costs is warm.component_costs
-        self._assert_as_public(_moment_match_update(prior, model, y))
+        # The Kalman baseline is the GSF update of the moment-matched prior.
+        config = ExperimentConfig(duffing=DuffingModel(dt=0.05),
+                                  em=EmFitConfig(n_components=2, max_iters=5, restarts=1),
+                                  ensemble_size=100, horizon_steps=1,
+                                  filters=("kf_momentmatch",))
+        record = run_experiment(config).records[0].filters["kf_momentmatch"]
+        assert record.posterior.order == 1
+        self._assert_as_public(record.posterior)
 
     def test_trusted_keeps_the_cheap_checks(self):
         means, covs = np.zeros((2, 2)), np.stack([np.eye(2), np.eye(2)])

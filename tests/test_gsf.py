@@ -134,6 +134,14 @@ class TestGsfUpdate:
         with pytest.raises(ConditioningError, match="component 1"):
             gsf_update(prior, model, np.zeros(2))
 
+    def test_overflowed_innovation_names_component(self):
+        # C S C^T overflows to inf for component 0; its eigenvalues come out NaN.
+        prior = GaussianMixture([0.5, 0.5], np.zeros((2, 2)), [1e300 * np.eye(2), np.eye(2)])
+        model = LinearMeasurementModel([[1e5, 0.0], [0.0, 1.0]], np.eye(2))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ConditioningError, match="^component 0: "):
+            gsf_update(prior, model, np.zeros(2))
+
     def test_all_underflow_raises(self):
         with pytest.raises(WeightUnderflowError):
             _normalize_log_weights(np.array([-np.inf, -np.inf]))
@@ -234,6 +242,19 @@ class TestBatchedUpdate:
             assert_close_12(state_gain(h, model), np.eye(n) - gains[k] @ model.C)
             assert_close_12(node.mean, means[k])
             assert_close_12(node.cov, covs[k])
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), order=st.integers(1, 10),
+           n=st.integers(1, 3), m=st.integers(1, 2))
+    def test_costs_are_update_error_cost_bitwise(self, seed, order, n, m):
+        # The costs are the traces of the posterior-error covariances that the
+        # update floors, the very form update_error_cost takes the trace of.
+        rng = np.random.default_rng(seed)
+        prior = random_mixture(rng, order, n)
+        model = LinearMeasurementModel(rng.standard_normal((m, n)), random_spd(rng, m, base=0.3))
+        res = gsf_update(prior, model, rng.standard_normal(m))
+        np.testing.assert_array_equal(res.component_costs,
+                                      update_error_cost(res.gains, prior.covs, model))
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(seed=st.integers(0, 2**32 - 1), order=st.integers(1, 10))

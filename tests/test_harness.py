@@ -579,18 +579,25 @@ class TestCli:
         {"em": {"covariance_floor": float("inf")}},
         # Beyond the largest (N, 2) float64 array numpy can index.
         {"ensemble_size": 10**30},
+        # C C^T overflows to inf, whose Cholesky factor numpy returns without raising.
+        {"measurement": {"C": [[1e200, 0.0]], "R": [[1.0]]}},
+        # Each would ask for about 5e299 RK4 substeps per step.
+        {"duffing": {"dt": 1e-300}},
+        {"duffing": {"sample_time": 1e300}},
     ], ids=["ensemble_below_components", "nan_damping", "uninformative_sensor",
             "unknown_duffing_key", "unknown_em_key", "unknown_measurement_key",
             "section_not_object", "measurement_without_R", "string_ensemble_size",
             "string_true_x0", "fractional_horizon", "fractional_components",
             "fractional_seed", "string_save_clouds", "numeric_output_dir",
             "bool_ensemble_size", "bool_restarts", "string_dt", "em_init_seed",
-            "nan_em_tol", "infinite_covariance_floor", "unallocatable_ensemble"])
+            "nan_em_tol", "infinite_covariance_floor", "unallocatable_ensemble",
+            "overflowing_sensor", "tiny_dt", "huge_sample_time"])
     def test_bad_config_rejected_before_step_one(self, tmp_path, capsys, data):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
         assert cli_main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
-        assert "invalid input" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("invalid input") and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("c", [

@@ -152,9 +152,11 @@ class TestQuadraticFormUpdate:
         means, covs = prior.means, prior.covs
         gains = np.stack([kalman_gains(s, model).H + 0.3 * rng.standard_normal((2, m))
                           for s in covs])
-        post_means, post_covs = _apply_linear_update(means, covs, gains, model, y)
+        post_means, post_covs, costs = _apply_linear_update(means, covs, gains, model,
+                                                            y - means @ model.C.T)
         ref_means, ref_covs, ref_costs = _loop_update(means, covs, gains, model, y)
-        assert_close_12(update_error_cost(gains, covs, model), ref_costs)
+        assert_close_12(costs, ref_costs)
+        np.testing.assert_array_equal(update_error_cost(gains, covs, model), costs)
         for k in range(order):
             assert_close_12(post_means[k], ref_means[k])
             assert_close_12(post_covs[k], ref_covs[k])

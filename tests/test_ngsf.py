@@ -133,6 +133,25 @@ class TestSolve:
         sol = ngsf_solve(problem)
         np.testing.assert_allclose(sol.weights, [0.5, 0.5], atol=1e-12)
 
+    @pytest.mark.parametrize("ulps", [0, 1, 3, 8])
+    def test_face_is_set_by_rounding_not_by_last_bits(self, rng, ulps):
+        # Components 1, 3 and 4 tie at the minimum up to a few ulps, as costs
+        # that are equal in exact arithmetic do after rounding; component 2 sits
+        # 1e-9 above, far beyond rounding. The face is the tied three, split
+        # evenly, whichever of them carries the extra ulps.
+        prior = random_mixture(rng, 5, 2)
+        model = LinearMeasurementModel([[1.0, 0.0]], [[0.5]])
+        warm = gsf_update(prior, model, [0.0])
+        low = 2e-6
+        costs = np.array([3.0 * low, low, low * (1 + 1e-9), low, low])
+        for j in (1, 3):
+            for _ in range(ulps):
+                costs[j] = np.nextafter(costs[j], np.inf)
+        costed = GsfUpdateResult(warm.posterior, warm.gains, costs)
+        sol = ngsf_solve(NgsfProblem.from_gsf(prior, model, [0.0], gsf_result=costed))
+        np.testing.assert_array_equal(sol.weights, [0.0, 1 / 3, 0.0, 1 / 3, 1 / 3])
+        assert sol.final_cost <= sol.warm_cost + 1e-12
+
     @settings(max_examples=40, deadline=None, database=None)
     @given(seed=st.integers(0, 2**32 - 1), order=st.integers(1, 6))
     def test_descent_contract(self, seed, order):

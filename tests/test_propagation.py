@@ -158,6 +158,18 @@ class TestPropagateCloud:
         with pytest.raises(ValidationError):
             DuffingModel(dt=0.03, sample_time=0.5)
 
+    @pytest.mark.parametrize("kwargs", [{"dt": 1e-300}, {"sample_time": 1e300},
+                                        {"dt": 1e-300, "sample_time": 1e300},
+                                        {"dt": 0.5 / (propagation.MAX_STEPS_PER_SAMPLE + 1)}],
+                             ids=["tiny_dt", "huge_sample_time", "infinite_ratio", "one_over"])
+    def test_substeps_per_sample_capped(self, kwargs):
+        with pytest.raises(ValidationError, match="RK4 substeps per sample"):
+            DuffingModel(**kwargs)
+
+    def test_substep_cap_is_inclusive(self):
+        model = DuffingModel(dt=0.5 / propagation.MAX_STEPS_PER_SAMPLE)
+        assert model.steps_per_sample == propagation.MAX_STEPS_PER_SAMPLE
+
 
 class TestFitGmmEm:
     def test_single_gaussian_recovery(self):
@@ -236,6 +248,19 @@ class TestFitGmmEm:
         with pytest.raises(ValidationError):
             fit_gmm_em(rng.standard_normal((19, 2)), EmFitConfig(n_components=2),
                        np.random.default_rng(0))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_kmeanspp_assignment_is_nearest_center(self, dim, k):
+        # Points on a coarse integer grid, many repeated, so that distances to
+        # different centers tie exactly: the first nearest center wins, as in
+        # an argmin over the full (N, K) distance matrix.
+        rng = np.random.default_rng(100 * dim + k)
+        points = rng.integers(-2, 3, size=(200, dim)).astype(float)
+        centers, nearest = propagation._kmeanspp_centers(points, k, rng)
+        assert centers.shape == (k, dim)
+        dist = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
+        np.testing.assert_array_equal(nearest, np.argmin(dist, axis=1))
 
 
 def _loop_logpdfs(points, means, covs):
