@@ -347,29 +347,39 @@ def ensure_spd(cov: np.ndarray, floor: float | None = None) -> np.ndarray:
     lifts every eigenvalue below it, negative ones included: the EM forms a
     covariance as ``E[x x^T] - mu mu^T``, PSD in exact arithmetic but, for a
     tight component far from the cloud's mean, below zero by up to about
-    ``eps * E|x|^2`` in floating point. One ``eigvalsh`` pass flags the
-    matrices below their floor; only those are decomposed again, with
-    eigenvectors, and rebuilt. The rest come back symmetrized only.
+    ``eps * E|x|^2`` in floating point. One batched ``eigh`` flags the
+    matrices below their floor, and their own eigenpairs rebuild them with
+    the eigenvalues lifted; the rest come back symmetrized only.
     """
+    return _floored_eigh(cov, floor)[0]
+
+
+def _floored_eigh(cov: np.ndarray, floor: float | None = None):
+    """:func:`ensure_spd` with the eigenpairs it floors by: the floored
+    matrices, their eigenvalues ``(..., n)`` with the lifted ones at the
+    floor, and their eigenvectors ``(..., n, n)``. The eigenpairs factor the
+    returned matrices up to the rebuild's roundoff."""
     cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
-    stack = cov.reshape((-1,) + cov.shape[-2:])
-    w = np.linalg.eigvalsh(stack)
+    w, v = np.linalg.eigh(cov)
+    low_w, high_w = w[..., 0], w[..., -1]
     if floor is None:
-        lmax = np.maximum(w[:, -1], 0.0)
-        broken = w[:, 0] < -1e-12 * np.maximum(1.0, lmax)
+        lmax = np.maximum(high_w, 0.0)
+        broken = low_w < -1e-12 * np.maximum(1.0, lmax)
         if broken.any():
-            bad = w[np.argmax(broken), 0]
-            raise DegeneracyError(
-                f"covariance eigenvalue {bad:.6e} is negative beyond roundoff tolerance")
+            raise DegeneracyError(f"covariance eigenvalue {low_w[broken][0]:.6e} "
+                                  "is negative beyond roundoff tolerance")
         lift = 1e-14 * lmax
     else:
-        lift = np.full(len(stack), floor)
-    low = w[:, 0] < lift
+        lift = np.full(low_w.shape, floor)
+    low = low_w < lift
     if low.any():
-        w2, v = np.linalg.eigh(stack[low])
-        lifted = (v * np.clip(w2, lift[low][:, None], None)[:, None, :]) @ np.swapaxes(v, 1, 2)
-        stack[low] = 0.5 * (lifted + np.swapaxes(lifted, 1, 2))
-    return stack.reshape(cov.shape)
+        # Boolean rows of a stack; a single matrix indexed by a 0-d mask is a
+        # stack of one.
+        w[low] = np.maximum(w[low], lift[low][:, None])
+        vl = v[low]
+        lifted = (vl * w[low][:, None, :]) @ np.swapaxes(vl, 1, 2)
+        cov[low] = 0.5 * (lifted + np.swapaxes(lifted, 1, 2))
+    return cov, w, v
 
 
 def _component_logpdfs(points: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:

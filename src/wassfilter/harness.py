@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import numbers
 import os
-import time
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import partial
@@ -176,7 +175,6 @@ class FilterStepRecord:
     estimate_cov: np.ndarray
     error: np.ndarray
     prior_cloud: np.ndarray
-    wall_time: float
     warm_cost: float | None = None
     final_cost: float | None = None
 
@@ -338,7 +336,6 @@ def _run_experiment(config: ExperimentConfig, pool) -> ExperimentResult:
         step_filters: dict[str, FilterStepRecord] = {}
         for name in config.filters:
             prior_cloud, prior = priors[name]
-            tic = time.perf_counter()
             extras: dict = {}
             with _stage(step, name):
                 if name == "gsf":
@@ -358,14 +355,12 @@ def _run_experiment(config: ExperimentConfig, pool) -> ExperimentResult:
             with _stage(step, "resample"):
                 resample_rng = _derived_rng(seed, _STREAM_RESAMPLE, step)
                 clouds[name] = sample_mixture(posterior, config.ensemble_size, resample_rng)
-            wall = time.perf_counter() - tic
 
             estimate, est_cov = mixture_mean_cov(posterior)
             step_filters[name] = FilterStepRecord(
                 name=name, prior=prior, posterior=posterior,
                 estimate=estimate, estimate_cov=est_cov,
-                error=estimate - x_true, prior_cloud=prior_cloud,
-                wall_time=wall, **extras)
+                error=estimate - x_true, prior_cloud=prior_cloud, **extras)
 
         records.append(StepRecord(step=step, time=step * duffing.sample_time,
                                   true_state=x_true.copy(), measurement=np.array(y),
@@ -421,8 +416,7 @@ def emit_outputs(result: ExperimentResult, directory, pending=()) -> list[Path]:
     """Write config.json, timeseries.csv, cloud snapshots, mixtures and summary.json.
 
     All files are plain JSON/CSV with deterministic formatting, so identical
-    runs produce byte-identical trees. Per-step wall times stay in memory;
-    they are the one record field excluded from files.
+    runs produce byte-identical trees.
 
     ``pending`` holds the futures of cloud writes already handed to a worker
     process (:func:`run_experiment` does so when more than one CPU is usable),

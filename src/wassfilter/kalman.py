@@ -126,8 +126,9 @@ def _innovation_gains(covs: np.ndarray, model: LinearMeasurementModel):
     failing covariance as ``component``.
     """
     w, v = np.linalg.eigh(model.C @ covs @ model.C.T + model.R)
-    # Written so that the NaN eigenvalues of an overflowed matrix fail too.
-    bad = ~((w[:, 0] > 0.0) & (w[:, -1] <= MAX_INNOVATION_CONDITION * w[:, 0]))
+    # Written so that the NaN eigenvalues of an overflowed matrix fail too, and
+    # as a quotient, which cannot overflow for a finite lambda_max.
+    bad = ~((w[:, 0] > 0.0) & (w[:, -1] / MAX_INNOVATION_CONDITION <= w[:, 0]))
     if bad.any():
         i = int(np.argmax(bad))
         exc = ConditioningError(

@@ -16,8 +16,12 @@ E-step folds every component's precision, log-determinant and weight into a
 ``(K, M)`` coefficient matrix and gets all ``(K, N)`` joint log densities
 from one product; each M-step gets every component's mass, mean and second
 moment from one ``(K, N) @ (N, M)`` product over the responsibilities.
-``gaussian.ensure_spd`` applies the covariance floor (one batched
-``eigvalsh``, then eigenvectors only for the matrices below the floor).
+The covariance floor (``gaussian.ensure_spd``) factors each M-step's
+covariance stack with one batched ``eigh``, and those eigenpairs give the
+next E-step every precision and log-determinant: no other factorization, and
+the floor, which the config requires to be positive, makes every covariance
+positive definite. Each restart's returned mixture is scored once with the
+whitened residuals of ``gaussian._component_logpdfs``.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, FitError, ValidationError
-from .gaussian import GaussianMixture, _check_field_types, ensure_spd
+from .gaussian import GaussianMixture, _check_field_types, _component_logpdfs, _floored_eigh
 
 # Fraction of total responsibility mass below which a component counts as
 # collapsed and gets reseeded.
@@ -174,8 +178,10 @@ class EmDiagnostics:
     """Bookkeeping from the winning EM restart.
 
     ``log_likelihoods`` scores the parameters each E/M pass started from,
-    skipping passes that reseeded a component, and ``iterations`` is its length;
-    ``final_log_likelihood`` scores the returned mixture. ``converged`` says
+    skipping passes that reseeded a component, and ``iterations`` is its length.
+    ``final_log_likelihood`` scores the returned mixture once with whitened
+    residuals, so it keeps its precision on clouds whose tight clusters sit far
+    from the cloud's mean, and the restarts are compared on it. ``converged`` says
     whether the ``tol`` test stopped the run before ``max_iters``.
     """
 
@@ -216,13 +222,14 @@ def _kmeanspp_centers(points: np.ndarray, k: int, rng: np.random.Generator):
 class _EmWork:
     """What one cloud's EM fit reuses on every pass of every restart: the
     cloud, its ``(M, N)`` quadratic features ``[1, x, x_i x_j (i <= j)]`` with
-    ``x`` centered at the cloud mean (``M = 1 + d + d(d+1)/2``), and the
+    ``x`` centered at the cloud mean (``M = 1 + d + d(d+1)/2``), the
     ``(K, N)`` buffer for the joint log densities that become the transposed
-    responsibilities. Centering keeps the cancellation in the feature form
-    small; reusing the buffer keeps each pass from allocating and
-    page-faulting it."""
+    responsibilities, and the cloud's floored covariance with its eigenpairs,
+    which seed empty and reseeded components. Centering keeps the
+    cancellation in the feature form small; reusing the buffer keeps each
+    pass from allocating and page-faulting it."""
 
-    def __init__(self, points: np.ndarray, k: int):
+    def __init__(self, points: np.ndarray, k: int, floor: float):
         n, dim = points.shape
         self.points = points
         self.center = points.mean(axis=0)
@@ -232,43 +239,43 @@ class _EmWork:
         x = (points - self.center).T
         self.feats = np.concatenate([np.ones((1, n)), x, x[self.rows] * x[self.cols]])
         self.resp_t = np.empty((k, n))
+        self.overall = _floored_eigh(np.cov(points, rowvar=False).reshape(1, dim, dim), floor)
 
 
 def _joint_logpdfs(work: _EmWork, weights: np.ndarray, means: np.ndarray,
-                   covs: np.ndarray) -> np.ndarray:
+                   evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
     """``(K, N)`` joint log densities ``log w_k + log N(x_n; mu_k, S_k)`` in
     ``work.resp_t``, from one ``(K, M) @ (M, N)`` product.
 
-    Each component's log density is linear in the features: its precision
-    ``P``, ``P mu``, ``mu^T P mu``, log-determinant and log-weight fold into
-    one row of coefficients. The quadratic form is then a sum of terms of
-    size ``|P| |x|^2`` rather than the square of a whitened residual. Next to
-    a component at the 1e-6 covariance floor, a log density is about
-    1e-8 absolute from the whitened form of ``gaussian._component_logpdfs``,
-    and the gap grows with the squared distance from the cloud's mean. The
-    weights must be positive. Raises ``LinAlgError`` if any covariance is not
-    positive definite.
+    ``S_k = V_k diag(lambda_k) V_k^T`` is given by the eigenpairs ``evals``
+    ``(K, d)`` and ``evecs`` ``(K, d, d)`` of the floor that made it, so the
+    precision is ``V_k diag(1 / lambda_k) V_k^T`` and the log-determinant
+    ``sum(log lambda_k)``; the floor keeps every ``lambda_k`` positive. Each
+    component's log density is linear in the features: its precision ``P``,
+    ``P mu``, ``mu^T P mu``, log-determinant and log-weight fold into one row
+    of coefficients. The quadratic form is then a sum of terms of size
+    ``|P| |x|^2`` rather than the square of a whitened residual. Next to a
+    component at the 1e-6 covariance floor, a log density is about 1e-8
+    absolute from the whitened form of ``gaussian._component_logpdfs``, and
+    the gap grows with the squared distance from the cloud's mean. The
+    weights must be positive.
     """
     dim = means.shape[1]
-    chol = np.linalg.cholesky(covs)
-    prec = np.linalg.inv(covs)
+    prec = (evecs / evals[:, None, :]) @ np.swapaxes(evecs, 1, 2)
     mu = means - work.center
     prec_mu = (prec @ mu[:, :, None])[:, :, 0]
     coef = np.empty((len(means), work.feats.shape[0]))
     coef[:, 0] = np.log(weights) - 0.5 * (
-        dim * np.log(2.0 * np.pi)
-        + 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-        + (prec_mu * mu).sum(axis=1))
+        dim * np.log(2.0 * np.pi) + np.log(evals).sum(axis=1) + (prec_mu * mu).sum(axis=1))
     coef[:, 1:1 + dim] = prec_mu
     coef[:, 1 + dim:] = prec[:, work.rows, work.cols] * work.pair_scale
     return np.matmul(coef, work.feats, out=work.resp_t)
 
 
-def _e_step(work: _EmWork, weights: np.ndarray, means: np.ndarray, covs: np.ndarray):
-    """Transposed responsibilities ``(K, N)`` in ``work.resp_t``, which the
-    next E-step overwrites, and the per-point log mixture density ``(N,)``.
-    The normalization reduces over axis 0 of the joint log densities."""
-    joint = _joint_logpdfs(work, weights, means, covs)
+def _normalize(joint: np.ndarray):
+    """Turns ``(K, N)`` joint log densities into the transposed
+    responsibilities in place and returns them with the per-point log mixture
+    density ``(N,)``. The normalization reduces over axis 0."""
     peak = joint.max(axis=0)
     joint -= peak
     np.maximum(joint, _LOG_RESP_FLOOR, out=joint)
@@ -280,8 +287,17 @@ def _e_step(work: _EmWork, weights: np.ndarray, means: np.ndarray, covs: np.ndar
     return joint, log_norm
 
 
+def _e_step(work: _EmWork, weights: np.ndarray, means: np.ndarray, cov: tuple):
+    """Transposed responsibilities ``(K, N)`` in ``work.resp_t``, which the
+    next E-step overwrites, and the per-point log mixture density ``(N,)``,
+    for the ``(covs, evals, evecs)`` stack of :func:`_m_step`."""
+    return _normalize(_joint_logpdfs(work, weights, means, *cov[1:]))
+
+
 def _m_step(work: _EmWork, resp_t: np.ndarray, mass: np.ndarray, floor: float):
-    """Weighted means ``(K, d)`` and floored covariances ``(K, d, d)``.
+    """Weighted means ``(K, d)`` and the floored covariance stack as
+    ``(covs, evals, evecs)``: the ``(K, d, d)`` covariances and the
+    eigenpairs ``(K, d)`` and ``(K, d, d)`` that the floor factored them by.
 
     ``resp_t`` is the ``(K, N)`` transposed responsibilities and ``mass`` its
     row sums. One ``(K, N) @ (N, M)`` product gives every component's
@@ -295,15 +311,14 @@ def _m_step(work: _EmWork, resp_t: np.ndarray, mass: np.ndarray, floor: float):
     covs[:, work.rows, work.cols] = moments[:, 1 + dim:]
     covs[:, work.cols, work.rows] = moments[:, 1 + dim:]
     covs -= mu[:, :, None] * mu[:, None, :]
-    return work.center + mu, ensure_spd(covs, floor)
+    return work.center + mu, _floored_eigh(covs, floor)
 
 
 def _em_run(work: _EmWork, config: EmFitConfig, rng: np.random.Generator):
     points = work.points
-    n, dim = points.shape
+    n = points.shape[0]
     k = config.n_components
     floor = config.covariance_floor
-    overall_cov = ensure_spd(np.cov(points, rowvar=False).reshape(1, dim, dim), floor)[0]
 
     # Start from each point's nearest k-means++ center; a center that wins no
     # point keeps its own location, the overall covariance and weight 1/n.
@@ -312,16 +327,17 @@ def _em_run(work: _EmWork, config: EmFitConfig, rng: np.random.Generator):
     empty = counts == 0
     counts[empty] = 1.0
     hard_t = (np.arange(k)[:, None] == assign).astype(float)
-    means, covs = _m_step(work, hard_t, counts, floor)
+    means, cov = _m_step(work, hard_t, counts, floor)
     means[empty] = centers[empty]
-    covs[empty] = overall_cov
+    for part, overall in zip(cov, work.overall):
+        part[empty] = overall
     weights = counts / counts.sum()
 
     lls = []
     reseeds = 0
     converged = False
     for _ in range(config.max_iters):
-        resp_t, log_norm = _e_step(work, weights, means, covs)
+        resp_t, log_norm = _e_step(work, weights, means, cov)
         ll = float(log_norm.sum())
 
         mass = resp_t.sum(axis=1)
@@ -332,13 +348,14 @@ def _em_run(work: _EmWork, config: EmFitConfig, rng: np.random.Generator):
                 raise FitError(f"EM failed after {reseeds} component reseeds")
             # Reseed each dead component at the point the mixture explains worst.
             means[collapsed] = points[np.argsort(log_norm)[:collapsed.size]]
-            covs[collapsed] = overall_cov
+            for part, overall in zip(cov, work.overall):
+                part[collapsed] = overall
             weights[collapsed] = 1.0 / n
             weights /= weights.sum()
             continue
 
         weights = mass / n
-        means, covs = _m_step(work, resp_t, mass, floor)
+        means, cov = _m_step(work, resp_t, mass, floor)
 
         if lls and ll - lls[-1] <= config.tol * (1.0 + abs(lls[-1])):
             lls.append(ll)
@@ -347,9 +364,12 @@ def _em_run(work: _EmWork, config: EmFitConfig, rng: np.random.Generator):
         lls.append(ll)
 
     # Each loop score belongs to the parameters before that pass's M-step, so
-    # the returned mixture gets one more E-step of its own.
-    mixture = GaussianMixture(weights / weights.sum(), means, covs, eig_floor=0.0)
-    final_ll = float(_e_step(work, mixture.weights, mixture.means, mixture.covs)[1].sum())
+    # the returned mixture is scored once more, with whitened residuals. The
+    # floor has just certified its covariances.
+    mixture = GaussianMixture._trusted(weights / weights.sum(), means, cov[0], eig_floor=0.0)
+    joint = _component_logpdfs(points, mixture.means, mixture.covs).T
+    joint += np.log(mixture.weights)[:, None]
+    final_ll = float(_normalize(joint)[1].sum())
     return mixture, np.array(lls), final_ll, reseeds, converged
 
 
@@ -361,8 +381,11 @@ def fit_gmm_em(cloud, config: EmFitConfig, rng: np.random.Generator, details: bo
     pass works on the cloud's quadratic features, shared by the restarts: one
     ``(K, M) @ (M, N)`` product gives every component's log density (E-step)
     and one ``(K, N) @ (N, M)`` product its expected features, so its mass,
-    mean and covariance (M-step); ``ensure_spd`` floors the covariance
-    eigenvalues at ``config.covariance_floor`` after every M-step. The cloud
+    mean and covariance (M-step). The floor of ``ensure_spd`` lifts the
+    covariance eigenvalues to ``config.covariance_floor`` after every M-step,
+    and its eigenpairs give the next E-step the precisions and
+    log-determinants. Each restart's returned mixture is scored with whitened
+    residuals (``EmDiagnostics.final_log_likelihood``). The cloud
     may have any dimension. With ``details=True`` returns
     ``(mixture, EmDiagnostics)``.
     """
@@ -376,7 +399,7 @@ def fit_gmm_em(cloud, config: EmFitConfig, rng: np.random.Generator, details: bo
             f"{points.shape[0]} points cannot support {config.n_components} components "
             f"(need at least {MIN_POINTS_PER_COMPONENT} per component)"
         )
-    work = _EmWork(points, config.n_components)
+    work = _EmWork(points, config.n_components, config.covariance_floor)
     best = None
     for restart in range(config.restarts):
         run = _em_run(work, config, rng)

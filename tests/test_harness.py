@@ -198,13 +198,6 @@ class TestRunExperiment:
         assert (out / "config.json").exists()
         assert (out / "timeseries.csv").read_text().startswith("step,time,")
 
-    def test_wall_time_recorded_not_emitted(self, tmp_path):
-        out = tmp_path / "o"
-        result = run_experiment(_small_config(horizon_steps=1, output_dir=str(out)))
-        assert result.records[0].filters["gsf"].wall_time > 0.0
-        emitted = (out / "timeseries.csv").read_text() + (out / "summary.json").read_text()
-        assert "wall" not in emitted
-
 
 class TestEmitOutputs:
     def test_summary_recomputable_from_timeseries(self, tmp_path):
@@ -509,6 +502,22 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("runtime error: step 1, module propagation: ")
+
+    def test_huge_covariance_floor_exits_at_propagation(self, tmp_path, capsys):
+        # Any positive finite EM floor is valid. At 1e300 the step-1 posteriors
+        # resample clouds that overflow the dynamics: exit 2 at step 2, with the
+        # error line alone on stderr; the step-1 innovation guard, whose
+        # eigenvalues reach about 1e300, raises no overflow warning.
+        cfg = tmp_path / "huge_floor.json"
+        cfg.write_text(json.dumps({"em": {"covariance_floor": 1e300, "n_components": 2},
+                                   "ensemble_size": 200, "horizon_steps": 2}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err.splitlines() == [
+            "runtime error: step 2, module propagation: particle 0 diverged"]
 
     def test_failed_initial_draw_names_step_zero(self, tmp_path, capsys, monkeypatch):
         # An ensemble the config accepts but memory cannot hold fails at the

@@ -280,7 +280,9 @@ def _spd_stack(rng, k, dim):
 
 
 # The whitened-residual E/M step, allocating, and a full-eigh covariance
-# floor: the reference the feature-form EM must match to within roundoff.
+# floor: the reference the feature-form EM must match to within roundoff. The
+# floor returns its eigenpairs, as the EM's does; the reference E-step reads
+# the covariances alone.
 def _ref_component_logpdfs(points, means, covs):
     n_points, dim = points.shape
     k = means.shape[0]
@@ -309,10 +311,10 @@ def _ref_floor_cov(covs, floor):
     w, v = np.linalg.eigh(covs)
     low = w[:, 0] < floor
     if low.any():
-        v = v[low]
-        lifted = (v * np.clip(w[low], floor, None)[:, None, :]) @ np.swapaxes(v, 1, 2)
+        vl = v[low]
+        lifted = (vl * np.clip(w[low], floor, None)[:, None, :]) @ np.swapaxes(vl, 1, 2)
         covs[low] = 0.5 * (lifted + np.swapaxes(lifted, 1, 2))
-    return covs
+    return covs, np.clip(w, floor, None), v
 
 
 def _ref_m_step(points, resp_t, mass, floor):
@@ -327,10 +329,10 @@ def _reference_fit(cloud, config, seed):
     """``fit_gmm_em`` run through the reference E/M step and floor."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(propagation, "_e_step",
-                   lambda work, w, m, c: _ref_e_step(work.points, w, m, c))
+                   lambda work, w, m, cov: _ref_e_step(work.points, w, m, cov[0]))
         mp.setattr(propagation, "_m_step",
                    lambda work, resp_t, mass, floor: _ref_m_step(work.points, resp_t, mass, floor))
-        mp.setattr(propagation, "ensure_spd", _ref_floor_cov)
+        mp.setattr(propagation, "_floored_eigh", _ref_floor_cov)
         return fit_gmm_em(cloud, config, np.random.default_rng(seed), details=True)
 
 
@@ -364,8 +366,8 @@ class TestBatchedEm:
         # from the floor component the log densities reach about -2e7, whose
         # own spacing is 4e-9, so a relative 1e-15 rides on the 1e-8.
         points, means, covs = _floor_level_case(rng, dim)
-        work = _EmWork(points, len(means))
-        joint = _joint_logpdfs(work, np.ones(len(means)), means, covs)
+        work = _EmWork(points, len(means), EmFitConfig().covariance_floor)
+        joint = _joint_logpdfs(work, np.ones(len(means)), means, *np.linalg.eigh(covs))
         np.testing.assert_allclose(joint.T, _component_logpdfs(points, means, covs),
                                    rtol=1e-15, atol=1e-8)
 
@@ -380,7 +382,9 @@ class TestBatchedEm:
         points = rng.standard_normal((n, dim)) * [3.0, 0.5]
         resp = rng.dirichlet(np.ones(k), n)
         mass = resp.sum(axis=0)
-        means, covs = _m_step(_EmWork(points, k), resp.T, mass, 1e-12)
+        means, (covs, evals, evecs) = _m_step(_EmWork(points, k, 1e-12), resp.T, mass, 1e-12)
+        np.testing.assert_allclose((evecs * evals[:, None, :]) @ np.swapaxes(evecs, 1, 2), covs,
+                                   rtol=0.0, atol=1e-14 * np.abs(covs).max())
         for j in range(k):
             mean = resp[:, j] @ points / mass[j]
             diff = points - mean
@@ -483,6 +487,20 @@ class TestEmDiagnostics:
         assert diag.final_log_likelihood == pytest.approx(expected, rel=1e-9)
         # The returned mixture is one M-step past the last scored pass.
         assert diag.final_log_likelihood >= diag.log_likelihoods[-1] - 1e-9
+
+    def test_final_log_likelihood_exact_far_from_the_cloud_mean(self):
+        # Two repeated-point clusters 1e4 from the cloud's mean, where the
+        # feature form's quadratic lost about 5e-3 nats/point: the returned
+        # mixture is scored with whitened residuals, to scipy's roundoff.
+        rng = np.random.default_rng(3)
+        cloud = np.concatenate([rng.standard_normal((200, 2)),
+                                np.tile([1e4, 1e4], (50, 1)), np.tile([-1e4, -1e4], (50, 1))])
+        mix, diag = fit_gmm_em(cloud, EmFitConfig(n_components=3, restarts=2),
+                               np.random.default_rng(1), details=True)
+        logpdfs = np.stack([multivariate_normal(m, c).logpdf(cloud)
+                            for m, c in zip(mix.means, mix.covs)], axis=1)
+        expected = float(logsumexp(logpdfs + np.log(mix.weights), axis=1).sum())
+        assert diag.final_log_likelihood == pytest.approx(expected, rel=1e-9)
 
     def test_restart_chosen_on_returned_mixture(self, rng):
         cloud = propagate_cloud(rng.standard_normal((1_500, 2)), DuffingModel(), 0.5)
