@@ -10,18 +10,22 @@ keeps RK4, a large-ensemble run's main cost, on numpy's vectorized multiply
 and the vector field exactly odd.
 
 EM works on the cloud's quadratic features ``[1, x, x_i x_j]``, formed once
-per cloud as one ``(M, N)`` array (``M = 6`` for the Duffing state) that
-every restart shares. A Gaussian's log density is linear in them, so each
-E-step folds every component's precision, log-determinant and weight into a
-``(K, M)`` coefficient matrix and gets all ``(K, N)`` joint log densities
-from one product; each M-step gets every component's mass, mean and second
-moment from one ``(K, N) @ (N, M)`` product over the responsibilities.
-The covariance floor (``gaussian.ensure_spd``) factors each M-step's
-covariance stack with one batched ``eigh``, and those eigenpairs give the
-next E-step every precision and log-determinant: no other factorization, and
-the floor, which the config requires to be positive, makes every covariance
-positive definite. Each restart's returned mixture is scored once with the
-whitened residuals of ``gaussian._component_logpdfs``.
+per cloud as one ``(M, N)`` array (``M = 6`` for the Duffing state). A fit's
+``R`` restarts draw their k-means++ starts first, in restart order, and then
+run in lockstep as one ``(R, K, .)`` stack. A Gaussian's log density is
+linear in the features, so each E-step folds every component's precision,
+log-determinant and weight into an ``(R, K, M)`` coefficient stack and gets
+all ``(R, K, N)`` joint log densities from one batched product; each M-step
+gets every component's mass, mean and second moment from one batched
+``(R, K, N) @ (N, M)`` product over the responsibilities. The products stay
+batched per restart, so each restart's numbers are bit for bit those of a
+fit of its own. The covariance floor (``gaussian.ensure_spd``) factors each
+M-step's ``(R K, d, d)`` covariance stack with one batched ``eigh``, and
+those eigenpairs give the next E-step every precision and log-determinant:
+no other factorization, and the floor, which the config requires to be
+positive, makes every covariance positive definite. Each restart's returned
+mixture is scored once with the whitened residuals of
+``gaussian._component_logpdfs``.
 """
 
 from __future__ import annotations
@@ -198,11 +202,24 @@ def _kmeanspp_centers(points: np.ndarray, k: int, rng: np.random.Generator):
 
     The nearest center is kept during the distance pass that weights the next
     draw; a strict ``<`` keeps the earliest center on ties, as an ``argmin``
-    over all the distances would.
+    over all the distances would. A squared distance is summed over the
+    cloud's columns in column order, from a contiguous ``points.T``: an
+    F-ordered ``points``, as the fit passes it, needs no copy.
     """
     n = points.shape[0]
+    cols = np.ascontiguousarray(points.T)
+
+    def sq_dist(center):
+        d2 = cols[0] - center[0]
+        d2 *= d2
+        for col, c in zip(cols[1:], center[1:]):
+            term = col - c
+            term *= term
+            d2 += term
+        return d2
+
     centers = [points[int(rng.integers(n))]]
-    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    d2 = sq_dist(centers[0])
     nearest = np.zeros(n, dtype=np.intp)
     for j in range(1, k):
         total = float(d2.sum())
@@ -212,7 +229,7 @@ def _kmeanspp_centers(points: np.ndarray, k: int, rng: np.random.Generator):
             continue
         idx = int(rng.choice(n, p=d2 / total))
         centers.append(points[idx])
-        new = np.sum((points - centers[-1]) ** 2, axis=1)
+        new = sq_dist(centers[-1])
         closer = new < d2
         nearest[closer] = j
         d2[closer] = new[closer]
@@ -220,16 +237,16 @@ def _kmeanspp_centers(points: np.ndarray, k: int, rng: np.random.Generator):
 
 
 class _EmWork:
-    """What one cloud's EM fit reuses on every pass of every restart: the
-    cloud, its ``(M, N)`` quadratic features ``[1, x, x_i x_j (i <= j)]`` with
-    ``x`` centered at the cloud mean (``M = 1 + d + d(d+1)/2``), the
-    ``(K, N)`` buffer for the joint log densities that become the transposed
-    responsibilities, and the cloud's floored covariance with its eigenpairs,
-    which seed empty and reseeded components. Centering keeps the
-    cancellation in the feature form small; reusing the buffer keeps each
-    pass from allocating and page-faulting it."""
+    """What one cloud's EM fit reuses on every pass: the cloud, its ``(M, N)``
+    quadratic features ``[1, x, x_i x_j (i <= j)]`` with ``x`` centered at
+    the cloud mean (``M = 1 + d + d(d+1)/2``), the ``(restarts, K, N)``
+    buffer for the joint log densities that become the transposed
+    responsibilities, and the cloud's floored covariance with its
+    eigenpairs, which seed empty and reseeded components. Centering keeps
+    the cancellation in the feature form small; reusing the buffer keeps
+    each pass from allocating and page-faulting it."""
 
-    def __init__(self, points: np.ndarray, k: int, floor: float):
+    def __init__(self, points: np.ndarray, k: int, floor: float, restarts: int = 1):
         n, dim = points.shape
         self.points = points
         self.center = points.mean(axis=0)
@@ -238,155 +255,236 @@ class _EmWork:
         self.pair_scale = np.where(self.rows == self.cols, -0.5, -1.0)
         x = (points - self.center).T
         self.feats = np.concatenate([np.ones((1, n)), x, x[self.rows] * x[self.cols]])
-        self.resp_t = np.empty((k, n))
+        self.resp_t = np.empty((restarts, k, n))
         self.overall = _floored_eigh(np.cov(points, rowvar=False).reshape(1, dim, dim), floor)
 
 
 def _joint_logpdfs(work: _EmWork, weights: np.ndarray, means: np.ndarray,
                    evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
-    """``(K, N)`` joint log densities ``log w_k + log N(x_n; mu_k, S_k)`` in
-    ``work.resp_t``, from one ``(K, M) @ (M, N)`` product.
+    """``(..., K, N)`` joint log densities ``log w_k + log N(x_n; mu_k, S_k)``
+    in the leading rows of ``work.resp_t``, from one ``(..., K, M) @ (M, N)``
+    product batched over the leading axes (the live restarts).
 
     ``S_k = V_k diag(lambda_k) V_k^T`` is given by the eigenpairs ``evals``
-    ``(K, d)`` and ``evecs`` ``(K, d, d)`` of the floor that made it, so the
-    precision is ``V_k diag(1 / lambda_k) V_k^T`` and the log-determinant
-    ``sum(log lambda_k)``; the floor keeps every ``lambda_k`` positive. Each
-    component's log density is linear in the features: its precision ``P``,
-    ``P mu``, ``mu^T P mu``, log-determinant and log-weight fold into one row
-    of coefficients. The quadratic form is then a sum of terms of size
-    ``|P| |x|^2`` rather than the square of a whitened residual. Next to a
-    component at the 1e-6 covariance floor, a log density is about 1e-8
-    absolute from the whitened form of ``gaussian._component_logpdfs``, and
-    the gap grows with the squared distance from the cloud's mean. The
-    weights must be positive.
+    ``(..., K, d)`` and ``evecs`` ``(..., K, d, d)`` of the floor that made
+    it, so the precision is ``V_k diag(1 / lambda_k) V_k^T`` and the
+    log-determinant ``sum(log lambda_k)``; the floor keeps every
+    ``lambda_k`` positive. Each component's log density is linear in the
+    features: its precision ``P``, ``P mu``, ``mu^T P mu``, log-determinant
+    and log-weight fold into one row of coefficients. The quadratic form is
+    then a sum of terms of size ``|P| |x|^2`` rather than the square of a
+    whitened residual. Next to a component at the 1e-6 covariance floor, a
+    log density is about 1e-8 absolute from the whitened form of
+    ``gaussian._component_logpdfs``, and the gap grows with the squared
+    distance from the cloud's mean. The weights must be positive.
     """
-    dim = means.shape[1]
-    prec = (evecs / evals[:, None, :]) @ np.swapaxes(evecs, 1, 2)
+    dim = means.shape[-1]
+    n = work.feats.shape[1]
+    prec = (evecs / evals[..., None, :]) @ np.swapaxes(evecs, -1, -2)
     mu = means - work.center
-    prec_mu = (prec @ mu[:, :, None])[:, :, 0]
-    coef = np.empty((len(means), work.feats.shape[0]))
-    coef[:, 0] = np.log(weights) - 0.5 * (
-        dim * np.log(2.0 * np.pi) + np.log(evals).sum(axis=1) + (prec_mu * mu).sum(axis=1))
-    coef[:, 1:1 + dim] = prec_mu
-    coef[:, 1 + dim:] = prec[:, work.rows, work.cols] * work.pair_scale
-    return np.matmul(coef, work.feats, out=work.resp_t)
+    prec_mu = (prec @ mu[..., None])[..., 0]
+    coef = np.empty(weights.shape + (work.feats.shape[0],))
+    coef[..., 0] = np.log(weights) - 0.5 * (
+        dim * np.log(2.0 * np.pi) + np.log(evals).sum(axis=-1) + (prec_mu * mu).sum(axis=-1))
+    coef[..., 1:1 + dim] = prec_mu
+    coef[..., 1 + dim:] = prec[..., work.rows, work.cols] * work.pair_scale
+    out = work.resp_t.reshape(-1, n)[:weights.size].reshape(weights.shape + (n,))
+    return np.matmul(coef, work.feats, out=out)
 
 
-def _normalize(joint: np.ndarray):
-    """Turns ``(K, N)`` joint log densities into the transposed
-    responsibilities in place and returns them with the per-point log mixture
-    density ``(N,)``. The normalization reduces over axis 0."""
-    peak = joint.max(axis=0)
+def _log_sum_exp(joint: np.ndarray):
+    """Per-point log mixture density ``(..., N)`` of ``(..., K, N)`` joint log
+    densities, reducing over the component axis. Leaves the floored
+    ``exp(joint - peak)`` in ``joint`` and returns with the density their
+    per-point sums ``(..., 1, N)``, which turn them into responsibilities."""
+    peak = joint.max(axis=-2, keepdims=True)
     joint -= peak
     np.maximum(joint, _LOG_RESP_FLOOR, out=joint)
     np.exp(joint, out=joint)
-    total = joint.sum(axis=0)
-    joint /= total
-    log_norm = np.log(total, out=total)
+    total = joint.sum(axis=-2, keepdims=True)
+    log_norm = np.log(total)
     log_norm += peak
-    return joint, log_norm
+    return log_norm[..., 0, :], total
 
 
 def _e_step(work: _EmWork, weights: np.ndarray, means: np.ndarray, cov: tuple):
-    """Transposed responsibilities ``(K, N)`` in ``work.resp_t``, which the
-    next E-step overwrites, and the per-point log mixture density ``(N,)``,
-    for the ``(covs, evals, evecs)`` stack of :func:`_m_step`."""
-    return _normalize(_joint_logpdfs(work, weights, means, *cov[1:]))
+    """Transposed responsibilities ``(..., K, N)`` in ``work.resp_t``, which
+    the next E-step overwrites, and the per-point log mixture density
+    ``(..., N)``, for the ``(covs, evals, evecs)`` stack of :func:`_m_step`."""
+    joint = _joint_logpdfs(work, weights, means, *cov[1:])
+    log_norm, total = _log_sum_exp(joint)
+    joint /= total
+    return joint, log_norm
 
 
 def _m_step(work: _EmWork, resp_t: np.ndarray, mass: np.ndarray, floor: float):
-    """Weighted means ``(K, d)`` and the floored covariance stack as
-    ``(covs, evals, evecs)``: the ``(K, d, d)`` covariances and the
-    eigenpairs ``(K, d)`` and ``(K, d, d)`` that the floor factored them by.
+    """Weighted means ``(..., K, d)`` and the floored covariance stack as
+    ``(covs, evals, evecs)``: the ``(..., K, d, d)`` covariances and the
+    eigenpairs ``(..., K, d)`` and ``(..., K, d, d)`` that the floor factored
+    them by.
 
-    ``resp_t`` is the ``(K, N)`` transposed responsibilities and ``mass`` its
-    row sums. One ``(K, N) @ (N, M)`` product gives every component's
-    expected features, so its mean and its second moment ``E[x x^T]``; the
-    covariance is ``E[x x^T] - mu mu^T`` in the centered coordinates.
+    ``resp_t`` is the ``(..., K, N)`` transposed responsibilities and
+    ``mass`` its row sums. One ``(..., K, N) @ (N, M)`` product, batched over
+    the leading axes, gives every component's expected features, so its
+    mean and its second moment ``E[x x^T]``; the covariance is
+    ``E[x x^T] - mu mu^T`` in the centered coordinates. The floor runs once
+    on the whole stack. The products of both steps stay batched, never
+    flattened to 2-D: OpenBLAS can round the rows of a flat
+    ``(R K, N) @ (N, M)`` product in the last bits differently from each
+    restart's own ``(K, N) @ (N, M)`` when ``K`` is not a multiple of 4.
     """
     dim = work.points.shape[1]
-    moments = (resp_t @ work.feats.T) / mass[:, None]
-    mu = moments[:, 1:1 + dim]
-    covs = np.empty((len(mass), dim, dim))
-    covs[:, work.rows, work.cols] = moments[:, 1 + dim:]
-    covs[:, work.cols, work.rows] = moments[:, 1 + dim:]
-    covs -= mu[:, :, None] * mu[:, None, :]
-    return work.center + mu, _floored_eigh(covs, floor)
+    moments = (resp_t @ work.feats.T) / mass[..., None]
+    mu = moments[..., 1:1 + dim]
+    covs = np.empty(mass.shape + (dim, dim))
+    covs[..., work.rows, work.cols] = moments[..., 1 + dim:]
+    covs[..., work.cols, work.rows] = moments[..., 1 + dim:]
+    covs -= mu[..., :, None] * mu[..., None, :]
+    floored = _floored_eigh(covs.reshape(-1, dim, dim), floor)
+    return work.center + mu, tuple(a.reshape(mass.shape + a.shape[1:]) for a in floored)
 
 
-def _em_run(work: _EmWork, config: EmFitConfig, rng: np.random.Generator):
+def _scored_run(work: _EmWork, weights, means, covs, lls, reseeds: int, converged: bool):
+    """One restart's result ``(mixture, lls, final_ll, reseeds, converged)``.
+
+    Each loop score belongs to the parameters before that pass's M-step, so
+    the returned mixture is scored once more, with whitened residuals. The
+    floor has just certified its covariances.
+    """
+    mixture = GaussianMixture._trusted(weights / weights.sum(), means.copy(), covs.copy(),
+                                       eig_floor=0.0)
+    joint = _component_logpdfs(work.points, mixture.means, mixture.covs).T
+    joint += np.log(mixture.weights)[:, None]
+    final_ll = float(_log_sum_exp(joint)[0].sum())
+    return mixture, lls, final_ll, reseeds, converged
+
+
+def _em_run(work: _EmWork, config: EmFitConfig, rng: np.random.Generator) -> list:
+    """Every restart's ``(mixture, lls, final_ll, reseeds, converged)``, in
+    restart order, from ``config.restarts`` EM runs in lockstep.
+
+    All k-means++ starts are drawn first, in restart order, and a pass draws
+    nothing, so a fit that succeeds leaves the generator where restarts run
+    one after another would leave it. The live restarts then share one stacked pass: one
+    E-step product, one M-step product and one floor ``eigh`` for all of
+    them, each batched per restart, so a restart's numbers are bit for bit
+    those of its own run. A restart that reseeds a collapsed component skips
+    its M-step that pass; one that meets ``tol`` leaves the stack. A restart
+    past the reseed limit stops the fit with :class:`FitError` once the
+    restarts before it have finished, as a sequential run would; the ones
+    after it leave the stack at once.
+    """
     points = work.points
-    n = points.shape[0]
-    k = config.n_components
+    n, dim = points.shape
+    k, r = config.n_components, config.restarts
     floor = config.covariance_floor
 
     # Start from each point's nearest k-means++ center; a center that wins no
     # point keeps its own location, the overall covariance and weight 1/n.
-    centers, assign = _kmeanspp_centers(points, k, rng)
-    counts = np.bincount(assign, minlength=k).astype(float)
+    # Every start reads one copy of the cloud's columns, and the hard
+    # assignments go through the responsibility buffer.
+    cols_t = np.ascontiguousarray(points.T).T
+    centers = np.empty((r, k, dim))
+    counts = np.empty((r, k))
+    hard_t = work.resp_t
+    for i in range(r):
+        centers[i], assign = _kmeanspp_centers(cols_t, k, rng)
+        counts[i] = np.bincount(assign, minlength=k)
+        hard_t[i] = np.arange(k)[:, None] == assign
     empty = counts == 0
     counts[empty] = 1.0
-    hard_t = (np.arange(k)[:, None] == assign).astype(float)
     means, cov = _m_step(work, hard_t, counts, floor)
     means[empty] = centers[empty]
     for part, overall in zip(cov, work.overall):
         part[empty] = overall
-    weights = counts / counts.sum()
+    weights = counts / counts.sum(axis=1, keepdims=True)
 
-    lls = []
-    reseeds = 0
-    converged = False
-    for _ in range(config.max_iters):
+    # Per stack row: its restart, its pass scores, which passes kept their
+    # score (a reseeding pass does not) and its last kept score, if any.
+    live = np.arange(r)
+    hist = np.empty((r, config.max_iters))
+    kept = np.zeros((r, config.max_iters), dtype=bool)
+    last = np.zeros(r)
+    scored = np.zeros(r, dtype=bool)
+    reseeds = [0] * r
+    failed = r  # the first restart past the reseed limit
+    runs = [None] * r
+
+    def finish(i, converged):
+        runs[live[i]] = _scored_run(work, weights[i], means[i], cov[0][i], hist[i][kept[i]],
+                                    reseeds[live[i]], converged)
+
+    for it in range(config.max_iters):
         resp_t, log_norm = _e_step(work, weights, means, cov)
-        ll = float(log_norm.sum())
+        ll = log_norm.sum(axis=1)
+        mass = resp_t.sum(axis=2)
+        keep = mass.min(axis=1) >= _COLLAPSE_MASS * n
 
-        mass = resp_t.sum(axis=1)
-        collapsed = np.nonzero(mass < _COLLAPSE_MASS * n)[0]
-        if collapsed.size:
-            reseeds += len(collapsed)
-            if reseeds > _MAX_RESEEDS:
-                raise FitError(f"EM failed after {reseeds} component reseeds")
-            # Reseed each dead component at the point the mixture explains worst.
-            means[collapsed] = points[np.argsort(log_norm)[:collapsed.size]]
-            for part, overall in zip(cov, work.overall):
-                part[collapsed] = overall
-            weights[collapsed] = 1.0 / n
-            weights /= weights.sum()
-            continue
+        if keep.all():
+            weights = mass / n
+            means, cov = _m_step(work, resp_t, mass, floor)
+        else:
+            for i in np.nonzero(~keep)[0]:
+                restart, dead = live[i], np.nonzero(mass[i] < _COLLAPSE_MASS * n)[0]
+                reseeds[restart] += dead.size
+                if reseeds[restart] > _MAX_RESEEDS:
+                    failed = min(failed, restart)
+                    continue
+                # Reseed each dead component at the point the mixture explains worst.
+                means[i, dead] = points[np.argsort(log_norm[i])[:dead.size]]
+                for part, overall in zip(cov, work.overall):
+                    part[i, dead] = overall
+                weights[i, dead] = 1.0 / n
+                weights[i] /= weights[i].sum()
+            if keep.any():
+                # The reseeding restarts skip their M-step this pass.
+                weights[keep] = mass[keep] / n
+                kept_means, kept_cov = _m_step(work, resp_t[keep], mass[keep], floor)
+                means[keep] = kept_means
+                for part, rows in zip(cov, kept_cov):
+                    part[keep] = rows
 
-        weights = mass / n
-        means, cov = _m_step(work, resp_t, mass, floor)
+        met = keep & scored & (ll - last <= config.tol * (1.0 + np.abs(last)))
+        hist[:, it] = ll
+        kept[:, it] = keep
+        last = np.where(keep, ll, last)
+        scored |= keep
 
-        if lls and ll - lls[-1] <= config.tol * (1.0 + abs(lls[-1])):
-            lls.append(ll)
-            converged = True
-            break
-        lls.append(ll)
+        if met.any() or live[-1] >= failed:
+            for i in np.nonzero(met)[0]:
+                finish(i, True)
+            stay = ~met & (live < failed)
+            live, hist, kept, last, scored, weights, means = (
+                a[stay] for a in (live, hist, kept, last, scored, weights, means))
+            cov = tuple(part[stay] for part in cov)
+            if not live.size:
+                break
 
-    # Each loop score belongs to the parameters before that pass's M-step, so
-    # the returned mixture is scored once more, with whitened residuals. The
-    # floor has just certified its covariances.
-    mixture = GaussianMixture._trusted(weights / weights.sum(), means, cov[0], eig_floor=0.0)
-    joint = _component_logpdfs(points, mixture.means, mixture.covs).T
-    joint += np.log(mixture.weights)[:, None]
-    final_ll = float(_normalize(joint)[1].sum())
-    return mixture, np.array(lls), final_ll, reseeds, converged
+    if failed < r:
+        raise FitError(f"EM failed after {reseeds[failed]} component reseeds")
+    for i in range(live.size):
+        finish(i, False)
+    return runs
 
 
 def fit_gmm_em(cloud, config: EmFitConfig, rng: np.random.Generator, details: bool = False):
     """Fit a Gaussian mixture to a point cloud by EM with k-means++ starts.
 
-    Runs ``config.restarts`` independent initializations and keeps the run
-    whose returned mixture has the highest log-likelihood on the cloud. Each
-    pass works on the cloud's quadratic features, shared by the restarts: one
-    ``(K, M) @ (M, N)`` product gives every component's log density (E-step)
-    and one ``(K, N) @ (N, M)`` product its expected features, so its mass,
-    mean and covariance (M-step). The floor of ``ensure_spd`` lifts the
-    covariance eigenvalues to ``config.covariance_floor`` after every M-step,
-    and its eigenpairs give the next E-step the precisions and
-    log-determinants. Each restart's returned mixture is scored with whitened
-    residuals (``EmDiagnostics.final_log_likelihood``). The cloud
-    may have any dimension. With ``details=True`` returns
+    Runs ``config.restarts`` initializations, all drawn before the first
+    pass in restart order, and keeps the first run whose returned mixture
+    has the highest log-likelihood on the cloud. The restarts run in
+    lockstep on one stacked pass over the cloud's quadratic features: one
+    batched ``(R, K, M) @ (M, N)`` product gives every component's log
+    density (E-step) and one batched ``(R, K, N) @ (N, M)`` product its
+    expected features, so its mass, mean and covariance (M-step). Each
+    restart's numbers are bit for bit those of a fit with ``restarts=1``
+    drawing from the same generator state. The floor of ``ensure_spd`` lifts
+    the covariance eigenvalues to ``config.covariance_floor`` after every
+    M-step, and its eigenpairs give the next E-step the precisions and
+    log-determinants. Each restart's returned mixture is scored with
+    whitened residuals (``EmDiagnostics.final_log_likelihood``). The cloud
+    may have any dimension. The working memory per pass grows as
+    ``restarts * n_components * N`` doubles. With ``details=True`` returns
     ``(mixture, EmDiagnostics)``.
     """
     points = np.asarray(cloud, dtype=float)
@@ -399,10 +497,9 @@ def fit_gmm_em(cloud, config: EmFitConfig, rng: np.random.Generator, details: bo
             f"{points.shape[0]} points cannot support {config.n_components} components "
             f"(need at least {MIN_POINTS_PER_COMPONENT} per component)"
         )
-    work = _EmWork(points, config.n_components, config.covariance_floor)
+    work = _EmWork(points, config.n_components, config.covariance_floor, config.restarts)
     best = None
-    for restart in range(config.restarts):
-        run = _em_run(work, config, rng)
+    for restart, run in enumerate(_em_run(work, config, rng)):
         if best is None or run[2] > best[2]:
             best = (*run, restart)
 

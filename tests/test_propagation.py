@@ -12,7 +12,7 @@ from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
-from wassfilter import (DivergenceError, DuffingModel, EmFitConfig, Gaussian,
+from wassfilter import (DivergenceError, DuffingModel, EmFitConfig, FitError, Gaussian,
                         GaussianMixture, ValidationError, duffing_rhs, fit_gmm_em,
                         integrate_rk4, mixture_mean_cov, propagate_cloud,
                         sample_gaussian, sample_mixture)
@@ -262,6 +262,44 @@ class TestFitGmmEm:
         dist = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(-1)
         np.testing.assert_array_equal(nearest, np.argmin(dist, axis=1))
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_kmeanspp_column_distances_match_row_sums(self, dim, order):
+        # The fit passes the cloud F-ordered, as the transpose of its columns.
+        points = propagate_cloud(np.random.default_rng(dim).standard_normal((1_500, 2)),
+                                 DuffingModel(), 0.5)
+        if dim == 3:
+            points = np.column_stack([points, points[:, 0] * points[:, 1]])
+        points = np.asarray(points, order=order)
+        for seed in range(5):
+            draws, ref_draws = np.random.default_rng(seed), np.random.default_rng(seed)
+            centers, nearest = propagation._kmeanspp_centers(points, 10, draws)
+            ref_centers, ref_nearest = _kmeanspp_rows(points, 10, ref_draws)
+            np.testing.assert_array_equal(centers, ref_centers)
+            np.testing.assert_array_equal(nearest, ref_nearest)
+            assert draws.bit_generator.state == ref_draws.bit_generator.state
+
+
+def _kmeanspp_rows(points, k, rng):
+    """k-means++ with each squared distance summed over the rows of an
+    ``(N, d)`` temporary: the reference for the column-wise distances."""
+    n = points.shape[0]
+    centers = [points[int(rng.integers(n))]]
+    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    nearest = np.zeros(n, dtype=np.intp)
+    for j in range(1, k):
+        total = float(d2.sum())
+        if total <= 0.0:
+            centers.append(points[int(rng.integers(n))])
+            continue
+        idx = int(rng.choice(n, p=d2 / total))
+        centers.append(points[idx])
+        new = np.sum((points - centers[-1]) ** 2, axis=1)
+        closer = new < d2
+        nearest[closer] = j
+        d2[closer] = new[closer]
+    return np.stack(centers), nearest
+
 
 def _loop_logpdfs(points, means, covs):
     """Reference E-step: one Cholesky factor and triangular solve per component."""
@@ -325,13 +363,22 @@ def _ref_m_step(points, resp_t, mass, floor):
     return means, _ref_floor_cov(covs, floor)
 
 
+def _stack_restarts(outs):
+    """Stack per-restart results, tuples of arrays nested like the EM's
+    steps return them, into the fit's ``(R, ...)`` arrays."""
+    if isinstance(outs[0], tuple):
+        return tuple(_stack_restarts([o[j] for o in outs]) for j in range(len(outs[0])))
+    return np.stack(outs)
+
+
 def _reference_fit(cloud, config, seed):
-    """``fit_gmm_em`` run through the reference E/M step and floor."""
+    """``fit_gmm_em`` run through the reference E/M step and floor, each step
+    applied to every restart of the fit's ``(R, K, ...)`` stack."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(propagation, "_e_step",
-                   lambda work, w, m, cov: _ref_e_step(work.points, w, m, cov[0]))
-        mp.setattr(propagation, "_m_step",
-                   lambda work, resp_t, mass, floor: _ref_m_step(work.points, resp_t, mass, floor))
+        mp.setattr(propagation, "_e_step", lambda work, w, m, cov: _stack_restarts(
+            [_ref_e_step(work.points, *run) for run in zip(w, m, cov[0])]))
+        mp.setattr(propagation, "_m_step", lambda work, resp_t, mass, floor: _stack_restarts(
+            [_ref_m_step(work.points, r, s, floor) for r, s in zip(resp_t, mass)]))
         mp.setattr(propagation, "_floored_eigh", _ref_floor_cov)
         return fit_gmm_em(cloud, config, np.random.default_rng(seed), details=True)
 
@@ -512,3 +559,76 @@ class TestEmDiagnostics:
                              np.random.default_rng(43), details=True)
         assert diag.restart_index == int(np.argmax(scores))
         assert diag.final_log_likelihood == max(scores)
+
+
+def _sequential_runs(cloud, config, seed):
+    """Each restart of ``config`` as its own ``restarts=1`` fit, one after
+    another on one shared generator; the first ``FitError`` propagates."""
+    draws = np.random.default_rng(seed)
+    return [fit_gmm_em(cloud, replace(config, restarts=1), draws, details=True)
+            for _ in range(config.restarts)]
+
+
+def _crit8_duffing_cloud(periods):
+    rng = np.random.default_rng(1500 + periods)
+    return propagate_cloud(rng.standard_normal((1_500, 2)) * [1.0, 0.5] + [1.0, 0.0],
+                           DuffingModel(), 0.5 * periods)
+
+
+class TestStackedRestarts:
+    """A fit runs its restarts as one stack; every restart must come out bit
+    for bit as a fit of its own from the same generator state."""
+
+    @pytest.mark.parametrize("case", ["duffing", "tol_compaction", "reseed"])
+    def test_matches_sequential_restarts(self, case):
+        if case == "reseed":
+            cloud = np.repeat([[0.0, 0.0], [1000.0, 1000.0]], 100, axis=0)
+            config, seed = EmFitConfig(n_components=3, max_iters=50, restarts=2), 0
+        else:
+            periods, seed = (2, 2) if case == "duffing" else (6, 5)
+            cloud = _crit8_duffing_cloud(periods)
+            config = EmFitConfig(n_components=10, max_iters=150, restarts=2)
+        runs = _sequential_runs(cloud, config, seed)
+        iterations = [d.iterations for _, d in runs]
+        if case == "tol_compaction":
+            # Restart 0 meets `tol` and leaves the stack while restart 1 runs on.
+            assert iterations == [117, 150]
+            assert [d.converged for _, d in runs] == [True, False]
+        if case == "reseed":
+            assert [d.reseeds for _, d in runs] == [1, 1]
+        scores = [d.final_log_likelihood for _, d in runs]
+        winner = int(np.argmax(scores))
+        ref, ref_diag = runs[winner]
+
+        mix, diag = fit_gmm_em(cloud, config, np.random.default_rng(seed), details=True)
+        for name in ("weights", "means", "covs"):
+            assert np.array_equal(getattr(mix, name), getattr(ref, name))
+        assert np.array_equal(diag.log_likelihoods, ref_diag.log_likelihoods)
+        assert diag.restart_index == winner
+        for name in ("reseeds", "final_log_likelihood", "iterations", "converged"):
+            assert getattr(diag, name) == getattr(ref_diag, name)
+
+    @pytest.mark.parametrize("cloud, config, seed, message", [
+        # Restart 0 passes the reseed limit.
+        (np.repeat([[0.0, 0.0], [1000.0, 1000.0]], 100, axis=0),
+         EmFitConfig(n_components=6, max_iters=50, restarts=2), 0,
+         "EM failed after 4 component reseeds"),
+        # Restart 1 passes it; restart 0 still finishes first, and restart 2
+        # never counts.
+        (np.repeat([[-398.8, 1250.3], [276.5, -975.0]], [48, 37], axis=0),
+         EmFitConfig(n_components=5, max_iters=40, restarts=3), 34,
+         "EM failed after 6 component reseeds"),
+        # A later restart passes it on an earlier pass; restart 0's error,
+        # raised later, is the one a sequential fit meets first.
+        (np.repeat([[-0.7, 9.0], [-13.8, 17.9], [-3.2, -12.0], [-1.4, 7.8]],
+                   [104, 50, 103, 82], axis=0),
+         EmFitConfig(n_components=7, max_iters=40, restarts=3), 34,
+         "EM failed after 4 component reseeds"),
+    ])
+    def test_reseed_limit_error_matches_sequential(self, cloud, config, seed, message):
+        with pytest.raises(FitError) as sequential:
+            _sequential_runs(cloud, config, seed)
+        assert str(sequential.value) == message
+        with pytest.raises(FitError) as stacked:
+            fit_gmm_em(cloud, config, np.random.default_rng(seed))
+        assert str(stacked.value) == message
