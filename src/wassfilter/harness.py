@@ -13,10 +13,10 @@ at the first step every filter still holds the initial cloud, so one fit, the
 identical mixture object, goes to every filter (paired fairness); afterwards
 each filter owns its resampled cloud and gets its own fit.
 
-Cloud files are written by one worker process during the run when clouds are
-saved and more than one CPU is usable: each step's distinct clouds go to it
-once the step is recorded, and the emit waits for those writes. With one
-usable CPU the emit formats them in-process. The files are the same bytes.
+Worker processes follow one rule, :func:`_worker_pool`: with two or more
+usable CPUs a run that saves clouds writes them from one worker process and
+:func:`monte_carlo_compare` runs its members in one worker per CPU; with one
+usable CPU both work in-process. The outputs are the same bytes either way.
 """
 
 from __future__ import annotations
@@ -233,21 +233,23 @@ def _usable_cpus() -> int:
 
 
 @contextmanager
-def _cloud_pool(config: ExperimentConfig):
-    """A one-worker process pool for the run's cloud CSVs, or ``None`` when the
-    run writes no clouds or only one CPU is usable (then :func:`emit_outputs`
-    formats them in-process). The pool takes the platform's default start
-    method and is shut down on every way out, dropping writes not yet started
-    when the run is cut short."""
-    if config.output_dir is None or not config.save_clouds or _usable_cpus() < 2:
-        yield None
+def _worker_pool(wanted: int):
+    """``(pool, workers)``: a pool of ``workers = min(wanted, cpus)`` worker
+    processes when ``cpus``, the usable CPUs, are two or more, else
+    ``(None, 1)`` and the caller does the work in this process. The pool takes
+    the platform's default start method and is shut down on every way out,
+    dropping calls not yet started when the caller is cut short."""
+    cpus = _usable_cpus()
+    if cpus < 2:
+        yield None, 1
         return
     # Imported here so that ``import wassfilter`` does not load multiprocessing.
     from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(1)
+    workers = min(wanted, cpus)
+    pool = ProcessPoolExecutor(workers)
     try:
-        yield pool
+        yield pool, workers
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -255,15 +257,17 @@ def _cloud_pool(config: ExperimentConfig):
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run one seeded experiment; emits output files when ``config.output_dir`` is set.
 
-    When clouds are saved and more than one CPU is usable, one worker process
+    When it writes clouds, one worker process from :func:`_worker_pool`
     formats and writes each step's cloud CSVs while the later steps run;
-    :func:`emit_outputs` waits for those writes, so the tree is the same
-    bytes either way.
+    :func:`emit_outputs` waits for those writes. With one usable CPU the emit
+    formats them in-process, so the tree is the same bytes either way.
 
     Any module failure aborts the run with the step index and module named;
     records accumulated so far are flushed to the output directory first.
     """
-    with _cloud_pool(config) as pool:
+    if config.output_dir is None or not config.save_clouds:
+        return _run_experiment(config, None)
+    with _worker_pool(1) as (pool, _):
         return _run_experiment(config, pool)
 
 
@@ -297,11 +301,11 @@ def _run_experiment(config: ExperimentConfig, pool) -> ExperimentResult:
                     pass
             raise HarnessError(f"step {step}, module {module}: {exc}") from exc
 
-    def _write_ahead(jobs):
+    def _write_ahead(clouds):
         if pool is not None:
             cloud_dir = Path(config.output_dir) / "clouds"
             pending.extend(pool.submit(_write_cloud, cloud, cloud_dir, names)
-                           for cloud, names in jobs)
+                           for cloud, names in clouds)
 
     with _stage(0, "initialization"):
         init_rng = _derived_rng(seed, _STREAM_INIT)
@@ -541,70 +545,63 @@ def _run_member(config: ExperimentConfig, run: int) -> tuple:
     return result.summary, errors, gaps
 
 
-def _map_fail_fast(fn, n: int, jobs: int) -> list:
-    """``[fn(i) for i in range(n)]`` in a pool of ``jobs`` worker processes.
+def _map_fail_fast(fn, n: int, pool, workers: int) -> list:
+    """``[fn(i) for i in range(n)]`` in ``pool``, which has ``workers`` workers.
 
-    At most ``jobs`` calls are in flight, submitted in index order. After the
-    first failure nothing more is submitted; the calls in flight finish and
-    the lowest-index failure is raised. Every index below a failed one was
-    submitted before it, so that is the failure a serial loop meets first.
-    The pool takes the platform's default start method and is shut down
-    before this returns or raises.
+    At most ``workers`` calls are in flight, submitted in index order. After
+    the first failure nothing more is submitted; the calls in flight finish
+    and the lowest-index failure is raised. Every index below a failed one
+    was submitted before it, so that is the failure a serial loop meets first.
     """
-    # Imported here so that ``import wassfilter`` does not load multiprocessing.
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures import FIRST_COMPLETED, wait
 
     results: list = [None] * n
     failures: dict[int, BaseException] = {}
     indices = iter(range(n))
-    with ProcessPoolExecutor(jobs) as pool:
-        pending: dict = {}
-        while True:
-            if not failures:
-                for i in islice(indices, jobs - len(pending)):
-                    pending[pool.submit(fn, i)] = i
-            if not pending:
-                break
-            done, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                i = pending.pop(future)
-                exc = future.exception()
-                if exc is None:
-                    results[i] = future.result()
-                else:
-                    failures[i] = exc
+    pending: dict = {}
+    while True:
+        if not failures:
+            for i in islice(indices, workers - len(pending)):
+                pending[pool.submit(fn, i)] = i
+        if not pending:
+            break
+        done, _ = wait(pending, return_when=FIRST_COMPLETED)
+        for future in done:
+            i = pending.pop(future)
+            exc = future.exception()
+            if exc is None:
+                results[i] = future.result()
+            else:
+                failures[i] = exc
     if failures:
         raise failures[min(failures)]
     return results
 
 
-def monte_carlo_compare(config: ExperimentConfig, n_runs: int,
-                        jobs: int | None = None) -> ComparisonResult:
+def monte_carlo_compare(config: ExperimentConfig, n_runs: int) -> ComparisonResult:
     """Run paired experiments with per-run seeds shared across filters.
 
     Each run derives its own master seed from the config seed, so all filters
     inside a run see identical clouds and measurements while runs stay
-    independent. ``jobs`` worker processes run the members, by default one
-    per usable CPU, never more than ``n_runs``; with one, the members run in
-    this process. Results are gathered in run order, so the result does not
-    depend on ``jobs``, and a failure raises the error of the first failing
-    run, as in-process members would (see :func:`_map_fail_fast`).
+    independent. The members run in a :func:`_worker_pool` of one worker per
+    usable CPU, never more than ``n_runs``, or in this process when one CPU
+    is usable. Results are gathered in run order, so the result does not
+    depend on the worker count, and a failure raises the error of the first
+    failing run, as in-process members would (see :func:`_map_fail_fast`).
     """
+    if isinstance(n_runs, bool) or not isinstance(n_runs, numbers.Integral):
+        raise ValidationError(f"n_runs must be an integer, got {n_runs!r}")
     if n_runs < 2:
         raise ValidationError(f"n_runs must be >= 2, got {n_runs}")
     if config.horizon_steps < 1:
         raise ValidationError("monte_carlo_compare needs horizon_steps >= 1")
-    if jobs is None:
-        jobs = _usable_cpus()
-    elif isinstance(jobs, bool) or not isinstance(jobs, numbers.Integral) or jobs < 1:
-        raise ValidationError(f"jobs must be a positive integer, got {jobs!r}")
-    jobs = min(jobs, n_runs)
 
     member = partial(_run_member, config)
-    if jobs == 1:
-        members = list(map(member, range(n_runs)))
-    else:
-        members = _map_fail_fast(member, n_runs, jobs)
+    with _worker_pool(n_runs) as (pool, workers):
+        if pool is None:
+            members = list(map(member, range(n_runs)))
+        else:
+            members = _map_fail_fast(member, n_runs, pool, workers)
 
     run_summaries = [summary for summary, _, _ in members]
     per_filter = {name: _error_stats(np.concatenate([errors[name] for _, errors, _ in members]))

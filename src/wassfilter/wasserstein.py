@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .gaussian import DiracPoint, Gaussian, GaussianMixture, _as_mixture, psd_sqrt, spd_sqrt
+from .gaussian import DiracPoint, Gaussian, GaussianMixture, _as_mixture, psd_sqrt
 
 # Largest cloud the exact assignment oracle accepts (O(N^3) solve).
 EMPIRICAL_MAX_POINTS = 256
@@ -29,7 +29,9 @@ def w2_gaussian_gaussian(a: Gaussian, b: Gaussian) -> float:
     """Squared 2-Wasserstein distance between two Gaussians."""
     if a.dim != b.dim:
         raise ValidationError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    root_a = spd_sqrt(a.cov)
+    # psd_sqrt, not spd_sqrt: a singular a.cov (an exact-measurement posterior)
+    # is as valid a first argument as a second one.
+    root_a = psd_sqrt(a.cov)
     inner = root_a @ b.cov @ root_a
     # Symmetrize before the outer square root to suppress 1e-14-level drift.
     cross = psd_sqrt(0.5 * (inner + inner.T))

@@ -370,6 +370,30 @@ class TestCloudWorker:
                                      output_dir=str(tmp_path / "o")))
 
 
+class TestWorkerPool:
+    def test_one_cpu_yields_no_pool(self, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        with harness._worker_pool(4) as (pool, workers):
+            assert pool is None and workers == 1
+
+    @pytest.mark.parametrize("cpus", [2, 5])
+    @pytest.mark.parametrize("wanted", [1, 3])
+    def test_pool_has_one_worker_per_cpu_up_to_wanted(self, cpus, wanted, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        with harness._worker_pool(wanted) as (pool, workers):
+            assert workers == pool._max_workers == min(wanted, cpus)
+            assert pool.submit(abs, -1).result() == 1
+        assert multiprocessing.active_children() == []
+
+    def test_exception_in_block_shuts_pool_down(self, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        with pytest.raises(RuntimeError, match="cut short"):
+            with harness._worker_pool(2) as (pool, _):
+                assert pool.submit(abs, -1).result() == 1
+                raise RuntimeError("cut short")
+        assert multiprocessing.active_children() == []
+
+
 class TestMonteCarloCompare:
     def test_single_filter_no_paired_section(self):
         comparison = monte_carlo_compare(_small_config(horizon_steps=1,
@@ -395,15 +419,19 @@ class TestMonteCarloCompare:
         with pytest.raises(ValidationError):
             monte_carlo_compare(_small_config(horizon_steps=0), 2)
 
-    @pytest.mark.parametrize("jobs", [0, -1, 1.5, True])
-    def test_rejects_bad_jobs(self, jobs):
-        with pytest.raises(ValidationError, match="jobs"):
-            monte_carlo_compare(_small_config(), 2, jobs=jobs)
+    @pytest.mark.parametrize("n_runs", [2.5, "3", None, True])
+    def test_rejects_non_integer_runs(self, n_runs):
+        with pytest.raises(ValidationError, match="n_runs must be an integer"):
+            monte_carlo_compare(_small_config(), n_runs)
 
-    def test_result_independent_of_worker_count(self):
-        # One in-process run, a two-worker pool, and more workers than runs.
+    def test_result_independent_of_worker_count(self, monkeypatch):
+        # One in-process run, a two-worker pool, and more CPUs than runs.
         config = _small_config(filters=("gsf", "ngsf", "kf_momentmatch"))
-        serial, *pooled = [monte_carlo_compare(config, 3, jobs=jobs) for jobs in (1, 2, 5)]
+        results = []
+        for cpus in (1, 2, 5):
+            monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+            results.append(monte_carlo_compare(config, 3))
+        serial, *pooled = results
         for other in pooled:
             assert (json.dumps(other.to_json_dict(), sort_keys=True)
                     == json.dumps(serial.to_json_dict(), sort_keys=True))
@@ -411,19 +439,21 @@ class TestMonteCarloCompare:
             assert other.to_text() == serial.to_text()
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_member_failure_names_run_step_and_module(self, jobs):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_member_failure_names_run_step_and_module(self, cpus, monkeypatch):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
         with pytest.raises(HarnessError, match=r"^run 0, step 1, module propagation: "
                                                r"integration produced a non-finite state"):
-            monte_carlo_compare(_diverging_config(), 3, jobs=jobs)
+            monte_carlo_compare(_diverging_config(), 3)
         assert multiprocessing.active_children() == []
 
     def test_failure_stops_submitting_members(self, tmp_path, monkeypatch):
-        # Every member fails: the first `jobs` start, no later one does.
+        # Every member fails: one per worker starts, no later one does.
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(harness, "_run_member", _marked_member)
         config = replace(_diverging_config(), output_dir=str(tmp_path))
         with pytest.raises(HarnessError, match=r"^run 0, step 1, module propagation"):
-            monte_carlo_compare(config, 12, jobs=2)
+            monte_carlo_compare(config, 12)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run0", "run1"]
         assert multiprocessing.active_children() == []
 
@@ -431,10 +461,10 @@ class TestMonteCarloCompare:
         # Runs 0-2 pass and every later one fails; whatever order the pool
         # finishes them in, the error names run 3, as the in-process loop does.
         monkeypatch.setattr(harness, "_run_member", _member_failing_from_run_3)
-        for jobs in (1, 2):
+        for cpus in (1, 2):
+            monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
             with pytest.raises(HarnessError, match=r"^run 3, step 1, module propagation"):
-                monte_carlo_compare(_small_config(horizon_steps=1, filters=("gsf",)), 8,
-                                    jobs=jobs)
+                monte_carlo_compare(_small_config(horizon_steps=1, filters=("gsf",)), 8)
         assert multiprocessing.active_children() == []
 
     def test_import_loads_no_process_pool(self):

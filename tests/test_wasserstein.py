@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from wassfilter import (DiracPoint, Gaussian, GaussianMixture, ValidationError,
-                        sample_gaussian, w2_distance, w2_empirical,
+from wassfilter import (DiracPoint, Gaussian, GaussianMixture, LinearMeasurementModel,
+                        ValidationError, kalman_update, sample_gaussian, w2_distance, w2_empirical,
                         w2_gaussian_dirac, w2_gaussian_gaussian, w2_mixture_dirac)
 
 from conftest import random_gaussian, random_mixture
@@ -32,6 +32,15 @@ class TestGaussianGaussian:
             a, b = random_gaussian(rng, n), random_gaussian(rng, n)
             v1, v2 = w2_gaussian_gaussian(a, b), w2_gaussian_gaussian(b, a)
             assert abs(v1 - v2) <= 1e-10 * (1.0 + abs(v1))
+
+    def test_singular_first_argument(self):
+        # An exact position measurement leaves a posterior covariance singular
+        # up to roundoff; it is as valid a first argument as a second.
+        model = LinearMeasurementModel(C=[[1.0, 0.0]], R=[[0.0]])
+        prior = Gaussian([0.0, 0.0], [[1.0, 0.3], [0.3, 2.0]])
+        post = kalman_update(prior, prior.cov, model, [0.5])
+        forward, backward = w2_gaussian_gaussian(post, prior), w2_gaussian_gaussian(prior, post)
+        assert forward == pytest.approx(backward, rel=1e-9)
 
     def test_triangle_inequality_on_root(self, rng):
         for _ in range(50):
