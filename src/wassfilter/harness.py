@@ -77,6 +77,9 @@ def _to_json(value):
         return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, np.ndarray):
         return value.tolist()
+    if isinstance(value, np.generic):
+        # Numpy integers pass the config's type checks; json cannot write them.
+        return value.item()
     return list(value) if isinstance(value, tuple) else value
 
 
@@ -627,6 +630,6 @@ def monte_carlo_compare(config: ExperimentConfig, n_runs: int) -> ComparisonResu
             "error_variance_signs": signs,
         }
 
-    return ComparisonResult(n_runs=n_runs, filters=config.filters,
+    return ComparisonResult(n_runs=int(n_runs), filters=config.filters,
                             per_filter=per_filter, paired=paired,
                             run_summaries=run_summaries)

@@ -7,7 +7,13 @@ consume the fitted mixtures.
 
 The Duffing cube is written as two products (see :func:`duffing_rhs`), which
 keeps RK4, a large-ensemble run's main cost, on numpy's vectorized multiply
-and the vector field exactly odd.
+and the vector field exactly odd. :func:`integrate_rk4` advances the state in
+place: it copies the start once into a Fortran-ordered array, so each state
+column ``x[..., j]`` is contiguous, and its field callback ``rhs(x, out=buf)``
+writes each slope into one of four buffers allocated once per call. A substep
+allocates no state-sized array, and every operation keeps the order of the
+textbook ``x + (dt/6) (k1 + 2 k2 + 2 k3 + k4)``, so the result is bit for bit
+that of an allocating loop.
 
 EM works on the cloud's quadratic features ``[1, x, x_i x_j]``, formed once
 per cloud as one ``(M, N)`` array (``M = 6`` for the Duffing state). A fit's
@@ -61,20 +67,31 @@ def _check_finite_fields(obj, *names: str) -> None:
             raise ValidationError(f"{name} must be finite, got {getattr(obj, name)!r}")
 
 
-def duffing_rhs(x, damping: float = 0.25, cubic: float = 1.0) -> np.ndarray:
+def duffing_rhs(x, damping: float = 0.25, cubic: float = 1.0, *, out=None) -> np.ndarray:
     """Duffing oscillator vector field: ``(x2, -x1 - damping*x2 - cubic*x1^3)``.
 
     Works on a single state (shape ``(2,)``) or a stack of states
-    (shape ``(..., 2)``). The cube is two products, not ``x1**3``: numpy's
-    ``power`` can leave its SIMD path for a negative base (about 75 times
-    slower on 20 000 states), and its last bit can then depend on the sign,
-    while the products keep the field exactly odd, ``rhs(-x) == -rhs(x)``.
+    (shape ``(..., 2)``). Writes into ``out``, a float array of the state's
+    shape, and returns it; a new array is allocated only when ``out`` is
+    ``None``. The cube is two products, not ``x1**3``: numpy's ``power`` can
+    leave its SIMD path for a negative base (about 75 times slower on 20 000
+    states), and its last bit can then depend on the sign, while the products
+    keep the field exactly odd, ``rhs(-x) == -rhs(x)``.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != 2:
         raise ValidationError(f"state must have dimension 2, got shape {x.shape}")
+    if out is None:
+        out = np.empty_like(x)
+    elif out.shape != x.shape:
+        raise ValidationError(f"out must have the state's shape {x.shape}, got {out.shape}")
     x1, x2 = x[..., 0], x[..., 1]
-    return np.stack([x2, -x1 - damping * x2 - cubic * (x1 * x1 * x1)], axis=-1)
+    out[..., 0] = x2
+    v = out[..., 1]
+    np.negative(x1, out=v)
+    v -= damping * x2
+    v -= cubic * (x1 * x1 * x1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -110,36 +127,60 @@ class DuffingModel:
     def steps_per_sample(self) -> int:
         return int(round(self.sample_time / self.dt))
 
-    def rhs(self, x) -> np.ndarray:
-        return duffing_rhs(x, damping=self.damping, cubic=self.cubic)
+    def rhs(self, x, *, out=None) -> np.ndarray:
+        return duffing_rhs(x, damping=self.damping, cubic=self.cubic, out=out)
 
 
 def integrate_rk4(x0, rhs, dt: float, steps: int) -> np.ndarray:
     """Classical 4th-order Runge-Kutta for autonomous dynamics.
 
-    ``rhs`` maps an array to a same-shaped array, so a whole ensemble can be
-    advanced in one call. Raises :class:`DivergenceError` if the state leaves
-    the finite range, naming the first non-finite row of a stacked state;
-    the overflow on the way there is not also reported as a numpy warning.
+    ``rhs(x, out=buf)`` writes the field at ``x`` into ``buf``, an array of
+    ``x``'s shape, so a whole ensemble is advanced in one call. ``x0`` is
+    copied once into a Fortran-ordered float array, which keeps each state
+    column ``x[..., j]`` contiguous; the four slopes and the stage state are
+    buffers of that layout allocated once per call, and each substep updates
+    them in place. The result is a new C-ordered array, ``steps == 0``
+    included, and ``x0`` is never written. Raises :class:`DivergenceError` if
+    the state leaves the finite range, naming the first non-finite row of a
+    stacked state; the overflow on the way there is not also reported as a
+    numpy warning.
     """
     if dt <= 0.0:
         raise ValidationError(f"dt must be positive, got {dt}")
     if steps < 0:
         raise ValidationError(f"steps must be >= 0, got {steps}")
-    x = np.asarray(x0, dtype=float)
+    x = np.array(x0, dtype=float, order="F")
+    k1, k2, k3, k4, stage = (np.empty_like(x) for _ in range(5))
+    finite = np.empty(x.shape, dtype=bool, order="F")
+    half, sixth = 0.5 * dt, dt / 6.0
+    # Each line is the allocating loop's operation with its operands
+    # commuted, which is exact: stage = x + (dt/2) k1, ..., and
+    # x = x + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), summed in that order.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
-            k1 = rhs(x)
-            k2 = rhs(x + 0.5 * dt * k1)
-            k3 = rhs(x + 0.5 * dt * k2)
-            k4 = rhs(x + dt * k3)
-            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(x)):
+            rhs(x, out=k1)
+            np.multiply(k1, half, out=stage)
+            stage += x
+            rhs(stage, out=k2)
+            np.multiply(k2, half, out=stage)
+            stage += x
+            rhs(stage, out=k3)
+            np.multiply(k3, dt, out=stage)
+            stage += x
+            rhs(stage, out=k4)
+            k2 *= 2.0
+            k1 += k2
+            k3 *= 2.0
+            k1 += k3
+            k1 += k4
+            k1 *= sixth
+            x += k1
+            if not np.isfinite(x, out=finite).all():
                 if x.ndim == 2:
-                    bad = int(np.nonzero(~np.isfinite(x).all(axis=1))[0][0])
+                    bad = int(np.nonzero(~finite.all(axis=1))[0][0])
                     raise DivergenceError(f"particle {bad} diverged")
                 raise DivergenceError("integration produced a non-finite state")
-    return x
+    return np.ascontiguousarray(x)
 
 
 def propagate_cloud(cloud, model: DuffingModel, duration: float) -> np.ndarray:

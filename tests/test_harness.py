@@ -110,6 +110,17 @@ class TestConfig:
                                   em=EmFitConfig(n_components=np.int32(3)))
         assert config.master_seed == 7
 
+    def test_numpy_integers_written_as_json_numbers(self, tmp_path):
+        # The same config.json bytes as Python ints, at the same --out path.
+        out = tmp_path / "o"
+        written = []
+        for n in (np.int32(2), 2):
+            run_experiment(_small_config(em=EmFitConfig(n_components=n), horizon_steps=1,
+                                         save_clouds=False, output_dir=str(out)))
+            written.append((out / "config.json").read_bytes())
+            shutil.rmtree(out)
+        assert written[0] == written[1]
+
 
 class TestRunExperiment:
     def test_zero_horizon_initial_record_only(self, tmp_path):
@@ -418,6 +429,11 @@ class TestMonteCarloCompare:
     def test_rejects_zero_horizon(self):
         with pytest.raises(ValidationError):
             monte_carlo_compare(_small_config(horizon_steps=0), 2)
+
+    def test_numpy_integer_runs_written_as_json(self):
+        comparison = monte_carlo_compare(_small_config(horizon_steps=1, filters=("gsf",)),
+                                         np.int64(2))
+        assert json.loads(json.dumps(comparison.to_json_dict()))["n_runs"] == 2
 
     @pytest.mark.parametrize("n_runs", [2.5, "3", None, True])
     def test_rejects_non_integer_runs(self, n_runs):

@@ -32,6 +32,32 @@ def _excess_kurtosis(v: np.ndarray) -> float:
     return float((centered ** 4).mean() / (centered ** 2).mean() ** 2 - 3.0)
 
 
+def _ref_duffing_rhs(x, damping: float = 0.25, cubic: float = 1.0) -> np.ndarray:
+    # The allocating field: every value a new array.
+    x = np.asarray(x, dtype=float)
+    x1, x2 = x[..., 0], x[..., 1]
+    return np.stack([x2, -x1 - damping * x2 - cubic * (x1 * x1 * x1)], axis=-1)
+
+
+def _ref_rk4(x0, rhs, dt: float, steps: int) -> np.ndarray:
+    # The allocating RK4 loop with an allocating ``rhs(x)``; the in-place
+    # integrator must reproduce it bit for bit.
+    x = np.asarray(x0, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            k1 = rhs(x)
+            k2 = rhs(x + 0.5 * dt * k1)
+            k3 = rhs(x + 0.5 * dt * k2)
+            k4 = rhs(x + dt * k3)
+            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(x)):
+                if x.ndim == 2:
+                    bad = int(np.nonzero(~np.isfinite(x).all(axis=1))[0][0])
+                    raise DivergenceError(f"particle {bad} diverged")
+                raise DivergenceError("integration produced a non-finite state")
+    return x
+
+
 class TestDuffingRhs:
     def test_equilibrium(self):
         np.testing.assert_array_equal(duffing_rhs([0.0, 0.0]), [0.0, 0.0])
@@ -56,6 +82,19 @@ class TestDuffingRhs:
         with pytest.raises(ValidationError):
             duffing_rhs([1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("shape", [(2,), (1_000, 2), (3, 5, 2)])
+    def test_out_is_written_and_returned(self, rng, shape):
+        states = rng.standard_normal(shape) * 3.0
+        buf = np.full(shape, np.nan)
+        assert duffing_rhs(states, 0.3, 1.7, out=buf) is buf
+        np.testing.assert_array_equal(buf, duffing_rhs(states, 0.3, 1.7))
+        np.testing.assert_array_equal(buf, _ref_duffing_rhs(states, 0.3, 1.7))
+
+    def test_rejects_out_of_another_shape(self):
+        # A larger buffer would otherwise take the broadcast field silently.
+        with pytest.raises(ValidationError, match="shape"):
+            duffing_rhs(np.ones(2), out=np.empty((5, 2)))
+
     @settings(max_examples=200, deadline=None, database=None)
     @given(states=arrays(np.float64, st.tuples(st.integers(1, 64), st.just(2)),
                          elements=st.floats(-1e100, 1e100)),
@@ -63,6 +102,10 @@ class TestDuffingRhs:
     def test_field_is_exactly_odd(self, states, damping, cubic):
         np.testing.assert_array_equal(duffing_rhs(-states, damping, cubic),
                                       -duffing_rhs(states, damping, cubic))
+        mirrored, field = np.empty_like(states), np.empty_like(states)
+        duffing_rhs(-states, damping, cubic, out=mirrored)
+        duffing_rhs(states, damping, cubic, out=field)
+        np.testing.assert_array_equal(mirrored, -field)
 
 
 class TestRk4:
@@ -73,7 +116,7 @@ class TestRk4:
 
     def test_exponential_decay_oracle(self):
         # Oracle: x' = -x from 1.0 has exact solution exp(-t).
-        out = integrate_rk4(np.array([1.0]), lambda x: -x, 0.01, 100)
+        out = integrate_rk4(np.array([1.0]), lambda x, out: np.negative(x, out=out), 0.01, 100)
         assert abs(out[0] - np.exp(-1.0)) < 1e-8
 
     def test_richardson_order(self):
@@ -99,17 +142,51 @@ class TestRk4:
     def test_divergence_error(self):
         # x' = x^2 from 1 blows up at t = 1.
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
-            integrate_rk4(np.array([1.0]), lambda x: x ** 2, 0.01, 200)
+            integrate_rk4(np.array([1.0]), lambda x, out: np.square(x, out=out), 0.01, 200)
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ValidationError):
             integrate_rk4(np.zeros(2), duffing_rhs, -0.1, 10)
 
+    def test_truth_state_matches_allocating_loop(self):
+        model = DuffingModel()
+        x0 = np.array([1.0, 1.0])
+        np.testing.assert_array_equal(
+            integrate_rk4(x0, model.rhs, model.dt, 500),
+            _ref_rk4(x0, _ref_duffing_rhs, model.dt, 500))
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "integer"])
+    def test_cloud_matches_allocating_loop(self, layout):
+        rng = np.random.default_rng(KURTOSIS_SEED)
+        cloud = {
+            "C": lambda: rng.standard_normal((20_000, 2)),
+            "F": lambda: np.asfortranarray(rng.standard_normal((20_000, 2))),
+            "strided": lambda: rng.standard_normal((40_000, 2))[::2],
+            "integer": lambda: rng.integers(-2, 3, size=(20_000, 2)),
+        }[layout]()
+        model = DuffingModel()
+        out = propagate_cloud(cloud, model, model.sample_time)
+        assert out.flags.c_contiguous
+        np.testing.assert_array_equal(
+            out, _ref_rk4(cloud, _ref_duffing_rhs, model.dt, model.steps_per_sample))
+
+    @pytest.mark.parametrize("shape", [(2,), (50, 2)])
+    @pytest.mark.parametrize("steps", [0, 3])
+    def test_input_untouched_and_never_aliased(self, rng, shape, steps):
+        x0 = rng.standard_normal(shape)
+        before = x0.copy()
+        out = integrate_rk4(x0, DuffingModel().rhs, 0.01, steps)
+        np.testing.assert_array_equal(x0, before)
+        assert not np.shares_memory(out, x0)
+        assert out.flags.c_contiguous
+
 
 class TestPropagateCloud:
     def test_zero_duration_identity(self, rng):
         cloud = rng.standard_normal((20, 2))
-        np.testing.assert_array_equal(propagate_cloud(cloud, DuffingModel(), 0.0), cloud)
+        out = propagate_cloud(cloud, DuffingModel(), 0.0)
+        np.testing.assert_array_equal(out, cloud)
+        assert not np.shares_memory(out, cloud)
 
     def test_single_particle_matches_rk4(self, rng):
         model = DuffingModel()
