@@ -16,8 +16,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .errors import ValidationError, WassFilterError
-from .harness import ExperimentConfig, monte_carlo_compare, run_experiment
+from .errors import HarnessError, ValidationError, WassFilterError
+from .harness import ExperimentConfig, _check_compare, monte_carlo_compare, run_experiment
 from .validate import run_validation
 
 
@@ -54,12 +54,16 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     config = _load_config(args)
+    if args.out is not None:
+        _check_compare(config, args.runs)  # so that exit 1 leaves no directory
+        try:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise HarnessError(f"output directory: {exc}") from exc
     comparison = monte_carlo_compare(config, args.runs)
     print(comparison.to_text())
     if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / "comparison.json"
+        path = Path(args.out) / "comparison.json"
         path.write_text(json.dumps(comparison.to_json_dict(), indent=2, sort_keys=True) + "\n")
         print(f"wrote {path}")
     return 0

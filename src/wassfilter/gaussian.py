@@ -134,6 +134,17 @@ def _readonly(a) -> np.ndarray:
     return a
 
 
+def _trusted_new(cls, **values):
+    """Frozen dataclass ``cls`` with fields ``values``, skipping ``__post_init__``: arrays
+    are made read-only in place, so pass only arrays no one else holds or writes."""
+    obj = object.__new__(cls)
+    for name, value in values.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def _checked_stacks(weights, means, covs) -> tuple:
     """The mixture checks that cost O(K): shapes, finite entries and weights on
     the simplex. Returns the three stacks as float arrays, uncopied where possible."""
@@ -238,12 +249,8 @@ class GaussianMixture:
         not its symmetry and eigenvalue passes, and marks the arrays read-only
         in place instead of copying them, so a caller passes only arrays that
         it alone holds or that are read-only already."""
-        mix = object.__new__(cls)
-        for name, a in zip(("weights", "means", "covs"), _checked_stacks(weights, means, covs)):
-            a.setflags(write=False)
-            object.__setattr__(mix, name, a)
-        object.__setattr__(mix, "eig_floor", eig_floor)
-        return mix
+        weights, means, covs = _checked_stacks(weights, means, covs)
+        return _trusted_new(cls, weights=weights, means=means, covs=covs, eig_floor=eig_floor)
 
     @classmethod
     def from_unnormalized(cls, weights, nodes: Sequence[Gaussian]) -> "GaussianMixture":

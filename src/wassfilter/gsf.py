@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, ValidationError, WeightUnderflowError
-from .gaussian import GaussianMixture, _as_vector, _readonly
+from .gaussian import GaussianMixture, _as_vector, _readonly, _trusted_new
 # kalman_gains is unused here but stays a module attribute: perfbench/layertrace.py patches it.
 from .kalman import (LinearMeasurementModel, _apply_linear_update,  # noqa: F401
                      _innovation_gains, kalman_gains)
@@ -57,12 +57,8 @@ class GsfUpdateResult:
         the arrays read-only in place instead of copying them, so a caller
         passes only arrays that it alone holds or that are read-only already."""
         _check_shapes(posterior, gains, component_costs)
-        result = object.__new__(cls)
-        object.__setattr__(result, "posterior", posterior)
-        for name, a in (("gains", gains), ("component_costs", component_costs)):
-            a.setflags(write=False)
-            object.__setattr__(result, name, a)
-        return result
+        return _trusted_new(cls, posterior=posterior, gains=gains,
+                            component_costs=component_costs)
 
 
 def _check_shapes(posterior: GaussianMixture, gains: np.ndarray, costs: np.ndarray) -> None:

@@ -13,10 +13,14 @@ at the first step every filter still holds the initial cloud, so one fit, the
 identical mixture object, goes to every filter (paired fairness); afterwards
 each filter owns its resampled cloud and gets its own fit.
 
-Worker processes follow one rule, :func:`_worker_pool`: with two or more
-usable CPUs a run that saves clouds writes them from one worker process and
-:func:`monte_carlo_compare` runs its members in one worker per CPU; with one
-usable CPU both work in-process. The outputs are the same bytes either way.
+A run writes its output tree as it goes, through the functions
+:func:`emit_outputs` writes a finished result with: config.json and the
+timeseries header before the initial draw, each step's files when the step
+ends, and summary.json last, also when a stage fails. Worker processes follow
+one rule, :func:`_worker_pool`: with two or more usable CPUs a run writes its
+clouds from one worker process and :func:`monte_carlo_compare` runs its
+members in one worker per CPU; with one usable CPU both work in-process. The
+outputs are the same bytes either way.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import json
 import numbers
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import partial
 from itertools import islice
@@ -258,15 +262,12 @@ def _worker_pool(wanted: int):
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run one seeded experiment; emits output files when ``config.output_dir`` is set.
+    """Run one seeded experiment; writes the output tree when ``config.output_dir`` is set.
 
-    When it writes clouds, one worker process from :func:`_worker_pool`
-    formats and writes each step's cloud CSVs while the later steps run;
-    :func:`emit_outputs` waits for those writes. With one usable CPU the emit
-    formats them in-process, so the tree is the same bytes either way.
-
-    Any module failure aborts the run with the step index and module named;
-    records accumulated so far are flushed to the output directory first.
+    Clouds are written by one worker process from :func:`_worker_pool` while
+    the later steps run, or in-process with one usable CPU. Any module failure
+    aborts the run with the step index and module named, after the summary of
+    the steps so far is written.
     """
     if config.output_dir is None or not config.save_clouds:
         return _run_experiment(config, None)
@@ -280,11 +281,11 @@ def _run_experiment(config: ExperimentConfig, pool) -> ExperimentResult:
     model = config.measurement
     duffing = config.duffing
     x_true = np.array(config.true_x0)
+    directory = None if config.output_dir is None else Path(config.output_dir)
 
-    # Stays empty in the flushed outputs if the initial draw fails.
     initial_cloud = np.empty((0, 2))
     records: list[StepRecord] = []
-    # Futures of the cloud writes handed to the worker, in emit order.
+    # (step, future) of each cloud write handed to the worker.
     pending: list = []
 
     def _result() -> ExperimentResult:
@@ -297,23 +298,29 @@ def _run_experiment(config: ExperimentConfig, pool) -> ExperimentResult:
         try:
             yield
         except Exception as exc:
-            if config.output_dir is not None:
-                try:
-                    emit_outputs(_result(), config.output_dir, pending)
-                except OSError:
-                    pass
+            if directory is not None:
+                with suppress(OSError):
+                    for _, future in pending:
+                        future.exception()  # waits; a failed write raises in its own stage
+                    _write_summary(_result(), directory)
             raise HarnessError(f"step {step}, module {module}: {exc}") from exc
 
-    def _write_ahead(clouds):
-        if pool is not None:
-            cloud_dir = Path(config.output_dir) / "clouds"
-            pending.extend(pool.submit(_write_cloud, cloud, cloud_dir, names)
-                           for cloud, names in clouds)
+    def write_cloud(cloud, names):
+        if pool is None:
+            _write_cloud(directory / "clouds", cloud, names)
+        else:  # the records so far count the step that a failed write names
+            future = pool.submit(_write_cloud, directory / "clouds", cloud, names)
+            pending.append((len(records), future))
 
+    if directory is not None:
+        with _stage(0, "output"):
+            _open_tree(config, directory)
     with _stage(0, "initialization"):
         init_rng = _derived_rng(seed, _STREAM_INIT)
         initial_cloud = x_true + init_rng.standard_normal((config.ensemble_size, 2))
-    _write_ahead([(initial_cloud, [_INIT_CLOUD])])
+    if directory is not None and config.save_clouds:
+        with _stage(0, "output"):
+            write_cloud(initial_cloud, [_INIT_CLOUD])
     clouds = {name: initial_cloud for name in config.filters}
     r_sqrt = psd_sqrt(model.R)
 
@@ -372,11 +379,17 @@ def _run_experiment(config: ExperimentConfig, pool) -> ExperimentResult:
         records.append(StepRecord(step=step, time=step * duffing.sample_time,
                                   true_state=x_true.copy(), measurement=np.array(y),
                                   filters=step_filters))
-        _write_ahead(_step_cloud_jobs(records[-1]))
+        if directory is not None:
+            with _stage(step, "output"):
+                _write_step(records[-1], directory, write_cloud if config.save_clouds else None)
 
     result = _result()
-    if config.output_dir is not None:
-        emit_outputs(result, config.output_dir, pending)
+    if directory is not None:
+        for step, future in pending:
+            with _stage(step, "output"):
+                future.result()
+        with _stage(config.horizon_steps, "output"):
+            _write_summary(result, directory)
     return result
 
 
@@ -393,7 +406,7 @@ def _cloud_csv(cloud: np.ndarray) -> str:
     return "x1,x2\n" + ("%r,%r\n" * len(cloud)) % tuple(cloud.ravel().tolist())
 
 
-def _write_cloud(cloud: np.ndarray, cloud_dir: Path, names: list[str]) -> None:
+def _write_cloud(cloud_dir: Path, cloud: np.ndarray, names: list[str]) -> None:
     """Format ``cloud`` once and write the text to each file of ``names`` in
     ``cloud_dir``, creating it. Runs in the cloud worker or in-process; it
     returns nothing, so no text travels back from a worker."""
@@ -403,88 +416,70 @@ def _write_cloud(cloud: np.ndarray, cloud_dir: Path, names: list[str]) -> None:
         (cloud_dir / name).write_text(text)
 
 
-def _step_cloud_jobs(rec: StepRecord) -> list[tuple[np.ndarray, list[str]]]:
-    """Each distinct prior cloud of ``rec`` with the CSV file names it goes to.
-
-    Filters share a cloud only at step 1, where all of them hold the same one;
-    it is listed once, with every filter's name, so it is formatted once.
-    """
-    jobs: list[tuple[np.ndarray, list[str]]] = []
-    for name, fr in rec.filters.items():
-        file_name = f"step{rec.step:03d}_{name}_prior.csv"
-        if jobs and jobs[-1][0] is fr.prior_cloud:
-            jobs[-1][1].append(file_name)
-        else:
-            jobs.append((fr.prior_cloud, [file_name]))
-    return jobs
-
-
-def emit_outputs(result: ExperimentResult, directory, pending=()) -> list[Path]:
-    """Write config.json, timeseries.csv, cloud snapshots, mixtures and summary.json.
-
-    All files are plain JSON/CSV with deterministic formatting, so identical
-    runs produce byte-identical trees.
-
-    ``pending`` holds the futures of cloud writes already handed to a worker
-    process (:func:`run_experiment` does so when more than one CPU is usable),
-    one per distinct cloud in the order below: the initial cloud, then each
-    step's. Emit waits for them before it writes any file and formats only the
-    remaining clouds itself. Every cloud path is in the returned list either
-    way.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for future in pending:
-        future.result()
-    written: list[Path] = []
-    config = result.config
-
+def _open_tree(config: ExperimentConfig, directory: Path) -> list[Path]:
+    """Make ``directory`` and its ``mixtures/``, write config.json and truncate
+    timeseries.csv to its header; returns the two files."""
+    (directory / "mixtures").mkdir(parents=True, exist_ok=True)
     config_path = directory / "config.json"
     config_path.write_text(json.dumps(config.to_json_dict(), indent=2, sort_keys=True) + "\n")
-    written.append(config_path)
-
-    m = config.measurement.meas_dim
     header = ["step", "time", "true_x1", "true_x2"]
-    header += [f"meas_y{j + 1}" for j in range(m)]
+    header += [f"meas_y{j + 1}" for j in range(config.measurement.meas_dim)]
     for name in config.filters:
         header += [f"{name}_est_x1", f"{name}_est_x2", f"{name}_sd_x1", f"{name}_sd_x2"]
-    lines = [",".join(header)]
-    for rec in result.records:
-        row = [str(rec.step), _fmt(rec.time), _fmt(rec.true_state[0]), _fmt(rec.true_state[1])]
-        row += [_fmt(v) for v in rec.measurement]
-        for name in config.filters:
-            fr = rec.filters[name]
-            sd = np.sqrt(np.diag(fr.estimate_cov))
-            row += [_fmt(fr.estimate[0]), _fmt(fr.estimate[1]), _fmt(sd[0]), _fmt(sd[1])]
-        lines.append(",".join(row))
     ts_path = directory / "timeseries.csv"
-    ts_path.write_text("\n".join(lines) + "\n")
-    written.append(ts_path)
+    ts_path.write_text(",".join(header) + "\n")
+    return [config_path, ts_path]
 
-    mix_dir = directory / "mixtures"
-    mix_dir.mkdir(exist_ok=True)
-    for rec in result.records:
-        for name in config.filters:
-            fr = rec.filters[name]
-            for tag, mix in (("prior", fr.prior), ("posterior", fr.posterior)):
-                path = mix_dir / f"step{rec.step:03d}_{name}_{tag}.json"
-                path.write_text(json.dumps(mix.to_json_dict(), sort_keys=True) + "\n")
-                written.append(path)
 
-    if config.save_clouds:
-        cloud_dir = directory / "clouds"
-        jobs = [(result.initial_cloud, [_INIT_CLOUD])]
-        for rec in result.records:
-            jobs += _step_cloud_jobs(rec)
-        for cloud, names in jobs[len(pending):]:
-            _write_cloud(cloud, cloud_dir, names)
-        written += [cloud_dir / name for _, names in jobs for name in names]
+def _write_step(rec: StepRecord, directory: Path, write_cloud) -> list[Path]:
+    """Append the step's timeseries row, write each filter's prior and
+    posterior mixtures, and pass each distinct prior cloud, with every CSV
+    name it goes to, to ``write_cloud`` (``None`` when clouds are not saved):
+    the cloud all filters share at step 1 is formatted once. Returns the files."""
+    row = [str(rec.step), _fmt(rec.time), _fmt(rec.true_state[0]), _fmt(rec.true_state[1])]
+    row += [_fmt(v) for v in rec.measurement]
+    written: list[Path] = []
+    clouds: dict[int, tuple] = {}
+    for name, fr in rec.filters.items():
+        sd = np.sqrt(np.diag(fr.estimate_cov))
+        row += [_fmt(fr.estimate[0]), _fmt(fr.estimate[1]), _fmt(sd[0]), _fmt(sd[1])]
+        for tag, mix in (("prior", fr.prior), ("posterior", fr.posterior)):
+            path = directory / "mixtures" / f"step{rec.step:03d}_{name}_{tag}.json"
+            path.write_text(json.dumps(mix.to_json_dict(), sort_keys=True) + "\n")
+            written.append(path)
+        names = clouds.setdefault(id(fr.prior_cloud), (fr.prior_cloud, []))[1]
+        names.append(f"step{rec.step:03d}_{name}_prior.csv")
+    with open(directory / "timeseries.csv", "a") as handle:
+        handle.write(",".join(row) + "\n")
+    if write_cloud is not None:
+        for cloud, names in clouds.values():
+            write_cloud(cloud, names)
+            written += [directory / "clouds" / name for name in names]
+    return written
 
+
+def _write_summary(result: ExperimentResult, directory: Path) -> Path:
     summary_path = directory / "summary.json"
-    summary_payload = dict(result.summary)
-    summary_payload["initial_state"] = result.initial_state.tolist()
-    summary_path.write_text(json.dumps(summary_payload, indent=2, sort_keys=True) + "\n")
-    written.append(summary_path)
+    payload = {**result.summary, "initial_state": result.initial_state.tolist()}
+    summary_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return summary_path
+
+
+def emit_outputs(result: ExperimentResult, directory) -> list[Path]:
+    """Write the output tree of ``result`` (config.json, timeseries.csv, cloud
+    snapshots, mixtures and summary.json) by the functions :func:`run_experiment`
+    writes it with, step by step; returns every file. All are plain JSON/CSV
+    with deterministic formatting, so identical runs give byte-identical trees.
+    """
+    directory = Path(directory)
+    write_cloud = partial(_write_cloud, directory / "clouds") if result.config.save_clouds else None
+    written = _open_tree(result.config, directory)
+    if write_cloud is not None:
+        write_cloud(result.initial_cloud, [_INIT_CLOUD])
+        written.append(directory / "clouds" / _INIT_CLOUD)
+    for rec in result.records:
+        written += _write_step(rec, directory, write_cloud)
+    written.append(_write_summary(result, directory))
     return written
 
 
@@ -581,6 +576,15 @@ def _map_fail_fast(fn, n: int, pool, workers: int) -> list:
     return results
 
 
+def _check_compare(config: ExperimentConfig, n_runs) -> None:
+    if isinstance(n_runs, bool) or not isinstance(n_runs, numbers.Integral):
+        raise ValidationError(f"n_runs must be an integer, got {n_runs!r}")
+    if n_runs < 2:
+        raise ValidationError(f"n_runs must be >= 2, got {n_runs}")
+    if config.horizon_steps < 1:
+        raise ValidationError("monte_carlo_compare needs horizon_steps >= 1")
+
+
 def monte_carlo_compare(config: ExperimentConfig, n_runs: int) -> ComparisonResult:
     """Run paired experiments with per-run seeds shared across filters.
 
@@ -592,13 +596,7 @@ def monte_carlo_compare(config: ExperimentConfig, n_runs: int) -> ComparisonResu
     depend on the worker count, and a failure raises the error of the first
     failing run, as in-process members would (see :func:`_map_fail_fast`).
     """
-    if isinstance(n_runs, bool) or not isinstance(n_runs, numbers.Integral):
-        raise ValidationError(f"n_runs must be an integer, got {n_runs!r}")
-    if n_runs < 2:
-        raise ValidationError(f"n_runs must be >= 2, got {n_runs}")
-    if config.horizon_steps < 1:
-        raise ValidationError("monte_carlo_compare needs horizon_steps >= 1")
-
+    _check_compare(config, n_runs)
     member = partial(_run_member, config)
     with _worker_pool(n_runs) as (pool, workers):
         if pool is None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .gaussian import GaussianMixture, _as_float_array, _as_vector, _readonly
+from .gaussian import GaussianMixture, _as_float_array, _as_vector, _readonly, _trusted_new
 from .gsf import GsfUpdateResult, gsf_update
 from .kalman import LinearMeasurementModel, state_gain, update_error_cost
 
@@ -137,11 +137,8 @@ class NgsfProblem:
         if gsf_result.gains.shape != expected:
             raise ValidationError(f"expected gains of shape {expected}, "
                                   f"got {gsf_result.gains.shape}")
-        problem = object.__new__(cls)
-        for name, value in (("prior", prior), ("model", model),
-                            ("y", _readonly(_as_vector(y, "y"))), ("warm", gsf_result)):
-            object.__setattr__(problem, name, value)
-        return problem
+        return _trusted_new(cls, prior=prior, model=model, y=_readonly(_as_vector(y, "y")),
+                            warm=gsf_result)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,13 +163,8 @@ class NgsfSolution:
         read-only already: checks the costs but marks the arrays read-only in
         place instead of copying them."""
         _check_dominance(warm_cost, final_cost)
-        solution = object.__new__(cls)
-        for name, a in (("weights", weights), ("gains", gains)):
-            a.setflags(write=False)
-            object.__setattr__(solution, name, a)
-        object.__setattr__(solution, "warm_cost", warm_cost)
-        object.__setattr__(solution, "final_cost", final_cost)
-        return solution
+        return _trusted_new(cls, weights=weights, gains=gains, warm_cost=warm_cost,
+                            final_cost=final_cost)
 
 
 def _check_dominance(warm_cost: float, final_cost: float) -> None:

@@ -440,11 +440,10 @@ def _em_run(work: _EmWork, config: EmFitConfig, rng: np.random.Generator) -> lis
         part[empty] = overall
     weights = counts / counts.sum(axis=1, keepdims=True)
 
-    # Per stack row: its restart, its pass scores, which passes kept their
-    # score (a reseeding pass does not) and its last kept score, if any.
+    # Per stack row: its restart and last kept score, if any. Per restart, grown
+    # pass by pass: the scores of the passes that kept theirs (reseeding ones do not).
     live = np.arange(r)
-    hist = np.empty((r, config.max_iters))
-    kept = np.zeros((r, config.max_iters), dtype=bool)
+    hist: list[list[float]] = [[] for _ in range(r)]
     last = np.zeros(r)
     scored = np.zeros(r, dtype=bool)
     reseeds = [0] * r
@@ -452,10 +451,10 @@ def _em_run(work: _EmWork, config: EmFitConfig, rng: np.random.Generator) -> lis
     runs = [None] * r
 
     def finish(i, converged):
-        runs[live[i]] = _scored_run(work, weights[i], means[i], cov[0][i], hist[i][kept[i]],
-                                    reseeds[live[i]], converged)
+        runs[live[i]] = _scored_run(work, weights[i], means[i], cov[0][i],
+                                    np.array(hist[live[i]], float), reseeds[live[i]], converged)
 
-    for it in range(config.max_iters):
+    for _ in range(config.max_iters):
         resp_t, log_norm = _e_step(work, weights, means, cov)
         ll = log_norm.sum(axis=1)
         mass = resp_t.sum(axis=2)
@@ -486,8 +485,9 @@ def _em_run(work: _EmWork, config: EmFitConfig, rng: np.random.Generator) -> lis
                     part[keep] = rows
 
         met = keep & scored & (ll - last <= config.tol * (1.0 + np.abs(last)))
-        hist[:, it] = ll
-        kept[:, it] = keep
+        for restart, score, kept in zip(live.tolist(), ll.tolist(), keep.tolist()):
+            if kept:
+                hist[restart].append(score)
         last = np.where(keep, ll, last)
         scored |= keep
 
@@ -495,8 +495,8 @@ def _em_run(work: _EmWork, config: EmFitConfig, rng: np.random.Generator) -> lis
             for i in np.nonzero(met)[0]:
                 finish(i, True)
             stay = ~met & (live < failed)
-            live, hist, kept, last, scored, weights, means = (
-                a[stay] for a in (live, hist, kept, last, scored, weights, means))
+            live, last, scored, weights, means = (
+                a[stay] for a in (live, last, scored, weights, means))
             cov = tuple(part[stay] for part in cov)
             if not live.size:
                 break

@@ -272,6 +272,42 @@ class TestEmitOutputs:
         on_disk = {p.name: p.read_bytes() for p in (out / "clouds").iterdir()}
         assert on_disk == expected
 
+    @pytest.mark.parametrize("overrides", [{}, {"horizon_steps": 0}, {"save_clouds": False}],
+                             ids=["three_steps", "zero_steps", "no_clouds"])
+    def test_emit_writes_the_run_tree(self, tmp_path, overrides):
+        # The same bytes as the run's own tree, and every file of it returned.
+        out, other = tmp_path / "run", tmp_path / "other"
+        result = run_experiment(_small_config(**{"horizon_steps": 3, **overrides},
+                                              filters=("gsf", "ngsf", "kf_momentmatch"),
+                                              output_dir=str(out)))
+        written = emit_outputs(result, other)
+        assert _snapshot(other) == _snapshot(out)
+        assert sorted(p.relative_to(other) for p in written) == list(_snapshot(other))
+
+    def test_rerun_into_the_same_directory_rewrites_the_timeseries(self, tmp_path):
+        out = tmp_path / "o"
+        config = _small_config(horizon_steps=3, output_dir=str(out))
+        for _ in range(2):
+            run_experiment(config)
+        rows = (out / "timeseries.csv").read_text().splitlines()
+        assert rows[0].startswith("step,time,")
+        assert [row.split(",")[0] for row in rows[1:]] == ["1", "2", "3"]
+
+    def test_failed_initial_draw_leaves_config_and_header(self, tmp_path, monkeypatch):
+        # The tree is opened before the initial draw; no cloud was drawn, so
+        # none is written.
+        def no_memory(seed, *key):
+            raise MemoryError("no memory")
+
+        monkeypatch.setattr(harness, "_derived_rng", no_memory)
+        out = tmp_path / "o"
+        with pytest.raises(HarnessError, match=r"^step 0, module initialization: no memory$"):
+            run_experiment(_small_config(output_dir=str(out)))
+        assert sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()) == [
+            "config.json", "summary.json", "timeseries.csv"]
+        assert (out / "timeseries.csv").read_text().count("\n") == 1
+        assert json.loads((out / "summary.json").read_text())["steps"] == 0
+
     def test_emit_returns_written_files(self, tmp_path):
         result = run_experiment(_small_config(horizon_steps=1))
         written = emit_outputs(result, tmp_path / "dest")
@@ -282,27 +318,22 @@ class TestEmitOutputs:
 
 class TestCloudWorker:
     """Cloud CSVs written by one worker process during the run (more than one
-    usable CPU) or formatted in-process when the run ends (one CPU)."""
+    usable CPU) or in-process when each step ends (one CPU)."""
 
     @staticmethod
     def _spy(monkeypatch, cpus: int):
         """Pretend ``cpus`` CPUs are usable; returns the list that counts the
-        clouds formatted in this process and the list of emit's return values."""
-        formatted, emitted = [], []
-        real_csv, real_emit = harness._cloud_csv, harness.emit_outputs
+        clouds formatted in this process."""
+        formatted = []
+        real_csv = harness._cloud_csv
 
         def counting_csv(cloud):
             formatted.append(len(cloud))
             return real_csv(cloud)
 
-        def recording_emit(*args):
-            emitted.append(real_emit(*args))
-            return emitted[-1]
-
         monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(harness, "_cloud_csv", counting_csv)
-        monkeypatch.setattr(harness, "emit_outputs", recording_emit)
-        return formatted, emitted
+        return formatted
 
     def test_worker_and_in_process_trees_identical(self, tmp_path, monkeypatch):
         # One output path for both runs: config.json records it.
@@ -311,15 +342,20 @@ class TestCloudWorker:
                                filters=("gsf", "ngsf", "kf_momentmatch"))
         trees = {}
         for cpus in (2, 1):
-            formatted, emitted = self._spy(monkeypatch, cpus)
-            run_experiment(config)
+            formatted = self._spy(monkeypatch, cpus)
+            result = run_experiment(config)
             trees[cpus] = _snapshot(out)
-            # emit returns every file of the tree, the clouds included.
-            assert sorted(p.relative_to(out) for p in emitted[-1]) == list(trees[cpus])
             # The initial cloud, the step-1 cloud all filters share, then one
             # per filter at steps 2 and 3; the worker formats all of them.
             assert len(formatted) == (0 if cpus > 1 else 8)
+            # emit writes the same tree from the result and returns every
+            # file of it, the clouds included.
+            other = tmp_path / "emit"
+            written = emit_outputs(result, other)
+            assert sorted(p.relative_to(other) for p in written) == list(trees[cpus])
+            assert _snapshot(other) == trees[cpus]
             shutil.rmtree(out)
+            shutil.rmtree(other)
         assert len([p for p in trees[1] if p.parent.name == "clouds"]) == 10
         assert trees[2] == trees[1]
         assert multiprocessing.active_children() == []
@@ -353,16 +389,16 @@ class TestCloudWorker:
         assert multiprocessing.active_children() == []
 
     def test_output_dir_that_is_a_file_fails_alike(self, tmp_path, monkeypatch):
-        # The worker's writes fail too, but emit raises the error an
-        # in-process emit meets first.
+        # The tree is opened before the initial draw, so the run stops at
+        # step 0 with either worker count, before any cloud is drawn.
         out = tmp_path / "taken"
         out.write_text("")
         errors = {}
         for cpus in (2, 1):
             self._spy(monkeypatch, cpus)
-            with pytest.raises(OSError) as caught:
+            with pytest.raises(HarnessError, match=r"^step 0, module output: ") as caught:
                 run_experiment(_small_config(horizon_steps=1, output_dir=str(out)))
-            errors[cpus] = (type(caught.value), str(caught.value))
+            errors[cpus] = (type(caught.value.__cause__), str(caught.value))
         assert errors[2] == errors[1]
         assert multiprocessing.active_children() == []
 
@@ -525,6 +561,40 @@ class TestCli:
         assert code == 0
         assert (tmp_path / "cmp" / "comparison.json").exists()
         assert "paired Monte Carlo" in capsys.readouterr().out
+
+    def test_run_out_under_a_file_exits_before_step_one(self, tmp_path, capsys, monkeypatch):
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(harness, "propagate_cloud", no_step)
+        (tmp_path / "afile").write_text("")
+        cfg = self._write_config(tmp_path)
+        out = tmp_path / "afile" / "sub"
+        assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"runtime error: step 0, module output: [Errno 20] Not a directory: "
+            f"'{out / 'mixtures'}'"]
+
+    def test_compare_out_under_a_file_exits_before_the_first_run(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        def no_member(*args, **kwargs):
+            raise AssertionError("a member run started")
+
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(harness, "_run_member", no_member)
+        (tmp_path / "afile").write_text("")
+        cfg = self._write_config(tmp_path)
+        out = tmp_path / "afile" / "sub"
+        assert cli_main(["compare", "--config", str(cfg), "--runs", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"runtime error: output directory: [Errno 20] Not a directory: '{out}'"]
+
+    def test_compare_invalid_runs_makes_no_out_directory(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path)
+        assert cli_main(["compare", "--config", str(cfg), "--runs", "1",
+                         "--out", str(tmp_path / "cmp")]) == 1
+        assert capsys.readouterr().err.startswith("invalid input: n_runs must be >= 2")
+        assert not (tmp_path / "cmp").exists()
 
     def test_compare_member_failure_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "diverging.json"

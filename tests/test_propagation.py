@@ -599,6 +599,16 @@ class TestEmDiagnostics:
         assert not diag.converged
         assert diag.iterations == len(diag.log_likelihoods) == 3
 
+    def test_history_grows_with_the_passes_run(self, rng):
+        # A (restarts, max_iters) pass history would ask for 14.6 TiB here;
+        # two separated clusters converge within a few passes.
+        cloud = np.concatenate([rng.standard_normal((200, 2)) - 10.0,
+                                rng.standard_normal((200, 2)) + 10.0])
+        _, diag = fit_gmm_em(cloud, EmFitConfig(n_components=2, max_iters=10**12, restarts=2),
+                             np.random.default_rng(44), details=True)
+        assert diag.converged
+        assert diag.iterations == len(diag.log_likelihoods) < 10
+
     @pytest.mark.parametrize("restarts", [1, 3])
     def test_final_log_likelihood_scores_returned_mixture(self, rng, restarts):
         cloud = propagate_cloud(rng.standard_normal((1_500, 2)), DuffingModel(), 0.5)
