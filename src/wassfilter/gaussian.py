@@ -350,42 +350,54 @@ def ensure_spd(cov: np.ndarray, floor: float | None = None) -> np.ndarray:
     of filter updates, whose formulas are PSD analytically but can drift a
     hair negative, and eigenvalues below ``-1e-12 * max(1, lambda_max)`` mean
     a matrix is genuinely broken and raise :class:`DegeneracyError` (for the
-    first such matrix). An absolute ``floor`` (the EM's covariance floor)
-    lifts every eigenvalue below it, negative ones included: the EM forms a
-    covariance as ``E[x x^T] - mu mu^T``, PSD in exact arithmetic but, for a
-    tight component far from the cloud's mean, below zero by up to about
-    ``eps * E|x|^2`` in floating point. One batched ``eigh`` flags the
-    matrices below their floor, and their own eigenpairs rebuild them with
-    the eigenvalues lifted; the rest come back symmetrized only.
+    first such matrix). One batched ``eigvalsh`` flags the matrices below
+    their floor, and only those are factored with ``eigh``, whose eigenpairs
+    rebuild them with the eigenvalues lifted. An absolute ``floor`` (the EM's
+    covariance floor) lifts every eigenvalue below it, negative ones
+    included: the EM forms a covariance as ``E[x x^T] - mu mu^T``, PSD in
+    exact arithmetic but, for a tight component far from the cloud's mean,
+    below zero by up to about ``eps * E|x|^2`` in floating point. The EM needs
+    every matrix's eigenpairs, so that path runs one batched ``eigh``
+    (:func:`_floored_eigh`). Either way the matrices above their floor come
+    back symmetrized only.
     """
-    return _floored_eigh(cov, floor)[0]
-
-
-def _floored_eigh(cov: np.ndarray, floor: float | None = None):
-    """:func:`ensure_spd` with the eigenpairs it floors by: the floored
-    matrices, their eigenvalues ``(..., n)`` with the lifted ones at the
-    floor, and their eigenvectors ``(..., n, n)``. The eigenpairs factor the
-    returned matrices up to the rebuild's roundoff."""
+    if floor is not None:
+        return _floored_eigh(cov, floor)[0]
     cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
-    w, v = np.linalg.eigh(cov)
-    low_w, high_w = w[..., 0], w[..., -1]
-    if floor is None:
-        lmax = np.maximum(high_w, 0.0)
-        broken = low_w < -1e-12 * np.maximum(1.0, lmax)
-        if broken.any():
-            raise DegeneracyError(f"covariance eigenvalue {low_w[broken][0]:.6e} "
-                                  "is negative beyond roundoff tolerance")
-        lift = 1e-14 * lmax
-    else:
-        lift = np.full(low_w.shape, floor)
-    low = low_w < lift
+    w = np.linalg.eigvalsh(cov)
+    low_w, lmax = w[..., 0], np.maximum(w[..., -1], 0.0)
+    broken = low_w < -1e-12 * np.maximum(1.0, lmax)
+    if broken.any():
+        raise DegeneracyError(f"covariance eigenvalue {low_w[broken][0]:.6e} "
+                              "is negative beyond roundoff tolerance")
+    low = low_w < 1e-14 * lmax
     if low.any():
         # Boolean rows of a stack; a single matrix indexed by a 0-d mask is a
         # stack of one.
-        w[low] = np.maximum(w[low], lift[low][:, None])
-        vl = v[low]
-        lifted = (vl * w[low][:, None, :]) @ np.swapaxes(vl, 1, 2)
-        cov[low] = 0.5 * (lifted + np.swapaxes(lifted, 1, 2))
+        w_low, v_low = np.linalg.eigh(cov[low])
+        w_low = np.maximum(w_low, 1e-14 * np.maximum(w_low[:, -1:], 0.0))
+        _rebuild(cov, low, w_low, v_low)
+    return cov
+
+
+def _rebuild(cov: np.ndarray, low, w: np.ndarray, v: np.ndarray) -> None:
+    """Overwrite the matrices ``cov[low]`` with ``V diag(w) V^T`` from their
+    lifted eigenvalues ``w`` and eigenvectors ``v``, symmetrized."""
+    lifted = (v * w[:, None, :]) @ np.swapaxes(v, 1, 2)
+    cov[low] = 0.5 * (lifted + np.swapaxes(lifted, 1, 2))
+
+
+def _floored_eigh(cov: np.ndarray, floor: float):
+    """:func:`ensure_spd` with an absolute ``floor`` and the eigenpairs it
+    floors by: the floored matrices, their eigenvalues ``(..., n)`` with the
+    lifted ones at the floor, and their eigenvectors ``(..., n, n)``. The
+    eigenpairs factor the returned matrices up to the rebuild's roundoff."""
+    cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
+    w, v = np.linalg.eigh(cov)
+    low = w[..., 0] < floor
+    if low.any():
+        w[low] = np.maximum(w[low], floor)
+        _rebuild(cov, low, w[low], v[low])
     return cov, w, v
 
 

@@ -11,7 +11,14 @@ filters in a run see the same initial cloud and the same measurements. Each
 step propagates and fits every distinct cloud once, keyed by object identity:
 at the first step every filter still holds the initial cloud, so one fit, the
 identical mixture object, goes to every filter (paired fairness); afterwards
-each filter owns its resampled cloud and gets its own fit.
+each filter owns its resampled cloud and gets its own fit. A step's distinct
+clouds, in filter order, go in groups whose summed EM responsibility stacks
+(``restarts * n_components * ensemble_size`` doubles each) fit in
+:data:`_STACK_DOUBLES`: each group is propagated by one RK4 call on the
+concatenated clouds and fitted by one stacked EM, bit for bit the per-cloud
+calls, so small clouds share each pass's fixed cost. A larger cloud is a
+group of its own, and a group whose stacked calls fail runs again cloud by
+cloud, so that an error reads as the per-cloud calls word it.
 
 A run writes its output tree as it goes, through the functions
 :func:`emit_outputs` writes a finished result with: config.json and the
@@ -43,8 +50,10 @@ from .gaussian import (GaussianMixture, _as_vector, _check_field_types, mixture_
 from .kalman import LinearMeasurementModel
 from .gsf import gsf_update
 from .ngsf import DOMINANCE_ATOL, NgsfProblem, apply_ngsf_solution, ngsf_solve
-from .propagation import (MIN_POINTS_PER_COMPONENT, DuffingModel, EmFitConfig, fit_gmm_em,
-                          integrate_rk4, propagate_cloud)
+# fit_gmm_em is not called here: the runner fits through _fit_gmm_em_stack.
+# It stays a module global because perfbench/layertrace.py patches it by name.
+from .propagation import (MIN_POINTS_PER_COMPONENT, DuffingModel, EmFitConfig, _fit_gmm_em_stack,
+                          fit_gmm_em, integrate_rk4, propagate_cloud)
 
 KNOWN_FILTERS = ("gsf", "ngsf", "kf_momentmatch")
 
@@ -63,6 +72,17 @@ _STREAM_RUN = 4
 # Most particles an (N, 2) float64 cloud can hold: numpy sizes arrays in bytes
 # with its signed index type.
 _MAX_ENSEMBLE = np.iinfo(np.intp).max // (2 * np.dtype(float).itemsize)
+
+# Most doubles of EM working memory a config may ask for, as
+# restarts * n_components * ensemble_size (16 GiB): the (restarts, K, N)
+# responsibility stack of one cloud's fit.
+_MAX_EM_DOUBLES = 2**31
+
+# Most summed restarts * n_components * ensemble_size of the clouds one step
+# propagates and fits as one stack (512 KiB of responsibilities). Small clouds
+# share a pass's fixed cost; a cloud above it runs alone, because a stacked
+# RK4 over large clouds ran slower than one call per cloud.
+_STACK_DOUBLES = 2**16
 
 _INIT_CLOUD = "step000_init.csv"
 
@@ -133,6 +153,11 @@ class ExperimentConfig:
             raise ValidationError(
                 f"ensemble_size {self.ensemble_size} is too large: an (N, 2) float64 cloud "
                 f"holds at most {_MAX_ENSEMBLE} particles")
+        em_doubles = _em_doubles(self.em, self.ensemble_size)
+        if em_doubles > _MAX_EM_DOUBLES:
+            raise ValidationError(
+                f"em.restarts * em.n_components * ensemble_size = {em_doubles} doubles of EM "
+                f"working memory; at most 2**31 ({_MAX_EM_DOUBLES}) are allowed")
         if self.horizon_steps < 0:
             raise ValidationError(f"horizon_steps must be >= 0, got {self.horizon_steps}")
         if self.master_seed < 0:
@@ -261,6 +286,22 @@ def _worker_pool(wanted: int):
         pool.shutdown(cancel_futures=True)
 
 
+def _em_doubles(em: EmFitConfig, ensemble_size: int) -> int:
+    """``restarts * n_components * ensemble_size``, the doubles of one
+    cloud's EM responsibility stack, as a Python integer."""
+    return int(em.restarts) * int(em.n_components) * int(ensemble_size)
+
+
+def _stack_groups(clouds, em: EmFitConfig, ensemble_size: int) -> list[list]:
+    """The distinct objects of ``clouds``, in order, split into the groups
+    one step propagates and fits as one stack: a group grows while its
+    summed :func:`_em_doubles` stays at or under :data:`_STACK_DOUBLES`, and
+    a cloud above that is a group of its own."""
+    distinct = list({id(cloud): cloud for cloud in clouds}.values())
+    size = max(1, _STACK_DOUBLES // _em_doubles(em, ensemble_size))
+    return [distinct[i:i + size] for i in range(0, len(distinct), size)]
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run one seeded experiment; writes the output tree when ``config.output_dir`` is set.
 
@@ -312,6 +353,33 @@ def _run_experiment(config: ExperimentConfig, pool) -> ExperimentResult:
             future = pool.submit(_write_cloud, directory / "clouds", cloud, names)
             pending.append((len(records), future))
 
+    def propagate_and_fit(step: int, group: list) -> list:
+        """``(propagated, prior)`` of each cloud of ``group``, in order.
+
+        A group of several clouds takes one RK4 call on their concatenation
+        and one stacked EM fit, which give each cloud the bits of its own
+        calls. A single cloud, and a group whose stacked calls raised, run
+        cloud by cloud, propagate then fit, so that an error names the step,
+        module and particle row of the per-cloud calls."""
+        if len(group) > 1:
+            try:
+                stacked = propagate_cloud(np.concatenate(group), duffing, duffing.sample_time)
+                parts = list(stacked.reshape(len(group), -1, stacked.shape[1]))
+                fitted = _fit_gmm_em_stack(parts, config.em, [
+                    _derived_rng(seed, _STREAM_EMFIT, step) for _ in parts])
+                return [(part, prior) for part, (prior, _) in zip(parts, fitted)]
+            except Exception:
+                pass  # any failure: the per-cloud calls below meet it and name it
+        out = []
+        for cloud in group:
+            with _stage(step, "propagation"):
+                propagated = propagate_cloud(cloud, duffing, duffing.sample_time)
+            with _stage(step, "em_fit"):
+                (prior, _), = _fit_gmm_em_stack([propagated], config.em,
+                                                [_derived_rng(seed, _STREAM_EMFIT, step)])
+            out.append((propagated, prior))
+        return out
+
     if directory is not None:
         with _stage(0, "output"):
             _open_tree(config, directory)
@@ -337,14 +405,8 @@ def _run_experiment(config: ExperimentConfig, pool) -> ExperimentResult:
         # At step 1 every filter holds the initial cloud and so gets the same
         # fit object; afterwards each filter owns its lineage.
         fits: dict[int, tuple] = {}
-        for cloud in clouds.values():
-            if id(cloud) not in fits:
-                with _stage(step, "propagation"):
-                    propagated = propagate_cloud(cloud, duffing, duffing.sample_time)
-                with _stage(step, "em_fit"):
-                    prior = fit_gmm_em(propagated, config.em,
-                                       _derived_rng(seed, _STREAM_EMFIT, step))
-                fits[id(cloud)] = (propagated, prior)
+        for group in _stack_groups(clouds.values(), config.em, config.ensemble_size):
+            fits.update(zip(map(id, group), propagate_and_fit(step, group)))
         priors = {name: fits[id(clouds[name])] for name in config.filters}
 
         step_filters: dict[str, FilterStepRecord] = {}

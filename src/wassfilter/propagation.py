@@ -15,23 +15,25 @@ allocates no state-sized array, and every operation keeps the order of the
 textbook ``x + (dt/6) (k1 + 2 k2 + 2 k3 + k4)``, so the result is bit for bit
 that of an allocating loop.
 
-EM works on the cloud's quadratic features ``[1, x, x_i x_j]``, formed once
-per cloud as one ``(M, N)`` array (``M = 6`` for the Duffing state). A fit's
-``R`` restarts draw their k-means++ starts first, in restart order, and then
-run in lockstep as one ``(R, K, .)`` stack. A Gaussian's log density is
-linear in the features, so each E-step folds every component's precision,
-log-determinant and weight into an ``(R, K, M)`` coefficient stack and gets
-all ``(R, K, N)`` joint log densities from one batched product; each M-step
-gets every component's mass, mean and second moment from one batched
-``(R, K, N) @ (N, M)`` product over the responsibilities. The products stay
-batched per restart, so each restart's numbers are bit for bit those of a
-fit of its own. The covariance floor (``gaussian.ensure_spd``) factors each
-M-step's ``(R K, d, d)`` covariance stack with one batched ``eigh``, and
-those eigenpairs give the next E-step every precision and log-determinant:
-no other factorization, and the floor, which the config requires to be
-positive, makes every covariance positive definite. Each restart's returned
-mixture is scored once with the whitened residuals of
-``gaussian._component_logpdfs``.
+EM works on a cloud's quadratic features ``[1, x, x_i x_j]``, formed once
+per cloud (``M = 6`` for the Duffing state). One fit takes ``F`` clouds of
+one shape (:func:`_fit_gmm_em_stack`; :func:`fit_gmm_em` is its one-cloud
+call), whose features form one ``(F, M, N)`` array. Each cloud's ``R``
+restarts draw their k-means++ starts first, from that cloud's generator in
+restart order, and then all ``F R`` (cloud, restart) rows run in lockstep as
+one stack. A Gaussian's log density is linear in the features, so each
+E-step folds every component's precision, log-determinant and weight into an
+``(F, R, K, M)`` coefficient stack and gets all joint log densities from one
+``(F, R, K, M) @ (F, 1, M, N)`` product; each M-step gets every component's
+mass, mean and second moment from one ``(F, R, K, N) @ (F, 1, N, M)``
+product over the responsibilities. The products stay batched per row, so
+each row's numbers are bit for bit those of a one-cloud, one-restart fit. The
+covariance floor (``gaussian.ensure_spd``) factors each M-step's
+``(F R K, d, d)`` covariance stack with one batched ``eigh``, and those
+eigenpairs give the next E-step every precision and log-determinant: no other
+factorization, and the floor, which the config requires to be positive, makes
+every covariance positive definite. Each restart's returned mixture is scored
+once with the whitened residuals of ``gaussian._component_logpdfs``.
 """
 
 from __future__ import annotations
@@ -278,36 +280,75 @@ def _kmeanspp_centers(points: np.ndarray, k: int, rng: np.random.Generator):
 
 
 class _EmWork:
-    """What one cloud's EM fit reuses on every pass: the cloud, its ``(M, N)``
-    quadratic features ``[1, x, x_i x_j (i <= j)]`` with ``x`` centered at
-    the cloud mean (``M = 1 + d + d(d+1)/2``), the ``(restarts, K, N)``
-    buffer for the joint log densities that become the transposed
-    responsibilities, and the cloud's floored covariance with its
-    eigenpairs, which seed empty and reseeded components. Centering keeps
-    the cancellation in the feature form small; reusing the buffer keeps
-    each pass from allocating and page-faulting it."""
+    """What a stacked EM fit over ``F`` clouds of ``N`` points reuses on every
+    pass: the clouds, their ``(F, M, N)`` quadratic features
+    ``[1, x, x_i x_j (i <= j)]`` with each cloud's ``x`` centered at its own
+    mean (``M = 1 + d + d(d+1)/2``), the ``(F, restarts, K, N)`` buffer for
+    the joint log densities that become the transposed responsibilities, and
+    each cloud's floored overall covariance with its eigenpairs, which seed
+    empty and reseeded components. Centering keeps the cancellation in the
+    feature form small; reusing the buffer keeps each pass from allocating
+    and page-faulting it. Each cloud's numbers are formed from that cloud
+    alone, as a fit of its own would form them."""
 
-    def __init__(self, points: np.ndarray, k: int, floor: float, restarts: int = 1):
-        n, dim = points.shape
-        self.points = points
-        self.center = points.mean(axis=0)
+    def __init__(self, clouds, k: int, floor: float, restarts: int = 1):
+        n, dim = clouds[0].shape
+        self.points = clouds
+        # (F, 1, d), so that center.take(cloud, axis=0) broadcasts over a row's components.
+        self.center = np.stack([points.mean(axis=0) for points in clouds])[:, None]
         self.rows, self.cols = np.triu_indices(dim)
         # Off-diagonal features x_i x_j stand for both (i, j) and (j, i).
         self.pair_scale = np.where(self.rows == self.cols, -0.5, -1.0)
-        x = (points - self.center).T
-        self.feats = np.concatenate([np.ones((1, n)), x, x[self.rows] * x[self.cols]])
-        self.resp_t = np.empty((restarts, k, n))
-        self.overall = _floored_eigh(np.cov(points, rowvar=False).reshape(1, dim, dim), floor)
+        self.feats = np.empty((len(clouds), 1 + dim + self.rows.size, n))
+        for feats, points, center in zip(self.feats, clouds, self.center):
+            x = (points - center).T
+            feats[0] = 1.0
+            feats[1:1 + dim] = x
+            np.multiply(x[self.rows], x[self.cols], out=feats[1 + dim:])
+        self.feats_t = np.swapaxes(self.feats, 1, 2)
+        self.resp_t = np.empty((len(clouds), restarts, k, n))
+        covs = np.stack([np.cov(points, rowvar=False).reshape(dim, dim) for points in clouds])
+        self.overall = _floored_eigh(covs, floor)
 
 
-def _joint_logpdfs(work: _EmWork, weights: np.ndarray, means: np.ndarray,
+def _by_cloud(lhs: np.ndarray, rhs: np.ndarray, cloud: np.ndarray, out=None) -> np.ndarray:
+    """``lhs[i] @ rhs[cloud[i]]`` for every row ``i`` of an ``(L, K, a)``
+    stack whose rows are sorted by ``cloud``, into ``out`` ``(L, K, b)``.
+
+    With one cloud in ``rhs`` ``(F, a, b)`` this is one
+    ``(L, K, a) @ (a, b)`` product. When every cloud has the same number
+    ``R`` of rows, it is one ``(F, R, K, a) @ (F, 1, a, b)`` product, else one
+    ``(R_f, K, a) @ (a, b)`` product per cloud. Each way it stays batched per
+    row, never flattened to 2-D: every row is one ``(K, a) @ (a, b)``
+    product, so its bits do not depend on the other rows. OpenBLAS can round
+    the rows of a flat ``(R K, a) @ (a, b)`` product in the last bits
+    differently when ``K`` is not a multiple of 4.
+    """
+    clouds, per = rhs.shape[0], cloud.size // rhs.shape[0]
+    if clouds == 1:
+        return np.matmul(lhs, rhs[0], out=out)
+    if out is None:
+        out = np.empty(lhs.shape[:-1] + rhs.shape[-1:])
+    if per and np.array_equal(cloud, np.repeat(np.arange(clouds), per)):
+        np.matmul(lhs.reshape((clouds, per) + lhs.shape[1:]), rhs[:, None],
+                  out=out.reshape((clouds, per) + out.shape[1:]))
+        return out
+    bounds = np.searchsorted(cloud, np.arange(clouds + 1))
+    for f, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        if hi > lo:
+            np.matmul(lhs[lo:hi], rhs[f], out=out[lo:hi])
+    return out
+
+
+def _joint_logpdfs(work: _EmWork, cloud: np.ndarray, weights: np.ndarray, means: np.ndarray,
                    evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
-    """``(..., K, N)`` joint log densities ``log w_k + log N(x_n; mu_k, S_k)``
-    in the leading rows of ``work.resp_t``, from one ``(..., K, M) @ (M, N)``
-    product batched over the leading axes (the live restarts).
+    """``(L, K, N)`` joint log densities ``log w_k + log N(x_n; mu_k, S_k)``
+    in the leading rows of ``work.resp_t``, one per row of the stack, from
+    one product batched over the rows (:func:`_by_cloud`). Row ``i`` belongs
+    to cloud ``cloud[i]``, and the rows are sorted by cloud.
 
     ``S_k = V_k diag(lambda_k) V_k^T`` is given by the eigenpairs ``evals``
-    ``(..., K, d)`` and ``evecs`` ``(..., K, d, d)`` of the floor that made
+    ``(L, K, d)`` and ``evecs`` ``(L, K, d, d)`` of the floor that made
     it, so the precision is ``V_k diag(1 / lambda_k) V_k^T`` and the
     log-determinant ``sum(log lambda_k)``; the floor keeps every
     ``lambda_k`` positive. Each component's log density is linear in the
@@ -320,17 +361,17 @@ def _joint_logpdfs(work: _EmWork, weights: np.ndarray, means: np.ndarray,
     distance from the cloud's mean. The weights must be positive.
     """
     dim = means.shape[-1]
-    n = work.feats.shape[1]
+    n = work.feats.shape[-1]
     prec = (evecs / evals[..., None, :]) @ np.swapaxes(evecs, -1, -2)
-    mu = means - work.center
+    mu = means - work.center.take(cloud, axis=0)
     prec_mu = (prec @ mu[..., None])[..., 0]
-    coef = np.empty(weights.shape + (work.feats.shape[0],))
+    coef = np.empty(weights.shape + (work.feats.shape[1],))
     coef[..., 0] = np.log(weights) - 0.5 * (
         dim * np.log(2.0 * np.pi) + np.log(evals).sum(axis=-1) + (prec_mu * mu).sum(axis=-1))
     coef[..., 1:1 + dim] = prec_mu
     coef[..., 1 + dim:] = prec[..., work.rows, work.cols] * work.pair_scale
     out = work.resp_t.reshape(-1, n)[:weights.size].reshape(weights.shape + (n,))
-    return np.matmul(coef, work.feats, out=out)
+    return _by_cloud(coef, work.feats, cloud, out)
 
 
 def _log_sum_exp(joint: np.ndarray):
@@ -348,164 +389,224 @@ def _log_sum_exp(joint: np.ndarray):
     return log_norm[..., 0, :], total
 
 
-def _e_step(work: _EmWork, weights: np.ndarray, means: np.ndarray, cov: tuple):
-    """Transposed responsibilities ``(..., K, N)`` in ``work.resp_t``, which
+def _e_step(work: _EmWork, cloud: np.ndarray, weights: np.ndarray, means: np.ndarray,
+            cov: tuple):
+    """Transposed responsibilities ``(L, K, N)`` in ``work.resp_t``, which
     the next E-step overwrites, and the per-point log mixture density
-    ``(..., N)``, for the ``(covs, evals, evecs)`` stack of :func:`_m_step`."""
-    joint = _joint_logpdfs(work, weights, means, *cov[1:])
+    ``(L, N)``, for rows of clouds ``cloud`` and the ``(covs, evals, evecs)``
+    stack of :func:`_m_step`."""
+    joint = _joint_logpdfs(work, cloud, weights, means, *cov[1:])
     log_norm, total = _log_sum_exp(joint)
     joint /= total
     return joint, log_norm
 
 
-def _m_step(work: _EmWork, resp_t: np.ndarray, mass: np.ndarray, floor: float):
-    """Weighted means ``(..., K, d)`` and the floored covariance stack as
-    ``(covs, evals, evecs)``: the ``(..., K, d, d)`` covariances and the
-    eigenpairs ``(..., K, d)`` and ``(..., K, d, d)`` that the floor factored
+def _m_step(work: _EmWork, cloud: np.ndarray, resp_t: np.ndarray, mass: np.ndarray,
+            floor: float):
+    """Weighted means ``(L, K, d)`` and the floored covariance stack as
+    ``(covs, evals, evecs)``: the ``(L, K, d, d)`` covariances and the
+    eigenpairs ``(L, K, d)`` and ``(L, K, d, d)`` that the floor factored
     them by.
 
-    ``resp_t`` is the ``(..., K, N)`` transposed responsibilities and
-    ``mass`` its row sums. One ``(..., K, N) @ (N, M)`` product, batched over
-    the leading axes, gives every component's expected features, so its
-    mean and its second moment ``E[x x^T]``; the covariance is
-    ``E[x x^T] - mu mu^T`` in the centered coordinates. The floor runs once
-    on the whole stack. The products of both steps stay batched, never
-    flattened to 2-D: OpenBLAS can round the rows of a flat
-    ``(R K, N) @ (N, M)`` product in the last bits differently from each
-    restart's own ``(K, N) @ (N, M)`` when ``K`` is not a multiple of 4.
+    ``resp_t`` is the ``(L, K, N)`` transposed responsibilities of rows of
+    clouds ``cloud``, sorted by cloud, and ``mass`` its row sums. One
+    product batched over the rows, each row's ``(K, N) @ (N, M)`` with its
+    cloud's features (:func:`_by_cloud`), gives every component's expected
+    features, so its mean and its second moment ``E[x x^T]``; the covariance
+    is ``E[x x^T] - mu mu^T`` in the cloud's centered coordinates. The floor
+    runs once on the whole stack.
     """
-    dim = work.points.shape[1]
-    moments = (resp_t @ work.feats.T) / mass[..., None]
+    dim = work.center.shape[-1]
+    moments = _by_cloud(resp_t, work.feats_t, cloud) / mass[..., None]
     mu = moments[..., 1:1 + dim]
     covs = np.empty(mass.shape + (dim, dim))
     covs[..., work.rows, work.cols] = moments[..., 1 + dim:]
     covs[..., work.cols, work.rows] = moments[..., 1 + dim:]
     covs -= mu[..., :, None] * mu[..., None, :]
     floored = _floored_eigh(covs.reshape(-1, dim, dim), floor)
-    return work.center + mu, tuple(a.reshape(mass.shape + a.shape[1:]) for a in floored)
+    return (work.center.take(cloud, axis=0) + mu,
+            tuple(a.reshape(mass.shape + a.shape[1:]) for a in floored))
 
 
-def _scored_run(work: _EmWork, weights, means, covs, lls, reseeds: int, converged: bool):
+def _scored_run(points, weights, means, covs, lls, reseeds: int, converged: bool):
     """One restart's result ``(mixture, lls, final_ll, reseeds, converged)``.
 
     Each loop score belongs to the parameters before that pass's M-step, so
-    the returned mixture is scored once more, with whitened residuals. The
-    floor has just certified its covariances.
+    the returned mixture is scored once more on its cloud ``points``, with
+    whitened residuals. The floor has just certified its covariances.
     """
     mixture = GaussianMixture._trusted(weights / weights.sum(), means.copy(), covs.copy(),
                                        eig_floor=0.0)
-    joint = _component_logpdfs(work.points, mixture.means, mixture.covs).T
+    joint = _component_logpdfs(points, mixture.means, mixture.covs).T
     joint += np.log(mixture.weights)[:, None]
     final_ll = float(_log_sum_exp(joint)[0].sum())
     return mixture, lls, final_ll, reseeds, converged
 
 
-def _em_run(work: _EmWork, config: EmFitConfig, rng: np.random.Generator) -> list:
-    """Every restart's ``(mixture, lls, final_ll, reseeds, converged)``, in
-    restart order, from ``config.restarts`` EM runs in lockstep.
+def _em_run(work: _EmWork, config: EmFitConfig, rngs) -> list:
+    """Every ``(cloud, restart)`` row's ``(mixture, lls, final_ll, reseeds,
+    converged)``, cloud by cloud and in restart order within a cloud, from
+    ``config.restarts`` EM runs per cloud in lockstep.
 
-    All k-means++ starts are drawn first, in restart order, and a pass draws
-    nothing, so a fit that succeeds leaves the generator where restarts run
-    one after another would leave it. The live restarts then share one stacked pass: one
+    Each cloud draws all its k-means++ starts from its own generator in
+    ``rngs`` first, in restart order, and a pass draws nothing, so a cloud
+    whose fit succeeds leaves its generator where restarts run one after
+    another would leave it. The live rows then share one stacked pass: one
     E-step product, one M-step product and one floor ``eigh`` for all of
-    them, each batched per restart, so a restart's numbers are bit for bit
-    those of its own run. A restart that reseeds a collapsed component skips
-    its M-step that pass; one that meets ``tol`` leaves the stack. A restart
-    past the reseed limit stops the fit with :class:`FitError` once the
-    restarts before it have finished, as a sequential run would; the ones
-    after it leave the stack at once.
+    them, each batched per row, so a row's numbers are bit for bit those of
+    its own run. A row that reseeds a collapsed component skips its M-step
+    that pass; one that meets ``tol`` leaves the stack. A restart past the
+    reseed limit fails its cloud once that cloud's restarts before it have
+    finished, as a sequential run would; its later restarts leave the stack
+    at once. When every row has finished, the first failing cloud raises its
+    :class:`FitError`, the error a fit of each cloud in turn meets first.
     """
     points = work.points
-    n, dim = points.shape
+    n, dim = points[0].shape
     k, r = config.n_components, config.restarts
     floor = config.covariance_floor
 
     # Start from each point's nearest k-means++ center; a center that wins no
-    # point keeps its own location, the overall covariance and weight 1/n.
-    # Every start reads one copy of the cloud's columns, and the hard
+    # point keeps its own location, its cloud's overall covariance and weight
+    # 1/n. Every start reads one copy of its cloud's columns, and the hard
     # assignments go through the responsibility buffer.
-    cols_t = np.ascontiguousarray(points.T).T
-    centers = np.empty((r, k, dim))
-    counts = np.empty((r, k))
-    hard_t = work.resp_t
-    for i in range(r):
-        centers[i], assign = _kmeanspp_centers(cols_t, k, rng)
-        counts[i] = np.bincount(assign, minlength=k)
-        hard_t[i] = np.arange(k)[:, None] == assign
+    cloud = np.repeat(np.arange(len(points)), r)  # each row's cloud
+    centers = np.empty((cloud.size, k, dim))
+    counts = np.empty((cloud.size, k))
+    hard_t = work.resp_t.reshape(cloud.size, k, n)
+    for f, (cloud_points, rng) in enumerate(zip(points, rngs, strict=True)):
+        cols_t = np.ascontiguousarray(cloud_points.T).T
+        for i in range(f * r, (f + 1) * r):
+            centers[i], assign = _kmeanspp_centers(cols_t, k, rng)
+            counts[i] = np.bincount(assign, minlength=k)
+            hard_t[i] = np.arange(k)[:, None] == assign
     empty = counts == 0
     counts[empty] = 1.0
-    means, cov = _m_step(work, hard_t, counts, floor)
+    means, cov = _m_step(work, cloud, hard_t, counts, floor)
     means[empty] = centers[empty]
     for part, overall in zip(cov, work.overall):
-        part[empty] = overall
+        part[empty] = overall[cloud[np.nonzero(empty)[0]]]
     weights = counts / counts.sum(axis=1, keepdims=True)
 
-    # Per stack row: its restart and last kept score, if any. Per restart, grown
-    # pass by pass: the scores of the passes that kept theirs (reseeding ones do not).
-    live = np.arange(r)
-    hist: list[list[float]] = [[] for _ in range(r)]
-    last = np.zeros(r)
-    scored = np.zeros(r, dtype=bool)
-    reseeds = [0] * r
-    failed = r  # the first restart past the reseed limit
-    runs = [None] * r
+    # Per stack row: its row index (cloud * r + restart), its cloud and its
+    # last kept score, if any. Per row, grown pass by pass: the scores of the
+    # passes that kept theirs (reseeding ones do not). Per cloud: its first
+    # restart past the reseed limit.
+    live = np.arange(cloud.size)
+    hist: list[list[float]] = [[] for _ in range(cloud.size)]
+    last = np.zeros(cloud.size)
+    scored = np.zeros(cloud.size, dtype=bool)
+    reseeds = [0] * cloud.size
+    failed = [r] * len(points)
+    runs = [None] * cloud.size
 
     def finish(i, converged):
-        runs[live[i]] = _scored_run(work, weights[i], means[i], cov[0][i],
-                                    np.array(hist[live[i]], float), reseeds[live[i]], converged)
+        row = live[i]
+        runs[row] = _scored_run(points[row // r], weights[i], means[i], cov[0][i],
+                                np.array(hist[row], float), reseeds[row], converged)
 
     for _ in range(config.max_iters):
-        resp_t, log_norm = _e_step(work, weights, means, cov)
+        resp_t, log_norm = _e_step(work, cloud, weights, means, cov)
         ll = log_norm.sum(axis=1)
         mass = resp_t.sum(axis=2)
         keep = mass.min(axis=1) >= _COLLAPSE_MASS * n
 
         if keep.all():
             weights = mass / n
-            means, cov = _m_step(work, resp_t, mass, floor)
+            means, cov = _m_step(work, cloud, resp_t, mass, floor)
         else:
             for i in np.nonzero(~keep)[0]:
-                restart, dead = live[i], np.nonzero(mass[i] < _COLLAPSE_MASS * n)[0]
-                reseeds[restart] += dead.size
-                if reseeds[restart] > _MAX_RESEEDS:
-                    failed = min(failed, restart)
+                row, dead = live[i], np.nonzero(mass[i] < _COLLAPSE_MASS * n)[0]
+                f, restart = divmod(int(row), r)
+                reseeds[row] += dead.size
+                if reseeds[row] > _MAX_RESEEDS:
+                    failed[f] = min(failed[f], restart)
                     continue
                 # Reseed each dead component at the point the mixture explains worst.
-                means[i, dead] = points[np.argsort(log_norm[i])[:dead.size]]
+                means[i, dead] = points[f][np.argsort(log_norm[i])[:dead.size]]
                 for part, overall in zip(cov, work.overall):
-                    part[i, dead] = overall
+                    part[i, dead] = overall[f]
                 weights[i, dead] = 1.0 / n
                 weights[i] /= weights[i].sum()
             if keep.any():
-                # The reseeding restarts skip their M-step this pass.
+                # The reseeding rows skip their M-step this pass.
                 weights[keep] = mass[keep] / n
-                kept_means, kept_cov = _m_step(work, resp_t[keep], mass[keep], floor)
+                kept_means, kept_cov = _m_step(work, cloud[keep], resp_t[keep], mass[keep],
+                                               floor)
                 means[keep] = kept_means
                 for part, rows in zip(cov, kept_cov):
                     part[keep] = rows
 
         met = keep & scored & (ll - last <= config.tol * (1.0 + np.abs(last)))
-        for restart, score, kept in zip(live.tolist(), ll.tolist(), keep.tolist()):
+        for row, score, kept in zip(live.tolist(), ll.tolist(), keep.tolist()):
             if kept:
-                hist[restart].append(score)
+                hist[row].append(score)
         last = np.where(keep, ll, last)
         scored |= keep
 
-        if met.any() or live[-1] >= failed:
+        leave = met | (live % r >= np.take(failed, cloud)) if min(failed) < r else met
+        if leave.any():
             for i in np.nonzero(met)[0]:
                 finish(i, True)
-            stay = ~met & (live < failed)
-            live, last, scored, weights, means = (
-                a[stay] for a in (live, last, scored, weights, means))
+            stay = ~leave
+            live, cloud, last, scored, weights, means = (
+                a[stay] for a in (live, cloud, last, scored, weights, means))
             cov = tuple(part[stay] for part in cov)
             if not live.size:
                 break
 
-    if failed < r:
-        raise FitError(f"EM failed after {reseeds[failed]} component reseeds")
+    for f, restart in enumerate(failed):
+        if restart < r:
+            raise FitError(f"EM failed after {reseeds[f * r + restart]} component reseeds")
     for i in range(live.size):
         finish(i, False)
     return runs
+
+
+def _fit_gmm_em_stack(clouds, config: EmFitConfig, rngs) -> list:
+    """:func:`fit_gmm_em` with ``details=True`` for each of ``F`` clouds of
+    one shape, cloud ``f`` drawing its starts from ``rngs[f]``, as one fit.
+
+    Returns one ``(mixture, EmDiagnostics)`` per cloud, each bit for bit what
+    the cloud's own :func:`fit_gmm_em` call gives. The ``F R`` rows of
+    ``(cloud, restart)`` run in lockstep (:func:`_em_run`) over the clouds'
+    ``(F, M, N)`` features: each E-step is one ``(F, R, K, M) @ (F, 1, M, N)``
+    product and each M-step one ``(F, R, K, N) @ (F, 1, N, M)``, both batched
+    per row, so a pass's fixed cost is paid once for all the clouds. The
+    working memory per pass grows as ``F * restarts * n_components * N``
+    doubles. Every cloud is checked before any draw, in order; a fit that
+    fails raises the :class:`FitError` of the first failing cloud.
+    """
+    points = []
+    for cloud in clouds:
+        cloud = np.asarray(cloud, dtype=float)
+        if cloud.ndim != 2:
+            raise ValidationError(f"cloud must be (N, n), got shape {cloud.shape}")
+        if not np.all(np.isfinite(cloud)):
+            raise ValidationError("cloud contains non-finite entries")
+        if cloud.shape[0] < MIN_POINTS_PER_COMPONENT * config.n_components:
+            raise ValidationError(
+                f"{cloud.shape[0]} points cannot support {config.n_components} components "
+                f"(need at least {MIN_POINTS_PER_COMPONENT} per component)"
+            )
+        points.append(cloud)
+    if len({cloud.shape for cloud in points}) > 1:
+        raise ValidationError(
+            f"stacked clouds must share one shape, got {[cloud.shape for cloud in points]}")
+    work = _EmWork(points, config.n_components, config.covariance_floor, config.restarts)
+    runs = _em_run(work, config, rngs)
+    fits = []
+    for f in range(len(points)):
+        best = None
+        for restart, run in enumerate(runs[f * config.restarts:(f + 1) * config.restarts]):
+            if best is None or run[2] > best[2]:
+                best = (*run, restart)
+        mixture, lls, final_ll, reseeds, converged, restart = best
+        fits.append((mixture, EmDiagnostics(log_likelihoods=lls, reseeds=reseeds,
+                                            restart_index=restart,
+                                            final_log_likelihood=final_ll,
+                                            iterations=len(lls), converged=converged)))
+    return fits
 
 
 def fit_gmm_em(cloud, config: EmFitConfig, rng: np.random.Generator, details: bool = False):
@@ -525,28 +626,9 @@ def fit_gmm_em(cloud, config: EmFitConfig, rng: np.random.Generator, details: bo
     log-determinants. Each restart's returned mixture is scored with
     whitened residuals (``EmDiagnostics.final_log_likelihood``). The cloud
     may have any dimension. The working memory per pass grows as
-    ``restarts * n_components * N`` doubles. With ``details=True`` returns
-    ``(mixture, EmDiagnostics)``.
+    ``restarts * n_components * N`` doubles. This is the one-cloud call of
+    the stacked fit that the harness runs on a step's clouds. With
+    ``details=True`` returns ``(mixture, EmDiagnostics)``.
     """
-    points = np.asarray(cloud, dtype=float)
-    if points.ndim != 2:
-        raise ValidationError(f"cloud must be (N, n), got shape {points.shape}")
-    if not np.all(np.isfinite(points)):
-        raise ValidationError("cloud contains non-finite entries")
-    if points.shape[0] < MIN_POINTS_PER_COMPONENT * config.n_components:
-        raise ValidationError(
-            f"{points.shape[0]} points cannot support {config.n_components} components "
-            f"(need at least {MIN_POINTS_PER_COMPONENT} per component)"
-        )
-    work = _EmWork(points, config.n_components, config.covariance_floor, config.restarts)
-    best = None
-    for restart, run in enumerate(_em_run(work, config, rng)):
-        if best is None or run[2] > best[2]:
-            best = (*run, restart)
-
-    mixture, lls, final_ll, reseeds, converged, restart = best
-    if details:
-        return mixture, EmDiagnostics(log_likelihoods=lls, reseeds=reseeds,
-                                      restart_index=restart, final_log_likelihood=final_ll,
-                                      iterations=len(lls), converged=converged)
-    return mixture
+    (mixture, diagnostics), = _fit_gmm_em_stack([cloud], config, [rng])
+    return (mixture, diagnostics) if details else mixture

@@ -201,13 +201,92 @@ class TestRunExperiment:
         def failing_fit(*args, **kwargs):
             raise FitError("EM failed")
 
-        monkeypatch.setattr("wassfilter.harness.fit_gmm_em", failing_fit)
+        monkeypatch.setattr("wassfilter.harness._fit_gmm_em_stack", failing_fit)
         out = tmp_path / "o"
         config = _small_config(output_dir=str(out))
         with pytest.raises(HarnessError, match=r"step 1, module em_fit"):
             run_experiment(config)
         assert (out / "config.json").exists()
         assert (out / "timeseries.csv").read_text().startswith("step,time,")
+
+
+class TestStackedSteps:
+    """A step's small distinct clouds are propagated and fitted as one stack,
+    bit for bit the per-cloud calls, and a failing stack is run again cloud
+    by cloud so that its error is the per-cloud one."""
+
+    def test_grouping_rule(self):
+        # Criterion 8: 2 restarts x 10 components x 1500 particles per cloud.
+        crit8 = EmFitConfig(n_components=10, max_iters=150, restarts=2)
+        assert harness._stack_groups(["gsf", "ngsf"], crit8, 1500) == [["gsf", "ngsf"]]
+        # The propagate_emit benchmark: 1 x 3 x 20000, at the cap by itself.
+        emit = EmFitConfig(n_components=3, max_iters=10, restarts=1)
+        assert harness._stack_groups(["gsf", "ngsf", "kf"], emit, 20_000) == [
+            ["gsf"], ["ngsf"], ["kf"]]
+        assert harness._stack_groups(["gsf", "ngsf"], EmFitConfig(), 5000) == [["gsf"], ["ngsf"]]
+        # Groups fill up to the cap in order.
+        assert harness._stack_groups(list("abcde"), emit, 10_000) == [["a", "b"], ["c", "d"],
+                                                                      ["e"]]
+
+    def test_stacked_run_matches_per_cloud_run(self, monkeypatch):
+        config = _small_config(horizon_steps=3, filters=("gsf", "ngsf", "kf_momentmatch"))
+        assert len(harness._stack_groups([1, 2, 3], config.em, config.ensemble_size)) == 1
+        stacked = run_experiment(config)
+        monkeypatch.setattr(harness, "_STACK_DOUBLES", 0)
+        alone = run_experiment(config)
+        for rec, ref in zip(stacked.records, alone.records, strict=True):
+            for name, fr in rec.filters.items():
+                other = ref.filters[name]
+                assert np.array_equal(fr.prior_cloud, other.prior_cloud)
+                for tag in ("prior", "posterior"):
+                    for part in ("weights", "means", "covs"):
+                        assert np.array_equal(getattr(getattr(fr, tag), part),
+                                              getattr(getattr(other, tag), part))
+                assert np.array_equal(fr.estimate, other.estimate)
+                assert np.array_equal(fr.estimate_cov, other.estimate_cov)
+
+    # The rows of each RK4 call: step 1's one shared cloud, then step 2's
+    # stack of two and its per-cloud rerun, or step 2's per-cloud calls alone.
+    @pytest.mark.parametrize("case, message, stacked_rows, per_cloud_rows", [
+        # The ngsf's step-1 resample gets an overflowing particle at row 7,
+        # row 207 of the stacked step-2 cloud.
+        ("diverge_second", "step 2, module propagation: particle 7 diverged",
+         [200, 400, 200, 200], [200, 200, 200]),
+        # The gsf's step-1 resample is two point masses, whose fit passes the
+        # reseed limit.
+        ("em_fails_first", "step 2, module em_fit: EM failed after 4 component reseeds",
+         [200, 400, 200], [200, 200]),
+    ])
+    def test_failing_stack_raises_the_per_cloud_error(self, monkeypatch, case, message,
+                                                      stacked_rows, per_cloud_rows):
+        config = _small_config(em=EmFitConfig(n_components=6, max_iters=60, restarts=2),
+                               ensemble_size=200)
+        real_sample, real_propagate = harness.sample_mixture, harness.propagate_cloud
+        resamples, rows = [], []
+
+        def sample(posterior, n, rng):
+            cloud = real_sample(posterior, n, rng)
+            resamples.append(n)
+            if case == "diverge_second" and len(resamples) == 2:
+                cloud[7] = [1e200, 0.0]
+            if case == "em_fails_first" and len(resamples) == 1:
+                cloud = np.repeat([[0.0, 0.0], [2.0, -1.0]], n // 2, axis=0)
+            return cloud
+
+        def propagate(cloud, model, duration):
+            rows.append(len(cloud))
+            return real_propagate(cloud, model, duration)
+
+        monkeypatch.setattr(harness, "sample_mixture", sample)
+        monkeypatch.setattr(harness, "propagate_cloud", propagate)
+        for cap, expected_rows in ((harness._STACK_DOUBLES, stacked_rows), (0, per_cloud_rows)):
+            monkeypatch.setattr(harness, "_STACK_DOUBLES", cap)
+            resamples.clear()
+            rows.clear()
+            with pytest.raises(HarnessError) as caught:
+                run_experiment(config)
+            assert str(caught.value) == message
+            assert rows == expected_rows
 
 
 class TestEmitOutputs:
@@ -364,20 +443,20 @@ class TestCloudWorker:
         out = tmp_path / "run"
         config = _small_config(horizon_steps=3, output_dir=str(out),
                                filters=("gsf", "ngsf", "kf_momentmatch"))
-        real_fit = harness.fit_gmm_em
+        real_fit = harness._fit_gmm_em_stack
         trees = {}
         for cpus in (2, 1):
             self._spy(monkeypatch, cpus)
             fits = []
 
-            def fit_failing_at_step_two(cloud, em, rng):
+            def fit_failing_at_step_two(clouds, em, rngs):
                 # Step 1 fits the one cloud all filters share.
-                fits.append(rng)
+                fits.append(rngs)
                 if len(fits) > 1:
                     raise FitError("EM failed")
-                return real_fit(cloud, em, rng)
+                return real_fit(clouds, em, rngs)
 
-            monkeypatch.setattr(harness, "fit_gmm_em", fit_failing_at_step_two)
+            monkeypatch.setattr(harness, "_fit_gmm_em_stack", fit_failing_at_step_two)
             with pytest.raises(HarnessError, match=r"^step 2, module em_fit: EM failed$"):
                 run_experiment(config)
             trees[cpus] = _snapshot(out)
@@ -647,12 +726,15 @@ class TestCli:
         monkeypatch.setattr(harness, "_derived_rng", lambda seed, *key: (
             _NoMemory() if key == (harness._STREAM_INIT,) else real_rng(seed, *key)))
         cfg = tmp_path / "huge.json"
-        cfg.write_text(json.dumps({"ensemble_size": 10**17}))
+        # The largest ensemble the EM working-memory bound lets one component
+        # and one restart have: 2**31 particles, a 32 GiB cloud.
+        cfg.write_text(json.dumps({"ensemble_size": 2**31,
+                                   "em": {"n_components": 1, "restarts": 1}}))
         out = tmp_path / "o"
         assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err == ["runtime error: step 0, module initialization: "
-                       "Unable to allocate an array of shape (100000000000000000, 2)"]
+                       "Unable to allocate an array of shape (2147483648, 2)"]
         assert (out / "config.json").exists()
         assert (out / "timeseries.csv").read_text().startswith("step,time,")
 
@@ -704,6 +786,10 @@ class TestCli:
         {"em": {"covariance_floor": float("inf")}},
         # Beyond the largest (N, 2) float64 array numpy can index.
         {"ensemble_size": 10**30},
+        # Asks for 5e13 doubles (364 TiB) of EM responsibilities.
+        {"em": {"restarts": 10**9}},
+        # One double over the EM working-memory bound.
+        {"ensemble_size": 2**31 + 1, "em": {"n_components": 1, "restarts": 1}},
         # C C^T overflows to inf, whose Cholesky factor numpy returns without raising.
         {"measurement": {"C": [[1e200, 0.0]], "R": [[1.0]]}},
         # Each would ask for about 5e299 RK4 substeps per step.
@@ -716,7 +802,8 @@ class TestCli:
             "fractional_seed", "string_save_clouds", "numeric_output_dir",
             "bool_ensemble_size", "bool_restarts", "string_dt", "em_init_seed",
             "nan_em_tol", "infinite_covariance_floor", "unallocatable_ensemble",
-            "overflowing_sensor", "tiny_dt", "huge_sample_time"])
+            "huge_restarts", "em_memory_bound", "overflowing_sensor", "tiny_dt",
+            "huge_sample_time"])
     def test_bad_config_rejected_before_step_one(self, tmp_path, capsys, data):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))

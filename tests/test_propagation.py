@@ -18,7 +18,7 @@ from wassfilter import (DivergenceError, DuffingModel, EmFitConfig, FitError, Ga
                         sample_gaussian, sample_mixture)
 from wassfilter import propagation
 from wassfilter.gaussian import _component_logpdfs, ensure_spd
-from wassfilter.propagation import _EmWork, _joint_logpdfs, _m_step
+from wassfilter.propagation import _EmWork, _fit_gmm_em_stack, _joint_logpdfs, _m_step
 
 from conftest import random_spd
 
@@ -452,10 +452,10 @@ def _reference_fit(cloud, config, seed):
     """``fit_gmm_em`` run through the reference E/M step and floor, each step
     applied to every restart of the fit's ``(R, K, ...)`` stack."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(propagation, "_e_step", lambda work, w, m, cov: _stack_restarts(
-            [_ref_e_step(work.points, *run) for run in zip(w, m, cov[0])]))
-        mp.setattr(propagation, "_m_step", lambda work, resp_t, mass, floor: _stack_restarts(
-            [_ref_m_step(work.points, r, s, floor) for r, s in zip(resp_t, mass)]))
+        mp.setattr(propagation, "_e_step", lambda work, cloud, w, m, cov: _stack_restarts(
+            [_ref_e_step(work.points[c], *run) for c, *run in zip(cloud, w, m, cov[0])]))
+        mp.setattr(propagation, "_m_step", lambda work, cloud, resp_t, mass, floor: _stack_restarts(
+            [_ref_m_step(work.points[c], r, s, floor) for c, r, s in zip(cloud, resp_t, mass)]))
         mp.setattr(propagation, "_floored_eigh", _ref_floor_cov)
         return fit_gmm_em(cloud, config, np.random.default_rng(seed), details=True)
 
@@ -490,8 +490,10 @@ class TestBatchedEm:
         # from the floor component the log densities reach about -2e7, whose
         # own spacing is 4e-9, so a relative 1e-15 rides on the 1e-8.
         points, means, covs = _floor_level_case(rng, dim)
-        work = _EmWork(points, len(means), EmFitConfig().covariance_floor)
-        joint = _joint_logpdfs(work, np.ones(len(means)), means, *np.linalg.eigh(covs))
+        work = _EmWork([points], len(means), EmFitConfig().covariance_floor)
+        evals, evecs = np.linalg.eigh(covs)
+        joint = _joint_logpdfs(work, np.zeros(1, int), np.ones((1, len(means))), means[None],
+                               evals[None], evecs[None])[0]
         np.testing.assert_allclose(joint.T, _component_logpdfs(points, means, covs),
                                    rtol=1e-15, atol=1e-8)
 
@@ -506,7 +508,9 @@ class TestBatchedEm:
         points = rng.standard_normal((n, dim)) * [3.0, 0.5]
         resp = rng.dirichlet(np.ones(k), n)
         mass = resp.sum(axis=0)
-        means, (covs, evals, evecs) = _m_step(_EmWork(points, k, 1e-12), resp.T, mass, 1e-12)
+        means, (covs, evals, evecs) = _m_step(_EmWork([points], k, 1e-12), np.zeros(1, int),
+                                              resp.T[None], mass[None], 1e-12)
+        means, covs, evals, evecs = means[0], covs[0], evals[0], evecs[0]
         np.testing.assert_allclose((evecs * evals[:, None, :]) @ np.swapaxes(evecs, 1, 2), covs,
                                    rtol=0.0, atol=1e-14 * np.abs(covs).max())
         for j in range(k):
@@ -719,3 +723,86 @@ class TestStackedRestarts:
         with pytest.raises(FitError) as stacked:
             fit_gmm_em(cloud, config, np.random.default_rng(seed))
         assert str(stacked.value) == message
+
+
+def _assert_same_fit(fit, ref):
+    (mix, diag), (ref_mix, ref_diag) = fit, ref
+    for name in ("weights", "means", "covs"):
+        assert np.array_equal(getattr(mix, name), getattr(ref_mix, name))
+    assert np.array_equal(diag.log_likelihoods, ref_diag.log_likelihoods)
+    for name in ("reseeds", "restart_index", "final_log_likelihood", "iterations", "converged"):
+        assert getattr(diag, name) == getattr(ref_diag, name)
+
+
+# Point masses on which a K = 6, two-restart fit from default_rng(0) passes
+# the reseed limit: the first on pass 5, the second on pass 2.
+_FAILS_ON_PASS_5 = np.repeat([[-5.2, -4.1], [-24.4, 18.0], [11.4, -3.3], [7.7, 2.8]],
+                             [49, 52, 51, 48], axis=0)
+_FAILS_ON_PASS_2 = np.repeat([[82.2, 33.0], [-130.3, 90.5], [44.6, -53.7]], [70, 58, 72], axis=0)
+
+
+class TestStackedClouds:
+    """A step's distinct clouds run as one stacked fit; every cloud must come
+    out bit for bit as its own ``fit_gmm_em`` call from its own generator,
+    and leave that generator where its own call leaves it."""
+
+    @pytest.mark.parametrize("case", ["one", "two", "three", "tol_first", "tol_last", "reseed"])
+    def test_matches_per_cloud_fits(self, case):
+        config = EmFitConfig(n_components=10, max_iters=150, restarts=2)
+        if case in ("one", "two", "three"):
+            count = ("one", "two", "three").index(case) + 1
+            clouds = [_crit8_duffing_cloud(periods) for periods in (2, 3, 4)[:count]]
+            seeds = (2, 3, 4)[:count]
+        elif case.startswith("tol"):
+            # Restart 0 of the periods=6 cloud meets `tol` at pass 117 and
+            # leaves the stack while its restart 1 and the other cloud's
+            # restarts run on, so the rows left differ in number per cloud.
+            clouds = [_crit8_duffing_cloud(6), _crit8_duffing_cloud(2)]
+            clouds = clouds if case == "tol_first" else clouds[::-1]
+            seeds = (5, 5)
+        else:
+            config = EmFitConfig(n_components=3, max_iters=50, restarts=2)
+            clouds = [np.repeat([[0.0, 0.0], [1000.0, 1000.0]], 100, axis=0),
+                      np.random.default_rng(8).standard_normal((200, 2))]
+            seeds = (0, 0)
+        ref_draws = [np.random.default_rng(seed) for seed in seeds]
+        refs = [fit_gmm_em(cloud, config, draws, details=True)
+                for cloud, draws in zip(clouds, ref_draws)]
+        if case.startswith("tol"):
+            tol_fit = refs[0 if case == "tol_first" else 1][1]
+            assert (tol_fit.restart_index, tol_fit.iterations, tol_fit.converged) == (0, 117, True)
+        if case == "reseed":
+            assert refs[0][1].reseeds == 1
+
+        draws = [np.random.default_rng(seed) for seed in seeds]
+        fits = _fit_gmm_em_stack(clouds, config, draws)
+        assert len(fits) == len(clouds)
+        for fit, ref in zip(fits, refs):
+            _assert_same_fit(fit, ref)
+        for gen, ref_gen in zip(draws, ref_draws):
+            assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+    @pytest.mark.parametrize("order, message", [
+        # The second of three clouds is the first to fail.
+        ((0, 2, 1), "EM failed after 6 component reseeds"),
+        # The third cloud fails on an earlier pass than the second; the
+        # second's error, met later, is the one a per-cloud loop meets first.
+        ((0, 1, 2), "EM failed after 5 component reseeds"),
+    ])
+    def test_first_failing_cloud_raises(self, order, message):
+        candidates = [np.random.default_rng(8).standard_normal((200, 2)), _FAILS_ON_PASS_5,
+                      _FAILS_ON_PASS_2]
+        clouds = [candidates[i] for i in order]
+        config = EmFitConfig(n_components=6, max_iters=50, restarts=2)
+        with pytest.raises(FitError) as sequential:
+            for cloud in clouds:
+                fit_gmm_em(cloud, config, np.random.default_rng(0))
+        assert str(sequential.value) == message
+        with pytest.raises(FitError) as stacked:
+            _fit_gmm_em_stack(clouds, config, [np.random.default_rng(0) for _ in clouds])
+        assert str(stacked.value) == message
+
+    def test_clouds_must_share_one_shape(self, rng):
+        with pytest.raises(ValidationError, match="one shape"):
+            _fit_gmm_em_stack([rng.standard_normal((200, 2)), rng.standard_normal((201, 2))],
+                              EmFitConfig(n_components=2), [rng, rng])
