@@ -20,24 +20,32 @@ per cloud (``M = 6`` for the Duffing state). One fit takes ``F`` clouds of
 one shape (:func:`_fit_gmm_em_stack`; :func:`fit_gmm_em` is its one-cloud
 call), whose features form one ``(F, M, N)`` array. Each cloud's ``R``
 restarts draw their k-means++ starts first, from that cloud's generator in
-restart order, and then all ``F R`` (cloud, restart) rows run in lockstep as
-one stack. A Gaussian's log density is linear in the features, so each
-E-step folds every component's precision, log-determinant and weight into an
-``(F, R, K, M)`` coefficient stack and gets all joint log densities from one
-``(F, R, K, M) @ (F, 1, M, N)`` product; each M-step gets every component's
-mass, mean and second moment from one ``(F, R, K, N) @ (F, 1, N, M)``
-product over the responsibilities. The products stay batched per row, so
-each row's numbers are bit for bit those of a one-cloud, one-restart fit. The
-covariance floor (``gaussian.ensure_spd``) factors each M-step's
-``(F R K, d, d)`` covariance stack with one batched ``eigh``, and those
-eigenpairs give the next E-step every precision and log-determinant: no other
-factorization, and the floor, which the config requires to be positive, makes
-every covariance positive definite. Each restart's returned mixture is scored
-once with the whitened residuals of ``gaussian._component_logpdfs``.
+restart order, and then all ``F R`` (cloud, restart) rows run in lockstep on
+one ``(F, R, K, ·)`` stack that keeps its shape for the whole fit. A row that
+meets ``tol``, or that its cloud's reseed failure stops, stays in the stack,
+frozen: an ``(F, R)`` mask keeps each pass from changing its parameters and
+score history, so no array is ever reindexed. A Gaussian's log density is
+linear in the features, so each E-step folds every component's precision,
+log-determinant and weight into an ``(F, R, K, M)`` coefficient stack and
+gets all joint log densities from one ``(F, R, K, M) @ (F, 1, M, N)``
+product; each M-step gets every component's mass, mean and second moment
+from one ``(F, R, K, N) @ (F, 1, N, M)`` product over the responsibilities.
+The products stay batched per row, never flattened to 2-D: every row is its
+own ``(K, ·) @ (·, ·)`` product, so its bits do not depend on the other rows
+and are those of a one-cloud, one-restart fit. (OpenBLAS can round the rows
+of a flat ``(R K, a) @ (a, b)`` product differently in the last bits when
+``K`` is not a multiple of 4.) The covariance floor (``gaussian.ensure_spd``)
+factors each M-step's ``(F R K, d, d)`` covariance stack with one batched
+``eigh``, and those eigenpairs give the next E-step every precision and
+log-determinant: no other factorization, and the floor, which the config
+requires to be positive, makes every covariance positive definite. Each
+restart's returned mixture is scored once with the whitened residuals of
+``gaussian._component_logpdfs``.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,10 +155,10 @@ def integrate_rk4(x0, rhs, dt: float, steps: int) -> np.ndarray:
     stacked state; the overflow on the way there is not also reported as a
     numpy warning.
     """
-    if dt <= 0.0:
-        raise ValidationError(f"dt must be positive, got {dt}")
-    if steps < 0:
-        raise ValidationError(f"steps must be >= 0, got {steps}")
+    if not 0.0 < dt < np.inf:
+        raise ValidationError(f"dt must be positive and finite, got {dt}")
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 0:
+        raise ValidationError(f"steps must be an integer >= 0, got {steps!r}")
     x = np.array(x0, dtype=float, order="F")
     k1, k2, k3, k4, stage = (np.empty_like(x) for _ in range(5))
     finite = np.empty(x.shape, dtype=bool, order="F")
@@ -194,8 +202,8 @@ def propagate_cloud(cloud, model: DuffingModel, duration: float) -> np.ndarray:
     if cloud.ndim != 2 or cloud.shape[1] != 2:
         raise ValidationError(f"cloud must be (N, 2), got shape {cloud.shape}")
     ratio = duration / model.dt
-    if abs(ratio - round(ratio)) > 1e-9:
-        raise ValidationError(f"duration {duration} is not a multiple of dt {model.dt}")
+    if not np.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9:
+        raise ValidationError(f"duration {duration} is not a finite multiple of dt {model.dt}")
     return integrate_rk4(cloud, model.rhs, model.dt, int(round(ratio)))
 
 
@@ -283,8 +291,9 @@ class _EmWork:
     """What a stacked EM fit over ``F`` clouds of ``N`` points reuses on every
     pass: the clouds, their ``(F, M, N)`` quadratic features
     ``[1, x, x_i x_j (i <= j)]`` with each cloud's ``x`` centered at its own
-    mean (``M = 1 + d + d(d+1)/2``), the ``(F, restarts, K, N)`` buffer for
-    the joint log densities that become the transposed responsibilities, and
+    mean (``M = 1 + d + d(d+1)/2``), the one ``(F, restarts, K, N)`` buffer
+    that holds every row's joint log densities and then its transposed
+    responsibilities, frozen rows included, for the fit's whole life, and
     each cloud's floored overall covariance with its eigenpairs, which seed
     empty and reseeded components. Centering keeps the cancellation in the
     feature form small; reusing the buffer keeps each pass from allocating
@@ -294,13 +303,14 @@ class _EmWork:
     def __init__(self, clouds, k: int, floor: float, restarts: int = 1):
         n, dim = clouds[0].shape
         self.points = clouds
-        # (F, 1, d), so that center.take(cloud, axis=0) broadcasts over a row's components.
-        self.center = np.stack([points.mean(axis=0) for points in clouds])[:, None]
+        centers = np.stack([points.mean(axis=0) for points in clouds])
+        # (F, 1, 1, d), so that it broadcasts over each cloud's restarts and components.
+        self.center = centers[:, None, None]
         self.rows, self.cols = np.triu_indices(dim)
         # Off-diagonal features x_i x_j stand for both (i, j) and (j, i).
         self.pair_scale = np.where(self.rows == self.cols, -0.5, -1.0)
         self.feats = np.empty((len(clouds), 1 + dim + self.rows.size, n))
-        for feats, points, center in zip(self.feats, clouds, self.center):
+        for feats, points, center in zip(self.feats, clouds, centers):
             x = (points - center).T
             feats[0] = 1.0
             feats[1:1 + dim] = x
@@ -311,44 +321,14 @@ class _EmWork:
         self.overall = _floored_eigh(covs, floor)
 
 
-def _by_cloud(lhs: np.ndarray, rhs: np.ndarray, cloud: np.ndarray, out=None) -> np.ndarray:
-    """``lhs[i] @ rhs[cloud[i]]`` for every row ``i`` of an ``(L, K, a)``
-    stack whose rows are sorted by ``cloud``, into ``out`` ``(L, K, b)``.
-
-    With one cloud in ``rhs`` ``(F, a, b)`` this is one
-    ``(L, K, a) @ (a, b)`` product. When every cloud has the same number
-    ``R`` of rows, it is one ``(F, R, K, a) @ (F, 1, a, b)`` product, else one
-    ``(R_f, K, a) @ (a, b)`` product per cloud. Each way it stays batched per
-    row, never flattened to 2-D: every row is one ``(K, a) @ (a, b)``
-    product, so its bits do not depend on the other rows. OpenBLAS can round
-    the rows of a flat ``(R K, a) @ (a, b)`` product in the last bits
-    differently when ``K`` is not a multiple of 4.
-    """
-    clouds, per = rhs.shape[0], cloud.size // rhs.shape[0]
-    if clouds == 1:
-        return np.matmul(lhs, rhs[0], out=out)
-    if out is None:
-        out = np.empty(lhs.shape[:-1] + rhs.shape[-1:])
-    if per and np.array_equal(cloud, np.repeat(np.arange(clouds), per)):
-        np.matmul(lhs.reshape((clouds, per) + lhs.shape[1:]), rhs[:, None],
-                  out=out.reshape((clouds, per) + out.shape[1:]))
-        return out
-    bounds = np.searchsorted(cloud, np.arange(clouds + 1))
-    for f, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        if hi > lo:
-            np.matmul(lhs[lo:hi], rhs[f], out=out[lo:hi])
-    return out
-
-
-def _joint_logpdfs(work: _EmWork, cloud: np.ndarray, weights: np.ndarray, means: np.ndarray,
+def _joint_logpdfs(work: _EmWork, weights: np.ndarray, means: np.ndarray,
                    evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
-    """``(L, K, N)`` joint log densities ``log w_k + log N(x_n; mu_k, S_k)``
-    in the leading rows of ``work.resp_t``, one per row of the stack, from
-    one product batched over the rows (:func:`_by_cloud`). Row ``i`` belongs
-    to cloud ``cloud[i]``, and the rows are sorted by cloud.
+    """``(F, R, K, N)`` joint log densities ``log w_k + log N(x_n; mu_k, S_k)``
+    in ``work.resp_t``, for every (cloud, restart) row of the stack, from one
+    ``(F, R, K, M) @ (F, 1, M, N)`` product batched per row.
 
     ``S_k = V_k diag(lambda_k) V_k^T`` is given by the eigenpairs ``evals``
-    ``(L, K, d)`` and ``evecs`` ``(L, K, d, d)`` of the floor that made
+    ``(F, R, K, d)`` and ``evecs`` ``(F, R, K, d, d)`` of the floor that made
     it, so the precision is ``V_k diag(1 / lambda_k) V_k^T`` and the
     log-determinant ``sum(log lambda_k)``; the floor keeps every
     ``lambda_k`` positive. Each component's log density is linear in the
@@ -361,17 +341,15 @@ def _joint_logpdfs(work: _EmWork, cloud: np.ndarray, weights: np.ndarray, means:
     distance from the cloud's mean. The weights must be positive.
     """
     dim = means.shape[-1]
-    n = work.feats.shape[-1]
     prec = (evecs / evals[..., None, :]) @ np.swapaxes(evecs, -1, -2)
-    mu = means - work.center.take(cloud, axis=0)
+    mu = means - work.center
     prec_mu = (prec @ mu[..., None])[..., 0]
     coef = np.empty(weights.shape + (work.feats.shape[1],))
     coef[..., 0] = np.log(weights) - 0.5 * (
         dim * np.log(2.0 * np.pi) + np.log(evals).sum(axis=-1) + (prec_mu * mu).sum(axis=-1))
     coef[..., 1:1 + dim] = prec_mu
     coef[..., 1 + dim:] = prec[..., work.rows, work.cols] * work.pair_scale
-    out = work.resp_t.reshape(-1, n)[:weights.size].reshape(weights.shape + (n,))
-    return _by_cloud(coef, work.feats, cloud, out)
+    return np.matmul(coef, work.feats[:, None], out=work.resp_t)
 
 
 def _log_sum_exp(joint: np.ndarray):
@@ -389,47 +367,43 @@ def _log_sum_exp(joint: np.ndarray):
     return log_norm[..., 0, :], total
 
 
-def _e_step(work: _EmWork, cloud: np.ndarray, weights: np.ndarray, means: np.ndarray,
-            cov: tuple):
-    """Transposed responsibilities ``(L, K, N)`` in ``work.resp_t``, which
+def _e_step(work: _EmWork, weights: np.ndarray, means: np.ndarray, cov: tuple):
+    """Transposed responsibilities ``(F, R, K, N)`` in ``work.resp_t``, which
     the next E-step overwrites, and the per-point log mixture density
-    ``(L, N)``, for rows of clouds ``cloud`` and the ``(covs, evals, evecs)``
-    stack of :func:`_m_step`."""
-    joint = _joint_logpdfs(work, cloud, weights, means, *cov[1:])
+    ``(F, R, N)``, for the ``(covs, evals, evecs)`` stack of :func:`_m_step`."""
+    joint = _joint_logpdfs(work, weights, means, *cov[1:])
     log_norm, total = _log_sum_exp(joint)
     joint /= total
     return joint, log_norm
 
 
-def _m_step(work: _EmWork, cloud: np.ndarray, resp_t: np.ndarray, mass: np.ndarray,
-            floor: float):
-    """Weighted means ``(L, K, d)`` and the floored covariance stack as
-    ``(covs, evals, evecs)``: the ``(L, K, d, d)`` covariances and the
-    eigenpairs ``(L, K, d)`` and ``(L, K, d, d)`` that the floor factored
-    them by.
+def _m_step(work: _EmWork, resp_t: np.ndarray, mass: np.ndarray, floor: float):
+    """Weighted means ``(F, R, K, d)`` and the floored covariance stack as
+    ``(covs, evals, evecs)``: the ``(F, R, K, d, d)`` covariances and the
+    eigenpairs ``(F, R, K, d)`` and ``(F, R, K, d, d)`` that the floor
+    factored them by.
 
-    ``resp_t`` is the ``(L, K, N)`` transposed responsibilities of rows of
-    clouds ``cloud``, sorted by cloud, and ``mass`` its row sums. One
-    product batched over the rows, each row's ``(K, N) @ (N, M)`` with its
-    cloud's features (:func:`_by_cloud`), gives every component's expected
-    features, so its mean and its second moment ``E[x x^T]``; the covariance
-    is ``E[x x^T] - mu mu^T`` in the cloud's centered coordinates. The floor
+    ``resp_t`` is the ``(F, R, K, N)`` transposed responsibilities and
+    ``mass`` its row sums. One ``(F, R, K, N) @ (F, 1, N, M)`` product,
+    batched per row, gives every component's expected features, so its mean
+    and its second moment ``E[x x^T]``; the covariance is
+    ``E[x x^T] - mu mu^T`` in the cloud's centered coordinates. The floor
     runs once on the whole stack.
     """
     dim = work.center.shape[-1]
-    moments = _by_cloud(resp_t, work.feats_t, cloud) / mass[..., None]
+    moments = np.matmul(resp_t, work.feats_t[:, None]) / mass[..., None]
     mu = moments[..., 1:1 + dim]
     covs = np.empty(mass.shape + (dim, dim))
     covs[..., work.rows, work.cols] = moments[..., 1 + dim:]
     covs[..., work.cols, work.rows] = moments[..., 1 + dim:]
     covs -= mu[..., :, None] * mu[..., None, :]
     floored = _floored_eigh(covs.reshape(-1, dim, dim), floor)
-    return (work.center.take(cloud, axis=0) + mu,
-            tuple(a.reshape(mass.shape + a.shape[1:]) for a in floored))
+    return work.center + mu, tuple(a.reshape(mass.shape + a.shape[1:]) for a in floored)
 
 
-def _scored_run(points, weights, means, covs, lls, reseeds: int, converged: bool):
-    """One restart's result ``(mixture, lls, final_ll, reseeds, converged)``.
+def _scored_run(points, weights, means, covs, lls, reseeds: int, restart: int,
+                converged: bool):
+    """One restart's ``(mixture, EmDiagnostics)``.
 
     Each loop score belongs to the parameters before that pass's M-step, so
     the returned mixture is scored once more on its cloud ``points``, with
@@ -440,127 +414,112 @@ def _scored_run(points, weights, means, covs, lls, reseeds: int, converged: bool
     joint = _component_logpdfs(points, mixture.means, mixture.covs).T
     joint += np.log(mixture.weights)[:, None]
     final_ll = float(_log_sum_exp(joint)[0].sum())
-    return mixture, lls, final_ll, reseeds, converged
+    return mixture, EmDiagnostics(log_likelihoods=lls, reseeds=reseeds, restart_index=restart,
+                                  final_log_likelihood=final_ll, iterations=len(lls),
+                                  converged=converged)
 
 
 def _em_run(work: _EmWork, config: EmFitConfig, rngs) -> list:
-    """Every ``(cloud, restart)`` row's ``(mixture, lls, final_ll, reseeds,
-    converged)``, cloud by cloud and in restart order within a cloud, from
-    ``config.restarts`` EM runs per cloud in lockstep.
+    """Every ``(cloud, restart)`` row's ``(mixture, EmDiagnostics)``, one list
+    per cloud in restart order, from ``config.restarts`` EM runs per cloud in
+    lockstep on one ``(F, R, K, ·)`` stack that keeps its shape for the fit.
 
     Each cloud draws all its k-means++ starts from its own generator in
     ``rngs`` first, in restart order, and a pass draws nothing, so a cloud
     whose fit succeeds leaves its generator where restarts run one after
-    another would leave it. The live rows then share one stacked pass: one
-    E-step product, one M-step product and one floor ``eigh`` for all of
-    them, each batched per row, so a row's numbers are bit for bit those of
-    its own run. A row that reseeds a collapsed component skips its M-step
-    that pass; one that meets ``tol`` leaves the stack. A restart past the
-    reseed limit fails its cloud once that cloud's restarts before it have
-    finished, as a sequential run would; its later restarts leave the stack
-    at once. When every row has finished, the first failing cloud raises its
-    :class:`FitError`, the error a fit of each cloud in turn meets first.
+    another would leave it. Every pass then makes one E-step product, one
+    M-step product and one floor ``eigh`` for all rows, each batched per row,
+    so a row's numbers are bit for bit those of its own run. An ``active``
+    mask ``(F, R)`` picks the rows whose parameters and score history a pass
+    may change: a row that reseeds a collapsed component skips its M-step
+    that pass, and a row that meets ``tol`` freezes in place, still computed
+    but no longer changed. A restart past the reseed limit fails its cloud
+    once that cloud's restarts before it have finished, as a sequential run
+    would; it and the cloud's later restarts freeze at once. When every row
+    has frozen, or after ``max_iters`` passes, the first failing cloud raises
+    its :class:`FitError`, the error a fit of each cloud in turn meets first.
     """
     points = work.points
     n, dim = points[0].shape
     k, r = config.n_components, config.restarts
     floor = config.covariance_floor
+    rows = (len(points), r)
 
     # Start from each point's nearest k-means++ center; a center that wins no
     # point keeps its own location, its cloud's overall covariance and weight
     # 1/n. Every start reads one copy of its cloud's columns, and the hard
     # assignments go through the responsibility buffer.
-    cloud = np.repeat(np.arange(len(points)), r)  # each row's cloud
-    centers = np.empty((cloud.size, k, dim))
-    counts = np.empty((cloud.size, k))
-    hard_t = work.resp_t.reshape(cloud.size, k, n)
+    centers = np.empty(rows + (k, dim))
+    counts = np.empty(rows + (k,))
     for f, (cloud_points, rng) in enumerate(zip(points, rngs, strict=True)):
         cols_t = np.ascontiguousarray(cloud_points.T).T
-        for i in range(f * r, (f + 1) * r):
-            centers[i], assign = _kmeanspp_centers(cols_t, k, rng)
-            counts[i] = np.bincount(assign, minlength=k)
-            hard_t[i] = np.arange(k)[:, None] == assign
+        for restart in range(r):
+            centers[f, restart], assign = _kmeanspp_centers(cols_t, k, rng)
+            counts[f, restart] = np.bincount(assign, minlength=k)
+            work.resp_t[f, restart] = np.arange(k)[:, None] == assign
     empty = counts == 0
     counts[empty] = 1.0
-    means, cov = _m_step(work, cloud, hard_t, counts, floor)
+    means, cov = _m_step(work, work.resp_t, counts, floor)
     means[empty] = centers[empty]
     for part, overall in zip(cov, work.overall):
-        part[empty] = overall[cloud[np.nonzero(empty)[0]]]
-    weights = counts / counts.sum(axis=1, keepdims=True)
+        part[empty] = overall[np.nonzero(empty)[0]]
+    weights = counts / counts.sum(axis=-1, keepdims=True)
 
-    # Per stack row: its row index (cloud * r + restart), its cloud and its
-    # last kept score, if any. Per row, grown pass by pass: the scores of the
-    # passes that kept theirs (reseeding ones do not). Per cloud: its first
-    # restart past the reseed limit.
-    live = np.arange(cloud.size)
-    hist: list[list[float]] = [[] for _ in range(cloud.size)]
-    last = np.zeros(cloud.size)
-    scored = np.zeros(cloud.size, dtype=bool)
-    reseeds = [0] * cloud.size
-    failed = [r] * len(points)
-    runs = [None] * cloud.size
-
-    def finish(i, converged):
-        row = live[i]
-        runs[row] = _scored_run(points[row // r], weights[i], means[i], cov[0][i],
-                                np.array(hist[row], float), reseeds[row], converged)
+    # Per row: whether it still runs, its last kept score (NaN, which meets
+    # no `tol` test, until it keeps one), its reseeds and whether it met
+    # `tol`. Per pass: every row's score and the rows that kept theirs
+    # (reseeding and frozen ones do not).
+    active = np.ones(rows, dtype=bool)
+    last = np.full(rows, np.nan)
+    reseeds = np.zeros(rows, dtype=int)
+    converged = np.zeros(rows, dtype=bool)
+    scores, kept = [], []
 
     for _ in range(config.max_iters):
-        resp_t, log_norm = _e_step(work, cloud, weights, means, cov)
-        ll = log_norm.sum(axis=1)
-        mass = resp_t.sum(axis=2)
-        keep = mass.min(axis=1) >= _COLLAPSE_MASS * n
+        resp_t, log_norm = _e_step(work, weights, means, cov)
+        ll = log_norm.sum(axis=-1)
+        mass = resp_t.sum(axis=-1)
+        keep = mass.min(axis=-1) >= _COLLAPSE_MASS * n
 
-        if keep.all():
-            weights = mass / n
-            means, cov = _m_step(work, cloud, resp_t, mass, floor)
-        else:
-            for i in np.nonzero(~keep)[0]:
-                row, dead = live[i], np.nonzero(mass[i] < _COLLAPSE_MASS * n)[0]
-                f, restart = divmod(int(row), r)
-                reseeds[row] += dead.size
-                if reseeds[row] > _MAX_RESEEDS:
-                    failed[f] = min(failed[f], restart)
-                    continue
-                # Reseed each dead component at the point the mixture explains worst.
-                means[i, dead] = points[f][np.argsort(log_norm[i])[:dead.size]]
-                for part, overall in zip(cov, work.overall):
-                    part[i, dead] = overall[f]
-                weights[i, dead] = 1.0 / n
-                weights[i] /= weights[i].sum()
-            if keep.any():
-                # The reseeding rows skip their M-step this pass.
-                weights[keep] = mass[keep] / n
-                kept_means, kept_cov = _m_step(work, cloud[keep], resp_t[keep], mass[keep],
-                                               floor)
-                means[keep] = kept_means
-                for part, rows in zip(cov, kept_cov):
-                    part[keep] = rows
+        for f, restart in zip(*np.nonzero(active & ~keep)):
+            dead = np.nonzero(mass[f, restart] < _COLLAPSE_MASS * n)[0]
+            reseeds[f, restart] += dead.size
+            if reseeds[f, restart] > _MAX_RESEEDS:
+                # It fails its cloud, and the cloud's later restarts stop with it.
+                active[f, restart:] = False
+                continue
+            # Reseed each dead component at the point the mixture explains worst.
+            means[f, restart, dead] = points[f][np.argsort(log_norm[f, restart])[:dead.size]]
+            for part, overall in zip(cov, work.overall):
+                part[f, restart, dead] = overall[f]
+            weights[f, restart, dead] = 1.0 / n
+            weights[f, restart] /= weights[f, restart].sum()
 
-        met = keep & scored & (ll - last <= config.tol * (1.0 + np.abs(last)))
-        for row, score, kept in zip(live.tolist(), ll.tolist(), keep.tolist()):
-            if kept:
-                hist[row].append(score)
-        last = np.where(keep, ll, last)
-        scored |= keep
+        # The active rows that reseeded nothing take this pass's M-step.
+        update = active & keep
+        new_means, new_cov = _m_step(work, resp_t, mass, floor)
+        np.copyto(weights, mass / n, where=update[..., None])
+        np.copyto(means, new_means, where=update[..., None, None])
+        for part, new in zip(cov, new_cov):
+            np.copyto(part, new, where=update.reshape(rows + (1,) * (part.ndim - 2)))
 
-        leave = met | (live % r >= np.take(failed, cloud)) if min(failed) < r else met
-        if leave.any():
-            for i in np.nonzero(met)[0]:
-                finish(i, True)
-            stay = ~leave
-            live, cloud, last, scored, weights, means = (
-                a[stay] for a in (live, cloud, last, scored, weights, means))
-            cov = tuple(part[stay] for part in cov)
-            if not live.size:
-                break
+        converged |= update & (ll - last <= config.tol * (1.0 + np.abs(last)))
+        scores.append(ll)
+        kept.append(update)
+        last = np.where(update, ll, last)
+        active &= ~converged
+        if not active.any():
+            break
 
-    for f, restart in enumerate(failed):
-        if restart < r:
-            raise FitError(f"EM failed after {reseeds[f * r + restart]} component reseeds")
-    for i in range(live.size):
-        finish(i, False)
-    return runs
+    failing = np.argwhere(reseeds > _MAX_RESEEDS)
+    if failing.size:
+        # The first failing cloud's first restart past the reseed limit.
+        raise FitError(f"EM failed after {reseeds[tuple(failing[0])]} component reseeds")
+    scores, kept = np.array(scores), np.array(kept)
+    return [[_scored_run(points[f], weights[f, i], means[f, i], cov[0][f, i],
+                         scores[:, f, i][kept[:, f, i]], int(reseeds[f, i]), i,
+                         bool(converged[f, i]))
+             for i in range(r)] for f in range(len(points))]
 
 
 def _fit_gmm_em_stack(clouds, config: EmFitConfig, rngs) -> list:
@@ -568,14 +527,17 @@ def _fit_gmm_em_stack(clouds, config: EmFitConfig, rngs) -> list:
     one shape, cloud ``f`` drawing its starts from ``rngs[f]``, as one fit.
 
     Returns one ``(mixture, EmDiagnostics)`` per cloud, each bit for bit what
-    the cloud's own :func:`fit_gmm_em` call gives. The ``F R`` rows of
+    the cloud's own :func:`fit_gmm_em` call gives: of its restarts, the first
+    whose returned mixture scores highest. The ``F R`` rows of
     ``(cloud, restart)`` run in lockstep (:func:`_em_run`) over the clouds'
-    ``(F, M, N)`` features: each E-step is one ``(F, R, K, M) @ (F, 1, M, N)``
-    product and each M-step one ``(F, R, K, N) @ (F, 1, N, M)``, both batched
-    per row, so a pass's fixed cost is paid once for all the clouds. The
-    working memory per pass grows as ``F * restarts * n_components * N``
-    doubles. Every cloud is checked before any draw, in order; a fit that
-    fails raises the :class:`FitError` of the first failing cloud.
+    ``(F, M, N)`` features on one fixed ``(F, R, K, ·)`` stack: each E-step
+    is one ``(F, R, K, M) @ (F, 1, M, N)`` product and each M-step one
+    ``(F, R, K, N) @ (F, 1, N, M)``, both batched per row, so a pass's fixed
+    cost is paid once for all the clouds. A row that finishes early stays in
+    the stack, frozen, until the last one finishes, so the fit's working
+    memory is ``F * restarts * n_components * N`` doubles for its whole life.
+    Every cloud is checked before any draw, in order; a fit that fails
+    raises the :class:`FitError` of the first failing cloud.
     """
     points = []
     for cloud in clouds:
@@ -594,19 +556,8 @@ def _fit_gmm_em_stack(clouds, config: EmFitConfig, rngs) -> list:
         raise ValidationError(
             f"stacked clouds must share one shape, got {[cloud.shape for cloud in points]}")
     work = _EmWork(points, config.n_components, config.covariance_floor, config.restarts)
-    runs = _em_run(work, config, rngs)
-    fits = []
-    for f in range(len(points)):
-        best = None
-        for restart, run in enumerate(runs[f * config.restarts:(f + 1) * config.restarts]):
-            if best is None or run[2] > best[2]:
-                best = (*run, restart)
-        mixture, lls, final_ll, reseeds, converged, restart = best
-        fits.append((mixture, EmDiagnostics(log_likelihoods=lls, reseeds=reseeds,
-                                            restart_index=restart,
-                                            final_log_likelihood=final_ll,
-                                            iterations=len(lls), converged=converged)))
-    return fits
+    return [max(runs, key=lambda run: run[1].final_log_likelihood)
+            for runs in _em_run(work, config, rngs)]
 
 
 def fit_gmm_em(cloud, config: EmFitConfig, rng: np.random.Generator, details: bool = False):
@@ -615,20 +566,22 @@ def fit_gmm_em(cloud, config: EmFitConfig, rng: np.random.Generator, details: bo
     Runs ``config.restarts`` initializations, all drawn before the first
     pass in restart order, and keeps the first run whose returned mixture
     has the highest log-likelihood on the cloud. The restarts run in
-    lockstep on one stacked pass over the cloud's quadratic features: one
-    batched ``(R, K, M) @ (M, N)`` product gives every component's log
-    density (E-step) and one batched ``(R, K, N) @ (N, M)`` product its
-    expected features, so its mass, mean and covariance (M-step). Each
-    restart's numbers are bit for bit those of a fit with ``restarts=1``
-    drawing from the same generator state. The floor of ``ensure_spd`` lifts
-    the covariance eigenvalues to ``config.covariance_floor`` after every
-    M-step, and its eigenpairs give the next E-step the precisions and
-    log-determinants. Each restart's returned mixture is scored with
-    whitened residuals (``EmDiagnostics.final_log_likelihood``). The cloud
-    may have any dimension. The working memory per pass grows as
-    ``restarts * n_components * N`` doubles. This is the one-cloud call of
-    the stacked fit that the harness runs on a step's clouds. With
-    ``details=True`` returns ``(mixture, EmDiagnostics)``.
+    lockstep on one fixed ``(1, R, K, ·)`` stack over the cloud's quadratic
+    features: one ``(1, R, K, M) @ (1, 1, M, N)`` product, batched per
+    restart, gives every component's log density (E-step) and one
+    ``(1, R, K, N) @ (1, 1, N, M)`` product its expected features, so its
+    mass, mean and covariance (M-step). A restart that meets ``tol`` stays
+    in the stack, frozen, until the last one stops. Each restart's numbers
+    are bit for bit those of a fit with ``restarts=1`` drawing from the same
+    generator state. The floor of ``ensure_spd`` lifts the covariance
+    eigenvalues to ``config.covariance_floor`` after every M-step, and its
+    eigenpairs give the next E-step the precisions and log-determinants.
+    Each restart's returned mixture is scored with whitened residuals
+    (``EmDiagnostics.final_log_likelihood``). The cloud may have any
+    dimension. The working memory is ``restarts * n_components * N``
+    doubles for the whole fit. This is the one-cloud call of the stacked fit
+    that the harness runs on a step's clouds. With ``details=True`` returns
+    ``(mixture, EmDiagnostics)``.
     """
     (mixture, diagnostics), = _fit_gmm_em_stack([cloud], config, [rng])
     return (mixture, diagnostics) if details else mixture

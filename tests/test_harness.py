@@ -1,17 +1,25 @@
 """Tests for the experiment runner, output emission and CLI."""
 
+import contextlib
+import io
 import json
+import math
 import multiprocessing
 import os
+import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wassfilter
 from wassfilter import harness, validate
@@ -852,3 +860,126 @@ class TestCli:
         monkeypatch.setattr(validate, "SUITES", validate.SUITES[:0:-1])
         backward = validate.run_validation(seed=3)
         assert backward == forward[:0:-1]
+
+
+# The config every mutant starts from: each field present, all three filters
+# and no cloud files, so a run starts no worker process.
+_TINY_JSON = ExperimentConfig(
+    duffing=DuffingModel(dt=0.05), em=EmFitConfig(n_components=2, max_iters=10, restarts=1),
+    ensemble_size=60, horizon_steps=2, filters=("gsf", "ngsf", "kf_momentmatch"),
+    save_clouds=False).to_json_dict()
+
+# The work budget of a mutant run through the CLI: at most this many RK4
+# particle substeps, and this many EM point-component passes (restarts x
+# components x points x passes), over the whole run. The tiny config asks for
+# 3620 and 7200. A mutant over either is only built.
+_RUN_BUDGET = 200_000
+
+_MUTATIONS = ("wrong_type", "non_finite", "negative", "zero", "tiny", "huge")
+
+# Values of another type than each kind of field takes.
+_WRONG_TYPE = {int: ["2", 2.5, [2], None, True], float: ["0.5", [0.5], None, True],
+               np.ndarray: ["x", [["x"]], None, {"x": 1}], bool: [1, "true", None],
+               tuple: ["gsf", 1, None], str | None: [1, ["out"], True]}
+
+
+def _config_leaves(cls, path=()):
+    """Every non-dataclass field under dataclass ``cls`` as ``(path, hint)``,
+    walked through ``dataclasses.fields`` and ``get_type_hints`` as
+    ``harness._from_json`` reads a config."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        hint = hints[f.name]
+        if is_dataclass(hint):
+            yield from _config_leaves(hint, path + (f.name,))
+        else:
+            yield path + (f.name,), hint
+
+
+_LEAVES = list(_config_leaves(ExperimentConfig))
+
+
+def _mutated_number(draw, mutation: str, integer: bool):
+    if mutation == "non_finite":
+        return draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    if mutation == "zero":
+        return 0 if integer else 0.0
+    if mutation == "negative":
+        return -draw(st.integers(1, 10**6)) if integer else -draw(st.floats(1e-300, 1e300))
+    if mutation == "tiny":
+        return 1 if integer else 10.0 ** -draw(st.integers(3, 320))
+    return 10 ** draw(st.integers(6, 40)) if integer else 10.0 ** draw(st.integers(3, 308))
+
+
+@st.composite
+def _mutant_json(draw):
+    """``_TINY_JSON`` with one field mutated: ``(path, mutation, data)``."""
+    path, hint = draw(st.sampled_from(_LEAVES))
+    numeric = hint in (int, float, np.ndarray)
+    mutation = draw(st.sampled_from(_MUTATIONS if numeric else _MUTATIONS[:1]))
+    data = json.loads(json.dumps(_TINY_JSON))
+    *parents, name = path
+    node = data
+    for key in parents:
+        node = node[key]
+    if mutation == "wrong_type":
+        node[name] = draw(st.sampled_from(_WRONG_TYPE[hint]))
+    elif hint is np.ndarray:
+        # One entry of the array; the rest keep their values.
+        flat = np.asarray(node[name], dtype=float)
+        index = draw(st.integers(0, flat.size - 1))
+        flat.flat[index] = _mutated_number(draw, mutation, integer=False)
+        node[name] = flat.tolist()
+    else:
+        node[name] = _mutated_number(draw, mutation, integer=hint is int)
+    return path, mutation, data
+
+
+def _run_work(config: ExperimentConfig) -> int:
+    """The larger of a run's RK4 particle substeps and EM point-component
+    passes, counting one cloud per filter at every step."""
+    steps, filters, em = config.horizon_steps, len(config.filters), config.em
+    rk4 = (config.ensemble_size * filters + 1) * steps * config.duffing.steps_per_sample
+    fits = em.restarts * em.n_components * config.ensemble_size * em.max_iters
+    return max(rk4, fits * steps * filters)
+
+
+class TestGeneratedConfigs:
+    """The exit-code contract on configs that differ from a tiny one in one
+    field: every mutant builds or raises ValidationError, and every one
+    within the work budget runs through ``wassfilter run`` to exit 0, 1 or 2,
+    never to "unexpected error". Exit 1 means the config did not build and
+    leaves no output directory; exit 2 prints one stderr line naming the step
+    and module. Nothing else, no numpy warning either, reaches stderr."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(mutant=_mutant_json())
+    def test_one_field_mutants_keep_the_exit_contract(self, mutant):
+        path, mutation, data = mutant
+        try:
+            config = ExperimentConfig.from_json_dict(data)
+        except ValidationError:
+            config = None
+        if config is not None and _run_work(config) > _RUN_BUDGET:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = Path(tmp) / "config.json", Path(tmp) / "out"
+            cfg.write_text(json.dumps(data))
+            err = io.StringIO()
+            with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err),
+                  warnings.catch_warnings(record=True) as caught):
+                warnings.simplefilter("always")
+                code = cli_main(["run", "--config", str(cfg), "--out", str(out)])
+            lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+            assert code in (0, 1, 2), (path, mutation)
+            assert not any(line.startswith("unexpected error") for line in lines), lines
+            # Exit 1 exactly when the config does not build, before any output.
+            assert (code == 1) == (config is None), (path, mutation, code)
+            if code == 0:
+                assert lines == []
+            elif code == 1:
+                assert not out.exists()
+                assert len(lines) == 1 and lines[0].startswith("invalid input: "), lines
+            else:
+                assert len(lines) == 1, lines
+                assert re.fullmatch(r"runtime error: step \d+, module \w+: .+", lines[0]), lines

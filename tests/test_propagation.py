@@ -144,9 +144,11 @@ class TestRk4:
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError):
             integrate_rk4(np.array([1.0]), lambda x, out: np.square(x, out=out), 0.01, 200)
 
-    def test_rejects_bad_dt(self):
+    @pytest.mark.parametrize("dt, steps", [(-0.1, 10), (np.nan, 3), (np.inf, 3), (0.1, 2.5)],
+                             ids=["negative_dt", "nan_dt", "infinite_dt", "fractional_steps"])
+    def test_rejects_bad_dt(self, dt, steps):
         with pytest.raises(ValidationError):
-            integrate_rk4(np.zeros(2), duffing_rhs, -0.1, 10)
+            integrate_rk4(np.zeros(2), duffing_rhs, dt, steps)
 
     def test_truth_state_matches_allocating_loop(self):
         model = DuffingModel()
@@ -227,9 +229,11 @@ class TestPropagateCloud:
         with pytest.raises(DivergenceError, match="particle 3"):
             propagate_cloud(cloud, model, 0.5)
 
-    def test_duration_must_align_with_dt(self, rng):
+    @pytest.mark.parametrize("duration", [0.505, np.inf, np.nan],
+                             ids=["misaligned", "infinite", "nan"])
+    def test_duration_must_align_with_dt(self, rng, duration):
         with pytest.raises(ValidationError):
-            propagate_cloud(rng.standard_normal((5, 2)), DuffingModel(), 0.505)
+            propagate_cloud(rng.standard_normal((5, 2)), DuffingModel(), duration)
 
     def test_sample_time_must_align_with_dt(self):
         with pytest.raises(ValidationError):
@@ -440,22 +444,29 @@ def _ref_m_step(points, resp_t, mass, floor):
     return means, _ref_floor_cov(covs, floor)
 
 
-def _stack_restarts(outs):
-    """Stack per-restart results, tuples of arrays nested like the EM's
-    steps return them, into the fit's ``(R, ...)`` arrays."""
+def _stack_rows(outs):
+    """Stack per-row results, tuples of arrays nested like the EM's steps
+    return them, along a new leading axis."""
     if isinstance(outs[0], tuple):
-        return tuple(_stack_restarts([o[j] for o in outs]) for j in range(len(outs[0])))
+        return tuple(_stack_rows([o[j] for o in outs]) for j in range(len(outs[0])))
     return np.stack(outs)
+
+
+def _per_row(step, work, *stacks):
+    """``step(points, *row)`` on every (cloud, restart) row of the fit's
+    ``(F, R, ...)`` stacks, stacked back into ``(F, R, ...)`` arrays."""
+    return _stack_rows([_stack_rows([step(points, *row) for row in zip(*rows)])
+                        for points, *rows in zip(work.points, *stacks)])
 
 
 def _reference_fit(cloud, config, seed):
     """``fit_gmm_em`` run through the reference E/M step and floor, each step
-    applied to every restart of the fit's ``(R, K, ...)`` stack."""
+    applied to every row of the fit's ``(F, R, K, ...)`` stack."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(propagation, "_e_step", lambda work, cloud, w, m, cov: _stack_restarts(
-            [_ref_e_step(work.points[c], *run) for c, *run in zip(cloud, w, m, cov[0])]))
-        mp.setattr(propagation, "_m_step", lambda work, cloud, resp_t, mass, floor: _stack_restarts(
-            [_ref_m_step(work.points[c], r, s, floor) for c, r, s in zip(cloud, resp_t, mass)]))
+        mp.setattr(propagation, "_e_step", lambda work, w, m, cov: _per_row(
+            _ref_e_step, work, w, m, cov[0]))
+        mp.setattr(propagation, "_m_step", lambda work, resp_t, mass, floor: _per_row(
+            lambda points, r, s: _ref_m_step(points, r, s, floor), work, resp_t, mass))
         mp.setattr(propagation, "_floored_eigh", _ref_floor_cov)
         return fit_gmm_em(cloud, config, np.random.default_rng(seed), details=True)
 
@@ -492,8 +503,8 @@ class TestBatchedEm:
         points, means, covs = _floor_level_case(rng, dim)
         work = _EmWork([points], len(means), EmFitConfig().covariance_floor)
         evals, evecs = np.linalg.eigh(covs)
-        joint = _joint_logpdfs(work, np.zeros(1, int), np.ones((1, len(means))), means[None],
-                               evals[None], evecs[None])[0]
+        joint = _joint_logpdfs(work, np.ones((1, 1, len(means))), means[None, None],
+                               evals[None, None], evecs[None, None])[0, 0]
         np.testing.assert_allclose(joint.T, _component_logpdfs(points, means, covs),
                                    rtol=1e-15, atol=1e-8)
 
@@ -508,9 +519,9 @@ class TestBatchedEm:
         points = rng.standard_normal((n, dim)) * [3.0, 0.5]
         resp = rng.dirichlet(np.ones(k), n)
         mass = resp.sum(axis=0)
-        means, (covs, evals, evecs) = _m_step(_EmWork([points], k, 1e-12), np.zeros(1, int),
-                                              resp.T[None], mass[None], 1e-12)
-        means, covs, evals, evecs = means[0], covs[0], evals[0], evecs[0]
+        means, (covs, evals, evecs) = _m_step(_EmWork([points], k, 1e-12), resp.T[None, None],
+                                              mass[None, None], 1e-12)
+        means, covs, evals, evecs = means[0, 0], covs[0, 0], evals[0, 0], evecs[0, 0]
         np.testing.assert_allclose((evecs * evals[:, None, :]) @ np.swapaxes(evecs, 1, 2), covs,
                                    rtol=0.0, atol=1e-14 * np.abs(covs).max())
         for j in range(k):
@@ -682,7 +693,7 @@ class TestStackedRestarts:
         runs = _sequential_runs(cloud, config, seed)
         iterations = [d.iterations for _, d in runs]
         if case == "tol_compaction":
-            # Restart 0 meets `tol` and leaves the stack while restart 1 runs on.
+            # Restart 0 meets `tol` and freezes in the stack while restart 1 runs on.
             assert iterations == [117, 150]
             assert [d.converged for _, d in runs] == [True, False]
         if case == "reseed":
@@ -755,8 +766,8 @@ class TestStackedClouds:
             seeds = (2, 3, 4)[:count]
         elif case.startswith("tol"):
             # Restart 0 of the periods=6 cloud meets `tol` at pass 117 and
-            # leaves the stack while its restart 1 and the other cloud's
-            # restarts run on, so the rows left differ in number per cloud.
+            # freezes in the stack while its restart 1 and the other cloud's
+            # restarts run on, so the clouds differ in their active rows.
             clouds = [_crit8_duffing_cloud(6), _crit8_duffing_cloud(2)]
             clouds = clouds if case == "tol_first" else clouds[::-1]
             seeds = (5, 5)
