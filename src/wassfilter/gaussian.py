@@ -340,29 +340,21 @@ def psd_sqrt(m) -> np.ndarray:
     return 0.5 * (root + root.T)
 
 
-def ensure_spd(cov: np.ndarray, floor: float | None = None) -> np.ndarray:
+def ensure_spd(cov: np.ndarray) -> np.ndarray:
     """Symmetrize structurally-PSD covariances and lift each matrix's eigenvalues
-    below its floor.
+    below ``1e-14 * lambda_max``.
 
     Takes one ``(n, n)`` matrix or a ``(K, n, n)`` stack and treats each matrix
-    of a stack as if alone. Without ``floor``, the floor is
-    ``1e-14 * lambda_max``: enough for the Cholesky factorizations downstream
-    of filter updates, whose formulas are PSD analytically but can drift a
-    hair negative, and eigenvalues below ``-1e-12 * max(1, lambda_max)`` mean
-    a matrix is genuinely broken and raise :class:`DegeneracyError` (for the
-    first such matrix). One batched ``eigvalsh`` flags the matrices below
-    their floor, and only those are factored with ``eigh``, whose eigenpairs
-    rebuild them with the eigenvalues lifted. An absolute ``floor`` (the EM's
-    covariance floor) lifts every eigenvalue below it, negative ones
-    included: the EM forms a covariance as ``E[x x^T] - mu mu^T``, PSD in
-    exact arithmetic but, for a tight component far from the cloud's mean,
-    below zero by up to about ``eps * E|x|^2`` in floating point. The EM needs
-    every matrix's eigenpairs, so that path runs one batched ``eigh``
-    (:func:`_floored_eigh`). Either way the matrices above their floor come
-    back symmetrized only.
+    of a stack as if alone. The relative floor is enough for the Cholesky
+    factorizations downstream of filter updates, whose formulas are PSD
+    analytically but can drift a hair negative; eigenvalues below
+    ``-1e-12 * max(1, lambda_max)`` mean a matrix is genuinely broken and
+    raise :class:`DegeneracyError` (for the first such matrix). One batched
+    ``eigvalsh`` flags the matrices below their floor, and only those are
+    factored with ``eigh``, whose eigenpairs rebuild them with the
+    eigenvalues lifted. The matrices above their floor come back symmetrized
+    only. The EM's absolute covariance floor is :func:`_floored_eigh`.
     """
-    if floor is not None:
-        return _floored_eigh(cov, floor)[0]
     cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
     w = np.linalg.eigvalsh(cov)
     low_w, lmax = w[..., 0], np.maximum(w[..., -1], 0.0)
@@ -388,10 +380,16 @@ def _rebuild(cov: np.ndarray, low, w: np.ndarray, v: np.ndarray) -> None:
 
 
 def _floored_eigh(cov: np.ndarray, floor: float):
-    """:func:`ensure_spd` with an absolute ``floor`` and the eigenpairs it
-    floors by: the floored matrices, their eigenvalues ``(..., n)`` with the
-    lifted ones at the floor, and their eigenvectors ``(..., n, n)``. The
-    eigenpairs factor the returned matrices up to the rebuild's roundoff."""
+    """Symmetrize ``cov`` and lift every eigenvalue below the absolute
+    ``floor`` (the EM's covariance floor), negative ones included: the EM
+    forms a covariance as ``E[x x^T] - mu mu^T``, PSD in exact arithmetic
+    but, for a tight component far from the cloud's mean, below zero by up to
+    about ``eps * E|x|^2`` in floating point. One batched ``eigh`` factors
+    every matrix, because the EM needs all the eigenpairs. Returns the
+    floored matrices, their eigenvalues ``(..., n)`` with the lifted ones at
+    the floor, and their eigenvectors ``(..., n, n)``, which factor the
+    returned matrices up to the rebuild's roundoff; the matrices above the
+    floor come back symmetrized only."""
     cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
     w, v = np.linalg.eigh(cov)
     low = w[..., 0] < floor

@@ -23,11 +23,12 @@ cloud, so that an error reads as the per-cloud calls word it.
 A run writes its output tree as it goes, through the functions
 :func:`emit_outputs` writes a finished result with: config.json and the
 timeseries header before the initial draw, each step's files when the step
-ends, and summary.json last, also when a stage fails. Worker processes follow
-one rule, :func:`_worker_pool`: with two or more usable CPUs a run writes its
-clouds from one worker process and :func:`monte_carlo_compare` runs its
-members in one worker per CPU; with one usable CPU both work in-process. The
-outputs are the same bytes either way.
+ends, and summary.json last, also when a stage fails. Worker work takes one
+path: a run submits its cloud writes, and :func:`monte_carlo_compare` its
+member runs, to the executor of :func:`_worker_pool`, which alone reads the
+CPU count: worker processes with two or more usable CPUs, this process with
+one. A failed cloud write is reported when the run ends, naming its step, and
+the outputs, partial trees included, are the same bytes either way.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ import os
 from contextlib import contextmanager, suppress
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import partial
-from itertools import islice
 from pathlib import Path
 from typing import get_type_hints
 
@@ -264,16 +264,35 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+class _InProcessExecutor:
+    """The executor of one usable CPU: :meth:`submit` runs the call at once in
+    this process and returns its finished future, which holds any
+    ``Exception`` the call raised; ``KeyboardInterrupt`` goes through."""
+
+    @staticmethod
+    def submit(fn, *args):
+        # Imported here so that ``import wassfilter`` does not load concurrent.futures.
+        from concurrent.futures import Future
+
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
 @contextmanager
 def _worker_pool(wanted: int):
-    """``(pool, workers)``: a pool of ``workers = min(wanted, cpus)`` worker
-    processes when ``cpus``, the usable CPUs, are two or more, else
-    ``(None, 1)`` and the caller does the work in this process. The pool takes
-    the platform's default start method and is shut down on every way out,
-    dropping calls not yet started when the caller is cut short."""
+    """``(pool, workers)``: the executor every worker call is submitted to and
+    the calls it runs at once. With two or more usable CPUs it is a pool of
+    ``workers = min(wanted, cpus)`` worker processes, which takes the
+    platform's default start method and is shut down on every way out,
+    dropping calls not yet started when the caller is cut short. With one it
+    is an :class:`_InProcessExecutor` and ``workers`` is 1."""
     cpus = _usable_cpus()
     if cpus < 2:
-        yield None, 1
+        yield _InProcessExecutor(), 1
         return
     # Imported here so that ``import wassfilter`` does not load multiprocessing.
     from concurrent.futures import ProcessPoolExecutor
@@ -305,10 +324,12 @@ def _stack_groups(clouds, em: EmFitConfig, ensemble_size: int) -> list[list]:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run one seeded experiment; writes the output tree when ``config.output_dir`` is set.
 
-    Clouds are written by one worker process from :func:`_worker_pool` while
-    the later steps run, or in-process with one usable CPU. Any module failure
-    aborts the run with the step index and module named, after the summary of
-    the steps so far is written.
+    Each cloud write is submitted to the executor of :func:`_worker_pool`:
+    one worker process writes the clouds while the later steps run, or, with
+    one usable CPU, each write runs when it is submitted. A failed write is
+    reported when the run ends, naming its step. Any other module failure
+    aborts the run with the step index and module named. Either way the
+    summary of the steps so far is written first.
     """
     if config.output_dir is None or not config.save_clouds:
         return _run_experiment(config, None)
@@ -317,7 +338,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
 
 def _run_experiment(config: ExperimentConfig, pool) -> ExperimentResult:
-    """:func:`run_experiment` with ``pool``, the cloud worker or ``None``."""
+    """:func:`run_experiment` with ``pool``, the cloud writes' executor, or
+    ``None`` when no clouds are written."""
     seed = config.master_seed
     model = config.measurement
     duffing = config.duffing
@@ -326,7 +348,7 @@ def _run_experiment(config: ExperimentConfig, pool) -> ExperimentResult:
 
     initial_cloud = np.empty((0, 2))
     records: list[StepRecord] = []
-    # (step, future) of each cloud write handed to the worker.
+    # (step, future) of each cloud write submitted to the pool.
     pending: list = []
 
     def _result() -> ExperimentResult:
@@ -347,11 +369,9 @@ def _run_experiment(config: ExperimentConfig, pool) -> ExperimentResult:
             raise HarnessError(f"step {step}, module {module}: {exc}") from exc
 
     def write_cloud(cloud, names):
-        if pool is None:
-            _write_cloud(directory / "clouds", cloud, names)
-        else:  # the records so far count the step that a failed write names
-            future = pool.submit(_write_cloud, directory / "clouds", cloud, names)
-            pending.append((len(records), future))
+        # The records so far count the step that a failed write names.
+        future = pool.submit(_write_cloud, directory / "clouds", cloud, names)
+        pending.append((len(records), future))
 
     def propagate_and_fit(step: int, group: list) -> list:
         """``(propagated, prior)`` of each cloud of ``group``, in order.
@@ -470,17 +490,17 @@ def _cloud_csv(cloud: np.ndarray) -> str:
 
 def _write_cloud(cloud_dir: Path, cloud: np.ndarray, names: list[str]) -> None:
     """Format ``cloud`` once and write the text to each file of ``names`` in
-    ``cloud_dir``, creating it. Runs in the cloud worker or in-process; it
-    returns nothing, so no text travels back from a worker."""
-    cloud_dir.mkdir(parents=True, exist_ok=True)
+    ``cloud_dir``, which :func:`_open_tree` made. It returns nothing, so no
+    text travels back from a worker."""
     text = _cloud_csv(cloud)
     for name in names:
         (cloud_dir / name).write_text(text)
 
 
 def _open_tree(config: ExperimentConfig, directory: Path) -> list[Path]:
-    """Make ``directory`` and its ``mixtures/``, write config.json and truncate
-    timeseries.csv to its header; returns the two files."""
+    """Make ``directory`` and its ``mixtures/``, write config.json, truncate
+    timeseries.csv to its header and, when clouds are saved, make
+    ``clouds/``. Returns the two files."""
     (directory / "mixtures").mkdir(parents=True, exist_ok=True)
     config_path = directory / "config.json"
     config_path.write_text(json.dumps(config.to_json_dict(), indent=2, sort_keys=True) + "\n")
@@ -490,6 +510,8 @@ def _open_tree(config: ExperimentConfig, directory: Path) -> list[Path]:
         header += [f"{name}_est_x1", f"{name}_est_x2", f"{name}_sd_x1", f"{name}_sd_x2"]
     ts_path = directory / "timeseries.csv"
     ts_path.write_text(",".join(header) + "\n")
+    if config.save_clouds:
+        (directory / "clouds").mkdir(exist_ok=True)
     return [config_path, ts_path]
 
 
@@ -606,36 +628,27 @@ def _run_member(config: ExperimentConfig, run: int) -> tuple:
 
 
 def _map_fail_fast(fn, n: int, pool, workers: int) -> list:
-    """``[fn(i) for i in range(n)]`` in ``pool``, which has ``workers`` workers.
+    """``[fn(i) for i in range(n)]`` in ``pool``, which runs ``workers`` calls at once.
 
     At most ``workers`` calls are in flight, submitted in index order. After
-    the first failure nothing more is submitted; the calls in flight finish
-    and the lowest-index failure is raised. Every index below a failed one
-    was submitted before it, so that is the failure a serial loop meets first.
+    the first failure seen nothing more is submitted; the calls in flight
+    finish and the lowest-index failure is raised. Every index below a failed
+    one was submitted before it, so that is the failure a serial loop meets
+    first.
     """
     from concurrent.futures import FIRST_COMPLETED, wait
 
-    results: list = [None] * n
-    failures: dict[int, BaseException] = {}
-    indices = iter(range(n))
-    pending: dict = {}
-    while True:
-        if not failures:
-            for i in islice(indices, workers - len(pending)):
-                pending[pool.submit(fn, i)] = i
-        if not pending:
-            break
-        done, _ = wait(pending, return_when=FIRST_COMPLETED)
-        for future in done:
-            i = pending.pop(future)
-            exc = future.exception()
-            if exc is None:
-                results[i] = future.result()
-            else:
-                failures[i] = exc
-    if failures:
-        raise failures[min(failures)]
-    return results
+    futures: list = []
+    running: set = set()
+    for i in range(n):
+        if len(running) == workers:
+            done, running = wait(running, return_when=FIRST_COMPLETED)
+            if any(future.exception() is not None for future in done):
+                break
+        futures.append(pool.submit(fn, i))
+        running.add(futures[-1])
+    wait(running)
+    return [future.result() for future in futures]
 
 
 def _check_compare(config: ExperimentConfig, n_runs) -> None:
@@ -652,19 +665,16 @@ def monte_carlo_compare(config: ExperimentConfig, n_runs: int) -> ComparisonResu
 
     Each run derives its own master seed from the config seed, so all filters
     inside a run see identical clouds and measurements while runs stay
-    independent. The members run in a :func:`_worker_pool` of one worker per
-    usable CPU, never more than ``n_runs``, or in this process when one CPU
+    independent. The members go through :func:`_map_fail_fast` to the
+    executor of :func:`_worker_pool`: one worker per usable CPU, never more
+    than ``n_runs``, or this process, one member after another, when one CPU
     is usable. Results are gathered in run order, so the result does not
     depend on the worker count, and a failure raises the error of the first
-    failing run, as in-process members would (see :func:`_map_fail_fast`).
+    failing run, as a serial loop would.
     """
     _check_compare(config, n_runs)
-    member = partial(_run_member, config)
     with _worker_pool(n_runs) as (pool, workers):
-        if pool is None:
-            members = list(map(member, range(n_runs)))
-        else:
-            members = _map_fail_fast(member, n_runs, pool, workers)
+        members = _map_fail_fast(partial(_run_member, config), n_runs, pool, workers)
 
     run_summaries = [summary for summary, _, _ in members]
     per_filter = {name: _error_stats(np.concatenate([errors[name] for _, errors, _ in members]))

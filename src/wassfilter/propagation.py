@@ -34,7 +34,7 @@ The products stay batched per row, never flattened to 2-D: every row is its
 own ``(K, ·) @ (·, ·)`` product, so its bits do not depend on the other rows
 and are those of a one-cloud, one-restart fit. (OpenBLAS can round the rows
 of a flat ``(R K, a) @ (a, b)`` product differently in the last bits when
-``K`` is not a multiple of 4.) The covariance floor (``gaussian.ensure_spd``)
+``K`` is not a multiple of 4.) The covariance floor (``gaussian._floored_eigh``)
 factors each M-step's ``(F R K, d, d)`` covariance stack with one batched
 ``eigh``, and those eigenpairs give the next E-step every precision and
 log-determinant: no other factorization, and the floor, which the config
@@ -197,6 +197,9 @@ def propagate_cloud(cloud, model: DuffingModel, duration: float) -> np.ndarray:
     """Advance every particle of an ``(N, 2)`` cloud by ``duration`` seconds.
 
     Deterministic; a divergent particle is reported by row index.
+    ``duration`` must be an integer multiple of ``model.dt``, at most
+    :data:`MAX_STEPS_PER_SAMPLE` times it, or :class:`ValidationError` is
+    raised before any substep runs.
     """
     cloud = np.asarray(cloud, dtype=float)
     if cloud.ndim != 2 or cloud.shape[1] != 2:
@@ -204,6 +207,10 @@ def propagate_cloud(cloud, model: DuffingModel, duration: float) -> np.ndarray:
     ratio = duration / model.dt
     if not np.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9:
         raise ValidationError(f"duration {duration} is not a finite multiple of dt {model.dt}")
+    if round(ratio) > MAX_STEPS_PER_SAMPLE:
+        raise ValidationError(
+            f"duration {duration} / dt {model.dt} asks for {ratio:.3g} RK4 substeps; "
+            f"at most {MAX_STEPS_PER_SAMPLE} are allowed")
     return integrate_rk4(cloud, model.rhs, model.dt, int(round(ratio)))
 
 
@@ -573,7 +580,7 @@ def fit_gmm_em(cloud, config: EmFitConfig, rng: np.random.Generator, details: bo
     mass, mean and covariance (M-step). A restart that meets ``tol`` stays
     in the stack, frozen, until the last one stops. Each restart's numbers
     are bit for bit those of a fit with ``restarts=1`` drawing from the same
-    generator state. The floor of ``ensure_spd`` lifts the covariance
+    generator state. The floor of ``_floored_eigh`` lifts the covariance
     eigenvalues to ``config.covariance_floor`` after every M-step, and its
     eigenpairs give the next E-step the precisions and log-determinants.
     Each restart's returned mixture is scored with whitened residuals

@@ -404,8 +404,9 @@ class TestEmitOutputs:
 
 
 class TestCloudWorker:
-    """Cloud CSVs written by one worker process during the run (more than one
-    usable CPU) or in-process when each step ends (one CPU)."""
+    """Cloud CSVs submitted to the run's executor: written by one worker
+    process during the run (more than one usable CPU) or in-process as each
+    write is submitted (one CPU)."""
 
     @staticmethod
     def _spy(monkeypatch, cpus: int):
@@ -489,6 +490,60 @@ class TestCloudWorker:
         assert errors[2] == errors[1]
         assert multiprocessing.active_children() == []
 
+    def test_failed_cloud_write_is_reported_at_the_end_alike(self, tmp_path, monkeypatch):
+        # A directory where step 2's gsf cloud goes: the write fails, the run
+        # goes on to its last step and then names step 2, on either CPU count.
+        out = tmp_path / "run"
+        config = _small_config(horizon_steps=3, output_dir=str(out))
+        blocked = out / "clouds" / "step002_gsf_prior.csv"
+        errors, trees = {}, {}
+        for cpus in (2, 1):
+            self._spy(monkeypatch, cpus)
+            blocked.mkdir(parents=True)
+            with pytest.raises(HarnessError, match=r"^step 2, module output: ") as caught:
+                run_experiment(config)
+            errors[cpus] = str(caught.value)
+            trees[cpus] = _snapshot(out)
+            shutil.rmtree(out)
+        assert errors[2] == errors[1] == (
+            f"step 2, module output: [Errno 21] Is a directory: '{blocked}'")
+        assert json.loads(trees[1][Path("summary.json")])["steps"] == 3
+        assert Path("mixtures/step003_ngsf_posterior.json") in trees[1]
+        assert trees[2] == trees[1]
+        assert multiprocessing.active_children() == []
+
+    def test_clouds_path_that_is_a_file_fails_alike(self, tmp_path, monkeypatch):
+        # clouds/ is made with the tree, so a regular file in its place stops
+        # the run at step 0, before anything is drawn or propagated.
+        out = tmp_path / "run"
+        config = _small_config(horizon_steps=3, output_dir=str(out))
+        propagated = []
+        real_propagate = harness.propagate_cloud
+
+        def propagate(cloud, model, duration):
+            propagated.append(len(cloud))
+            return real_propagate(cloud, model, duration)
+
+        monkeypatch.setattr(harness, "propagate_cloud", propagate)
+        errors, trees = {}, {}
+        for cpus in (2, 1):
+            self._spy(monkeypatch, cpus)
+            out.mkdir()
+            (out / "clouds").write_text("")
+            with pytest.raises(HarnessError, match=r"^step 0, module output: \[Errno 17\] "
+                                                   r"File exists: ") as caught:
+                run_experiment(config)
+            errors[cpus] = str(caught.value)
+            trees[cpus] = _snapshot(out)
+            shutil.rmtree(out)
+        assert propagated == []
+        assert sorted(map(str, trees[1])) == ["clouds", "config.json", "summary.json",
+                                              "timeseries.csv"]
+        assert json.loads(trees[1][Path("summary.json")])["steps"] == 0
+        assert errors[2] == errors[1]
+        assert trees[2] == trees[1]
+        assert multiprocessing.active_children() == []
+
     def test_no_worker_without_cloud_files(self, tmp_path, monkeypatch):
         # Runs without an output tree (compare's members) or without clouds
         # open no process pool.
@@ -505,10 +560,24 @@ class TestCloudWorker:
 
 
 class TestWorkerPool:
-    def test_one_cpu_yields_no_pool(self, monkeypatch):
+    def test_one_cpu_runs_each_call_at_submit(self, monkeypatch):
+        # One CPU: the executor is this process. A call has run when submit
+        # returns; its exception is held in the future, and an interrupt is not.
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        calls = []
+
+        def interrupt():
+            raise KeyboardInterrupt
+
         with harness._worker_pool(4) as (pool, workers):
-            assert pool is None and workers == 1
+            assert workers == 1
+            future = pool.submit(calls.append, 7)
+            assert calls == [7] and future.done() and future.result() is None
+            future = pool.submit(math.sqrt, -1.0)
+            assert future.done() and isinstance(future.exception(), ValueError)
+            with pytest.raises(KeyboardInterrupt):
+                pool.submit(interrupt)
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("cpus", [2, 5])
     @pytest.mark.parametrize("wanted", [1, 3])

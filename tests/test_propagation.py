@@ -17,7 +17,7 @@ from wassfilter import (DivergenceError, DuffingModel, EmFitConfig, FitError, Ga
                         integrate_rk4, mixture_mean_cov, propagate_cloud,
                         sample_gaussian, sample_mixture)
 from wassfilter import propagation
-from wassfilter.gaussian import _component_logpdfs, ensure_spd
+from wassfilter.gaussian import _component_logpdfs, _floored_eigh
 from wassfilter.propagation import _EmWork, _fit_gmm_em_stack, _joint_logpdfs, _m_step
 
 from conftest import random_spd
@@ -229,11 +229,17 @@ class TestPropagateCloud:
         with pytest.raises(DivergenceError, match="particle 3"):
             propagate_cloud(cloud, model, 0.5)
 
-    @pytest.mark.parametrize("duration", [0.505, np.inf, np.nan],
-                             ids=["misaligned", "infinite", "nan"])
-    def test_duration_must_align_with_dt(self, rng, duration):
-        with pytest.raises(ValidationError):
-            propagate_cloud(rng.standard_normal((5, 2)), DuffingModel(), duration)
+    @pytest.mark.parametrize("model, duration, message", [
+        (DuffingModel(), 0.505, "not a finite multiple"),
+        (DuffingModel(), np.inf, "not a finite multiple"),
+        (DuffingModel(), np.nan, "not a finite multiple"),
+        # Exact in binary, so it passes the alignment check and meets the cap.
+        (DuffingModel(dt=0.5, sample_time=0.5), (propagation.MAX_STEPS_PER_SAMPLE + 1) * 0.5,
+         r"asks for 1e\+06 RK4 substeps; at most 1000000 are allowed"),
+    ], ids=["misaligned", "infinite", "nan", "over_cap"])
+    def test_duration_must_align_with_dt(self, rng, model, duration, message):
+        with pytest.raises(ValidationError, match=message):
+            propagate_cloud(rng.standard_normal((5, 2)), model, duration)
 
     def test_sample_time_must_align_with_dt(self):
         with pytest.raises(ValidationError):
@@ -538,7 +544,7 @@ class TestBatchedEm:
         covs[3] = [[2e-5, 1e-5], [1e-5, 2e-5]]
         covs += 1e-13 * rng.standard_normal(covs.shape)  # slightly asymmetric
         sym = 0.5 * (covs + np.swapaxes(covs, 1, 2))
-        out = ensure_spd(covs.copy(), floor)
+        out = _floored_eigh(covs.copy(), floor)[0]
         for j in (0, 2, 4):
             np.testing.assert_array_equal(out[j], sym[j])
         for j in (1, 3):
