@@ -17,8 +17,9 @@ clouds, in filter order, go in groups whose summed EM responsibility stacks
 :data:`_STACK_DOUBLES`: each group is propagated by one RK4 call on the
 concatenated clouds and fitted by one stacked EM, bit for bit the per-cloud
 calls, so small clouds share each pass's fixed cost. A larger cloud is a
-group of its own, and a group whose stacked calls fail runs again cloud by
-cloud, so that an error reads as the per-cloud calls word it.
+group of its own. A failing group's error is that of its own two calls: a
+diverging particle is named by its row in the group's stack, the group's
+clouds in filter order, ``ensemble_size`` rows each.
 
 A run writes its output tree as it goes, through the functions
 :func:`emit_outputs` writes a finished result with: config.json and the
@@ -373,33 +374,6 @@ def _run_experiment(config: ExperimentConfig, pool) -> ExperimentResult:
         future = pool.submit(_write_cloud, directory / "clouds", cloud, names)
         pending.append((len(records), future))
 
-    def propagate_and_fit(step: int, group: list) -> list:
-        """``(propagated, prior)`` of each cloud of ``group``, in order.
-
-        A group of several clouds takes one RK4 call on their concatenation
-        and one stacked EM fit, which give each cloud the bits of its own
-        calls. A single cloud, and a group whose stacked calls raised, run
-        cloud by cloud, propagate then fit, so that an error names the step,
-        module and particle row of the per-cloud calls."""
-        if len(group) > 1:
-            try:
-                stacked = propagate_cloud(np.concatenate(group), duffing, duffing.sample_time)
-                parts = list(stacked.reshape(len(group), -1, stacked.shape[1]))
-                fitted = _fit_gmm_em_stack(parts, config.em, [
-                    _derived_rng(seed, _STREAM_EMFIT, step) for _ in parts])
-                return [(part, prior) for part, (prior, _) in zip(parts, fitted)]
-            except Exception:
-                pass  # any failure: the per-cloud calls below meet it and name it
-        out = []
-        for cloud in group:
-            with _stage(step, "propagation"):
-                propagated = propagate_cloud(cloud, duffing, duffing.sample_time)
-            with _stage(step, "em_fit"):
-                (prior, _), = _fit_gmm_em_stack([propagated], config.em,
-                                                [_derived_rng(seed, _STREAM_EMFIT, step)])
-            out.append((propagated, prior))
-        return out
-
     if directory is not None:
         with _stage(0, "output"):
             _open_tree(config, directory)
@@ -423,10 +397,19 @@ def _run_experiment(config: ExperimentConfig, pool) -> ExperimentResult:
 
         # Propagate and fit each distinct cloud once, before any update runs.
         # At step 1 every filter holds the initial cloud and so gets the same
-        # fit object; afterwards each filter owns its lineage.
+        # fit object; afterwards each filter owns its lineage. Each group takes
+        # one RK4 call on its concatenated clouds and one stacked EM fit, which
+        # give each cloud the bits of its own calls.
         fits: dict[int, tuple] = {}
         for group in _stack_groups(clouds.values(), config.em, config.ensemble_size):
-            fits.update(zip(map(id, group), propagate_and_fit(step, group)))
+            with _stage(step, "propagation"):
+                stacked = propagate_cloud(np.concatenate(group), duffing, duffing.sample_time)
+            parts = list(stacked.reshape(len(group), -1, stacked.shape[1]))
+            with _stage(step, "em_fit"):
+                fitted = _fit_gmm_em_stack(parts, config.em, [
+                    _derived_rng(seed, _STREAM_EMFIT, step) for _ in parts])
+            fits.update((id(cloud), (part, prior))
+                        for cloud, part, (prior, _) in zip(group, parts, fitted))
         priors = {name: fits[id(clouds[name])] for name in config.filters}
 
         step_filters: dict[str, FilterStepRecord] = {}

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ValidationError
 from .gaussian import (DiracPoint, Gaussian, GaussianMixture, _component_logpdfs,
                        mixture_mean_cov, sample_mixture, spd_sqrt)
 from .harness import ExperimentConfig, run_experiment
@@ -226,8 +227,11 @@ def run_validation(seed: int = 0) -> list[tuple[str, bool, str]]:
 
     Each suite's generator is keyed on ``seed`` and a CRC-32 of the suite's
     name, so adding, removing or reordering suites leaves the others' inputs
-    unchanged.
+    unchanged. A negative ``seed`` raises :class:`ValidationError` before any
+    suite runs.
     """
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     results = []
     for name, suite in SUITES:
         rng = np.random.default_rng([seed, zlib.crc32(name.encode())])

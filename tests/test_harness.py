@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wassfilter
-from wassfilter import harness, validate
+from wassfilter import harness, propagation, validate
 from wassfilter import (DuffingModel, EmFitConfig, ExperimentConfig, FitError, HarnessError,
                         LinearMeasurementModel, ValidationError, emit_outputs,
                         gsf_update, monte_carlo_compare, run_experiment)
@@ -112,6 +112,23 @@ class TestConfig:
     def test_field_types_checked_on_construction(self, kwargs):
         with pytest.raises(ValidationError):
             ExperimentConfig(**kwargs)
+
+    def test_work_policy_caps_substeps_and_em_doubles_only(self):
+        # Built only, never run. At both caps a config builds, one over either
+        # is refused; the run length, the EM passes and compare's run count
+        # are not capped, so this config would run until stopped.
+        steps_cap = propagation.MAX_STEPS_PER_SAMPLE
+        at_caps = {"duffing": {"dt": 0.5 / steps_cap}, "ensemble_size": 2**31,
+                   "em": {"n_components": 1, "restarts": 1, "max_iters": 10**15},
+                   "horizon_steps": 10**15}
+        config = ExperimentConfig.from_json_dict(at_caps)
+        assert config.duffing.steps_per_sample == steps_cap
+        assert harness._em_doubles(config.em, config.ensemble_size) == 2**31
+        harness._check_compare(config, 10**15)
+        for over in ({"duffing": {"dt": 0.5 / (steps_cap + 1)}},
+                     {"ensemble_size": 2**31 + 1}):
+            with pytest.raises(ValidationError, match="at most"):
+                ExperimentConfig.from_json_dict({**at_caps, **over})
 
     def test_numpy_integers_accepted(self):
         config = ExperimentConfig(master_seed=np.uint64(7), ensemble_size=np.int64(400),
@@ -220,8 +237,9 @@ class TestRunExperiment:
 
 class TestStackedSteps:
     """A step's small distinct clouds are propagated and fitted as one stack,
-    bit for bit the per-cloud calls, and a failing stack is run again cloud
-    by cloud so that its error is the per-cloud one."""
+    bit for bit the per-cloud calls. A failing stack raises the error of its
+    own calls and runs nothing twice: a diverging particle is named by its
+    row in the stack."""
 
     def test_grouping_rule(self):
         # Criterion 8: 2 restarts x 10 components x 1500 particles per cloud.
@@ -254,19 +272,19 @@ class TestStackedSteps:
                 assert np.array_equal(fr.estimate_cov, other.estimate_cov)
 
     # The rows of each RK4 call: step 1's one shared cloud, then step 2's
-    # stack of two and its per-cloud rerun, or step 2's per-cloud calls alone.
-    @pytest.mark.parametrize("case, message, stacked_rows, per_cloud_rows", [
+    # stack of two, or step 2's per-cloud calls when nothing is stacked.
+    @pytest.mark.parametrize("case, stacked_message, per_cloud_message, per_cloud_rows", [
         # The ngsf's step-1 resample gets an overflowing particle at row 7,
         # row 207 of the stacked step-2 cloud.
-        ("diverge_second", "step 2, module propagation: particle 7 diverged",
-         [200, 400, 200, 200], [200, 200, 200]),
+        ("diverge_second", "step 2, module propagation: particle 207 diverged",
+         "step 2, module propagation: particle 7 diverged", [200, 200, 200]),
         # The gsf's step-1 resample is two point masses, whose fit passes the
         # reseed limit.
         ("em_fails_first", "step 2, module em_fit: EM failed after 4 component reseeds",
-         [200, 400, 200], [200, 200]),
-    ])
-    def test_failing_stack_raises_the_per_cloud_error(self, monkeypatch, case, message,
-                                                      stacked_rows, per_cloud_rows):
+         "step 2, module em_fit: EM failed after 4 component reseeds", [200, 200]),
+    ], ids=["diverge_second", "em_fails_first"])
+    def test_failing_stack_raises_its_own_error(self, monkeypatch, case, stacked_message,
+                                                per_cloud_message, per_cloud_rows):
         config = _small_config(em=EmFitConfig(n_components=6, max_iters=60, restarts=2),
                                ensemble_size=200)
         real_sample, real_propagate = harness.sample_mixture, harness.propagate_cloud
@@ -287,7 +305,9 @@ class TestStackedSteps:
 
         monkeypatch.setattr(harness, "sample_mixture", sample)
         monkeypatch.setattr(harness, "propagate_cloud", propagate)
-        for cap, expected_rows in ((harness._STACK_DOUBLES, stacked_rows), (0, per_cloud_rows)):
+        for cap, message, expected_rows in (
+                (harness._STACK_DOUBLES, stacked_message, [200, 400]),
+                (0, per_cloud_message, per_cloud_rows)):
             monkeypatch.setattr(harness, "_STACK_DOUBLES", cap)
             resamples.clear()
             rows.clear()
@@ -922,6 +942,12 @@ class TestCli:
         assert "PASS" in out
         assert "FAIL" not in out
 
+    def test_validate_negative_seed_exit_code(self, capsys):
+        assert cli_main(["validate", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["invalid input: seed must be >= 0, got -1"]
+        assert captured.out == ""
+
     def test_validate_reports_independent_of_suite_order(self, monkeypatch):
         # Each suite's generator is keyed on its name, not on its position, so
         # reordering or dropping suites leaves every other report unchanged.
@@ -945,6 +971,8 @@ _TINY_JSON = ExperimentConfig(
 _RUN_BUDGET = 200_000
 
 _MUTATIONS = ("wrong_type", "non_finite", "negative", "zero", "tiny", "huge")
+# The array leaves also take wrong shapes, each of which must exit 1.
+_ARRAY_MUTATIONS = _MUTATIONS + ("wrong_shape",)
 
 # Values of another type than each kind of field takes.
 _WRONG_TYPE = {int: ["2", 2.5, [2], None, True], float: ["0.5", [0.5], None, True],
@@ -968,6 +996,17 @@ def _config_leaves(cls, path=()):
 _LEAVES = list(_config_leaves(ExperimentConfig))
 
 
+def _wrong_shapes(value) -> list:
+    """The array ``value`` with its last entry (of each row) dropped, a row
+    added, flattened to 1-D when it is not already, nested one level deeper
+    and emptied, each as nested lists."""
+    a = np.asarray(value, dtype=float)
+    shapes = [a[..., :-1], np.concatenate([a, a[-1:]]), a[None], np.empty(0)]
+    if a.ndim > 1:
+        shapes.append(a.ravel())
+    return [shape.tolist() for shape in shapes]
+
+
 def _mutated_number(draw, mutation: str, integer: bool):
     if mutation == "non_finite":
         return draw(st.sampled_from([math.nan, math.inf, -math.inf]))
@@ -984,8 +1023,8 @@ def _mutated_number(draw, mutation: str, integer: bool):
 def _mutant_json(draw):
     """``_TINY_JSON`` with one field mutated: ``(path, mutation, data)``."""
     path, hint = draw(st.sampled_from(_LEAVES))
-    numeric = hint in (int, float, np.ndarray)
-    mutation = draw(st.sampled_from(_MUTATIONS if numeric else _MUTATIONS[:1]))
+    mutation = draw(st.sampled_from(_ARRAY_MUTATIONS if hint is np.ndarray else
+                                    _MUTATIONS if hint in (int, float) else _MUTATIONS[:1]))
     data = json.loads(json.dumps(_TINY_JSON))
     *parents, name = path
     node = data
@@ -993,6 +1032,8 @@ def _mutant_json(draw):
         node = node[key]
     if mutation == "wrong_type":
         node[name] = draw(st.sampled_from(_WRONG_TYPE[hint]))
+    elif mutation == "wrong_shape":
+        node[name] = draw(st.sampled_from(_wrong_shapes(node[name])))
     elif hint is np.ndarray:
         # One entry of the array; the rest keep their values.
         flat = np.asarray(node[name], dtype=float)
@@ -1018,8 +1059,9 @@ class TestGeneratedConfigs:
     field: every mutant builds or raises ValidationError, and every one
     within the work budget runs through ``wassfilter run`` to exit 0, 1 or 2,
     never to "unexpected error". Exit 1 means the config did not build and
-    leaves no output directory; exit 2 prints one stderr line naming the step
-    and module. Nothing else, no numpy warning either, reaches stderr."""
+    leaves no output directory; an array of the wrong shape always exits 1.
+    Exit 2 prints one stderr line naming the step and module. Nothing else,
+    no numpy warning either, reaches stderr."""
 
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(mutant=_mutant_json())
@@ -1041,6 +1083,8 @@ class TestGeneratedConfigs:
                 code = cli_main(["run", "--config", str(cfg), "--out", str(out)])
             lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
             assert code in (0, 1, 2), (path, mutation)
+            if mutation == "wrong_shape":
+                assert code == 1, (path, data)
             assert not any(line.startswith("unexpected error") for line in lines), lines
             # Exit 1 exactly when the config does not build, before any output.
             assert (code == 1) == (config is None), (path, mutation, code)
