@@ -355,7 +355,7 @@ def ensure_spd(cov: np.ndarray) -> np.ndarray:
     eigenvalues lifted. The matrices above their floor come back symmetrized
     only. The EM's absolute covariance floor is :func:`_floored_eigh`.
     """
-    cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
+    cov = _symmetric_part(cov)
     w = np.linalg.eigvalsh(cov)
     low_w, lmax = w[..., 0], np.maximum(w[..., -1], 0.0)
     broken = low_w < -1e-12 * np.maximum(1.0, lmax)
@@ -372,11 +372,19 @@ def ensure_spd(cov: np.ndarray) -> np.ndarray:
     return cov
 
 
+def _symmetric_part(m: np.ndarray) -> np.ndarray:
+    """``(m + m^T) / 2`` of a matrix or of each matrix of a stack, halved
+    before the sum so that entries up to the largest double do not overflow.
+    Halving a normal double is exact, so away from the subnormal range this
+    is bit for bit ``0.5 * (m + m^T)``, which overflows where this does not."""
+    half = 0.5 * m
+    return half + np.swapaxes(half, -1, -2)
+
+
 def _rebuild(cov: np.ndarray, low, w: np.ndarray, v: np.ndarray) -> None:
     """Overwrite the matrices ``cov[low]`` with ``V diag(w) V^T`` from their
     lifted eigenvalues ``w`` and eigenvectors ``v``, symmetrized."""
-    lifted = (v * w[:, None, :]) @ np.swapaxes(v, 1, 2)
-    cov[low] = 0.5 * (lifted + np.swapaxes(lifted, 1, 2))
+    cov[low] = _symmetric_part((v * w[:, None, :]) @ np.swapaxes(v, 1, 2))
 
 
 def _floored_eigh(cov: np.ndarray, floor: float):
@@ -476,4 +484,4 @@ def mixture_mean_cov(mix: GaussianMixture) -> tuple[np.ndarray, np.ndarray]:
     mean = w @ mix.means
     diff = mix.means - mean
     cov = np.einsum("k,kij->ij", w, mix.covs) + (diff.T * w) @ diff
-    return mean, 0.5 * (cov + cov.T)
+    return mean, _symmetric_part(cov)

@@ -404,7 +404,7 @@ def _run_experiment(config: ExperimentConfig, pool) -> ExperimentResult:
         for group in _stack_groups(clouds.values(), config.em, config.ensemble_size):
             with _stage(step, "propagation"):
                 stacked = propagate_cloud(np.concatenate(group), duffing, duffing.sample_time)
-            parts = list(stacked.reshape(len(group), -1, stacked.shape[1]))
+            parts = stacked.reshape(len(group), -1, 2)
             with _stage(step, "em_fit"):
                 fitted = _fit_gmm_em_stack(parts, config.em, [
                     _derived_rng(seed, _STREAM_EMFIT, step) for _ in parts])

@@ -16,9 +16,10 @@ textbook ``x + (dt/6) (k1 + 2 k2 + 2 k3 + k4)``, so the result is bit for bit
 that of an allocating loop.
 
 EM works on a cloud's quadratic features ``[1, x, x_i x_j]``, formed once
-per cloud (``M = 6`` for the Duffing state). One fit takes ``F`` clouds of
-one shape (:func:`_fit_gmm_em_stack`; :func:`fit_gmm_em` is its one-cloud
-call), whose features form one ``(F, M, N)`` array. Each cloud's ``R``
+per cloud (``M = 6`` for the Duffing state). One fit takes one ``(F, N, d)``
+array of ``F`` clouds and returns one fit per cloud
+(:func:`_fit_gmm_em_stack`; :func:`fit_gmm_em` is its one-cloud call), and
+the clouds' features form one ``(F, M, N)`` array. Each cloud's ``R``
 restarts draw their k-means++ starts first, from that cloud's generator in
 restart order, and then all ``F R`` (cloud, restart) rows run in lockstep on
 one ``(F, R, K, ·)`` stack that keeps its shape for the whole fit. A row that
@@ -39,8 +40,9 @@ factors each M-step's ``(F R K, d, d)`` covariance stack with one batched
 ``eigh``, and those eigenpairs give the next E-step every precision and
 log-determinant: no other factorization, and the floor, which the config
 requires to be positive, makes every covariance positive definite. Each
-restart's returned mixture is scored once with the whitened residuals of
-``gaussian._component_logpdfs``.
+restart's returned parameters are scored once with the whitened residuals of
+``gaussian._component_logpdfs``, and only each cloud's first highest-scoring
+restart becomes a ``GaussianMixture``.
 """
 
 from __future__ import annotations
@@ -295,36 +297,37 @@ def _kmeanspp_centers(points: np.ndarray, k: int, rng: np.random.Generator):
 
 
 class _EmWork:
-    """What a stacked EM fit over ``F`` clouds of ``N`` points reuses on every
-    pass: the clouds, their ``(F, M, N)`` quadratic features
-    ``[1, x, x_i x_j (i <= j)]`` with each cloud's ``x`` centered at its own
-    mean (``M = 1 + d + d(d+1)/2``), the one ``(F, restarts, K, N)`` buffer
-    that holds every row's joint log densities and then its transposed
+    """What a stacked EM fit over the ``(F, N, d)`` stack ``points`` of ``F``
+    clouds reuses on every pass: the stack itself, its ``(F, M, N)`` quadratic
+    features ``[1, x, x_i x_j (i <= j)]`` with each cloud's ``x`` centered at
+    its own mean (``M = 1 + d + d(d+1)/2``), the one ``(F, restarts, K, N)``
+    buffer that holds every row's joint log densities and then its transposed
     responsibilities, frozen rows included, for the fit's whole life, and
     each cloud's floored overall covariance with its eigenpairs, which seed
     empty and reseeded components. Centering keeps the cancellation in the
     feature form small; reusing the buffer keeps each pass from allocating
     and page-faulting it. Each cloud's numbers are formed from that cloud
-    alone, as a fit of its own would form them."""
+    alone, as a fit of its own would form them, and its features are written
+    in place, so no temporary is the size of the stack."""
 
-    def __init__(self, clouds, k: int, floor: float, restarts: int = 1):
-        n, dim = clouds[0].shape
-        self.points = clouds
-        centers = np.stack([points.mean(axis=0) for points in clouds])
+    def __init__(self, points: np.ndarray, k: int, floor: float, restarts: int):
+        n_clouds, n, dim = points.shape
+        self.points = points
+        centers = np.stack([cloud.mean(axis=0) for cloud in points])
         # (F, 1, 1, d), so that it broadcasts over each cloud's restarts and components.
         self.center = centers[:, None, None]
         self.rows, self.cols = np.triu_indices(dim)
         # Off-diagonal features x_i x_j stand for both (i, j) and (j, i).
         self.pair_scale = np.where(self.rows == self.cols, -0.5, -1.0)
-        self.feats = np.empty((len(clouds), 1 + dim + self.rows.size, n))
-        for feats, points, center in zip(self.feats, clouds, centers):
-            x = (points - center).T
+        self.feats = np.empty((n_clouds, 1 + dim + self.rows.size, n))
+        for feats, cloud, center in zip(self.feats, points, centers):
+            x = (cloud - center).T
             feats[0] = 1.0
             feats[1:1 + dim] = x
             np.multiply(x[self.rows], x[self.cols], out=feats[1 + dim:])
         self.feats_t = np.swapaxes(self.feats, 1, 2)
-        self.resp_t = np.empty((len(clouds), restarts, k, n))
-        covs = np.stack([np.cov(points, rowvar=False).reshape(dim, dim) for points in clouds])
+        self.resp_t = np.empty((n_clouds, restarts, k, n))
+        covs = np.stack([np.cov(cloud, rowvar=False).reshape(dim, dim) for cloud in points])
         self.overall = _floored_eigh(covs, floor)
 
 
@@ -408,28 +411,11 @@ def _m_step(work: _EmWork, resp_t: np.ndarray, mass: np.ndarray, floor: float):
     return work.center + mu, tuple(a.reshape(mass.shape + a.shape[1:]) for a in floored)
 
 
-def _scored_run(points, weights, means, covs, lls, reseeds: int, restart: int,
-                converged: bool):
-    """One restart's ``(mixture, EmDiagnostics)``.
-
-    Each loop score belongs to the parameters before that pass's M-step, so
-    the returned mixture is scored once more on its cloud ``points``, with
-    whitened residuals. The floor has just certified its covariances.
-    """
-    mixture = GaussianMixture._trusted(weights / weights.sum(), means.copy(), covs.copy(),
-                                       eig_floor=0.0)
-    joint = _component_logpdfs(points, mixture.means, mixture.covs).T
-    joint += np.log(mixture.weights)[:, None]
-    final_ll = float(_log_sum_exp(joint)[0].sum())
-    return mixture, EmDiagnostics(log_likelihoods=lls, reseeds=reseeds, restart_index=restart,
-                                  final_log_likelihood=final_ll, iterations=len(lls),
-                                  converged=converged)
-
-
 def _em_run(work: _EmWork, config: EmFitConfig, rngs) -> list:
-    """Every ``(cloud, restart)`` row's ``(mixture, EmDiagnostics)``, one list
-    per cloud in restart order, from ``config.restarts`` EM runs per cloud in
-    lockstep on one ``(F, R, K, ·)`` stack that keeps its shape for the fit.
+    """Each cloud's ``(mixture, EmDiagnostics)`` from ``config.restarts`` EM
+    runs per cloud in lockstep on one ``(F, R, K, ·)`` stack that keeps its
+    shape for the fit: of a cloud's restarts, the first whose returned
+    mixture scores highest.
 
     Each cloud draws all its k-means++ starts from its own generator in
     ``rngs`` first, in restart order, and a pass draws nothing, so a cloud
@@ -445,12 +431,17 @@ def _em_run(work: _EmWork, config: EmFitConfig, rngs) -> list:
     would; it and the cloud's later restarts freeze at once. When every row
     has frozen, or after ``max_iters`` passes, the first failing cloud raises
     its :class:`FitError`, the error a fit of each cloud in turn meets first.
+    Otherwise each loop score belongs to the parameters before a pass's
+    M-step, so every restart's returned parameters are scored once more on
+    their cloud with the whitened residuals of ``_component_logpdfs``, and
+    only each cloud's winner becomes a mixture; the floor has just certified
+    its covariances.
     """
     points = work.points
-    n, dim = points[0].shape
+    n_clouds, n, dim = points.shape
     k, r = config.n_components, config.restarts
     floor = config.covariance_floor
-    rows = (len(points), r)
+    rows = (n_clouds, r)
 
     # Start from each point's nearest k-means++ center; a center that wins no
     # point keeps its own location, its cloud's overall covariance and weight
@@ -458,8 +449,8 @@ def _em_run(work: _EmWork, config: EmFitConfig, rngs) -> list:
     # assignments go through the responsibility buffer.
     centers = np.empty(rows + (k, dim))
     counts = np.empty(rows + (k,))
-    for f, (cloud_points, rng) in enumerate(zip(points, rngs, strict=True)):
-        cols_t = np.ascontiguousarray(cloud_points.T).T
+    for f, (cloud, rng) in enumerate(zip(points, rngs, strict=True)):
+        cols_t = np.ascontiguousarray(cloud.T).T
         for restart in range(r):
             centers[f, restart], assign = _kmeanspp_centers(cols_t, k, rng)
             counts[f, restart] = np.bincount(assign, minlength=k)
@@ -496,7 +487,7 @@ def _em_run(work: _EmWork, config: EmFitConfig, rngs) -> list:
                 active[f, restart:] = False
                 continue
             # Reseed each dead component at the point the mixture explains worst.
-            means[f, restart, dead] = points[f][np.argsort(log_norm[f, restart])[:dead.size]]
+            means[f, restart, dead] = points[f, np.argsort(log_norm[f, restart])[:dead.size]]
             for part, overall in zip(cov, work.overall):
                 part[f, restart, dead] = overall[f]
             weights[f, restart, dead] = 1.0 / n
@@ -510,7 +501,9 @@ def _em_run(work: _EmWork, config: EmFitConfig, rngs) -> list:
         for part, new in zip(cov, new_cov):
             np.copyto(part, new, where=update.reshape(rows + (1,) * (part.ndim - 2)))
 
-        converged |= update & (ll - last <= config.tol * (1.0 + np.abs(last)))
+        # A huge `tol` can overflow the bound to inf, which the test meets.
+        with np.errstate(over="ignore"):
+            converged |= update & (ll - last <= config.tol * (1.0 + np.abs(last)))
         scores.append(ll)
         kept.append(update)
         last = np.where(update, ll, last)
@@ -523,15 +516,26 @@ def _em_run(work: _EmWork, config: EmFitConfig, rngs) -> list:
         # The first failing cloud's first restart past the reseed limit.
         raise FitError(f"EM failed after {reseeds[tuple(failing[0])]} component reseeds")
     scores, kept = np.array(scores), np.array(kept)
-    return [[_scored_run(points[f], weights[f, i], means[f, i], cov[0][f, i],
-                         scores[:, f, i][kept[:, f, i]], int(reseeds[f, i]), i,
-                         bool(converged[f, i]))
-             for i in range(r)] for f in range(len(points))]
+    weights /= weights.sum(axis=-1, keepdims=True)
+    fits = []
+    for f, cloud in enumerate(points):
+        final = [float(_log_sum_exp(_component_logpdfs(cloud, means[f, i], cov[0][f, i]).T
+                                    + np.log(weights[f, i])[:, None])[0].sum()) for i in range(r)]
+        best = int(np.argmax(final))
+        history = scores[kept[:, f, best], f, best]
+        mixture = GaussianMixture._trusted(weights[f, best].copy(), means[f, best].copy(),
+                                           cov[0][f, best].copy(), eig_floor=0.0)
+        fits.append((mixture, EmDiagnostics(
+            log_likelihoods=history, reseeds=int(reseeds[f, best]), restart_index=best,
+            final_log_likelihood=final[best], iterations=len(history),
+            converged=bool(converged[f, best]))))
+    return fits
 
 
-def _fit_gmm_em_stack(clouds, config: EmFitConfig, rngs) -> list:
-    """:func:`fit_gmm_em` with ``details=True`` for each of ``F`` clouds of
-    one shape, cloud ``f`` drawing its starts from ``rngs[f]``, as one fit.
+def _fit_gmm_em_stack(points, config: EmFitConfig, rngs) -> list:
+    """:func:`fit_gmm_em` with ``details=True`` for each cloud of the
+    ``(F, N, d)`` stack ``points``, cloud ``f`` drawing its starts from
+    ``rngs[f]``, as one fit.
 
     Returns one ``(mixture, EmDiagnostics)`` per cloud, each bit for bit what
     the cloud's own :func:`fit_gmm_em` call gives: of its restarts, the first
@@ -543,28 +547,27 @@ def _fit_gmm_em_stack(clouds, config: EmFitConfig, rngs) -> list:
     cost is paid once for all the clouds. A row that finishes early stays in
     the stack, frozen, until the last one finishes, so the fit's working
     memory is ``F * restarts * n_components * N`` doubles for its whole life.
-    Every cloud is checked before any draw, in order; a fit that fails
-    raises the :class:`FitError` of the first failing cloud.
+    The stack is checked once, before any draw: it must be one float array
+    of three axes (a ragged list of clouds is not), finite, with enough
+    points per cloud for ``config.n_components``. A fit that fails raises the
+    :class:`FitError` of the first failing cloud.
     """
-    points = []
-    for cloud in clouds:
-        cloud = np.asarray(cloud, dtype=float)
-        if cloud.ndim != 2:
-            raise ValidationError(f"cloud must be (N, n), got shape {cloud.shape}")
-        if not np.all(np.isfinite(cloud)):
-            raise ValidationError("cloud contains non-finite entries")
-        if cloud.shape[0] < MIN_POINTS_PER_COMPONENT * config.n_components:
-            raise ValidationError(
-                f"{cloud.shape[0]} points cannot support {config.n_components} components "
-                f"(need at least {MIN_POINTS_PER_COMPONENT} per component)"
-            )
-        points.append(cloud)
-    if len({cloud.shape for cloud in points}) > 1:
+    try:
+        points = np.asarray(points, dtype=float)
+    except ValueError as err:
+        raise ValidationError(f"stacked clouds must share one shape: {err}") from None
+    if points.ndim != 3:
+        # Names the shape of one cloud, which is what fit_gmm_em was given.
+        raise ValidationError(f"cloud must be (N, n), got shape {points.shape[1:]}")
+    if not np.all(np.isfinite(points)):
+        raise ValidationError("cloud contains non-finite entries")
+    if points.shape[1] < MIN_POINTS_PER_COMPONENT * config.n_components:
         raise ValidationError(
-            f"stacked clouds must share one shape, got {[cloud.shape for cloud in points]}")
+            f"{points.shape[1]} points cannot support {config.n_components} components "
+            f"(need at least {MIN_POINTS_PER_COMPONENT} per component)"
+        )
     work = _EmWork(points, config.n_components, config.covariance_floor, config.restarts)
-    return [max(runs, key=lambda run: run[1].final_log_likelihood)
-            for runs in _em_run(work, config, rngs)]
+    return _em_run(work, config, rngs)
 
 
 def fit_gmm_em(cloud, config: EmFitConfig, rng: np.random.Generator, details: bool = False):
@@ -583,12 +586,14 @@ def fit_gmm_em(cloud, config: EmFitConfig, rng: np.random.Generator, details: bo
     generator state. The floor of ``_floored_eigh`` lifts the covariance
     eigenvalues to ``config.covariance_floor`` after every M-step, and its
     eigenpairs give the next E-step the precisions and log-determinants.
-    Each restart's returned mixture is scored with whitened residuals
-    (``EmDiagnostics.final_log_likelihood``). The cloud may have any
-    dimension. The working memory is ``restarts * n_components * N``
-    doubles for the whole fit. This is the one-cloud call of the stacked fit
-    that the harness runs on a step's clouds. With ``details=True`` returns
+    Each restart's returned parameters are scored with whitened residuals
+    (``EmDiagnostics.final_log_likelihood``), and only the winner becomes a
+    mixture. The cloud may have any dimension. The working memory is
+    ``restarts * n_components * N`` doubles for the whole fit. This is the
+    one-cloud call of the stacked fit that the harness runs on a step's
+    clouds: an ``(N, n)`` cloud goes in as the stack of one ``cloud[None]``,
+    and its one fit comes out. With ``details=True`` returns
     ``(mixture, EmDiagnostics)``.
     """
-    (mixture, diagnostics), = _fit_gmm_em_stack([cloud], config, [rng])
-    return (mixture, diagnostics) if details else mixture
+    fit, = _fit_gmm_em_stack(np.asarray(cloud, dtype=float)[None], config, [rng])
+    return fit if details else fit[0]

@@ -171,6 +171,16 @@ class TestValidation:
         with pytest.raises(ValidationError):
             GaussianMixture([1.2, -0.2], [[0.0], [0.0]], [[[1.0]], [[1.0]]])
 
+    @pytest.mark.parametrize("weights", [[0.0, 0.0], [np.inf, 1.0]], ids=["zero", "infinite"])
+    def test_from_unnormalized_rejects_weight_sum(self, weights):
+        nodes = [Gaussian([0.0], [[1.0]])] * 2
+        with pytest.raises(ValidationError, match="weights must have a positive finite sum"):
+            GaussianMixture.from_unnormalized(weights, nodes)
+
+    def test_from_unnormalized_rejects_non_gaussian_nodes(self):
+        with pytest.raises(ValidationError, match="must be Gaussian instances"):
+            GaussianMixture.from_unnormalized([1.0], [DiracPoint([0.0])])
+
     def test_rejects_non_spd_covariance(self):
         with pytest.raises(DegeneracyError):
             Gaussian([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
@@ -278,6 +288,12 @@ class TestJsonInterchange:
         mix = GaussianMixture([0.5, 0.5], [[0.0], [1.0]], [[[1.0]], [[1.0]]])
         with pytest.raises(ValidationError):
             Gaussian.from_json_dict(mix.to_json_dict())
+
+    @pytest.mark.parametrize("data", [{"weights": [1.0], "means": [[0.0]]}, [[1.0]]],
+                             ids=["missing_covs", "not_a_dict"])
+    def test_mixture_from_json_rejects_missing_keys(self, data):
+        with pytest.raises(ValidationError, match="mixture JSON needs weights/means/covs"):
+            GaussianMixture.from_json_dict(data)
 
 
 def test_dirac_point_requires_finite():

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve, solve_triangular
 
-from wassfilter import (ConditioningError, Gaussian, GaussianMixture,
-                        LinearMeasurementModel, WeightUnderflowError,
+from wassfilter import (ConditioningError, Gaussian, GaussianMixture, GsfUpdateResult,
+                        LinearMeasurementModel, ValidationError, WeightUnderflowError,
                         gsf_bound_cost, gsf_update, kalman_gains, kalman_update,
                         mixture_mean_cov, sample_mixture, update_error_cost)
 from wassfilter.gsf import _normalize_log_weights
@@ -31,6 +31,22 @@ class TestGsfUpdate:
         np.testing.assert_array_equal(res.posterior.nodes[0].mean, ref.mean)
         np.testing.assert_array_equal(res.posterior.nodes[0].cov, ref.cov)
         assert res.posterior.weights[0] == 1.0
+
+    @pytest.mark.parametrize("prior_dim, y, message", [
+        (1, [0.3, 0.1], "measurement has dimension 2, model expects 1"),
+        (2, [0.3], "prior has dimension 2, model expects 1"),
+    ], ids=["y", "prior"])
+    def test_rejects_mismatched_dimensions(self, rng, prior_dim, y, message):
+        with pytest.raises(ValidationError, match=message):
+            gsf_update(random_mixture(rng, 2, prior_dim), _scalar_model(), y)
+
+    @pytest.mark.parametrize("field, message", [("gains", r"gains of shape \(3,\)"),
+                                                ("component_costs", r"has shape \(3,\)")])
+    def test_result_rejects_wrong_shapes(self, rng, field, message):
+        res = gsf_update(random_mixture(rng, 2, 1), _scalar_model(), [0.3])
+        arrays = {"gains": res.gains, "component_costs": res.component_costs, field: np.zeros(3)}
+        with pytest.raises(ValidationError, match=message):
+            GsfUpdateResult(posterior=res.posterior, **arrays)
 
     def test_identical_components_keep_equal_weights(self):
         g = Gaussian([1.0], [[2.0]])

@@ -13,12 +13,13 @@ import sys
 import tempfile
 import warnings
 from dataclasses import fields, is_dataclass, replace
+from datetime import timedelta
 from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wassfilter
@@ -760,10 +761,13 @@ class TestCli:
         monkeypatch.setattr(harness, "_run_member", no_member)
         (tmp_path / "afile").write_text("")
         cfg = self._write_config(tmp_path)
-        out = tmp_path / "afile" / "sub"
-        assert cli_main(["compare", "--config", str(cfg), "--runs", "2", "--out", str(out)]) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            f"runtime error: output directory: [Errno 20] Not a directory: '{out}'"]
+        # A path under a regular file, and the file itself.
+        for out, error in ((tmp_path / "afile" / "sub", "[Errno 20] Not a directory"),
+                           (tmp_path / "afile", "[Errno 17] File exists")):
+            assert cli_main(["compare", "--config", str(cfg), "--runs", "2",
+                             "--out", str(out)]) == 2
+            assert capsys.readouterr().err.splitlines() == [
+                f"runtime error: output directory: {error}: '{out}'"]
 
     def test_compare_invalid_runs_makes_no_out_directory(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)
@@ -842,6 +846,15 @@ class TestCli:
         header = (tmp_path / "f" / "timeseries.csv").read_text().splitlines()[0]
         assert "ngsf_est_x1" not in header
         assert "gsf_est_x1" in header
+
+    def test_duplicate_filters_flag_exit_code(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path)
+        out = tmp_path / "o"
+        assert cli_main(["run", "--config", str(cfg), "--out", str(out),
+                         "--filters", "gsf,gsf"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "invalid input: duplicate filter names in ('gsf', 'gsf')"]
+        assert not out.exists()
 
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -1045,6 +1058,14 @@ def _mutant_json(draw):
     return path, mutation, data
 
 
+def _huge_em_mutant(name: str, value: float):
+    """The ``(path, mutation, data)`` of ``_mutant_json`` that sets the EM
+    field ``name`` of ``_TINY_JSON`` to the huge ``value``."""
+    data = json.loads(json.dumps(_TINY_JSON))
+    data["em"][name] = value
+    return ("em", name), "huge", data
+
+
 def _run_work(config: ExperimentConfig) -> int:
     """The larger of a run's RK4 particle substeps and EM point-component
     passes, counting one cloud per filter at every step."""
@@ -1063,8 +1084,15 @@ class TestGeneratedConfigs:
     Exit 2 prints one stderr line naming the step and module. Nothing else,
     no numpy warning either, reaches stderr."""
 
-    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    # The drawn examples depend on the test's source, so the huge EM floats
+    # that once printed numpy overflow warnings are pinned as examples. The
+    # slowest example takes well under a second; the deadline catches a
+    # runaway one once it returns (a hang is not interrupted).
+    @settings(derandomize=True, max_examples=300, deadline=timedelta(seconds=10),
+              database=None)
     @given(mutant=_mutant_json())
+    @example(mutant=_huge_em_mutant("covariance_floor", 1e308))
+    @example(mutant=_huge_em_mutant("tol", 1e307))
     def test_one_field_mutants_keep_the_exit_contract(self, mutant):
         path, mutation, data = mutant
         try:

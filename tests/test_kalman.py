@@ -18,7 +18,7 @@ from wassfilter import (ConditioningError, DiracPoint, DivergenceError, GainPair
 
 from wassfilter.kalman import _apply_linear_update
 
-from conftest import assert_close_12, random_mixture, random_spd
+from conftest import assert_close_12, random_gaussian, random_mixture, random_spd
 
 
 def _random_instance(rng, n=None, m=None):
@@ -86,6 +86,19 @@ class TestKalmanGains:
         with pytest.raises(ValidationError):
             kalman_gains(np.eye(3), LinearMeasurementModel([[1.0, 0.0]], [[1.0]]))
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: LinearMeasurementModel([[1.0, 0.0]], np.eye(2)),
+         "C maps to dimension 1 but R is 2x2"),
+        (lambda: GainPair(np.ones((2, 3)), np.ones((2, 1))), r"G must be square, got \(2, 3\)"),
+        (lambda: GainPair(np.eye(2), np.ones((3, 1))), "H has 3 rows but G is 2x2"),
+        (lambda: LinearPropagationModel(np.ones((2, 3)), np.eye(2)),
+         r"A must be square, got \(2, 3\)"),
+        (lambda: LinearPropagationModel(np.eye(2), np.eye(3)), "A is 2x2 but Q is 3x3"),
+    ], ids=["R_rows", "G_not_square", "H_rows", "A_not_square", "Q_shape"])
+    def test_models_reject_mismatched_shapes(self, build, message):
+        with pytest.raises(ValidationError, match=message):
+            build()
+
 
 class TestKalmanUpdate:
     def test_zero_innovation_keeps_mean(self, rng):
@@ -137,6 +150,27 @@ def _loop_update(means, covs, gains, model, y):
         post_covs.append(0.5 * (cov + cov.T))
         costs.append(np.trace(a @ s @ a.T) + np.trace(h @ model.R @ h.T))
     return post_means, post_covs, np.array(costs)
+
+
+class TestDimensionChecks:
+    """The updates reject a measurement or prior of another dimension than
+    the model's before any arithmetic."""
+
+    @pytest.mark.parametrize("prior_dim, y, message", [
+        (2, [0.1, 0.2], "measurement has dimension 2, model expects 1"),
+        (3, [0.1], "prior has dimension 3, model expects 2"),
+    ], ids=["y", "prior"])
+    def test_kalman_update(self, rng, prior_dim, y, message):
+        prior = random_gaussian(rng, prior_dim)
+        with pytest.raises(ValidationError, match=message):
+            kalman_update(prior, prior.cov, LinearMeasurementModel([[1.0, 0.0]], [[1.0]]), y)
+
+    def test_wasserstein_posterior_cost(self, rng):
+        prior = random_gaussian(rng, 3)
+        gains = GainPair(np.eye(3), np.zeros((3, 1)))
+        with pytest.raises(ValidationError, match="prior has dimension 3, model expects 2"):
+            wasserstein_posterior_cost(gains, prior, prior.cov,
+                                       LinearMeasurementModel([[1.0, 0.0]], [[1.0]]))
 
 
 class TestQuadraticFormUpdate:

@@ -59,6 +59,12 @@ class TestCost:
         with pytest.raises(ValidationError):
             ngsf_cost([1.5, -0.5], gains, prior, model)
 
+    def test_rejects_matrix_weights(self, rng):
+        prior = random_mixture(rng, 2, 2)
+        model = LinearMeasurementModel(rng.standard_normal((1, 2)), [[0.5]])
+        with pytest.raises(ValidationError, match=r"weights must be a vector, got shape \(1, 2\)"):
+            ngsf_cost([[0.5, 0.5]], [np.zeros((2, 1))] * 2, prior, model)
+
     def test_rejects_wrong_gain_shape(self, rng):
         prior = random_mixture(rng, 2, 2)
         model = LinearMeasurementModel(rng.standard_normal((1, 2)), [[0.5]])

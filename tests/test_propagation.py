@@ -241,6 +241,11 @@ class TestPropagateCloud:
         with pytest.raises(ValidationError, match=message):
             propagate_cloud(rng.standard_normal((5, 2)), model, duration)
 
+    @pytest.mark.parametrize("shape", [(5,), (5, 3), (2, 5, 2)])
+    def test_rejects_cloud_not_n_by_2(self, shape):
+        with pytest.raises(ValidationError, match=r"cloud must be \(N, 2\), got shape"):
+            propagate_cloud(np.zeros(shape), DuffingModel(), 0.5)
+
     def test_sample_time_must_align_with_dt(self):
         with pytest.raises(ValidationError):
             DuffingModel(dt=0.03, sample_time=0.5)
@@ -330,6 +335,15 @@ class TestFitGmmEm:
         low = np.linalg.eigvalsh(mix.covs)[:, 0]
         assert np.sum(low <= config.covariance_floor * (1 + 1e-9)) == 2
         assert low.min() >= config.covariance_floor * (1 - 1e-9)
+
+    @pytest.mark.parametrize("cloud, message", [
+        (np.zeros(200), r"cloud must be \(N, n\), got shape \(200,\)"),
+        (np.zeros((2, 100, 2)), r"cloud must be \(N, n\), got shape \(2, 100, 2\)"),
+        (np.full((200, 2), np.nan), "cloud contains non-finite entries"),
+    ], ids=["one_dim", "three_dim", "non_finite"])
+    def test_rejects_malformed_cloud(self, cloud, message):
+        with pytest.raises(ValidationError, match=message):
+            fit_gmm_em(cloud, EmFitConfig(n_components=2), np.random.default_rng(0))
 
     def test_rejects_undersized_cloud(self, rng):
         with pytest.raises(ValidationError):
@@ -507,7 +521,7 @@ class TestBatchedEm:
         # from the floor component the log densities reach about -2e7, whose
         # own spacing is 4e-9, so a relative 1e-15 rides on the 1e-8.
         points, means, covs = _floor_level_case(rng, dim)
-        work = _EmWork([points], len(means), EmFitConfig().covariance_floor)
+        work = _EmWork(points[None], len(means), EmFitConfig().covariance_floor, 1)
         evals, evecs = np.linalg.eigh(covs)
         joint = _joint_logpdfs(work, np.ones((1, 1, len(means))), means[None, None],
                                evals[None, None], evecs[None, None])[0, 0]
@@ -525,8 +539,8 @@ class TestBatchedEm:
         points = rng.standard_normal((n, dim)) * [3.0, 0.5]
         resp = rng.dirichlet(np.ones(k), n)
         mass = resp.sum(axis=0)
-        means, (covs, evals, evecs) = _m_step(_EmWork([points], k, 1e-12), resp.T[None, None],
-                                              mass[None, None], 1e-12)
+        means, (covs, evals, evecs) = _m_step(_EmWork(points[None], k, 1e-12, 1),
+                                              resp.T[None, None], mass[None, None], 1e-12)
         means, covs, evals, evecs = means[0, 0], covs[0, 0], evals[0, 0], evecs[0, 0]
         np.testing.assert_allclose((evecs * evals[:, None, :]) @ np.swapaxes(evecs, 1, 2), covs,
                                    rtol=0.0, atol=1e-14 * np.abs(covs).max())

@@ -130,6 +130,11 @@ class TestMixtureDirac:
             assert abs(vb - (theta * v1 + (1 - theta) * v2)) < 1e-12
 
 
+def test_mixture_dirac_rejects_dimension_mismatch(rng):
+    with pytest.raises(ValidationError, match="dimension mismatch: 2 vs 3"):
+        w2_mixture_dirac(random_mixture(rng, 2, 2), DiracPoint(np.zeros(3)))
+
+
 class TestEmpirical:
     def test_identical_clouds_zero(self, rng):
         cloud = rng.standard_normal((40, 2))
@@ -167,6 +172,15 @@ class TestEmpirical:
                 ]
                 gaps.append(np.mean(errs))
             assert gaps[0] > gaps[1] > gaps[2]
+
+    @pytest.mark.parametrize("a, message", [
+        (np.zeros(5), r"must be \(N, n\) arrays"),
+        (np.array([[0.0], [np.nan]]), "non-finite"),
+        (np.zeros((0, 2)), "at least one point"),
+    ], ids=["one_dim", "non_finite", "empty"])
+    def test_rejects_malformed_clouds(self, a, message):
+        with pytest.raises(ValidationError, match=message):
+            w2_empirical(a, np.zeros_like(a))
 
     def test_rejects_unequal_counts(self, rng):
         with pytest.raises(ValidationError):
