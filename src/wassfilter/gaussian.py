@@ -18,6 +18,14 @@ Types
 Point clouds ("ensembles") are plain ``(N, n)`` float arrays throughout the
 library; there is no wrapper class for them.
 
+Numerical policy: this module alone decides three things about symmetric
+matrices, and the other modules call it. ``_symmetric_part`` is the one
+symmetrizer, halving before it sums so that finite entries up to the largest
+double stay finite. ``_from_eigh`` is the one rebuild of ``V diag(w) V^T``
+from eigenpairs, symmetrized. ``_negative_beyond_roundoff`` is the one rule
+for a matrix that is PSD only up to roundoff: its smallest eigenvalue may be
+negative, but not below ``-1e-12 * max(1, lambda_max)``.
+
 All types are immutable values after construction, so instances are safe to
 share across threads. Input arrays are copied and marked read-only; an input
 that is already a read-only float array owning its data is shared, not
@@ -29,6 +37,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import reprlib
 import types
 from dataclasses import dataclass, field
 from typing import Sequence, get_type_hints
@@ -71,7 +80,7 @@ def _as_float_array(x, name: str) -> np.ndarray:
             return a.astype(float, copy=False)
     except ValueError:  # ragged nesting
         pass
-    raise ValidationError(f"{name} must be a numeric array, got {x!r}")
+    raise ValidationError(f"{name} must be a numeric array, got {reprlib.repr(x)}")
 
 
 def _as_vector(x, name: str) -> np.ndarray:
@@ -111,7 +120,7 @@ def _check_symmetric(m: np.ndarray, name: str) -> np.ndarray:
     if bad.any():
         raise ValidationError(
             f"{_where(bad)}{name} is not symmetric to within {_SYM_RTOL} relative tolerance")
-    return 0.5 * (m + mt)
+    return _symmetric_part(m)
 
 
 def _check_eig_floor(sym: np.ndarray, eig_floor: float) -> None:
@@ -256,7 +265,7 @@ class GaussianMixture:
     def from_unnormalized(cls, weights, nodes: Sequence[Gaussian]) -> "GaussianMixture":
         """Build a mixture from nonnegative weights, normalizing their sum to 1, and
         ``Gaussian`` nodes; the mixture keeps the loosest of the nodes' floors."""
-        w = np.asarray(weights, dtype=float)
+        w = _as_float_array(weights, "weights")
         total = float(w.sum())
         if not 0.0 < total < np.inf:  # a negative weight fails the simplex check
             raise ValidationError(f"weights must have a positive finite sum, got {total!r}")
@@ -317,15 +326,12 @@ def spd_sqrt(m, eig_floor: float = DEFAULT_EIG_FLOOR) -> np.ndarray:
     (naming the offending eigenvalue) when an eigenvalue falls below
     ``eig_floor``.
     """
-    m = _as_matrix(m, "matrix")
-    _check_symmetric(m, "matrix")
-    w, v = np.linalg.eigh(0.5 * (m + m.T))
+    w, v = np.linalg.eigh(_check_symmetric(_as_matrix(m, "matrix"), "matrix"))
     if float(w.min()) < eig_floor:
         raise DegeneracyError(
             f"matrix eigenvalue {w.min():.6e} is below the floor {eig_floor:.1e}; not positive-definite"
         )
-    root = (v * np.sqrt(w)) @ v.T
-    return 0.5 * (root + root.T)
+    return _from_eigh(np.sqrt(w), v)
 
 
 def psd_sqrt(m) -> np.ndarray:
@@ -334,10 +340,8 @@ def psd_sqrt(m) -> np.ndarray:
     Lenient companion to :func:`spd_sqrt` for matrices that are PSD only up to
     roundoff (inner Wasserstein products, singular noise covariances).
     """
-    m = _as_matrix(m, "matrix")
-    w, v = np.linalg.eigh(0.5 * (m + m.T))
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.T
-    return 0.5 * (root + root.T)
+    w, v = np.linalg.eigh(_symmetric_part(_as_matrix(m, "matrix")))
+    return _from_eigh(np.sqrt(np.clip(w, 0.0, None)), v)
 
 
 def ensure_spd(cov: np.ndarray) -> np.ndarray:
@@ -347,9 +351,9 @@ def ensure_spd(cov: np.ndarray) -> np.ndarray:
     Takes one ``(n, n)`` matrix or a ``(K, n, n)`` stack and treats each matrix
     of a stack as if alone. The relative floor is enough for the Cholesky
     factorizations downstream of filter updates, whose formulas are PSD
-    analytically but can drift a hair negative; eigenvalues below
-    ``-1e-12 * max(1, lambda_max)`` mean a matrix is genuinely broken and
-    raise :class:`DegeneracyError` (for the first such matrix). One batched
+    analytically but can drift a hair negative; a matrix negative beyond
+    roundoff (:func:`_negative_beyond_roundoff`) is genuinely broken and
+    raises :class:`DegeneracyError` (for the first such matrix). One batched
     ``eigvalsh`` flags the matrices below their floor, and only those are
     factored with ``eigh``, whose eigenpairs rebuild them with the
     eigenvalues lifted. The matrices above their floor come back symmetrized
@@ -357,18 +361,17 @@ def ensure_spd(cov: np.ndarray) -> np.ndarray:
     """
     cov = _symmetric_part(cov)
     w = np.linalg.eigvalsh(cov)
-    low_w, lmax = w[..., 0], np.maximum(w[..., -1], 0.0)
-    broken = low_w < -1e-12 * np.maximum(1.0, lmax)
+    low_w = w[..., 0]
+    broken = _negative_beyond_roundoff(w)
     if broken.any():
         raise DegeneracyError(f"covariance eigenvalue {low_w[broken][0]:.6e} "
                               "is negative beyond roundoff tolerance")
-    low = low_w < 1e-14 * lmax
+    low = low_w < 1e-14 * np.maximum(w[..., -1], 0.0)
     if low.any():
         # Boolean rows of a stack; a single matrix indexed by a 0-d mask is a
         # stack of one.
         w_low, v_low = np.linalg.eigh(cov[low])
-        w_low = np.maximum(w_low, 1e-14 * np.maximum(w_low[:, -1:], 0.0))
-        _rebuild(cov, low, w_low, v_low)
+        cov[low] = _from_eigh(np.maximum(w_low, 1e-14 * np.maximum(w_low[:, -1:], 0.0)), v_low)
     return cov
 
 
@@ -381,10 +384,17 @@ def _symmetric_part(m: np.ndarray) -> np.ndarray:
     return half + np.swapaxes(half, -1, -2)
 
 
-def _rebuild(cov: np.ndarray, low, w: np.ndarray, v: np.ndarray) -> None:
-    """Overwrite the matrices ``cov[low]`` with ``V diag(w) V^T`` from their
-    lifted eigenvalues ``w`` and eigenvectors ``v``, symmetrized."""
-    cov[low] = _symmetric_part((v * w[:, None, :]) @ np.swapaxes(v, 1, 2))
+def _from_eigh(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``V diag(w) V^T``, symmetrized, from eigenvalues ``w`` ``(..., n)`` and
+    eigenvectors ``v`` ``(..., n, n)``: one matrix or a stack."""
+    return _symmetric_part((v * w[..., None, :]) @ np.swapaxes(v, -1, -2))
+
+
+def _negative_beyond_roundoff(w: np.ndarray) -> np.ndarray:
+    """Whether a symmetric matrix with ascending eigenvalues ``w``, or each
+    matrix of a stack, is negative beyond roundoff:
+    ``lambda_min < -1e-12 * max(1, lambda_max)``."""
+    return w[..., 0] < -1e-12 * np.maximum(1.0, w[..., -1])
 
 
 def _floored_eigh(cov: np.ndarray, floor: float):
@@ -398,12 +408,12 @@ def _floored_eigh(cov: np.ndarray, floor: float):
     the floor, and their eigenvectors ``(..., n, n)``, which factor the
     returned matrices up to the rebuild's roundoff; the matrices above the
     floor come back symmetrized only."""
-    cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
+    cov = _symmetric_part(cov)
     w, v = np.linalg.eigh(cov)
     low = w[..., 0] < floor
     if low.any():
         w[low] = np.maximum(w[low], floor)
-        _rebuild(cov, low, w[low], v[low])
+        cov[low] = _from_eigh(w[low], v[low])
     return cov, w, v
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, ValidationError, WeightUnderflowError
-from .gaussian import GaussianMixture, _as_vector, _readonly, _trusted_new
+from .gaussian import GaussianMixture, _as_float_array, _as_vector, _readonly, _trusted_new
 # kalman_gains is unused here but stays a module attribute: perfbench/layertrace.py patches it.
 from .kalman import (LinearMeasurementModel, _apply_linear_update,  # noqa: F401
                      _innovation_gains, kalman_gains)
@@ -44,8 +44,8 @@ class GsfUpdateResult:
     component_costs: np.ndarray
 
     def __post_init__(self):
-        gains = np.asarray(self.gains, dtype=float)
-        costs = np.asarray(self.component_costs, dtype=float)
+        gains = _as_float_array(self.gains, "gains")
+        costs = _as_float_array(self.component_costs, "component_costs")
         _check_shapes(self.posterior, gains, costs)
         object.__setattr__(self, "gains", _readonly(gains))
         object.__setattr__(self, "component_costs", _readonly(costs))

@@ -171,12 +171,14 @@ class ExperimentConfig:
             gram = self.measurement.C @ self.measurement.C.T + self.measurement.R
         if not np.all(np.isfinite(gram)):
             raise ValidationError("measurement C C^T + R overflows to a non-finite matrix")
-        try:
-            np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:
+        # Positive definite to working precision: numpy's matrix_rank
+        # tolerance on the signed eigenvalues, since a gram negative by
+        # roundoff has full rank. Cholesky factors some singular grams.
+        w = np.linalg.eigvalsh(gram)
+        if not w[0] > w[-1] * (self.measurement.meas_dim * np.finfo(float).eps):
             raise ValidationError(
                 "measurement C C^T + R is not positive definite, so the innovation "
-                "covariance C S C^T + R is singular for every prior covariance S") from None
+                "covariance C S C^T + R is singular for every prior covariance S")
         filters = tuple(self.filters)
         if not filters:
             raise ValidationError("at least one filter must be enabled")

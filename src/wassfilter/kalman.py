@@ -20,7 +20,10 @@ stack: the eigenvalues give the condition guard and the log-determinant, and
 the whitening map ``diag(lambda)^-1/2 V^T`` gives the gains and the whitened
 innovations. Posterior-error covariances take the quadratic form of
 ``_error_covs``, whose traces are the costs, and are symmetrized, so updates
-chain without drift.
+chain without drift. The matrix hygiene is :mod:`.gaussian`'s: its one
+symmetrizer takes the symmetric part of the noise covariances, of the Riccati
+and Lyapunov solutions and of the floored posteriors, and its one roundoff
+rule decides when a noise covariance counts as PSD.
 """
 
 from __future__ import annotations
@@ -30,22 +33,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, DivergenceError, ValidationError
-from .gaussian import Gaussian, _as_matrix, _as_vector, _check_symmetric, _readonly, ensure_spd
+from .gaussian import (Gaussian, _as_matrix, _as_vector, _check_symmetric,
+                       _negative_beyond_roundoff, _readonly, _symmetric_part, ensure_spd)
 
 # Innovation covariances with condition numbers above this are rejected.
 MAX_INNOVATION_CONDITION = 1e12
 
-# Noise covariances may be singular (e.g. exactly zero for deterministic
-# diagnostics); eigenvalues below this are treated as invalid rather than PSD.
-_PSD_ATOL = 1e-12
 
-
-def _check_psd(m: np.ndarray, name: str) -> None:
-    _check_symmetric(m, name)
-    w = np.linalg.eigvalsh(0.5 * (m + m.T))
-    scale = max(1.0, float(w.max()))
-    if float(w.min()) < -_PSD_ATOL * scale:
+def _check_psd(m: np.ndarray, name: str) -> np.ndarray:
+    """The symmetric part of a noise covariance that is PSD up to roundoff. It
+    may be singular, e.g. exactly zero for deterministic diagnostics."""
+    sym = _check_symmetric(m, name)
+    w = np.linalg.eigvalsh(sym)
+    if _negative_beyond_roundoff(w):
         raise ValidationError(f"{name} has negative eigenvalue {w.min():.6e}")
+    return sym
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,14 +59,13 @@ class LinearMeasurementModel:
 
     def __post_init__(self):
         C = _as_matrix(self.C, "C")
-        R = _as_matrix(self.R, "R")
-        _check_psd(R, "R")
+        R = _check_psd(_as_matrix(self.R, "R"), "R")
         if R.shape[0] != C.shape[0]:
             raise ValidationError(
                 f"C maps to dimension {C.shape[0]} but R is {R.shape[0]}x{R.shape[1]}"
             )
         object.__setattr__(self, "C", _readonly(C))
-        object.__setattr__(self, "R", _readonly(0.5 * (R + R.T)))
+        object.__setattr__(self, "R", _readonly(R))
 
     @property
     def state_dim(self) -> int:
@@ -105,11 +106,11 @@ class LinearPropagationModel:
         Q = _as_matrix(self.Q, "Q")
         if A.shape[0] != A.shape[1]:
             raise ValidationError(f"A must be square, got {A.shape}")
-        _check_psd(Q, "Q")
+        Q = _check_psd(Q, "Q")
         if Q.shape[0] != A.shape[0]:
             raise ValidationError(f"A is {A.shape[0]}x{A.shape[1]} but Q is {Q.shape[0]}x{Q.shape[1]}")
         object.__setattr__(self, "A", _readonly(A))
-        object.__setattr__(self, "Q", _readonly(0.5 * (Q + Q.T)))
+        object.__setattr__(self, "Q", _readonly(Q))
 
     @property
     def dim(self) -> int:
@@ -259,7 +260,7 @@ def stationary_prior_error_cov(model: LinearMeasurementModel,
         sigma = solve_discrete_are(prop.A.T, model.C.T, prop.Q, model.R)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise ConditioningError(f"filter Riccati equation has no stabilizing solution: {exc}") from exc
-    return 0.5 * (sigma + sigma.T)
+    return _symmetric_part(sigma)
 
 
 def _closed_loop_stationary(gains: GainPair, model: LinearMeasurementModel,
@@ -287,7 +288,7 @@ def _closed_loop_stationary(gains: GainPair, model: LinearMeasurementModel,
     ahra = a @ gains.H @ model.R @ gains.H.T @ a.T
     noise = np.block([[q, -q], [-q, q + ahra]])
     cov = solve_discrete_lyapunov(f, noise)
-    return 0.5 * (cov + cov.T)
+    return _symmetric_part(cov)
 
 
 def _orthogonality(gains: GainPair, model: LinearMeasurementModel,

@@ -38,7 +38,7 @@ DOMINANCE_ATOL = 1e-12
 
 
 def _check_simplex(weights: np.ndarray) -> np.ndarray:
-    w = np.asarray(weights, dtype=float)
+    w = _as_float_array(weights, "weights")
     if w.ndim != 1:
         raise ValidationError(f"weights must be a vector, got shape {w.shape}")
     if abs(float(w.sum()) - 1.0) > _SUM_ATOL or float(w.min()) < -_NEG_ATOL:
@@ -59,7 +59,7 @@ def _check_problem_dims(weights, gains, prior: GaussianMixture, model: LinearMea
 
 def component_costs(gains, prior: GaussianMixture, model: LinearMeasurementModel) -> np.ndarray:
     """Per-component posterior-error traces ``c_i(H_i)`` at the given gains."""
-    return update_error_cost(np.asarray(gains, dtype=float), prior.covs, model)
+    return update_error_cost(_as_float_array(gains, "gains"), prior.covs, model)
 
 
 def ngsf_cost(weights, gains, prior: GaussianMixture, model: LinearMeasurementModel) -> float:
@@ -153,7 +153,7 @@ class NgsfSolution:
 
     def __post_init__(self):
         _check_dominance(self.warm_cost, self.final_cost)
-        object.__setattr__(self, "weights", _readonly(np.asarray(self.weights, float)))
+        object.__setattr__(self, "weights", _readonly(_as_float_array(self.weights, "weights")))
         object.__setattr__(self, "gains", _readonly(_as_float_array(self.gains, "gains")))
 
     @classmethod

@@ -53,7 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, FitError, ValidationError
-from .gaussian import GaussianMixture, _check_field_types, _component_logpdfs, _floored_eigh
+from .gaussian import (GaussianMixture, _as_float_array, _check_field_types, _component_logpdfs,
+                       _floored_eigh)
 
 # Fraction of total responsibility mass below which a component counts as
 # collapsed and gets reseeded.
@@ -161,7 +162,7 @@ def integrate_rk4(x0, rhs, dt: float, steps: int) -> np.ndarray:
         raise ValidationError(f"dt must be positive and finite, got {dt}")
     if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 0:
         raise ValidationError(f"steps must be an integer >= 0, got {steps!r}")
-    x = np.array(x0, dtype=float, order="F")
+    x = np.array(_as_float_array(x0, "x0"), order="F")
     k1, k2, k3, k4, stage = (np.empty_like(x) for _ in range(5))
     finite = np.empty(x.shape, dtype=bool, order="F")
     half, sixth = 0.5 * dt, dt / 6.0
@@ -203,7 +204,7 @@ def propagate_cloud(cloud, model: DuffingModel, duration: float) -> np.ndarray:
     :data:`MAX_STEPS_PER_SAMPLE` times it, or :class:`ValidationError` is
     raised before any substep runs.
     """
-    cloud = np.asarray(cloud, dtype=float)
+    cloud = _as_float_array(cloud, "cloud")
     if cloud.ndim != 2 or cloud.shape[1] != 2:
         raise ValidationError(f"cloud must be (N, 2), got shape {cloud.shape}")
     ratio = duration / model.dt
@@ -552,10 +553,7 @@ def _fit_gmm_em_stack(points, config: EmFitConfig, rngs) -> list:
     points per cloud for ``config.n_components``. A fit that fails raises the
     :class:`FitError` of the first failing cloud.
     """
-    try:
-        points = np.asarray(points, dtype=float)
-    except ValueError as err:
-        raise ValidationError(f"stacked clouds must share one shape: {err}") from None
+    points = _as_float_array(points, "clouds")
     if points.ndim != 3:
         # Names the shape of one cloud, which is what fit_gmm_em was given.
         raise ValidationError(f"cloud must be (N, n), got shape {points.shape[1:]}")
@@ -595,5 +593,5 @@ def fit_gmm_em(cloud, config: EmFitConfig, rng: np.random.Generator, details: bo
     and its one fit comes out. With ``details=True`` returns
     ``(mixture, EmDiagnostics)``.
     """
-    fit, = _fit_gmm_em_stack(np.asarray(cloud, dtype=float)[None], config, [rng])
+    fit, = _fit_gmm_em_stack(_as_float_array(cloud, "cloud")[None], config, [rng])
     return fit if details else fit[0]

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .gaussian import DiracPoint, Gaussian, GaussianMixture, _as_mixture, psd_sqrt
+from .gaussian import DiracPoint, Gaussian, GaussianMixture, _as_float_array, _as_mixture, psd_sqrt
 
 # Largest cloud the exact assignment oracle accepts (O(N^3) solve).
 EMPIRICAL_MAX_POINTS = 256
@@ -32,9 +32,9 @@ def w2_gaussian_gaussian(a: Gaussian, b: Gaussian) -> float:
     # psd_sqrt, not spd_sqrt: a singular a.cov (an exact-measurement posterior)
     # is as valid a first argument as a second one.
     root_a = psd_sqrt(a.cov)
-    inner = root_a @ b.cov @ root_a
-    # Symmetrize before the outer square root to suppress 1e-14-level drift.
-    cross = psd_sqrt(0.5 * (inner + inner.T))
+    # psd_sqrt takes the symmetric part of the product, whose roundoff
+    # leaves it a hair asymmetric.
+    cross = psd_sqrt(root_a @ b.cov @ root_a)
     gap = a.mean - b.mean
     value = float(gap @ gap + np.trace(a.cov) + np.trace(b.cov) - 2.0 * np.trace(cross))
     return max(value, 0.0)
@@ -70,8 +70,8 @@ def w2_empirical(a, b) -> float:
     """
     from scipy.optimize import linear_sum_assignment
 
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a = _as_float_array(a, "a")
+    b = _as_float_array(b, "b")
     if a.ndim != 2 or b.ndim != 2:
         raise ValidationError("clouds must be (N, n) arrays")
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from wassfilter import (DegeneracyError, DiracPoint, Gaussian, GaussianMixture,
                         ValidationError, gaussian_logpdf, mixture_mean_cov,
                         sample_gaussian, sample_mixture, spd_sqrt)
-from wassfilter.gaussian import ensure_spd
+from wassfilter.gaussian import _floored_eigh, ensure_spd, psd_sqrt
 
 from conftest import random_gaussian, random_spd
 
@@ -333,6 +333,67 @@ class TestEnsureSpdStack:
         stack = np.stack([np.eye(2), np.diag([1.0, -1e-3]), np.diag([1.0, -1.0])])
         with pytest.raises(DegeneracyError, match="-1.000000e-03"):
             ensure_spd(stack)
+
+
+def _old_rebuild(w, v):
+    root = (v * w[..., None, :]) @ np.swapaxes(v, -1, -2)
+    return 0.5 * (root + np.swapaxes(root, -1, -2))
+
+
+def _old_ensure_spd(cov):
+    cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
+    w = np.linalg.eigvalsh(cov)
+    low = w[..., 0] < 1e-14 * np.maximum(w[..., -1], 0.0)
+    if low.any():
+        w_low, v_low = np.linalg.eigh(cov[low])
+        cov[low] = _old_rebuild(np.maximum(w_low, 1e-14 * np.maximum(w_low[:, -1:], 0.0)), v_low)
+    return cov
+
+
+def _old_floored_eigh(cov, floor):
+    cov = 0.5 * (cov + np.swapaxes(cov, -1, -2))
+    w, v = np.linalg.eigh(cov)
+    low = w[..., 0] < floor
+    if low.any():
+        w[low] = np.maximum(w[low], floor)
+        cov[low] = _old_rebuild(w[low], v[low])
+    return cov, w, v
+
+
+class TestMatrixHygiene:
+    """The one symmetrizer, which halves before it sums, and the one rebuild
+    from eigenpairs give the bits of the ``0.5 * (m + m^T)`` formulas they
+    replaced, and stay finite where those overflow."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bit_for_bit_the_halving_formulas(self, seed):
+        # Slightly asymmetric matrices; a third get a zero eigenvalue, which
+        # roundoff leaves below ensure_spd's lift, and a third one below the
+        # EM floor.
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((12, 3, 3)))
+        w = rng.uniform(0.5, 2.0, (12, 3))
+        w[::3, 0] = 0.0
+        w[1::3, 0] = 1e-9
+        skew = 1e-14 * rng.standard_normal((12, 3, 3))
+        stack = (q * w[:, None, :]) @ np.swapaxes(q, 1, 2) + (skew - np.swapaxes(skew, 1, 2))
+        for m in stack:
+            sym = 0.5 * (m + m.T)
+            ws, vs = np.linalg.eigh(sym)
+            np.testing.assert_array_equal(psd_sqrt(m),
+                                          _old_rebuild(np.sqrt(np.clip(ws, 0.0, None)), vs))
+            if ws[0] >= 1e-12:
+                np.testing.assert_array_equal(spd_sqrt(m), _old_rebuild(np.sqrt(ws), vs))
+        np.testing.assert_array_equal(ensure_spd(stack), _old_ensure_spd(stack.copy()))
+        for new, old in zip(_floored_eigh(stack, 1e-6), _old_floored_eigh(stack.copy(), 1e-6)):
+            np.testing.assert_array_equal(new, old)
+
+    @pytest.mark.parametrize("root", [psd_sqrt, spd_sqrt])
+    def test_root_of_a_huge_diagonal(self, root):
+        # 0.5 * (m + m^T) overflows to inf at 1e308; nothing overflows here.
+        with np.errstate(all="raise"):
+            np.testing.assert_allclose(root(np.diag([1e308, 1.0])), np.diag([1e154, 1.0]),
+                                       rtol=1e-15)
 
 
 class TestTrustedStacks:

@@ -746,11 +746,12 @@ class TestCli:
         monkeypatch.setattr(harness, "propagate_cloud", no_step)
         (tmp_path / "afile").write_text("")
         cfg = self._write_config(tmp_path)
-        out = tmp_path / "afile" / "sub"
-        assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            f"runtime error: step 0, module output: [Errno 20] Not a directory: "
-            f"'{out / 'mixtures'}'"]
+        # A path under a regular file, and the file itself.
+        for out in (tmp_path / "afile" / "sub", tmp_path / "afile"):
+            assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+            assert capsys.readouterr().err.splitlines() == [
+                f"runtime error: step 0, module output: [Errno 20] Not a directory: "
+                f"'{out / 'mixtures'}'"]
 
     def test_compare_out_under_a_file_exits_before_the_first_run(self, tmp_path, capsys,
                                                                  monkeypatch):
@@ -905,6 +906,12 @@ class TestCli:
         # Each would ask for about 5e299 RK4 substeps per step.
         {"duffing": {"dt": 1e-300}},
         {"duffing": {"sample_time": 1e300}},
+        # C C^T + R = [[2, 2], [2, 2]] is singular, yet numpy's Cholesky
+        # returns a factor for it, with L22 = 2.1e-8.
+        {"measurement": {"C": [[1.0, 0.0], [1.0, 0.0]], "R": [[1.0, 1.0], [1.0, 1.0]]}},
+        # R is PSD up to roundoff, and so C C^T + R = [[-1e-13]] has full rank
+        # but is not positive definite.
+        {"measurement": {"C": [[0.0, 0.0]], "R": [[-1e-13]]}},
     ], ids=["ensemble_below_components", "nan_damping", "uninformative_sensor",
             "unknown_duffing_key", "unknown_em_key", "unknown_measurement_key",
             "section_not_object", "measurement_without_R", "string_ensemble_size",
@@ -913,7 +920,7 @@ class TestCli:
             "bool_ensemble_size", "bool_restarts", "string_dt", "em_init_seed",
             "nan_em_tol", "infinite_covariance_floor", "unallocatable_ensemble",
             "huge_restarts", "em_memory_bound", "overflowing_sensor", "tiny_dt",
-            "huge_sample_time"])
+            "huge_sample_time", "singular_sensor", "roundoff_negative_sensor"])
     def test_bad_config_rejected_before_step_one(self, tmp_path, capsys, data):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(data))
@@ -934,6 +941,16 @@ class TestCli:
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(config.to_json_dict()))
         assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+    def test_huge_finite_sensor_noise_runs(self, tmp_path, capsys):
+        # R has eigenvalues 5e307 and 1.5e308: the build's rank test and the
+        # run stay finite, and nothing reaches stderr.
+        model = LinearMeasurementModel(np.eye(2), [[1e308, 5e307], [5e307, 1e308]])
+        config = _small_config(horizon_steps=1, measurement=model)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config.to_json_dict()))
+        assert cli_main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_missing_config_exit_code(self, tmp_path):
         assert cli_main(["run", "--config", str(tmp_path / "absent.json")]) == 1
@@ -1058,12 +1075,12 @@ def _mutant_json(draw):
     return path, mutation, data
 
 
-def _huge_em_mutant(name: str, value: float):
-    """The ``(path, mutation, data)`` of ``_mutant_json`` that sets the EM
-    field ``name`` of ``_TINY_JSON`` to the huge ``value``."""
+def _huge_mutant(section: str, name: str, value):
+    """The ``(path, mutation, data)`` of ``_mutant_json`` that sets the field
+    ``name`` of ``_TINY_JSON``'s ``section`` to the huge ``value``."""
     data = json.loads(json.dumps(_TINY_JSON))
-    data["em"][name] = value
-    return ("em", name), "huge", data
+    data[section][name] = value
+    return (section, name), "huge", data
 
 
 def _run_work(config: ExperimentConfig) -> int:
@@ -1084,15 +1101,16 @@ class TestGeneratedConfigs:
     Exit 2 prints one stderr line naming the step and module. Nothing else,
     no numpy warning either, reaches stderr."""
 
-    # The drawn examples depend on the test's source, so the huge EM floats
+    # The drawn examples depend on the test's source, so the huge floats
     # that once printed numpy overflow warnings are pinned as examples. The
     # slowest example takes well under a second; the deadline catches a
     # runaway one once it returns (a hang is not interrupted).
     @settings(derandomize=True, max_examples=300, deadline=timedelta(seconds=10),
               database=None)
     @given(mutant=_mutant_json())
-    @example(mutant=_huge_em_mutant("covariance_floor", 1e308))
-    @example(mutant=_huge_em_mutant("tol", 1e307))
+    @example(mutant=_huge_mutant("em", "covariance_floor", 1e308))
+    @example(mutant=_huge_mutant("em", "tol", 1e307))
+    @example(mutant=_huge_mutant("measurement", "R", [[1e308]]))
     def test_one_field_mutants_keep_the_exit_contract(self, mutant):
         path, mutation, data = mutant
         try:

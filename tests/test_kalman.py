@@ -99,6 +99,18 @@ class TestKalmanGains:
         with pytest.raises(ValidationError, match=message):
             build()
 
+    @pytest.mark.parametrize("build, name", [
+        (lambda: LinearMeasurementModel([[1.0, 0.0]], [[1e308]]), "R"),
+        (lambda: LinearPropagationModel([[0.5]], [[1e308]]), "Q"),
+    ], ids=["R", "Q"])
+    def test_huge_noise_covariance_kept_unchanged(self, build, name):
+        # A finite PSD noise covariance builds as given, without the overflow
+        # of 0.5 * (R + R^T) and its RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = build()
+        np.testing.assert_array_equal(getattr(model, name), [[1e308]])
+
 
 class TestKalmanUpdate:
     def test_zero_innovation_keeps_mean(self, rng):

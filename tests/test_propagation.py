@@ -241,6 +241,12 @@ class TestPropagateCloud:
         with pytest.raises(ValidationError, match=message):
             propagate_cloud(rng.standard_normal((5, 2)), model, duration)
 
+    @pytest.mark.parametrize("cloud", [[[0.0, 1.0], [2.0]], [["a", "b"]] * 5],
+                             ids=["ragged", "strings"])
+    def test_rejects_non_numeric_cloud(self, cloud):
+        with pytest.raises(ValidationError, match="cloud must be a numeric array"):
+            propagate_cloud(cloud, DuffingModel(), 0.5)
+
     @pytest.mark.parametrize("shape", [(5,), (5, 3), (2, 5, 2)])
     def test_rejects_cloud_not_n_by_2(self, shape):
         with pytest.raises(ValidationError, match=r"cloud must be \(N, 2\), got shape"):
@@ -340,7 +346,9 @@ class TestFitGmmEm:
         (np.zeros(200), r"cloud must be \(N, n\), got shape \(200,\)"),
         (np.zeros((2, 100, 2)), r"cloud must be \(N, n\), got shape \(2, 100, 2\)"),
         (np.full((200, 2), np.nan), "cloud contains non-finite entries"),
-    ], ids=["one_dim", "three_dim", "non_finite"])
+        ([[0.0, 1.0], [2.0]], "cloud must be a numeric array"),
+        ([["a", "b"]] * 20, "cloud must be a numeric array"),
+    ], ids=["one_dim", "three_dim", "non_finite", "ragged", "strings"])
     def test_rejects_malformed_cloud(self, cloud, message):
         with pytest.raises(ValidationError, match=message):
             fit_gmm_em(cloud, EmFitConfig(n_components=2), np.random.default_rng(0))
@@ -834,6 +842,8 @@ class TestStackedClouds:
         assert str(stacked.value) == message
 
     def test_clouds_must_share_one_shape(self, rng):
-        with pytest.raises(ValidationError, match="one shape"):
+        with pytest.raises(ValidationError, match="clouds must be a numeric array") as err:
             _fit_gmm_em_stack([rng.standard_normal((200, 2)), rng.standard_normal((201, 2))],
                               EmFitConfig(n_components=2), [rng, rng])
+        # The message abbreviates the clouds instead of printing 401 points.
+        assert len(str(err.value)) < 200
