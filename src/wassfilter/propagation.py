@@ -30,7 +30,12 @@ linear in the features, so each E-step folds every component's precision,
 log-determinant and weight into an ``(F, R, K, M)`` coefficient stack and
 gets all joint log densities from one ``(F, R, K, M) @ (F, 1, M, N)``
 product; each M-step gets every component's mass, mean and second moment
-from one ``(F, R, K, N) @ (F, 1, N, M)`` product over the responsibilities.
+from one ``(F, R, K, N) @ (F, 1, N, M)`` product over the responsibilities,
+the mass from the ones feature's column, so no pass sums the
+responsibilities on their own. Between the two, the E-step's log-sum-exp
+clips the joint log densities against one ``(N,)`` row of
+``_LOG_RESP_FLOOR`` and normalises them with one reciprocal per point and a
+multiply; the elementwise chain, not the products, is most of a pass.
 The products stay batched per row, never flattened to 2-D: every row is its
 own ``(K, ·) @ (·, ·)`` product, so its bits do not depend on the other rows
 and are those of a one-cloud, one-restart fit. (OpenBLAS can round the rows
@@ -65,6 +70,10 @@ _MAX_RESEEDS = 3
 # no sum, and it keeps `exp` and the M-step's product on their fast paths.
 # Results below 1e-308 underflow or are subnormal, which took `exp` 17 to 100
 # times and the product about 60 times longer per element on an AVX-512 host.
+# The E-step clips against an (N,) row of this value (`_EmWork.resp_floor`),
+# not the scalar: numpy 2.4's `maximum` has no SIMD loop for a scalar
+# operand, and the row gives the same bits in well under half the time (8.9
+# against 22.9 us on a (2, 2, 10, 1500) stack, AVX-512 AMD EPYC host).
 _LOG_RESP_FLOOR = -350.0
 # Smallest cloud size per mixture component that EM will fit.
 MIN_POINTS_PER_COMPONENT = 10
@@ -91,8 +100,8 @@ def duffing_rhs(x, damping: float = 0.25, cubic: float = 1.0, *, out=None) -> np
     states), and its last bit can then depend on the sign, while the products
     keep the field exactly odd, ``rhs(-x) == -rhs(x)``.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != 2:
+    x = _as_float_array(x, "x")
+    if x.shape[-1:] != (2,):
         raise ValidationError(f"state must have dimension 2, got shape {x.shape}")
     if out is None:
         out = np.empty_like(x)
@@ -303,7 +312,8 @@ class _EmWork:
     features ``[1, x, x_i x_j (i <= j)]`` with each cloud's ``x`` centered at
     its own mean (``M = 1 + d + d(d+1)/2``), the one ``(F, restarts, K, N)``
     buffer that holds every row's joint log densities and then its transposed
-    responsibilities, frozen rows included, for the fit's whole life, and
+    responsibilities, frozen rows included, for the fit's whole life, the
+    ``(N,)`` row of ``_LOG_RESP_FLOOR`` that the E-step clips against, and
     each cloud's floored overall covariance with its eigenpairs, which seed
     empty and reseeded components. Centering keeps the cancellation in the
     feature form small; reusing the buffer keeps each pass from allocating
@@ -328,6 +338,7 @@ class _EmWork:
             np.multiply(x[self.rows], x[self.cols], out=feats[1 + dim:])
         self.feats_t = np.swapaxes(self.feats, 1, 2)
         self.resp_t = np.empty((n_clouds, restarts, k, n))
+        self.resp_floor = np.full(n, _LOG_RESP_FLOOR)
         covs = np.stack([np.cov(cloud, rowvar=False).reshape(dim, dim) for cloud in points])
         self.overall = _floored_eigh(covs, floor)
 
@@ -363,14 +374,15 @@ def _joint_logpdfs(work: _EmWork, weights: np.ndarray, means: np.ndarray,
     return np.matmul(coef, work.feats[:, None], out=work.resp_t)
 
 
-def _log_sum_exp(joint: np.ndarray):
+def _log_sum_exp(joint: np.ndarray, floor_row: np.ndarray):
     """Per-point log mixture density ``(..., N)`` of ``(..., K, N)`` joint log
-    densities, reducing over the component axis. Leaves the floored
-    ``exp(joint - peak)`` in ``joint`` and returns with the density their
-    per-point sums ``(..., 1, N)``, which turn them into responsibilities."""
+    densities, reducing over the component axis. Leaves ``exp(joint - peak)``,
+    clipped below against ``floor_row`` ``(N,)``, in ``joint`` and returns
+    with the density their per-point sums ``(..., 1, N)``, which turn them
+    into responsibilities."""
     peak = joint.max(axis=-2, keepdims=True)
     joint -= peak
-    np.maximum(joint, _LOG_RESP_FLOOR, out=joint)
+    np.maximum(joint, floor_row, out=joint)
     np.exp(joint, out=joint)
     total = joint.sum(axis=-2, keepdims=True)
     log_norm = np.log(total)
@@ -381,35 +393,41 @@ def _log_sum_exp(joint: np.ndarray):
 def _e_step(work: _EmWork, weights: np.ndarray, means: np.ndarray, cov: tuple):
     """Transposed responsibilities ``(F, R, K, N)`` in ``work.resp_t``, which
     the next E-step overwrites, and the per-point log mixture density
-    ``(F, R, N)``, for the ``(covs, evals, evecs)`` stack of :func:`_m_step`."""
+    ``(F, R, N)``, for the ``(covs, evals, evecs)`` stack of :func:`_m_step`.
+    Each point's column is scaled by the reciprocal of its sum, one division
+    per point rather than per component."""
     joint = _joint_logpdfs(work, weights, means, *cov[1:])
-    log_norm, total = _log_sum_exp(joint)
-    joint /= total
+    log_norm, total = _log_sum_exp(joint, work.resp_floor)
+    joint *= np.reciprocal(total, out=total)
     return joint, log_norm
 
 
-def _m_step(work: _EmWork, resp_t: np.ndarray, mass: np.ndarray, floor: float):
-    """Weighted means ``(F, R, K, d)`` and the floored covariance stack as
-    ``(covs, evals, evecs)``: the ``(F, R, K, d, d)`` covariances and the
-    eigenpairs ``(F, R, K, d)`` and ``(F, R, K, d, d)`` that the floor
-    factored them by.
+def _m_step(work: _EmWork, resp_t: np.ndarray, floor: float, mass=None):
+    """Component masses ``(F, R, K)``, weighted means ``(F, R, K, d)`` and
+    the floored covariance stack as ``(covs, evals, evecs)``: the
+    ``(F, R, K, d, d)`` covariances and the eigenpairs ``(F, R, K, d)`` and
+    ``(F, R, K, d, d)`` that the floor factored them by.
 
-    ``resp_t`` is the ``(F, R, K, N)`` transposed responsibilities and
-    ``mass`` its row sums. One ``(F, R, K, N) @ (F, 1, N, M)`` product,
-    batched per row, gives every component's expected features, so its mean
-    and its second moment ``E[x x^T]``; the covariance is
-    ``E[x x^T] - mu mu^T`` in the cloud's centered coordinates. The floor
-    runs once on the whole stack.
+    ``resp_t`` is the ``(F, R, K, N)`` transposed responsibilities. One
+    ``(F, R, K, N) @ (F, 1, N, M)`` product, batched per row, gives every
+    component's expected features: feature 0 is 1, so column 0 holds its
+    mass, the row sum of ``resp_t``, which is returned unless ``mass`` is
+    given, and the rest its mean and its second moment ``E[x x^T]`` times
+    that mass. The covariance is ``E[x x^T] - mu mu^T`` in the cloud's
+    centered coordinates. The floor runs once on the whole stack.
     """
     dim = work.center.shape[-1]
-    moments = np.matmul(resp_t, work.feats_t[:, None]) / mass[..., None]
+    moments = np.matmul(resp_t, work.feats_t[:, None])
+    if mass is None:
+        mass = moments[..., 0].copy()
+    moments /= mass[..., None]
     mu = moments[..., 1:1 + dim]
     covs = np.empty(mass.shape + (dim, dim))
     covs[..., work.rows, work.cols] = moments[..., 1 + dim:]
     covs[..., work.cols, work.rows] = moments[..., 1 + dim:]
     covs -= mu[..., :, None] * mu[..., None, :]
     floored = _floored_eigh(covs.reshape(-1, dim, dim), floor)
-    return work.center + mu, tuple(a.reshape(mass.shape + a.shape[1:]) for a in floored)
+    return mass, work.center + mu, tuple(a.reshape(mass.shape + a.shape[1:]) for a in floored)
 
 
 def _em_run(work: _EmWork, config: EmFitConfig, rngs) -> list:
@@ -458,7 +476,7 @@ def _em_run(work: _EmWork, config: EmFitConfig, rngs) -> list:
             work.resp_t[f, restart] = np.arange(k)[:, None] == assign
     empty = counts == 0
     counts[empty] = 1.0
-    means, cov = _m_step(work, work.resp_t, counts, floor)
+    _, means, cov = _m_step(work, work.resp_t, floor, counts)
     means[empty] = centers[empty]
     for part, overall in zip(cov, work.overall):
         part[empty] = overall[np.nonzero(empty)[0]]
@@ -477,7 +495,8 @@ def _em_run(work: _EmWork, config: EmFitConfig, rngs) -> list:
     for _ in range(config.max_iters):
         resp_t, log_norm = _e_step(work, weights, means, cov)
         ll = log_norm.sum(axis=-1)
-        mass = resp_t.sum(axis=-1)
+        # Reseeding edits only rows that skip this M-step, so it can run first.
+        mass, new_means, new_cov = _m_step(work, resp_t, floor)
         keep = mass.min(axis=-1) >= _COLLAPSE_MASS * n
 
         for f, restart in zip(*np.nonzero(active & ~keep)):
@@ -496,7 +515,6 @@ def _em_run(work: _EmWork, config: EmFitConfig, rngs) -> list:
 
         # The active rows that reseeded nothing take this pass's M-step.
         update = active & keep
-        new_means, new_cov = _m_step(work, resp_t, mass, floor)
         np.copyto(weights, mass / n, where=update[..., None])
         np.copyto(means, new_means, where=update[..., None, None])
         for part, new in zip(cov, new_cov):
@@ -521,7 +539,8 @@ def _em_run(work: _EmWork, config: EmFitConfig, rngs) -> list:
     fits = []
     for f, cloud in enumerate(points):
         final = [float(_log_sum_exp(_component_logpdfs(cloud, means[f, i], cov[0][f, i]).T
-                                    + np.log(weights[f, i])[:, None])[0].sum()) for i in range(r)]
+                                    + np.log(weights[f, i])[:, None], work.resp_floor)[0].sum())
+                 for i in range(r)]
         best = int(np.argmax(final))
         history = scores[kept[:, f, best], f, best]
         mixture = GaussianMixture._trusted(weights[f, best].copy(), means[f, best].copy(),

@@ -18,7 +18,8 @@ from wassfilter import (DivergenceError, DuffingModel, EmFitConfig, FitError, Ga
                         sample_gaussian, sample_mixture)
 from wassfilter import propagation
 from wassfilter.gaussian import _component_logpdfs, _floored_eigh
-from wassfilter.propagation import _EmWork, _fit_gmm_em_stack, _joint_logpdfs, _m_step
+from wassfilter.propagation import (_LOG_RESP_FLOOR, _EmWork, _e_step, _fit_gmm_em_stack,
+                                    _joint_logpdfs, _kmeanspp_centers, _m_step)
 
 from conftest import random_spd
 
@@ -79,8 +80,14 @@ class TestDuffingRhs:
             np.testing.assert_array_equal(out[i], duffing_rhs(cloud[i]))
 
     def test_rejects_wrong_dimension(self):
-        with pytest.raises(ValidationError):
-            duffing_rhs([1.0, 2.0, 3.0])
+        for x in ([1.0, 2.0, 3.0], 1.0):
+            with pytest.raises(ValidationError, match="state must have dimension 2"):
+                duffing_rhs(x)
+
+    @pytest.mark.parametrize("x", [[[0.0, 1.0], [2.0]], [["a", "b"]]])
+    def test_rejects_non_numeric_state(self, x):
+        with pytest.raises(ValidationError, match="x must be a numeric array"):
+            duffing_rhs(x)
 
     @pytest.mark.parametrize("shape", [(2,), (1_000, 2), (3, 5, 2)])
     def test_out_is_written_and_returned(self, rng, shape):
@@ -469,7 +476,7 @@ def _ref_m_step(points, resp_t, mass, floor):
     diff = np.ascontiguousarray(points.T)[None, :, :] - means[:, :, None]
     weighted = diff * resp_t[:, None, :]
     covs = weighted @ np.swapaxes(diff, 1, 2) / mass[:, None, None]
-    return means, _ref_floor_cov(covs, floor)
+    return mass, means, _ref_floor_cov(covs, floor)
 
 
 def _stack_rows(outs):
@@ -493,8 +500,9 @@ def _reference_fit(cloud, config, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(propagation, "_e_step", lambda work, w, m, cov: _per_row(
             _ref_e_step, work, w, m, cov[0]))
-        mp.setattr(propagation, "_m_step", lambda work, resp_t, mass, floor: _per_row(
-            lambda points, r, s: _ref_m_step(points, r, s, floor), work, resp_t, mass))
+        mp.setattr(propagation, "_m_step", lambda work, resp_t, floor, mass=None: _per_row(
+            lambda points, r, s: _ref_m_step(points, r, s, floor), work, resp_t,
+            resp_t.sum(axis=-1) if mass is None else mass))
         mp.setattr(propagation, "_floored_eigh", _ref_floor_cov)
         return fit_gmm_em(cloud, config, np.random.default_rng(seed), details=True)
 
@@ -547,8 +555,8 @@ class TestBatchedEm:
         points = rng.standard_normal((n, dim)) * [3.0, 0.5]
         resp = rng.dirichlet(np.ones(k), n)
         mass = resp.sum(axis=0)
-        means, (covs, evals, evecs) = _m_step(_EmWork(points[None], k, 1e-12, 1),
-                                              resp.T[None, None], mass[None, None], 1e-12)
+        _, means, (covs, evals, evecs) = _m_step(_EmWork(points[None], k, 1e-12, 1),
+                                                 resp.T[None, None], 1e-12, mass[None, None])
         means, covs, evals, evecs = means[0, 0], covs[0, 0], evals[0, 0], evecs[0, 0]
         np.testing.assert_allclose((evecs * evals[:, None, :]) @ np.swapaxes(evecs, 1, 2), covs,
                                    rtol=0.0, atol=1e-14 * np.abs(covs).max())
@@ -558,6 +566,74 @@ class TestBatchedEm:
             cov = (diff * resp[:, j:j + 1]).T @ diff / mass[j]
             np.testing.assert_allclose(means[j], mean, rtol=1e-12)
             np.testing.assert_allclose(covs[j], cov, rtol=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_row_clip_matches_scalar_clip(self, rng, dim):
+        # The E-step clips against a row of _LOG_RESP_FLOOR; numpy's maximum
+        # with a scalar operand gives the same bits, only more slowly.
+        points, means, covs = _floor_level_case(rng, dim)
+        k = len(means)
+        work = _EmWork(points[None], k, EmFitConfig().covariance_floor, 1)
+        weights = rng.dirichlet(np.ones(k))[None, None]
+        evals, evecs = np.linalg.eigh(covs)
+        cov = (covs[None, None], evals[None, None], evecs[None, None])
+        joint = _joint_logpdfs(work, weights, means[None, None], *cov[1:]).copy()
+        peak = joint.max(axis=-2, keepdims=True)
+        joint -= peak
+        assert (joint < _LOG_RESP_FLOOR).any()
+        np.maximum(joint, _LOG_RESP_FLOOR, out=joint)
+        np.exp(joint, out=joint)
+        total = joint.sum(axis=-2, keepdims=True)
+        ref_log_norm = np.log(total) + peak
+        joint *= np.reciprocal(total)
+
+        resp_t, log_norm = _e_step(work, weights, means[None, None], cov)
+        assert resp_t.tobytes() == joint.tobytes()
+        assert log_norm.tobytes() == ref_log_norm[..., 0, :].tobytes()
+
+    def test_ones_column_masses_match_row_sums(self):
+        # Criterion-8 shape: two Duffing clouds, two restarts, K = 10. The
+        # M-step product's ones column is a BLAS sum of each row of
+        # responsibilities, in another order than numpy's pairwise sum.
+        rng = np.random.default_rng(31)
+        points = np.stack([propagate_cloud(rng.standard_normal((1_500, 2)) * [1.0, 0.5],
+                                           DuffingModel(), 0.5 * periods) for periods in (1, 3)])
+        k = 10
+        work = _EmWork(points, k, EmFitConfig().covariance_floor, 2)
+        means = points[:, rng.integers(1_500, size=(2, k))]
+        covs = np.broadcast_to(0.05 * np.eye(2), (2, 2, k, 2, 2))
+        evals, evecs = np.linalg.eigh(covs)
+        resp_t, _ = _e_step(work, np.full((2, 2, k), 1.0 / k), means, (covs, evals, evecs))
+        assert resp_t.min() < 1e-100  # masses that sum tiny and large terms alike
+        mass, _, _ = _m_step(work, resp_t, EmFitConfig().covariance_floor)
+        np.testing.assert_allclose(mass, resp_t.sum(axis=-1), rtol=1e-13, atol=0.0)
+
+    def test_init_gives_empty_components_their_center_and_overall_cov(self, monkeypatch):
+        # Two locations, 30 points each: k-means++ draws the second location,
+        # then only repeats, whose centers win no point (ties keep the earlier
+        # center). The first E-step sees each empty component at its center,
+        # with its cloud's floored overall covariance and weight 1 / (N + empty).
+        cloud = np.repeat([[0.0, 0.0], [3.0, 1.0]], 30, axis=0)
+        config = EmFitConfig(n_components=4, max_iters=1, restarts=1)
+        centers, nearest = _kmeanspp_centers(cloud, 4, np.random.default_rng(5))
+        empty = np.bincount(nearest, minlength=4) == 0
+        assert empty.sum() == 2
+
+        class Seen(Exception):
+            pass
+
+        def first_e_step(work, weights, means, cov):
+            raise Seen(work, weights[0, 0], means[0, 0], tuple(part[0, 0] for part in cov))
+
+        monkeypatch.setattr(propagation, "_e_step", first_e_step)
+        with pytest.raises(Seen) as seen:
+            fit_gmm_em(cloud, config, np.random.default_rng(5))
+        work, weights, means, cov = seen.value.args
+        np.testing.assert_array_equal(means[empty], centers[empty])
+        for part, overall in zip(cov, work.overall):
+            np.testing.assert_array_equal(part[empty], np.stack([overall[0]] * 2))
+        np.testing.assert_array_equal(weights[empty], 1.0 / 62.0)
+        np.testing.assert_array_equal(weights[~empty], 30.0 / 62.0)
 
     def test_floor_lifts_only_low_components(self, rng):
         floor = 1e-4
