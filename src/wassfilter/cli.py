@@ -64,7 +64,10 @@ def _cmd_compare(args) -> int:
     print(comparison.to_text())
     if args.out is not None:
         path = Path(args.out) / "comparison.json"
-        path.write_text(json.dumps(comparison.to_json_dict(), indent=2, sort_keys=True) + "\n")
+        try:
+            path.write_text(json.dumps(comparison.to_json_dict(), indent=2, sort_keys=True) + "\n")
+        except OSError as exc:
+            raise HarnessError(f"output comparison.json: {exc}") from exc
         print(f"wrote {path}")
     return 0
 

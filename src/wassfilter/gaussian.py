@@ -36,9 +36,11 @@ the caller.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import reprlib
 import types
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Sequence, get_type_hints
 
@@ -63,14 +65,22 @@ _FIELD_TYPES = {int: numbers.Integral, float: numbers.Real, bool: bool, tuple: (
 
 def _check_field_types(obj) -> None:
     """Reject dataclass field values that do not match a scalar or union
-    annotation such as ``int`` or ``str | None``; other fields are left to the class."""
-    for name, hint in get_type_hints(type(obj)).items():
+    annotation such as ``int`` or ``str | None``, then ``float`` fields that are
+    not finite doubles: NaN, an infinity, or a number beyond the float range
+    such as the JSON integer ``10**400``. Other fields are left to the class."""
+    hints = get_type_hints(type(obj))
+    for name, hint in hints.items():
         expected = _FIELD_TYPES.get(hint, hint if isinstance(hint, types.UnionType) else None)
         value = getattr(obj, name)
         if expected is not None and (not isinstance(value, expected)
                                      or (isinstance(value, bool) and hint is not bool)):
             raise ValidationError(
                 f"{name} must be of type {getattr(hint, '__name__', hint)}, got {value!r}")
+    for name in [name for name, hint in hints.items() if hint is float]:
+        with suppress(OverflowError):  # raised for an integer beyond the float range
+            if math.isfinite(getattr(obj, name)):
+                continue
+        raise ValidationError(f"{name} must be finite, got {getattr(obj, name)!r}")
 
 
 def _as_float_array(x, name: str) -> np.ndarray:

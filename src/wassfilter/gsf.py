@@ -16,7 +16,9 @@ prior node i.
 
 The K problems share one shape, so one stacked ``eigh`` of the innovation
 covariances (see ``kalman.py``) gives every gain, posterior moment, cost and
-likelihood weight without a per-component loop.
+likelihood weight without a per-component loop. The update's inputs are
+checked by ``kalman.py``'s one update check, and its condition guard names
+the first ill-conditioned component as ``component i: ``, for any K.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError, ValidationError, WeightUnderflowError
-from .gaussian import GaussianMixture, _as_float_array, _as_vector, _readonly, _trusted_new
+from .errors import ValidationError, WeightUnderflowError
+from .gaussian import GaussianMixture, _as_float_array, _readonly, _trusted_new
 # kalman_gains is unused here but stays a module attribute: perfbench/layertrace.py patches it.
-from .kalman import (LinearMeasurementModel, _apply_linear_update,  # noqa: F401
+from .kalman import (LinearMeasurementModel, _apply_linear_update, _check_update,  # noqa: F401
                      _innovation_gains, kalman_gains)
 
 
@@ -80,17 +82,9 @@ def _normalize_log_weights(log_w: np.ndarray) -> np.ndarray:
 
 def gsf_update(prior: GaussianMixture, model: LinearMeasurementModel, y) -> GsfUpdateResult:
     """One GSF measurement update: per-component Kalman updates plus reweighting."""
-    y = _as_vector(y, "y")
-    if y.shape[0] != model.meas_dim:
-        raise ValidationError(f"measurement has dimension {y.shape[0]}, model expects {model.meas_dim}")
-    if prior.dim != model.state_dim:
-        raise ValidationError(f"prior has dimension {prior.dim}, model expects {model.state_dim}")
-
+    y = _check_update(prior.dim, model, y)
     means, covs = prior.means, prior.covs
-    try:
-        white, log_det, h = _innovation_gains(covs, model)
-    except ConditioningError as exc:
-        raise ConditioningError(f"component {exc.component}: {exc}") from exc
+    white, log_det, h = _innovation_gains(covs, model)
     innovations = y - means @ model.C.T
     post_means, post_covs, costs = _apply_linear_update(means, covs, h, model, innovations)
 

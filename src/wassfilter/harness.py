@@ -70,13 +70,10 @@ _STREAM_EMFIT = 2
 _STREAM_RESAMPLE = 3
 _STREAM_RUN = 4
 
-# Most particles an (N, 2) float64 cloud can hold: numpy sizes arrays in bytes
-# with its signed index type.
-_MAX_ENSEMBLE = np.iinfo(np.intp).max // (2 * np.dtype(float).itemsize)
-
 # Most doubles of EM working memory a config may ask for, as
 # restarts * n_components * ensemble_size (16 GiB): the (restarts, K, N)
-# responsibility stack of one cloud's fit.
+# responsibility stack of one cloud's fit. With restarts and n_components at
+# least 1, it also caps ensemble_size at 2**31 particles.
 _MAX_EM_DOUBLES = 2**31
 
 # Most summed restarts * n_components * ensemble_size of the clouds one step
@@ -150,10 +147,6 @@ class ExperimentConfig:
             raise ValidationError(
                 f"ensemble_size {self.ensemble_size} cannot support {self.em.n_components} "
                 f"mixture components (need at least {MIN_POINTS_PER_COMPONENT} per component)")
-        if self.ensemble_size > _MAX_ENSEMBLE:
-            raise ValidationError(
-                f"ensemble_size {self.ensemble_size} is too large: an (N, 2) float64 cloud "
-                f"holds at most {_MAX_ENSEMBLE} particles")
         em_doubles = _em_doubles(self.em, self.ensemble_size)
         if em_doubles > _MAX_EM_DOUBLES:
             raise ValidationError(

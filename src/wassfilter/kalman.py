@@ -13,17 +13,20 @@ arbitrary gains, and gives the stationary prior error covariance (a Riccati
 solve) and the exact stationary orthogonality residuals ``E[e+ x-^T]`` and
 ``E[e+ y^T]`` (a Lyapunov solve) of a linear time-invariant closed loop.
 
-Numerical policy: the update works on a ``(K, n, n)`` stack of prior
-covariances (a single Gaussian is a stack of one). Each innovation covariance
-``V diag(lambda) V^T`` is factored once, by one batched ``eigh`` call per
-stack: the eigenvalues give the condition guard and the log-determinant, and
-the whitening map ``diag(lambda)^-1/2 V^T`` gives the gains and the whitened
-innovations. Posterior-error covariances take the quadratic form of
-``_error_covs``, whose traces are the costs, and are symmetrized, so updates
-chain without drift. The matrix hygiene is :mod:`.gaussian`'s: its one
-symmetrizer takes the symmetric part of the noise covariances, of the Riccati
-and Lyapunov solutions and of the floored posteriors, and its one roundoff
-rule decides when a noise covariance counts as PSD.
+Numerical policy: the gains and the update work on one ``(n, n)`` prior
+covariance or on a ``(K, n, n)`` stack of them, written once for both with
+``...`` indexing. Each innovation covariance ``V diag(lambda) V^T`` is
+factored once, by one (batched) ``eigh`` call: the eigenvalues give the
+condition guard, whose error names the failing component of a stack, and the
+log-determinant, and the whitening map ``diag(lambda)^-1/2 V^T`` gives the
+gains and the whitened innovations. Posterior-error covariances take the
+quadratic form of ``_error_covs``, whose traces are the costs, and are
+symmetrized, so updates chain without drift. One check, ``_check_update``,
+holds the rules for an update's measurement and prior dimension. The matrix
+hygiene is :mod:`.gaussian`'s: its one symmetrizer takes the symmetric part
+of the noise covariances, of the Riccati and Lyapunov solutions and of the
+floored posteriors, and its one roundoff rule decides when a noise
+covariance counts as PSD.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 
 from .errors import ConditioningError, DivergenceError, ValidationError
 from .gaussian import (Gaussian, _as_matrix, _as_vector, _check_symmetric,
-                       _negative_beyond_roundoff, _readonly, _symmetric_part, ensure_spd)
+                       _negative_beyond_roundoff, _readonly, _symmetric_part, _where, ensure_spd)
 
 # Innovation covariances with condition numbers above this are rejected.
 MAX_INNOVATION_CONDITION = 1e12
@@ -118,29 +121,36 @@ class LinearPropagationModel:
 
 
 def _innovation_gains(covs: np.ndarray, model: LinearMeasurementModel):
-    """For a ``(K, n, n)`` stack of covariances ``S_k``, the whitening maps
-    ``W_k = diag(lambda_k)^-1/2 V_k^T`` and log-determinants ``sum(log lambda_k)`` of
-    ``C S_k C^T + R = V_k diag(lambda_k) V_k^T``, and the gains
-    ``H_k = S_k C^T W_k^T W_k``, all from one batched ``eigh``.
+    """For one ``(n, n)`` covariance ``S`` or a ``(K, n, n)`` stack of them, the
+    whitening maps ``W = diag(lambda)^-1/2 V^T`` and log-determinants
+    ``sum(log lambda)`` of ``C S C^T + R = V diag(lambda) V^T``, and the gains
+    ``H = S C^T W^T W``, all from one (batched) ``eigh``.
 
-    The :class:`ConditioningError` of the guard carries the index of the first
-    failing covariance as ``component``.
+    The guard's :class:`ConditioningError` names the first failing covariance
+    of a stack as ``component i: ``; for one matrix it has no prefix.
     """
     w, v = np.linalg.eigh(model.C @ covs @ model.C.T + model.R)
     # Written so that the NaN eigenvalues of an overflowed matrix fail too, and
     # as a quotient, which cannot overflow for a finite lambda_max.
-    bad = ~((w[:, 0] > 0.0) & (w[:, -1] / MAX_INNOVATION_CONDITION <= w[:, 0]))
+    bad = ~((w[..., 0] > 0.0) & (w[..., -1] / MAX_INNOVATION_CONDITION <= w[..., 0]))
     if bad.any():
-        i = int(np.argmax(bad))
-        exc = ConditioningError(
-            f"innovation covariance condition number exceeds {MAX_INNOVATION_CONDITION:.0e} "
-            f"(eigenvalues in [{w[i, 0]:.3e}, {w[i, -1]:.3e}])"
-        )
-        exc.component = i
-        raise exc
-    white = np.swapaxes(v, 1, 2) / np.sqrt(w)[:, :, None]
-    gains = np.swapaxes(white @ (model.C @ covs), 1, 2) @ white
-    return white, np.log(w).sum(axis=1), gains
+        lo, hi = w.reshape(-1, w.shape[-1])[np.argmax(bad), [0, -1]]
+        raise ConditioningError(f"{_where(bad)}innovation covariance condition number exceeds "
+                                f"{MAX_INNOVATION_CONDITION:.0e} (eigenvalues in [{lo:.3e}, {hi:.3e}])")
+    white = np.swapaxes(v, -1, -2) / np.sqrt(w)[..., None]
+    gains = np.swapaxes(white @ (model.C @ covs), -1, -2) @ white
+    return white, np.log(w).sum(axis=-1), gains
+
+
+def _check_update(prior_dim: int, model: LinearMeasurementModel, y) -> np.ndarray:
+    """The measurement ``y`` as a finite vector, once it and a prior of dimension
+    ``prior_dim`` are checked against ``model``'s dimensions."""
+    y = _as_vector(y, "y")
+    if y.shape[0] != model.meas_dim:
+        raise ValidationError(f"measurement has dimension {y.shape[0]}, model expects {model.meas_dim}")
+    if prior_dim != model.state_dim:
+        raise ValidationError(f"prior has dimension {prior_dim}, model expects {model.state_dim}")
+    return y
 
 
 def state_gain(H: np.ndarray, model: LinearMeasurementModel) -> np.ndarray:
@@ -154,10 +164,9 @@ def kalman_gains(prior_err_cov, model: LinearMeasurementModel) -> GainPair:
     sigma = _as_matrix(prior_err_cov, "prior_err_cov")
     _check_symmetric(sigma, "prior_err_cov")
     if sigma.shape[0] != model.state_dim:
-        raise ValidationError(
-            f"prior_err_cov is {sigma.shape[0]}x{sigma.shape[1]} but C has {model.state_dim} columns"
-        )
-    h = _innovation_gains(sigma[None], model)[2][0]
+        raise ValidationError(f"prior_err_cov is {sigma.shape[0]}x{sigma.shape[1]} but C has "
+                              f"{model.state_dim} columns")
+    h = _innovation_gains(sigma, model)[2]
     return GainPair(G=state_gain(h, model), H=h)
 
 
@@ -171,12 +180,12 @@ def _error_covs(covs: np.ndarray, gains: np.ndarray, model: LinearMeasurementMod
 
 def _apply_linear_update(means: np.ndarray, covs: np.ndarray, gains: np.ndarray,
                          model: LinearMeasurementModel, innovations: np.ndarray):
-    """Stacked means ``mu + H (y - C mu)`` from the innovations ``y - C mu``, their
+    """Means ``mu + H (y - C mu)`` from the innovations ``y - C mu``, their
     :func:`_error_covs` covariances floored by ``ensure_spd``, and the traces of
-    those covariances before the floor."""
-    means = means + (gains @ innovations[:, :, None])[:, :, 0]
+    those covariances before the floor, for one Gaussian or for stacks."""
+    means = means + (gains @ innovations[..., None])[..., 0]
     errors = _error_covs(covs, gains, model)
-    return means, ensure_spd(errors), np.trace(errors, axis1=1, axis2=2)
+    return means, ensure_spd(errors), np.trace(errors, axis1=-2, axis2=-1)
 
 
 def kalman_update(prior: Gaussian, prior_err_cov, model: LinearMeasurementModel, y) -> Gaussian:
@@ -186,16 +195,11 @@ def kalman_update(prior: Gaussian, prior_err_cov, model: LinearMeasurementModel,
     error covariance (pass ``prior.cov`` for the standard filtering case where
     the two coincide).
     """
-    y = _as_vector(y, "y")
-    if y.shape[0] != model.meas_dim:
-        raise ValidationError(f"measurement has dimension {y.shape[0]}, model expects {model.meas_dim}")
-    if prior.dim != model.state_dim:
-        raise ValidationError(f"prior has dimension {prior.dim}, model expects {model.state_dim}")
+    y = _check_update(prior.dim, model, y)
     sigma = _as_matrix(prior_err_cov, "prior_err_cov")
-    gains = kalman_gains(sigma, model)
-    means, covs, _ = _apply_linear_update(prior.mean[None], sigma[None], gains.H[None], model,
-                                          y - prior.mean[None] @ model.C.T)
-    return Gaussian(means[0], covs[0], eig_floor=0.0)
+    h = kalman_gains(sigma, model).H
+    mean, cov, _ = _apply_linear_update(prior.mean, sigma, h, model, y - prior.mean @ model.C.T)
+    return Gaussian(mean, cov, eig_floor=0.0)
 
 
 def update_error_cost(H: np.ndarray, prior_err_cov: np.ndarray,

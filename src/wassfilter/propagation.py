@@ -83,12 +83,6 @@ MIN_POINTS_PER_COMPONENT = 10
 MAX_STEPS_PER_SAMPLE = 10**6
 
 
-def _check_finite_fields(obj, *names: str) -> None:
-    for name in names:
-        if not np.isfinite(getattr(obj, name)):
-            raise ValidationError(f"{name} must be finite, got {getattr(obj, name)!r}")
-
-
 def duffing_rhs(x, damping: float = 0.25, cubic: float = 1.0, *, out=None) -> np.ndarray:
     """Duffing oscillator vector field: ``(x2, -x1 - damping*x2 - cubic*x1^3)``.
 
@@ -132,7 +126,6 @@ class DuffingModel:
 
     def __post_init__(self):
         _check_field_types(self)
-        _check_finite_fields(self, "damping", "cubic", "dt", "sample_time")
         if self.dt <= 0.0:
             raise ValidationError(f"dt must be positive, got {self.dt}")
         ratio = self.sample_time / self.dt
@@ -238,7 +231,6 @@ class EmFitConfig:
 
     def __post_init__(self):
         _check_field_types(self)
-        _check_finite_fields(self, "tol", "covariance_floor")
         if self.n_components < 1:
             raise ValidationError(f"n_components must be >= 1, got {self.n_components}")
         if self.max_iters < 1 or self.restarts < 1:

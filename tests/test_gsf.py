@@ -35,7 +35,9 @@ class TestGsfUpdate:
     @pytest.mark.parametrize("prior_dim, y, message", [
         (1, [0.3, 0.1], "measurement has dimension 2, model expects 1"),
         (2, [0.3], "prior has dimension 2, model expects 1"),
-    ], ids=["y", "prior"])
+        (1, [[0.3]], r"y must be a 1-D vector, got shape \(1, 1\)"),
+        (1, [np.inf], "y contains non-finite entries"),
+    ], ids=["y", "prior", "y_matrix", "y_inf"])
     def test_rejects_mismatched_dimensions(self, rng, prior_dim, y, message):
         with pytest.raises(ValidationError, match=message):
             gsf_update(random_mixture(rng, 2, prior_dim), _scalar_model(), y)
@@ -148,6 +150,15 @@ class TestGsfUpdate:
                                 [np.eye(2), np.diag([1e10, 1e-10])], eig_floor=0.0)
         model = LinearMeasurementModel(np.eye(2), np.diag([1e-14, 1e-14]))
         with pytest.raises(ConditioningError, match="component 1"):
+            gsf_update(prior, model, np.zeros(2))
+
+    def test_single_component_conditioning_error_names_component(self):
+        prior = GaussianMixture([1.0], np.zeros((1, 2)), [np.diag([1e10, 1e-10])],
+                                eig_floor=0.0)
+        model = LinearMeasurementModel(np.eye(2), np.diag([1e-14, 1e-14]))
+        with pytest.raises(ConditioningError, match=r"^component 0: innovation covariance "
+                                                    r"condition number exceeds 1e\+12 "
+                                                    r"\(eigenvalues in \[1\.000e-10, 1\.000e\+10\]\)$"):
             gsf_update(prior, model, np.zeros(2))
 
     def test_overflowed_innovation_names_component(self):

@@ -130,6 +130,10 @@ class TestConfig:
                      {"ensemble_size": 2**31 + 1}):
             with pytest.raises(ValidationError, match="at most"):
                 ExperimentConfig.from_json_dict({**at_caps, **over})
+        # No cap of its own on the ensemble: a size no (N, 2) float64 array
+        # can hold is far over the EM-doubles bound.
+        with pytest.raises(ValidationError, match=r"doubles of EM working memory; at most 2\*\*31"):
+            ExperimentConfig.from_json_dict({**at_caps, "ensemble_size": 10**30})
 
     def test_numpy_integers_accepted(self):
         config = ExperimentConfig(master_seed=np.uint64(7), ensemble_size=np.int64(400),
@@ -770,6 +774,59 @@ class TestCli:
             assert capsys.readouterr().err.splitlines() == [
                 f"runtime error: output directory: {error}: '{out}'"]
 
+    def test_unwritable_out_directory_exits_2(self, tmp_path, capsys, monkeypatch):
+        # Root writes into a mode-0500 directory, so the PermissionError is
+        # injected: every directory under out refuses to be made.
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step or member run started")
+
+        real_mkdir = Path.mkdir
+
+        def mkdir(path, *args, **kwargs):
+            if path == out or out in path.parents:
+                raise PermissionError(13, "Permission denied", str(path))
+            return real_mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(harness, "propagate_cloud", no_step)
+        monkeypatch.setattr(harness, "_run_member", no_step)
+        monkeypatch.setattr(Path, "mkdir", mkdir)
+        cfg = self._write_config(tmp_path)
+        out = tmp_path / "out"
+        for cmd, error in (("run", f"step 0, module output: [Errno 13] Permission denied: "
+                                   f"'{out / 'mixtures'}'"),
+                           ("compare", f"output directory: [Errno 13] Permission denied: "
+                                       f"'{out}'")):
+            assert cli_main([cmd, "--config", str(cfg), "--out", str(out)]) == 2
+            assert capsys.readouterr().err.splitlines() == [f"runtime error: {error}"]
+            assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["directory", "unwritable"])
+    def test_compare_failed_comparison_write_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                     kind):
+        # The printed comparison stands; the one stderr line names the file.
+        cfg = self._write_config(tmp_path)
+        path = tmp_path / "cmp" / "comparison.json"
+        if kind == "directory":
+            path.mkdir(parents=True)
+            error = "[Errno 21] Is a directory"
+        else:
+            real_write_text = Path.write_text
+
+            def write_text(target, *args, **kwargs):
+                if target == path:
+                    raise PermissionError(13, "Permission denied", str(target))
+                return real_write_text(target, *args, **kwargs)
+
+            monkeypatch.setattr(Path, "write_text", write_text)
+            error = "[Errno 13] Permission denied"
+        assert cli_main(["compare", "--config", str(cfg), "--runs", "2",
+                         "--out", str(tmp_path / "cmp")]) == 2
+        captured = capsys.readouterr()
+        assert "paired Monte Carlo" in captured.out
+        assert captured.err.splitlines() == [
+            f"runtime error: output comparison.json: {error}: '{path}'"]
+
     def test_compare_invalid_runs_makes_no_out_directory(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)
         assert cli_main(["compare", "--config", str(cfg), "--runs", "1",
@@ -895,7 +952,11 @@ class TestCli:
         {"em": {"init_seed": 5}},
         {"em": {"tol": float("nan")}},
         {"em": {"covariance_floor": float("inf")}},
-        # Beyond the largest (N, 2) float64 array numpy can index.
+        # JSON integers beyond the float range in float fields.
+        {"duffing": {"dt": 10**400}},
+        {"em": {"tol": 10**400}},
+        # Beyond the largest (N, 2) float64 array numpy can index, and so far
+        # over the EM working-memory bound.
         {"ensemble_size": 10**30},
         # Asks for 5e13 doubles (364 TiB) of EM responsibilities.
         {"em": {"restarts": 10**9}},
@@ -918,7 +979,8 @@ class TestCli:
             "string_true_x0", "fractional_horizon", "fractional_components",
             "fractional_seed", "string_save_clouds", "numeric_output_dir",
             "bool_ensemble_size", "bool_restarts", "string_dt", "em_init_seed",
-            "nan_em_tol", "infinite_covariance_floor", "unallocatable_ensemble",
+            "nan_em_tol", "infinite_covariance_floor", "huge_int_dt", "huge_int_em_tol",
+            "unallocatable_ensemble",
             "huge_restarts", "em_memory_bound", "overflowing_sensor", "tiny_dt",
             "huge_sample_time", "singular_sensor", "roundoff_negative_sensor"])
     def test_bad_config_rejected_before_step_one(self, tmp_path, capsys, data):
@@ -1111,6 +1173,9 @@ class TestGeneratedConfigs:
     @example(mutant=_huge_mutant("em", "covariance_floor", 1e308))
     @example(mutant=_huge_mutant("em", "tol", 1e307))
     @example(mutant=_huge_mutant("measurement", "R", [[1e308]]))
+    # Integers beyond the float range, which the drawn huge floats never reach.
+    @example(mutant=_huge_mutant("duffing", "dt", 10**400))
+    @example(mutant=_huge_mutant("em", "tol", 10**400))
     def test_one_field_mutants_keep_the_exit_contract(self, mutant):
         path, mutation, data = mutant
         try:

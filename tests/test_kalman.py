@@ -78,9 +78,13 @@ class TestKalmanGains:
             assert np.linalg.eigvalsh(0.5 * (s + s.T)).min() > 0.0
 
     def test_singular_innovation_raises(self):
+        # One matrix: the error names no component.
         model = LinearMeasurementModel([[0.0, 0.0]], [[0.0]])
-        with pytest.raises(ConditioningError):
-            kalman_gains(np.eye(2), model)
+        for update in (lambda: kalman_gains(np.eye(2), model),
+                       lambda: kalman_update(Gaussian(np.zeros(2), np.eye(2)), np.eye(2),
+                                             model, [0.0])):
+            with pytest.raises(ConditioningError, match="^innovation covariance condition"):
+                update()
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
@@ -165,13 +169,16 @@ def _loop_update(means, covs, gains, model, y):
 
 
 class TestDimensionChecks:
-    """The updates reject a measurement or prior of another dimension than
-    the model's before any arithmetic."""
+    """The updates reject a measurement that is not a finite vector, and a
+    measurement or prior of another dimension than the model's, before any
+    arithmetic."""
 
     @pytest.mark.parametrize("prior_dim, y, message", [
         (2, [0.1, 0.2], "measurement has dimension 2, model expects 1"),
         (3, [0.1], "prior has dimension 3, model expects 2"),
-    ], ids=["y", "prior"])
+        (2, [[0.1]], r"y must be a 1-D vector, got shape \(1, 1\)"),
+        (2, [np.nan], "y contains non-finite entries"),
+    ], ids=["y", "prior", "y_matrix", "y_nan"])
     def test_kalman_update(self, rng, prior_dim, y, message):
         prior = random_gaussian(rng, prior_dim)
         with pytest.raises(ValidationError, match=message):

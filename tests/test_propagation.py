@@ -276,6 +276,30 @@ class TestPropagateCloud:
         assert model.steps_per_sample == propagation.MAX_STEPS_PER_SAMPLE
 
 
+class TestFloatFields:
+    @pytest.mark.parametrize("cls, name", [(DuffingModel, "damping"), (DuffingModel, "dt"),
+                                           (EmFitConfig, "tol"),
+                                           (EmFitConfig, "covariance_floor")])
+    @pytest.mark.parametrize("value", [np.nan, -np.inf, 10**400, -(10**400)],
+                             ids=["nan", "minus_inf", "huge_int", "minus_huge_int"])
+    def test_non_finite_rejected(self, cls, name, value):
+        # An integer beyond the float range counts as not finite.
+        with pytest.raises(ValidationError, match=f"^{name} must be finite, got "):
+            cls(**{name: value})
+
+    def test_float32_builds_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = DuffingModel(damping=np.float32(0.25))
+            EmFitConfig(tol=np.float32(1e-8))
+        assert model.damping == 0.25
+
+    def test_type_checked_before_finiteness(self):
+        # Every field's type is checked before any float's finiteness.
+        with pytest.raises(ValidationError, match="^dt must be of type float"):
+            DuffingModel(damping=np.nan, dt="0.01")
+
+
 class TestFitGmmEm:
     def test_single_gaussian_recovery(self):
         rng = np.random.default_rng(31)
