@@ -407,24 +407,31 @@ def _negative_beyond_roundoff(w: np.ndarray) -> np.ndarray:
     return w[..., 0] < -1e-12 * np.maximum(1.0, w[..., -1])
 
 
+def _lift(cov: np.ndarray, w: np.ndarray, v: np.ndarray, floor: float):
+    """Lift, in place, every eigenvalue below the absolute ``floor`` of the
+    symmetric matrices ``cov``, given their ascending eigenvalues ``w`` and
+    eigenvectors ``v``: each matrix that had one is rebuilt from its
+    eigenpairs, and the others are left as they are. Returns the three."""
+    low = w[..., 0] < floor
+    if low.any():
+        w[low] = np.maximum(w[low], floor)
+        cov[low] = _from_eigh(w[low], v[low])
+    return cov, w, v
+
+
 def _floored_eigh(cov: np.ndarray, floor: float):
     """Symmetrize ``cov`` and lift every eigenvalue below the absolute
     ``floor`` (the EM's covariance floor), negative ones included: the EM
     forms a covariance as ``E[x x^T] - mu mu^T``, PSD in exact arithmetic
     but, for a tight component far from the cloud's mean, below zero by up to
     about ``eps * E|x|^2`` in floating point. One batched ``eigh`` factors
-    every matrix, because the EM needs all the eigenpairs. Returns the
-    floored matrices, their eigenvalues ``(..., n)`` with the lifted ones at
-    the floor, and their eigenvectors ``(..., n, n)``, which factor the
+    every matrix and :func:`_lift` applies the floor. Returns the floored
+    matrices, their ascending eigenvalues ``(..., n)`` with the lifted ones
+    at the floor, and their eigenvectors ``(..., n, n)``, which factor the
     returned matrices up to the rebuild's roundoff; the matrices above the
     floor come back symmetrized only."""
     cov = _symmetric_part(cov)
-    w, v = np.linalg.eigh(cov)
-    low = w[..., 0] < floor
-    if low.any():
-        w[low] = np.maximum(w[low], floor)
-        cov[low] = _from_eigh(w[low], v[low])
-    return cov, w, v
+    return _lift(cov, *np.linalg.eigh(cov), floor)
 
 
 def _component_logpdfs(points: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .gaussian import GaussianMixture, _as_float_array, _as_vector, _readonly, _trusted_new
+from .gaussian import GaussianMixture, _as_float_array, _readonly, _trusted_new
 from .gsf import GsfUpdateResult, gsf_update
-from .kalman import LinearMeasurementModel, state_gain, update_error_cost
+from .kalman import LinearMeasurementModel, _check_update, state_gain, update_error_cost
 
 # Off-simplex rejection tolerances for user-supplied weight vectors.
 _SUM_ATOL = 1e-8
@@ -111,7 +111,7 @@ class NgsfProblem:
     warm: GsfUpdateResult
 
     def __post_init__(self):
-        y = _as_vector(self.y, "y")
+        y = _check_update(self.prior.dim, self.model, self.y)
         _check_problem_dims(self.warm_weights, self.warm_gains, self.prior, self.model)
         object.__setattr__(self, "y", _readonly(y))
 
@@ -128,17 +128,19 @@ class NgsfProblem:
                  gsf_result: GsfUpdateResult | None = None) -> "NgsfProblem":
         """Warm start from one GSF update (its gains and Bayesian weights).
 
-        The update's posterior weights are a checked mixture's, on the simplex
-        already, so only the shapes are checked against ``prior`` and ``model``.
+        ``y`` and ``prior`` are checked against ``model`` as a GSF update
+        checks them. The update's posterior weights are a checked mixture's,
+        on the simplex already, so only the shapes are checked against
+        ``prior`` and ``model``.
         """
+        y = _check_update(prior.dim, model, y)
         if gsf_result is None:
             gsf_result = gsf_update(prior, model, y)
         expected = (prior.order, model.state_dim, model.meas_dim)
         if gsf_result.gains.shape != expected:
             raise ValidationError(f"expected gains of shape {expected}, "
                                   f"got {gsf_result.gains.shape}")
-        return _trusted_new(cls, prior=prior, model=model, y=_readonly(_as_vector(y, "y")),
-                            warm=gsf_result)
+        return _trusted_new(cls, prior=prior, model=model, y=_readonly(y), warm=gsf_result)
 
 
 @dataclass(frozen=True, eq=False)

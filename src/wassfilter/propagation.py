@@ -36,18 +36,25 @@ responsibilities on their own. Between the two, the E-step's log-sum-exp
 clips the joint log densities against one ``(N,)`` row of
 ``_LOG_RESP_FLOOR`` and normalises them with one reciprocal per point and a
 multiply; the elementwise chain, not the products, is most of a pass.
+Each row of the E-step is shifted by its tallest component peak
+``C = max_k (log w_k - log det(2 pi S_k) / 2)``, an upper bound on all its
+joint log densities that goes into the coefficients before the product, so
+no pass looks for each point's own peak; a row with a point far below
+``C`` takes the exact per-point-peak form instead (:func:`_e_step`).
 The products stay batched per row, never flattened to 2-D: every row is its
 own ``(K, ·) @ (·, ·)`` product, so its bits do not depend on the other rows
 and are those of a one-cloud, one-restart fit. (OpenBLAS can round the rows
 of a flat ``(R K, a) @ (a, b)`` product differently in the last bits when
-``K`` is not a multiple of 4.) The covariance floor (``gaussian._floored_eigh``)
-factors each M-step's ``(F R K, d, d)`` covariance stack with one batched
-``eigh``, and those eigenpairs give the next E-step every precision and
-log-determinant: no other factorization, and the floor, which the config
-requires to be positive, makes every covariance positive definite. Each
-restart's returned parameters are scored once with the whitened residuals of
-``gaussian._component_logpdfs``, and only each cloud's first highest-scoring
-restart becomes a ``GaussianMixture``.
+``K`` is not a multiple of 4.) Each M-step factors its covariance stack
+with one batched ``eigh``, and those eigenpairs give the next E-step every
+precision and log-determinant: no other factorization. The covariance
+floor, which the config requires to be positive, acts where the
+covariances are read: the E-step lifts the eigenvalues below it, and the
+fit's end rebuilds the matrices that had one (``gaussian._lift``), so every
+covariance is positive definite and no pass rebuilds a matrix. Each
+restart's returned parameters are scored once with the whitened residuals
+of ``gaussian._component_logpdfs``, and only each cloud's first
+highest-scoring restart becomes a ``GaussianMixture``.
 """
 
 from __future__ import annotations
@@ -59,7 +66,7 @@ import numpy as np
 
 from .errors import DivergenceError, FitError, ValidationError
 from .gaussian import (GaussianMixture, _as_float_array, _check_field_types, _component_logpdfs,
-                       _floored_eigh)
+                       _floored_eigh, _lift)
 
 # Fraction of total responsibility mass below which a component counts as
 # collapsed and gets reseeded.
@@ -75,6 +82,12 @@ _MAX_RESEEDS = 3
 # operand, and the row gives the same bits in well under half the time (8.9
 # against 22.9 us on a (2, 2, 10, 1500) stack, AVX-512 AMD EPYC host).
 _LOG_RESP_FLOOR = -350.0
+# Largest gap, in nats, by which the E-step lets a point's largest joint log
+# density lie below its row's tallest component peak before the whole row takes
+# the exact per-point-peak form. Within it, an entry that the clip raises keeps
+# a responsibility below exp(_LOG_RESP_FLOOR + _MAX_SHIFT_GAP), about 1e-76,
+# which changes no sum of a pass. Criterion-8 fits reach gaps of 36.
+_MAX_SHIFT_GAP = -0.5 * _LOG_RESP_FLOOR
 # Smallest cloud size per mixture component that EM will fit.
 MIN_POINTS_PER_COMPONENT = 10
 # Most RK4 substeps per filter sample that a DuffingModel accepts; the default
@@ -305,9 +318,10 @@ class _EmWork:
     its own mean (``M = 1 + d + d(d+1)/2``), the one ``(F, restarts, K, N)``
     buffer that holds every row's joint log densities and then its transposed
     responsibilities, frozen rows included, for the fit's whole life, the
-    ``(N,)`` row of ``_LOG_RESP_FLOOR`` that the E-step clips against, and
-    each cloud's floored overall covariance with its eigenpairs, which seed
-    empty and reseeded components. Centering keeps the cancellation in the
+    ``(N,)`` row of ``_LOG_RESP_FLOOR`` that the E-step clips against, the
+    covariance ``floor`` that it reads every covariance through, and each
+    cloud's floored overall covariance with its eigenpairs, which seed empty
+    and reseeded components. Centering keeps the cancellation in the
     feature form small; reusing the buffer keeps each pass from allocating
     and page-faulting it. Each cloud's numbers are formed from that cloud
     alone, as a fit of its own would form them, and its features are written
@@ -322,6 +336,10 @@ class _EmWork:
         self.rows, self.cols = np.triu_indices(dim)
         # Off-diagonal features x_i x_j stand for both (i, j) and (j, i).
         self.pair_scale = np.where(self.rows == self.cols, -0.5, -1.0)
+        # The feature that holds x_i x_j, for every (i, j).
+        self.pair_feature = np.empty((dim, dim), dtype=np.intp)
+        self.pair_feature[self.rows, self.cols] = 1 + dim + np.arange(self.rows.size)
+        self.pair_feature[self.cols, self.rows] = self.pair_feature[self.rows, self.cols]
         self.feats = np.empty((n_clouds, 1 + dim + self.rows.size, n))
         for feats, cloud, center in zip(self.feats, points, centers):
             x = (cloud - center).T
@@ -331,23 +349,26 @@ class _EmWork:
         self.feats_t = np.swapaxes(self.feats, 1, 2)
         self.resp_t = np.empty((n_clouds, restarts, k, n))
         self.resp_floor = np.full(n, _LOG_RESP_FLOOR)
+        self.floor = floor
         covs = np.stack([np.cov(cloud, rowvar=False).reshape(dim, dim) for cloud in points])
         self.overall = _floored_eigh(covs, floor)
 
 
-def _joint_logpdfs(work: _EmWork, weights: np.ndarray, means: np.ndarray,
-                   evals: np.ndarray, evecs: np.ndarray) -> np.ndarray:
-    """``(F, R, K, N)`` joint log densities ``log w_k + log N(x_n; mu_k, S_k)``
-    in ``work.resp_t``, for every (cloud, restart) row of the stack, from one
-    ``(F, R, K, M) @ (F, 1, M, N)`` product batched per row.
+def _coefficients(work: _EmWork, weights: np.ndarray, means: np.ndarray,
+                  evals: np.ndarray, evecs: np.ndarray):
+    """The ``(F, R, K, M)`` coefficients whose product with the features
+    gives the joint log densities ``log w_k + log N(x_n; mu_k, S_k)``, and
+    each component's peak ``(F, R, K)``, ``c_k = log w_k - (d log 2 pi +
+    log det S_k) / 2``, the largest value its joint log density takes.
 
-    ``S_k = V_k diag(lambda_k) V_k^T`` is given by the eigenpairs ``evals``
-    ``(F, R, K, d)`` and ``evecs`` ``(F, R, K, d, d)`` of the floor that made
-    it, so the precision is ``V_k diag(1 / lambda_k) V_k^T`` and the
-    log-determinant ``sum(log lambda_k)``; the floor keeps every
-    ``lambda_k`` positive. Each component's log density is linear in the
-    features: its precision ``P``, ``P mu``, ``mu^T P mu``, log-determinant
-    and log-weight fold into one row of coefficients. The quadratic form is
+    ``S_k = V_k diag(lambda_k) V_k^T`` is given by its eigenpairs ``evals``
+    ``(F, R, K, d)`` and ``evecs`` ``(F, R, K, d, d)``, each eigenvalue below
+    ``work.floor`` read as the floor, so the precision is
+    ``V_k diag(1 / lambda_k) V_k^T`` and the log-determinant
+    ``sum(log lambda_k)``, with every ``lambda_k`` positive. Each
+    component's log density is linear in the features: its precision ``P``,
+    ``P mu``, ``mu^T P mu``, log-determinant and log-weight fold into one
+    row of coefficients, ``c_k`` left out of column 0. The quadratic form is
     then a sum of terms of size ``|P| |x|^2`` rather than the square of a
     whitened residual. Next to a component at the 1e-6 covariance floor, a
     log density is about 1e-8 absolute from the whitened form of
@@ -355,23 +376,25 @@ def _joint_logpdfs(work: _EmWork, weights: np.ndarray, means: np.ndarray,
     distance from the cloud's mean. The weights must be positive.
     """
     dim = means.shape[-1]
+    evals = np.maximum(evals, work.floor)
     prec = (evecs / evals[..., None, :]) @ np.swapaxes(evecs, -1, -2)
     mu = means - work.center
     prec_mu = (prec @ mu[..., None])[..., 0]
     coef = np.empty(weights.shape + (work.feats.shape[1],))
-    coef[..., 0] = np.log(weights) - 0.5 * (
-        dim * np.log(2.0 * np.pi) + np.log(evals).sum(axis=-1) + (prec_mu * mu).sum(axis=-1))
+    np.multiply((prec_mu * mu).sum(axis=-1), -0.5, out=coef[..., 0])
     coef[..., 1:1 + dim] = prec_mu
     coef[..., 1 + dim:] = prec[..., work.rows, work.cols] * work.pair_scale
-    return np.matmul(coef, work.feats[:, None], out=work.resp_t)
+    peaks = np.log(weights) - 0.5 * (dim * np.log(2.0 * np.pi) + np.log(evals).sum(axis=-1))
+    return coef, peaks
 
 
 def _log_sum_exp(joint: np.ndarray, floor_row: np.ndarray):
     """Per-point log mixture density ``(..., N)`` of ``(..., K, N)`` joint log
-    densities, reducing over the component axis. Leaves ``exp(joint - peak)``,
-    clipped below against ``floor_row`` ``(N,)``, in ``joint`` and returns
-    with the density their per-point sums ``(..., 1, N)``, which turn them
-    into responsibilities."""
+    densities, reducing over the component axis, each point shifted by its
+    own peak: the exact form, for any joint log densities. Leaves
+    ``exp(joint - peak)``, clipped below against ``floor_row`` ``(N,)``, in
+    ``joint`` and returns with the density their per-point sums
+    ``(..., 1, N)``, which turn them into responsibilities."""
     peak = joint.max(axis=-2, keepdims=True)
     joint -= peak
     np.maximum(joint, floor_row, out=joint)
@@ -386,19 +409,52 @@ def _e_step(work: _EmWork, weights: np.ndarray, means: np.ndarray, cov: tuple):
     """Transposed responsibilities ``(F, R, K, N)`` in ``work.resp_t``, which
     the next E-step overwrites, and the per-point log mixture density
     ``(F, R, N)``, for the ``(covs, evals, evecs)`` stack of :func:`_m_step`.
-    Each point's column is scaled by the reciprocal of its sum, one division
-    per point rather than per component."""
-    joint = _joint_logpdfs(work, weights, means, *cov[1:])
-    log_norm, total = _log_sum_exp(joint, work.resp_floor)
+
+    Each row is shifted by its tallest component peak ``C``, the largest
+    ``c_k`` of :func:`_coefficients`, which bounds every joint log density
+    in the row from above: ``C`` goes into the coefficients' column 0
+    before the product, so the product gives ``joint - C`` and no pass
+    looks for each point's own peak. The clip against ``work.resp_floor``,
+    ``exp`` and the per-point sum ``total`` follow, the sum as one
+    ``(1, K) @ (K, N)`` product per row, and the log density is
+    ``log(total) + C``. A row with a point whose largest joint log density
+    lies more than about ``_MAX_SHIFT_GAP`` below ``C`` (``total`` below
+    ``exp(-_MAX_SHIFT_GAP)``), or whose shifted values overflow ``exp``,
+    takes the exact per-point-peak form of :func:`_log_sum_exp` instead:
+    far below ``C``, the clipped entries could reach responsibilities far
+    above ``exp(_LOG_RESP_FLOOR)``. Each row's choice and numbers depend on
+    that row alone; the overflow warning of such a row's ``exp`` is
+    silenced, since the exact form replaces its values. Each point's column
+    is scaled by the reciprocal of its sum, one division per point rather
+    than per component."""
+    coef, peaks = _coefficients(work, weights, means, *cov[1:])
+    top = peaks.max(axis=-1)
+    coef[..., 0] += peaks - top[..., None]
+    joint = np.matmul(coef, work.feats[:, None], out=work.resp_t)
+    np.maximum(joint, work.resp_floor, out=joint)
+    # A row whose `exp` overflows takes the exact form below.
+    with np.errstate(over="ignore"):
+        np.exp(joint, out=joint)
+    total = np.matmul(np.ones((1, joint.shape[-2])), joint)
+    log_norm = np.log(total[..., 0, :])
+    gap = np.abs(log_norm)
+    log_norm += top[..., None]
+    # NaN, from an overflowed row, fails the tests too.
+    if not gap.max() <= _MAX_SHIFT_GAP:
+        coef, peaks = _coefficients(work, weights, means, *cov[1:])
+        coef[..., 0] += peaks
+        for f, restart in zip(*np.nonzero(~(gap.max(axis=-1) <= _MAX_SHIFT_GAP))):
+            row = np.matmul(coef[f, restart], work.feats[f], out=joint[f, restart])
+            log_norm[f, restart], total[f, restart] = _log_sum_exp(row, work.resp_floor)
     joint *= np.reciprocal(total, out=total)
     return joint, log_norm
 
 
-def _m_step(work: _EmWork, resp_t: np.ndarray, floor: float, mass=None):
+def _m_step(work: _EmWork, resp_t: np.ndarray, mass=None):
     """Component masses ``(F, R, K)``, weighted means ``(F, R, K, d)`` and
-    the floored covariance stack as ``(covs, evals, evecs)``: the
-    ``(F, R, K, d, d)`` covariances and the eigenpairs ``(F, R, K, d)`` and
-    ``(F, R, K, d, d)`` that the floor factored them by.
+    the covariance stack as ``(covs, evals, evecs)``: the ``(F, R, K, d, d)``
+    covariances and their eigenpairs ``(F, R, K, d)`` and
+    ``(F, R, K, d, d)``, not yet floored.
 
     ``resp_t`` is the ``(F, R, K, N)`` transposed responsibilities. One
     ``(F, R, K, N) @ (F, 1, N, M)`` product, batched per row, gives every
@@ -406,7 +462,10 @@ def _m_step(work: _EmWork, resp_t: np.ndarray, floor: float, mass=None):
     mass, the row sum of ``resp_t``, which is returned unless ``mass`` is
     given, and the rest its mean and its second moment ``E[x x^T]`` times
     that mass. The covariance is ``E[x x^T] - mu mu^T`` in the cloud's
-    centered coordinates. The floor runs once on the whole stack.
+    centered coordinates, symmetric as it is built, and one ``eigh``
+    factors the whole stack. The floor acts where the covariances are read:
+    the E-step lifts the eigenvalues, and the fit's end (``gaussian._lift``)
+    the matrices it returns.
     """
     dim = work.center.shape[-1]
     moments = np.matmul(resp_t, work.feats_t[:, None])
@@ -414,12 +473,10 @@ def _m_step(work: _EmWork, resp_t: np.ndarray, floor: float, mass=None):
         mass = moments[..., 0].copy()
     moments /= mass[..., None]
     mu = moments[..., 1:1 + dim]
-    covs = np.empty(mass.shape + (dim, dim))
-    covs[..., work.rows, work.cols] = moments[..., 1 + dim:]
-    covs[..., work.cols, work.rows] = moments[..., 1 + dim:]
+    covs = moments[..., work.pair_feature]
     covs -= mu[..., :, None] * mu[..., None, :]
-    floored = _floored_eigh(covs.reshape(-1, dim, dim), floor)
-    return mass, work.center + mu, tuple(a.reshape(mass.shape + a.shape[1:]) for a in floored)
+    evals, evecs = np.linalg.eigh(covs)
+    return mass, work.center + mu, (covs, evals, evecs)
 
 
 def _em_run(work: _EmWork, config: EmFitConfig, rngs) -> list:
@@ -432,12 +489,12 @@ def _em_run(work: _EmWork, config: EmFitConfig, rngs) -> list:
     ``rngs`` first, in restart order, and a pass draws nothing, so a cloud
     whose fit succeeds leaves its generator where restarts run one after
     another would leave it. Every pass then makes one E-step product, one
-    M-step product and one floor ``eigh`` for all rows, each batched per row,
-    so a row's numbers are bit for bit those of its own run. An ``active``
-    mask ``(F, R)`` picks the rows whose parameters and score history a pass
-    may change: a row that reseeds a collapsed component skips its M-step
-    that pass, and a row that meets ``tol`` freezes in place, still computed
-    but no longer changed. A restart past the reseed limit fails its cloud
+    M-step product and one covariance ``eigh`` for all rows, each batched per
+    row, so a row's numbers are bit for bit those of its own run. An
+    ``active`` mask ``(F, R)`` picks the rows whose parameters and score
+    history a pass may change: a row that reseeds a collapsed component
+    skips its M-step that pass, and a row that meets ``tol`` freezes in
+    place, still computed but no longer changed. A restart past the reseed limit fails its cloud
     once that cloud's restarts before it have finished, as a sequential run
     would; it and the cloud's later restarts freeze at once. When every row
     has frozen, or after ``max_iters`` passes, the first failing cloud raises
@@ -445,8 +502,8 @@ def _em_run(work: _EmWork, config: EmFitConfig, rngs) -> list:
     Otherwise each loop score belongs to the parameters before a pass's
     M-step, so every restart's returned parameters are scored once more on
     their cloud with the whitened residuals of ``_component_logpdfs``, and
-    only each cloud's winner becomes a mixture; the floor has just certified
-    its covariances.
+    only each cloud's winner becomes a mixture, once ``gaussian._lift`` has
+    lifted its covariances to the floor.
     """
     points = work.points
     n_clouds, n, dim = points.shape
@@ -468,7 +525,7 @@ def _em_run(work: _EmWork, config: EmFitConfig, rngs) -> list:
             work.resp_t[f, restart] = np.arange(k)[:, None] == assign
     empty = counts == 0
     counts[empty] = 1.0
-    _, means, cov = _m_step(work, work.resp_t, floor, counts)
+    _, means, cov = _m_step(work, work.resp_t, counts)
     means[empty] = centers[empty]
     for part, overall in zip(cov, work.overall):
         part[empty] = overall[np.nonzero(empty)[0]]
@@ -488,7 +545,7 @@ def _em_run(work: _EmWork, config: EmFitConfig, rngs) -> list:
         resp_t, log_norm = _e_step(work, weights, means, cov)
         ll = log_norm.sum(axis=-1)
         # Reseeding edits only rows that skip this M-step, so it can run first.
-        mass, new_means, new_cov = _m_step(work, resp_t, floor)
+        mass, new_means, new_cov = _m_step(work, resp_t)
         keep = mass.min(axis=-1) >= _COLLAPSE_MASS * n
 
         for f, restart in zip(*np.nonzero(active & ~keep)):
@@ -528,15 +585,16 @@ def _em_run(work: _EmWork, config: EmFitConfig, rngs) -> list:
         raise FitError(f"EM failed after {reseeds[tuple(failing[0])]} component reseeds")
     scores, kept = np.array(scores), np.array(kept)
     weights /= weights.sum(axis=-1, keepdims=True)
+    covs = _lift(*cov, floor)[0]
     fits = []
     for f, cloud in enumerate(points):
-        final = [float(_log_sum_exp(_component_logpdfs(cloud, means[f, i], cov[0][f, i]).T
+        final = [float(_log_sum_exp(_component_logpdfs(cloud, means[f, i], covs[f, i]).T
                                     + np.log(weights[f, i])[:, None], work.resp_floor)[0].sum())
                  for i in range(r)]
         best = int(np.argmax(final))
         history = scores[kept[:, f, best], f, best]
         mixture = GaussianMixture._trusted(weights[f, best].copy(), means[f, best].copy(),
-                                           cov[0][f, best].copy(), eig_floor=0.0)
+                                           covs[f, best].copy(), eig_floor=0.0)
         fits.append((mixture, EmDiagnostics(
             log_likelihoods=history, reseeds=int(reseeds[f, best]), restart_index=best,
             final_log_likelihood=final[best], iterations=len(history),
@@ -592,9 +650,10 @@ def fit_gmm_em(cloud, config: EmFitConfig, rng: np.random.Generator, details: bo
     mass, mean and covariance (M-step). A restart that meets ``tol`` stays
     in the stack, frozen, until the last one stops. Each restart's numbers
     are bit for bit those of a fit with ``restarts=1`` drawing from the same
-    generator state. The floor of ``_floored_eigh`` lifts the covariance
-    eigenvalues to ``config.covariance_floor`` after every M-step, and its
-    eigenpairs give the next E-step the precisions and log-determinants.
+    generator state. Each M-step's covariance eigenpairs, eigenvalues below
+    ``config.covariance_floor`` read as the floor, give the next E-step the
+    precisions and log-determinants, and the returned covariances are lifted
+    to the floor.
     Each restart's returned parameters are scored with whitened residuals
     (``EmDiagnostics.final_log_likelihood``), and only the winner becomes a
     mixture. The cloud may have any dimension. The working memory is

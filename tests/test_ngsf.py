@@ -325,6 +325,17 @@ class TestTrustedResults:
         problem = NgsfProblem.from_gsf(prior, model, y)
         assert y.flags.writeable and not np.shares_memory(problem.y, y)
 
+    def test_measurement_must_match_the_sensor(self, rng):
+        # A scalar sensor: neither entry point builds a problem around a
+        # measurement of another dimension.
+        prior = random_mixture(rng, 2, 2)
+        model = LinearMeasurementModel([[1.0, 0.0]], [[0.3]])
+        warm = gsf_update(prior, model, [1.0])
+        with pytest.raises(ValidationError, match="measurement has dimension 3, model expects 1"):
+            NgsfProblem.from_gsf(prior, model, [1.0, 2.0, 3.0], warm)
+        with pytest.raises(ValidationError, match="measurement has dimension 2, model expects 1"):
+            NgsfProblem(prior=prior, model=model, y=[5.0, 6.0], warm=warm)
+
     def test_from_gsf_rejects_an_update_of_another_prior(self, rng):
         model = LinearMeasurementModel(rng.standard_normal((1, 2)), [[0.3]])
         other = gsf_update(random_mixture(rng, 2, 2), model, [0.0])

@@ -18,8 +18,9 @@ from wassfilter import (DivergenceError, DuffingModel, EmFitConfig, FitError, Ga
                         sample_gaussian, sample_mixture)
 from wassfilter import propagation
 from wassfilter.gaussian import _component_logpdfs, _floored_eigh
-from wassfilter.propagation import (_LOG_RESP_FLOOR, _EmWork, _e_step, _fit_gmm_em_stack,
-                                    _joint_logpdfs, _kmeanspp_centers, _m_step)
+from wassfilter.propagation import (_LOG_RESP_FLOOR, _MAX_SHIFT_GAP, _EmWork, _coefficients,
+                                    _e_step, _fit_gmm_em_stack, _kmeanspp_centers,
+                                    _log_sum_exp, _m_step)
 
 from conftest import random_spd
 
@@ -524,11 +525,19 @@ def _reference_fit(cloud, config, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(propagation, "_e_step", lambda work, w, m, cov: _per_row(
             _ref_e_step, work, w, m, cov[0]))
-        mp.setattr(propagation, "_m_step", lambda work, resp_t, floor, mass=None: _per_row(
-            lambda points, r, s: _ref_m_step(points, r, s, floor), work, resp_t,
-            resp_t.sum(axis=-1) if mass is None else mass))
+        mp.setattr(propagation, "_m_step", lambda work, resp_t, mass=None: _per_row(
+            lambda points, r, s: _ref_m_step(points, r, s, config.covariance_floor), work,
+            resp_t, resp_t.sum(axis=-1) if mass is None else mass))
         mp.setattr(propagation, "_floored_eigh", _ref_floor_cov)
         return fit_gmm_em(cloud, config, np.random.default_rng(seed), details=True)
+
+
+def _joint_logpdfs(work, weights, means, evals, evecs):
+    """``(F, R, K, N)`` joint log densities from the E-step's coefficients,
+    unshifted: the product the per-point-peak form starts from."""
+    coef, peaks = _coefficients(work, weights, means, evals, evecs)
+    coef[..., 0] += peaks
+    return coef @ work.feats[:, None]
 
 
 def _floor_level_case(rng, dim, k=6):
@@ -580,7 +589,7 @@ class TestBatchedEm:
         resp = rng.dirichlet(np.ones(k), n)
         mass = resp.sum(axis=0)
         _, means, (covs, evals, evecs) = _m_step(_EmWork(points[None], k, 1e-12, 1),
-                                                 resp.T[None, None], 1e-12, mass[None, None])
+                                                 resp.T[None, None], mass[None, None])
         means, covs, evals, evecs = means[0, 0], covs[0, 0], evals[0, 0], evecs[0, 0]
         np.testing.assert_allclose((evecs * evals[:, None, :]) @ np.swapaxes(evecs, 1, 2), covs,
                                    rtol=0.0, atol=1e-14 * np.abs(covs).max())
@@ -593,27 +602,89 @@ class TestBatchedEm:
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_row_clip_matches_scalar_clip(self, rng, dim):
-        # The E-step clips against a row of _LOG_RESP_FLOOR; numpy's maximum
-        # with a scalar operand gives the same bits, only more slowly.
+        # The E-step shifts the row by its tallest component peak inside the
+        # product and clips against a row of _LOG_RESP_FLOOR; the same chain
+        # with numpy's maximum on a scalar operand gives the same bits, only
+        # more slowly.
         points, means, covs = _floor_level_case(rng, dim)
         k = len(means)
         work = _EmWork(points[None], k, EmFitConfig().covariance_floor, 1)
         weights = rng.dirichlet(np.ones(k))[None, None]
         evals, evecs = np.linalg.eigh(covs)
         cov = (covs[None, None], evals[None, None], evecs[None, None])
-        joint = _joint_logpdfs(work, weights, means[None, None], *cov[1:]).copy()
-        peak = joint.max(axis=-2, keepdims=True)
-        joint -= peak
+        coef, peaks = _coefficients(work, weights, means[None, None], *cov[1:])
+        top = peaks.max(axis=-1, keepdims=True)
+        coef[..., 0] += peaks - top
+        joint = coef @ work.feats[:, None]
         assert (joint < _LOG_RESP_FLOOR).any()
         np.maximum(joint, _LOG_RESP_FLOOR, out=joint)
         np.exp(joint, out=joint)
-        total = joint.sum(axis=-2, keepdims=True)
-        ref_log_norm = np.log(total) + peak
+        total = np.ones((1, k)) @ joint
+        ref_log_norm = np.log(total)[..., 0, :] + top
         joint *= np.reciprocal(total)
 
         resp_t, log_norm = _e_step(work, weights, means[None, None], cov)
         assert resp_t.tobytes() == joint.tobytes()
-        assert log_norm.tobytes() == ref_log_norm[..., 0, :].tobytes()
+        assert log_norm.tobytes() == ref_log_norm.tobytes()
+
+    def test_far_row_takes_the_per_point_peak_form(self, rng):
+        # Two restarts' rows of one cloud. In the second, a tight component
+        # has the tallest peak and every point lies far from every component,
+        # so the shift by the row's tallest peak would clip most of it: that
+        # row alone takes the exact per-point-peak chain, bit for bit, while
+        # the first keeps the shifted one.
+        points = rng.standard_normal((300, 2))
+        work = _EmWork(points[None], 2, EmFitConfig().covariance_floor, 2)
+        means = np.array([[[0.0, 0.0], [0.5, 0.0]], [[40.0, 40.0], [-40.0, 40.0]]])[None]
+        covs = np.array([[np.eye(2), 0.5 * np.eye(2)], [1e-6 * np.eye(2), np.eye(2)]])[None]
+        evals, evecs = np.linalg.eigh(covs)
+        weights = np.full((1, 2, 2), 0.5)
+        cov = (covs, evals, evecs)
+        out = tuple(a.copy() for a in _e_step(work, weights, means, cov))
+
+        joint = _joint_logpdfs(work, weights, means, evals, evecs)
+        gap = joint.max(axis=-2).min(axis=-1) - _coefficients(work, weights, means, evals,
+                                                              evecs)[1].max(axis=-1)
+        assert gap[0, 0] > -_MAX_SHIFT_GAP > gap[0, 1]
+        ref_log_norm, total = _log_sum_exp(joint[0, 1], work.resp_floor)
+        for got, ref in zip(out, (joint[0, 1] * np.reciprocal(total), ref_log_norm)):
+            assert got[0, 1].tobytes() == ref.tobytes()
+        one = _e_step(_EmWork(points[None], 2, EmFitConfig().covariance_floor, 1),
+                      weights[:, :1], means[:, :1], tuple(a[:, :1] for a in cov))
+        for got, ref in zip(out, one):
+            assert got[0, 0].tobytes() == ref[0, 0].tobytes()
+
+    def test_shifted_e_step_matches_per_point_peaks(self):
+        # Criterion-8 Duffing clouds and their fitted mixtures, whose
+        # floor-level components put terms of 4e7 into the product. Each
+        # form's joint log density is an M-term dot product, off by at most
+        # about M eps times the sum of its terms' magnitudes, and the shift
+        # only changes which roundoff it carries: the two forms' log
+        # densities must agree to twice that, one error per form, taken at
+        # each point's largest sum (0.006 of it measured), and their
+        # responsibilities, whose logs subtract two such values, to four
+        # times that, relative. Entries the clip raises stay below its bound.
+        config = EmFitConfig(n_components=10, max_iters=150, restarts=2)
+        points = np.stack([_crit8_duffing_cloud(periods) for periods in (2, 6)])
+        mixes = [fit_gmm_em(cloud, config, np.random.default_rng(seed))
+                 for cloud, seed in zip(points, (2, 5))]
+        work = _EmWork(points, config.n_components, config.covariance_floor, 1)
+        weights, means, covs = (np.stack([getattr(m, name) for m in mixes])[:, None]
+                                for name in ("weights", "means", "covs"))
+        cov = _floored_eigh(covs, config.covariance_floor)
+        coef, peaks = _coefficients(work, weights, means, *cov[1:])
+        coef[..., 0] += peaks
+        terms = np.abs(coef) @ np.abs(work.feats[:, None])
+        ulps = 2.0 * coef.shape[-1] * np.finfo(float).eps * terms.max(axis=-2)
+        joint = _joint_logpdfs(work, weights, means, *cov[1:])
+        ref_log_norm, total = _log_sum_exp(joint, work.resp_floor)
+        joint *= np.reciprocal(total)
+
+        resp_t, log_norm = _e_step(work, weights, means, cov)
+        bound = np.exp(_LOG_RESP_FLOOR + _MAX_SHIFT_GAP)
+        assert (joint < bound).any() and (joint > 0.5).any()
+        assert np.all(np.abs(log_norm - ref_log_norm) <= ulps)
+        assert np.all(np.abs(resp_t - joint) <= 2.0 * ulps[..., None, :] * joint + bound)
 
     def test_ones_column_masses_match_row_sums(self):
         # Criterion-8 shape: two Duffing clouds, two restarts, K = 10. The
@@ -629,7 +700,7 @@ class TestBatchedEm:
         evals, evecs = np.linalg.eigh(covs)
         resp_t, _ = _e_step(work, np.full((2, 2, k), 1.0 / k), means, (covs, evals, evecs))
         assert resp_t.min() < 1e-100  # masses that sum tiny and large terms alike
-        mass, _, _ = _m_step(work, resp_t, EmFitConfig().covariance_floor)
+        mass, _, _ = _m_step(work, resp_t)
         np.testing.assert_allclose(mass, resp_t.sum(axis=-1), rtol=1e-13, atol=0.0)
 
     def test_init_gives_empty_components_their_center_and_overall_cov(self, monkeypatch):
@@ -799,6 +870,20 @@ def _sequential_runs(cloud, config, seed):
             for _ in range(config.restarts)]
 
 
+def _assert_matches_winner(cloud, config, seed, runs):
+    """The stacked fit returns the sequential ``runs``' first best-scoring
+    restart, bit for bit."""
+    winner = int(np.argmax([d.final_log_likelihood for _, d in runs]))
+    ref, ref_diag = runs[winner]
+    mix, diag = fit_gmm_em(cloud, config, np.random.default_rng(seed), details=True)
+    for name in ("weights", "means", "covs"):
+        assert np.array_equal(getattr(mix, name), getattr(ref, name))
+    assert np.array_equal(diag.log_likelihoods, ref_diag.log_likelihoods)
+    assert diag.restart_index == winner
+    for name in ("reseeds", "final_log_likelihood", "iterations", "converged"):
+        assert getattr(diag, name) == getattr(ref_diag, name)
+
+
 def _crit8_duffing_cloud(periods):
     rng = np.random.default_rng(1500 + periods)
     return propagate_cloud(rng.standard_normal((1_500, 2)) * [1.0, 0.5] + [1.0, 0.0],
@@ -826,17 +911,7 @@ class TestStackedRestarts:
             assert [d.converged for _, d in runs] == [True, False]
         if case == "reseed":
             assert [d.reseeds for _, d in runs] == [1, 1]
-        scores = [d.final_log_likelihood for _, d in runs]
-        winner = int(np.argmax(scores))
-        ref, ref_diag = runs[winner]
-
-        mix, diag = fit_gmm_em(cloud, config, np.random.default_rng(seed), details=True)
-        for name in ("weights", "means", "covs"):
-            assert np.array_equal(getattr(mix, name), getattr(ref, name))
-        assert np.array_equal(diag.log_likelihoods, ref_diag.log_likelihoods)
-        assert diag.restart_index == winner
-        for name in ("reseeds", "final_log_likelihood", "iterations", "converged"):
-            assert getattr(diag, name) == getattr(ref_diag, name)
+        _assert_matches_winner(cloud, config, seed, runs)
 
     @pytest.mark.parametrize("cloud, config, seed, message", [
         # Restart 0 passes the reseed limit.
@@ -844,9 +919,12 @@ class TestStackedRestarts:
          EmFitConfig(n_components=6, max_iters=50, restarts=2), 0,
          "EM failed after 4 component reseeds"),
         # Restart 1 passes it; restart 0 still finishes first, and restart 2
-        # never counts.
-        (np.repeat([[-398.8, 1250.3], [276.5, -975.0]], [48, 37], axis=0),
-         EmFitConfig(n_components=5, max_iters=40, restarts=3), 34,
+        # never counts. Every collapse test misses its threshold by a
+        # fifth or more, and restart 0 meets the loose `tol` by 2.1 against
+        # score roundoff of 3e-6, so the fit decides the outcome, not roundoff.
+        (np.repeat([[17.6, -0.8], [25.4, -5.7], [18.1, -15.0], [-12.2, 2.2]],
+                   [39, 57, 58, 42], axis=0),
+         EmFitConfig(n_components=7, max_iters=40, restarts=3, tol=1e-3), 34,
          "EM failed after 6 component reseeds"),
         # A later restart passes it on an earlier pass; restart 0's error,
         # raised later, is the one a sequential fit meets first.
@@ -862,6 +940,23 @@ class TestStackedRestarts:
         with pytest.raises(FitError) as stacked:
             fit_gmm_em(cloud, config, np.random.default_rng(seed))
         assert str(stacked.value) == message
+
+    def test_far_point_masses_match_sequential(self):
+        # Two point masses 1100 from their mean, with covariances at the
+        # floor: there the feature form's score carries roundoff near `tol`'s
+        # bound, which decides whether a restart stops or reseeds past the
+        # limit. Whichever it is, the stack must do what its restarts do one
+        # after another.
+        cloud = np.repeat([[-398.8, 1250.3], [276.5, -975.0]], [48, 37], axis=0)
+        config = EmFitConfig(n_components=5, max_iters=40, restarts=3)
+        try:
+            runs = _sequential_runs(cloud, config, 34)
+        except FitError as sequential:
+            with pytest.raises(FitError) as stacked:
+                fit_gmm_em(cloud, config, np.random.default_rng(34))
+            assert str(stacked.value) == str(sequential)
+            return
+        _assert_matches_winner(cloud, config, 34, runs)
 
 
 def _assert_same_fit(fit, ref):
@@ -885,9 +980,21 @@ class TestStackedClouds:
     out bit for bit as its own ``fit_gmm_em`` call from its own generator,
     and leave that generator where its own call leaves it."""
 
-    @pytest.mark.parametrize("case", ["one", "two", "three", "tol_first", "tol_last", "reseed"])
-    def test_matches_per_cloud_fits(self, case):
+    @pytest.mark.parametrize("case", ["one", "two", "three", "tol_first", "tol_last", "reseed",
+                                      "per_point_peaks"])
+    def test_matches_per_cloud_fits(self, case, monkeypatch):
         config = EmFitConfig(n_components=10, max_iters=150, restarts=2)
+        exact_rows = []
+        if case == "per_point_peaks":
+            # One component of the first cloud holds 1400 points at the origin
+            # and one at (3, 4), 37 of its deviations out, while the other sits
+            # on the 99 points at (1000, 1000): that cloud's rows take the
+            # E-step's per-point-peak form, the Duffing cloud's rows the shift.
+            def counted(joint, floor_row):
+                exact_rows.append(joint.shape)
+                return _log_sum_exp(joint, floor_row)
+
+            monkeypatch.setattr(propagation, "_log_sum_exp", counted)
         if case in ("one", "two", "three"):
             count = ("one", "two", "three").index(case) + 1
             clouds = [_crit8_duffing_cloud(periods) for periods in (2, 3, 4)[:count]]
@@ -899,11 +1006,16 @@ class TestStackedClouds:
             clouds = [_crit8_duffing_cloud(6), _crit8_duffing_cloud(2)]
             clouds = clouds if case == "tol_first" else clouds[::-1]
             seeds = (5, 5)
-        else:
+        elif case == "reseed":
             config = EmFitConfig(n_components=3, max_iters=50, restarts=2)
             clouds = [np.repeat([[0.0, 0.0], [1000.0, 1000.0]], 100, axis=0),
                       np.random.default_rng(8).standard_normal((200, 2))]
             seeds = (0, 0)
+        else:
+            config = EmFitConfig(n_components=2, max_iters=150, restarts=2)
+            clouds = [np.concatenate([np.zeros((1400, 2)), np.full((99, 2), 1000.0), [[3.0, 4.0]]]),
+                      _crit8_duffing_cloud(2)]
+            seeds = (0, 2)
         ref_draws = [np.random.default_rng(seed) for seed in seeds]
         refs = [fit_gmm_em(cloud, config, draws, details=True)
                 for cloud, draws in zip(clouds, ref_draws)]
@@ -914,7 +1026,11 @@ class TestStackedClouds:
             assert refs[0][1].reseeds == 1
 
         draws = [np.random.default_rng(seed) for seed in seeds]
+        exact_rows.clear()
         fits = _fit_gmm_em_stack(clouds, config, draws)
+        if case == "per_point_peaks":
+            # Beyond the final scores, one call per restart of each cloud.
+            assert len(exact_rows) > len(clouds) * config.restarts
         assert len(fits) == len(clouds)
         for fit, ref in zip(fits, refs):
             _assert_same_fit(fit, ref)
