@@ -58,6 +58,9 @@ _SYM_RTOL = 1e-12
 # Tolerance for weight vectors: sums must match 1 this closely.
 _SIMPLEX_ATOL = 1e-12
 
+# log(2 pi), the per-dimension constant of a Gaussian log density.
+_LOG_2PI = np.log(2.0 * np.pi)
+
 
 # Values accepted per scalar field annotation; numbers never accept a bool.
 _FIELD_TYPES = {int: numbers.Integral, float: numbers.Real, bool: bool, tuple: (tuple, list)}
@@ -157,26 +160,29 @@ def _trusted_new(cls, **values):
     """Frozen dataclass ``cls`` with fields ``values``, skipping ``__post_init__``: arrays
     are made read-only in place, so pass only arrays no one else holds or writes."""
     obj = object.__new__(cls)
-    for name, value in values.items():
+    for value in values.values():
         if isinstance(value, np.ndarray):
             value.setflags(write=False)
-        object.__setattr__(obj, name, value)
+    obj.__dict__.update(values)
     return obj
 
 
-def _checked_stacks(weights, means, covs) -> tuple:
+def _checked_stacks(weights, means, covs, nodes_checked: bool = False) -> tuple:
     """The mixture checks that cost O(K): shapes, finite entries and weights on
-    the simplex. Returns the three stacks as float arrays, uncopied where possible."""
+    the simplex. Returns the three stacks as float arrays, uncopied where possible.
+    ``nodes_checked`` takes ``means`` and ``covs`` as a mixture's checked stacks
+    and checks only the weights, against their shapes."""
     weights = _as_vector(weights, "weights")
-    means = _as_matrix(means, "means")
-    covs = _as_float_array(covs, "covs")
+    if not nodes_checked:
+        means = _as_matrix(means, "means")
+        covs = _as_float_array(covs, "covs")
     k = weights.shape[0]
     if k < 1 or means.shape[0] != k or covs.shape != (k,) + means.shape[1:] * 2:
         raise ValidationError(f"{k} weights need means of shape ({k}, n) and covs of shape "
                               f"({k}, n, n), got {means.shape} and {covs.shape}")
-    if not np.isfinite(covs).all():
+    if not (nodes_checked or np.isfinite(covs).all()):
         raise ValidationError("covs contains non-finite entries")
-    if (weights < 0.0).any():
+    if weights.min() < 0.0:
         raise ValidationError(f"negative mixture weight {weights.min()}")
     if abs(float(weights.sum()) - 1.0) > _SIMPLEX_ATOL:
         raise ValidationError(f"mixture weights sum to {weights.sum()!r}, not 1")
@@ -270,6 +276,13 @@ class GaussianMixture:
         it alone holds or that are read-only already."""
         weights, means, covs = _checked_stacks(weights, means, covs)
         return _trusted_new(cls, weights=weights, means=means, covs=covs, eig_floor=eig_floor)
+
+    def _reweighted(self, weights) -> "GaussianMixture":
+        """This mixture's nodes, the same read-only arrays, under new ``weights``,
+        of which only the weights are checked."""
+        weights = _checked_stacks(weights, self.means, self.covs, nodes_checked=True)[0]
+        return _trusted_new(GaussianMixture, weights=weights, means=self.means, covs=self.covs,
+                            eig_floor=self.eig_floor)
 
     @classmethod
     def from_unnormalized(cls, weights, nodes: Sequence[Gaussian]) -> "GaussianMixture":
@@ -450,7 +463,7 @@ def _component_logpdfs(points: np.ndarray, means: np.ndarray, covs: np.ndarray) 
     z -= (inv @ means[:, :, None]).reshape(k * dim, 1)
     z *= z
     out = z.reshape(k, dim, n_points).sum(axis=1)
-    out += (dim * np.log(2.0 * np.pi)
+    out += (dim * _LOG_2PI
             + 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1))[:, None]
     out *= -0.5
     return out.T

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, WeightUnderflowError
-from .gaussian import GaussianMixture, _as_float_array, _readonly, _trusted_new
+from .gaussian import _LOG_2PI, GaussianMixture, _as_float_array, _readonly, _trusted_new
 # kalman_gains is unused here but stays a module attribute: perfbench/layertrace.py patches it.
 from .kalman import (LinearMeasurementModel, _apply_linear_update, _check_update,  # noqa: F401
                      _innovation_gains, kalman_gains)
@@ -48,33 +48,19 @@ class GsfUpdateResult:
     def __post_init__(self):
         gains = _as_float_array(self.gains, "gains")
         costs = _as_float_array(self.component_costs, "component_costs")
-        _check_shapes(self.posterior, gains, costs)
+        order, dim = self.posterior.order, self.posterior.dim
+        if gains.ndim != 3 or gains.shape[:2] != (order, dim):
+            raise ValidationError(f"gains of shape {gains.shape} for a {order}-component "
+                                  f"posterior of dimension {dim}")
+        if costs.shape != (order,):
+            raise ValidationError(f"component_costs has shape {costs.shape}")
         object.__setattr__(self, "gains", _readonly(gains))
         object.__setattr__(self, "component_costs", _readonly(costs))
-
-    @classmethod
-    def _trusted(cls, posterior: GaussianMixture, gains: np.ndarray,
-                 component_costs: np.ndarray) -> "GsfUpdateResult":
-        """A result over float arrays just computed: checks the shapes but marks
-        the arrays read-only in place instead of copying them, so a caller
-        passes only arrays that it alone holds or that are read-only already."""
-        _check_shapes(posterior, gains, component_costs)
-        return _trusted_new(cls, posterior=posterior, gains=gains,
-                            component_costs=component_costs)
-
-
-def _check_shapes(posterior: GaussianMixture, gains: np.ndarray, costs: np.ndarray) -> None:
-    order, dim = posterior.order, posterior.dim
-    if gains.ndim != 3 or gains.shape[:2] != (order, dim):
-        raise ValidationError(f"gains of shape {gains.shape} for a {order}-component "
-                              f"posterior of dimension {dim}")
-    if costs.shape != (order,):
-        raise ValidationError(f"component_costs has shape {costs.shape}")
 
 
 def _normalize_log_weights(log_w: np.ndarray) -> np.ndarray:
     finite = np.isfinite(log_w)
-    if not np.any(finite):
+    if not finite.any():
         raise WeightUnderflowError("all posterior weight likelihoods underflowed to zero")
     shifted = np.exp(log_w - log_w[finite].max())
     return shifted / shifted.sum()
@@ -90,14 +76,15 @@ def gsf_update(prior: GaussianMixture, model: LinearMeasurementModel, y) -> GsfU
 
     # log w_i- + log N(y; C mu_i-, C S_i- C^T + R) from the whitened innovations.
     z = (white @ innovations[:, :, None])[:, :, 0]
-    log_like = -0.5 * (model.meas_dim * np.log(2.0 * np.pi) + log_det + (z * z).sum(axis=1))
+    log_like = -0.5 * (model.meas_dim * _LOG_2PI + log_det + (z * z).sum(axis=1))
     with np.errstate(divide="ignore"):
         weights = _normalize_log_weights(np.log(prior.weights) + log_like)
 
     # ensure_spd has just certified post_covs, so the mixture skips that pass;
-    # the gains and costs are fresh arrays, so the result takes them uncopied.
+    # the gains and costs are fresh arrays whose shapes hold by construction,
+    # so the result takes them unchecked and uncopied.
     posterior = GaussianMixture._trusted(weights, post_means, post_covs, eig_floor=0.0)
-    return GsfUpdateResult._trusted(posterior, h, costs)
+    return _trusted_new(GsfUpdateResult, posterior=posterior, gains=h, component_costs=costs)
 
 
 def gsf_bound_cost(result: GsfUpdateResult) -> float:

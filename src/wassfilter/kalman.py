@@ -69,6 +69,8 @@ class LinearMeasurementModel:
             )
         object.__setattr__(self, "C", _readonly(C))
         object.__setattr__(self, "R", _readonly(R))
+        # The state-dimension identity, built once for state_gain's I - H C.
+        object.__setattr__(self, "_eye", _readonly(np.eye(C.shape[1])))
 
     @property
     def state_dim(self) -> int:
@@ -129,7 +131,8 @@ def _innovation_gains(covs: np.ndarray, model: LinearMeasurementModel):
     The guard's :class:`ConditioningError` names the first failing covariance
     of a stack as ``component i: ``; for one matrix it has no prefix.
     """
-    w, v = np.linalg.eigh(model.C @ covs @ model.C.T + model.R)
+    cs = model.C @ covs
+    w, v = np.linalg.eigh(cs @ model.C.T + model.R)
     # Written so that the NaN eigenvalues of an overflowed matrix fail too, and
     # as a quotient, which cannot overflow for a finite lambda_max.
     bad = ~((w[..., 0] > 0.0) & (w[..., -1] / MAX_INNOVATION_CONDITION <= w[..., 0]))
@@ -137,8 +140,8 @@ def _innovation_gains(covs: np.ndarray, model: LinearMeasurementModel):
         lo, hi = w.reshape(-1, w.shape[-1])[np.argmax(bad), [0, -1]]
         raise ConditioningError(f"{_where(bad)}innovation covariance condition number exceeds "
                                 f"{MAX_INNOVATION_CONDITION:.0e} (eigenvalues in [{lo:.3e}, {hi:.3e}])")
-    white = np.swapaxes(v, -1, -2) / np.sqrt(w)[..., None]
-    gains = np.swapaxes(white @ (model.C @ covs), -1, -2) @ white
+    white = v.swapaxes(-1, -2) / np.sqrt(w)[..., None]
+    gains = (white @ cs).swapaxes(-1, -2) @ white
     return white, np.log(w).sum(axis=-1), gains
 
 
@@ -156,7 +159,7 @@ def _check_update(prior_dim: int, model: LinearMeasurementModel, y) -> np.ndarra
 def state_gain(H: np.ndarray, model: LinearMeasurementModel) -> np.ndarray:
     """``G = I - H C``, the prior-state gain that goes with measurement gain ``H``
     (one ``(n, m)`` gain or a ``(K, n, m)`` stack); the only place ``G`` is formed."""
-    return np.eye(model.state_dim) - H @ model.C
+    return model._eye - H @ model.C
 
 
 def kalman_gains(prior_err_cov, model: LinearMeasurementModel) -> GainPair:
@@ -175,7 +178,7 @@ def _error_covs(covs: np.ndarray, gains: np.ndarray, model: LinearMeasurementMod
     covariance and gain or stacks of them: a sum of PSD terms for any gain, where the
     short form ``S - H C S`` drifts negative for noiseless sensors."""
     g = state_gain(gains, model)
-    return g @ covs @ np.swapaxes(g, -1, -2) + gains @ model.R @ np.swapaxes(gains, -1, -2)
+    return g @ covs @ g.swapaxes(-1, -2) + gains @ model.R @ gains.swapaxes(-1, -2)
 
 
 def _apply_linear_update(means: np.ndarray, covs: np.ndarray, gains: np.ndarray,
@@ -185,7 +188,7 @@ def _apply_linear_update(means: np.ndarray, covs: np.ndarray, gains: np.ndarray,
     those covariances before the floor, for one Gaussian or for stacks."""
     means = means + (gains @ innovations[..., None])[..., 0]
     errors = _error_covs(covs, gains, model)
-    return means, ensure_spd(errors), np.trace(errors, axis1=-2, axis2=-1)
+    return means, ensure_spd(errors), errors.trace(axis1=-2, axis2=-1)
 
 
 def kalman_update(prior: Gaussian, prior_err_cov, model: LinearMeasurementModel, y) -> Gaussian:
@@ -213,7 +216,7 @@ def update_error_cost(H: np.ndarray, prior_err_cov: np.ndarray,
     gain and covariance it returns a float; given ``(K, n, m)`` gains and
     ``(K, n, n)`` covariances it returns the ``(K,)`` costs.
     """
-    cost = np.trace(_error_covs(prior_err_cov, H, model), axis1=-2, axis2=-1)
+    cost = _error_covs(prior_err_cov, np.asarray(H), model).trace(axis1=-2, axis2=-1)
     return float(cost) if np.ndim(cost) == 0 else cost
 
 

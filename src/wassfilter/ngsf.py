@@ -35,6 +35,8 @@ _NEG_ATOL = 1e-12
 # Absolute slack by which a final cost may exceed its warm-start cost and still
 # count as no worse (the dominance check and the harness's dominance counts).
 DOMINANCE_ATOL = 1e-12
+# Machine epsilon, the unit of ngsf_solve's tie tolerance.
+_EPS = np.finfo(float).eps
 
 
 def _check_simplex(weights: np.ndarray) -> np.ndarray:
@@ -196,7 +198,7 @@ def ngsf_solve(problem: NgsfProblem) -> NgsfSolution:
     costs = problem.warm.component_costs
     low = costs.min()
     terms = 3 * problem.model.state_dim + 2 * problem.model.meas_dim
-    face = costs <= low + min(2 * terms * np.finfo(float).eps * abs(low), DOMINANCE_ATOL)
+    face = costs <= low + min(2 * terms * _EPS * abs(low), DOMINANCE_ATOL)
     weights = face / face.sum()
     return NgsfSolution._trusted(weights, problem.warm_gains,
                                  warm_cost=float(problem.warm_weights @ costs),
@@ -214,11 +216,9 @@ def apply_ngsf_solution(problem: NgsfProblem, solution: NgsfSolution) -> GsfUpda
     warm = problem.warm
     # The solver's weights are already on the simplex; renormalizing them
     # could move each by an ulp away from the weights it costed. The nodes are
-    # the checked GSF posterior's, unchanged.
-    prior = warm.posterior
-    posterior = GaussianMixture._trusted(solution.weights, prior.means, prior.covs,
-                                         eig_floor=prior.eig_floor)
-    return GsfUpdateResult._trusted(posterior, warm.gains, warm.component_costs)
+    # the checked GSF posterior's arrays, shared, so only the weights are checked.
+    return _trusted_new(GsfUpdateResult, posterior=warm.posterior._reweighted(solution.weights),
+                        gains=warm.gains, component_costs=warm.component_costs)
 
 
 def ngsf_update(problem: NgsfProblem) -> GsfUpdateResult:

@@ -65,8 +65,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, FitError, ValidationError
-from .gaussian import (GaussianMixture, _as_float_array, _check_field_types, _component_logpdfs,
-                       _floored_eigh, _lift)
+from .gaussian import (_LOG_2PI, GaussianMixture, _as_float_array, _check_field_types,
+                       _component_logpdfs, _floored_eigh, _lift)
 
 # Fraction of total responsibility mass below which a component counts as
 # collapsed and gets reseeded.
@@ -77,10 +77,12 @@ _MAX_RESEEDS = 3
 # no sum, and it keeps `exp` and the M-step's product on their fast paths.
 # Results below 1e-308 underflow or are subnormal, which took `exp` 17 to 100
 # times and the product about 60 times longer per element on an AVX-512 host.
-# The E-step clips against an (N,) row of this value (`_EmWork.resp_floor`),
-# not the scalar: numpy 2.4's `maximum` has no SIMD loop for a scalar
-# operand, and the row gives the same bits in well under half the time (8.9
-# against 22.9 us on a (2, 2, 10, 1500) stack, AVX-512 AMD EPYC host).
+# The E-step clips against an (N,) row of this value (`_EmWork.resp_floor`).
+# Every operand gives the same bits; which is fastest depends on the host. In
+# place on a (2, 2, 10, 1500) stack, `np.maximum` took 8.9 us with the row
+# against 22.9 with a scalar on an AVX-512 AMD EPYC host, but on a 2-CPU
+# Intel Xeon host the row was the slowest of the three operands: 28 us,
+# against 23 with a scalar and 16 with a full-size operand.
 _LOG_RESP_FLOOR = -350.0
 # Largest gap, in nats, by which the E-step lets a point's largest joint log
 # density lie below its row's tallest component peak before the whole row takes
@@ -384,7 +386,7 @@ def _coefficients(work: _EmWork, weights: np.ndarray, means: np.ndarray,
     np.multiply((prec_mu * mu).sum(axis=-1), -0.5, out=coef[..., 0])
     coef[..., 1:1 + dim] = prec_mu
     coef[..., 1 + dim:] = prec[..., work.rows, work.cols] * work.pair_scale
-    peaks = np.log(weights) - 0.5 * (dim * np.log(2.0 * np.pi) + np.log(evals).sum(axis=-1))
+    peaks = np.log(weights) - 0.5 * (dim * _LOG_2PI + np.log(evals).sum(axis=-1))
     return coef, peaks
 
 

@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -1145,6 +1146,27 @@ def _huge_mutant(section: str, name: str, value):
     return (section, name), "huge", data
 
 
+class _ExampleTimeout(BaseException):
+    """Raised by :func:`_alarm`. Not an ``Exception``, so neither the CLI's
+    last-resort handler nor Hypothesis's shrinking catches it: the test stops."""
+
+
+@contextlib.contextmanager
+def _alarm(seconds: int):
+    """Raise :class:`_ExampleTimeout` in the main thread once ``seconds`` of
+    wall time have passed inside the block; as a decorator, inside each call."""
+    def expire(signum, frame):
+        raise _ExampleTimeout(f"example still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def _run_work(config: ExperimentConfig) -> int:
     """The larger of a run's RK4 particle substeps and EM point-component
     passes, counting one cloud per filter at every step."""
@@ -1152,6 +1174,10 @@ def _run_work(config: ExperimentConfig) -> int:
     rk4 = (config.ensemble_size * filters + 1) * steps * config.duffing.steps_per_sample
     fits = em.restarts * em.n_components * config.ensemble_size * em.max_iters
     return max(rk4, fits * steps * filters)
+
+
+# Per-example deadline of TestGeneratedConfigs, in seconds.
+_DEADLINE_S = 10
 
 
 class TestGeneratedConfigs:
@@ -1165,9 +1191,13 @@ class TestGeneratedConfigs:
 
     # The drawn examples depend on the test's source, so the huge floats
     # that once printed numpy overflow warnings are pinned as examples. The
-    # slowest example takes well under a second; the deadline catches a
-    # runaway one once it returns (a hang is not interrupted).
-    @settings(derandomize=True, max_examples=300, deadline=timedelta(seconds=10),
+    # slowest example takes well under a second. The deadline fails a slow
+    # example once it returns; an example still running at twice the deadline
+    # is stopped by a per-example SIGALRM (``_alarm``), which raises in the
+    # main thread between bytecodes. It stops a runaway Python-level loop,
+    # such as RK4's substeps, but it cannot interrupt a single long numpy
+    # call, which runs to its end first, nor work in a worker process.
+    @settings(derandomize=True, max_examples=300, deadline=timedelta(seconds=_DEADLINE_S),
               database=None)
     @given(mutant=_mutant_json())
     @example(mutant=_huge_mutant("em", "covariance_floor", 1e308))
@@ -1176,6 +1206,7 @@ class TestGeneratedConfigs:
     # Integers beyond the float range, which the drawn huge floats never reach.
     @example(mutant=_huge_mutant("duffing", "dt", 10**400))
     @example(mutant=_huge_mutant("em", "tol", 10**400))
+    @_alarm(2 * _DEADLINE_S)
     def test_one_field_mutants_keep_the_exit_contract(self, mutant):
         path, mutation, data = mutant
         try:
@@ -1207,3 +1238,12 @@ class TestGeneratedConfigs:
             else:
                 assert len(lines) == 1, lines
                 assert re.fullmatch(r"runtime error: step \d+, module \w+: .+", lines[0]), lines
+
+    def test_alarm_stops_a_python_level_loop(self):
+        before = signal.getsignal(signal.SIGALRM)
+        with pytest.raises(_ExampleTimeout, match="still running after 1 s"):
+            with _alarm(1):
+                while True:
+                    pass
+        assert signal.getsignal(signal.SIGALRM) is before
+        assert signal.alarm(0) == 0  # no alarm left pending

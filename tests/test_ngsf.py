@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from wassfilter import (Gaussian, GaussianMixture, GsfUpdateResult, LinearMeasurementModel,
                         NgsfProblem, NgsfSolution, ValidationError, apply_ngsf_solution,
                         gsf_update, kalman_gains, kalman_update, kkt_residuals,
-                        ngsf_cost, ngsf_gradients, ngsf_solve, ngsf_update)
+                        mixture_mean_cov, ngsf_cost, ngsf_gradients, ngsf_solve, ngsf_update)
+from wassfilter.gaussian import ensure_spd
 
 from conftest import random_mixture, random_spd
 
@@ -271,6 +272,27 @@ class TestUpdate:
             with pytest.raises(ValidationError, match="warm-start"):
                 apply_ngsf_solution(problem, solution)
 
+    @pytest.mark.parametrize("weights, message", [
+        ([0.5, 0.25, 0.5], "mixture weights sum to np.float64(1.25), not 1"),
+        ([1.5, -0.5, 0.0], "negative mixture weight -0.5"),
+        ([np.nan, 0.5, 0.5], "weights contains non-finite entries"),
+        ([np.inf, 0.0, 0.0], "weights contains non-finite entries"),
+        ([0.5, 0.5], "2 weights need means of shape (2, n) and covs of shape (2, n, n), "
+                     "got (3, 2) and (3, 2, 2)"),
+        ([], "0 weights need means of shape (0, n) and covs of shape (0, n, n), "
+             "got (3, 2) and (3, 2, 2)"),
+        ([[0.5, 0.25, 0.25]], "weights must be a 1-D vector, got shape (1, 3)"),
+    ])
+    def test_rejects_a_hand_built_solutions_weights(self, rng, weights, message):
+        # NgsfSolution does not check its weights, so applying a hand-built
+        # one is where weights off the simplex or of the wrong length fail.
+        problem = _problem(rng, order=3)
+        solution = NgsfSolution(weights=weights, gains=problem.warm_gains,
+                                warm_cost=1.0, final_cost=1.0)
+        with pytest.raises(ValidationError) as info:
+            apply_ngsf_solution(problem, solution)
+        assert str(info.value) == message
+
     def test_random_problems_posterior_psd(self, rng):
         for _ in range(100):
             problem = _problem(rng, order=3)
@@ -347,3 +369,72 @@ class TestTrustedResults:
         with pytest.raises(ValidationError, match="above the warm-start cost"):
             NgsfSolution._trusted(np.array(problem.warm_weights), problem.warm_gains,
                                   warm_cost=1.0, final_cost=1.0 + 1e-9)
+
+
+def _written_out_update(prior, model, y):
+    """The GSF update and the nGSF face, formula by formula, as the update
+    path computes them: the stacked ``eigh`` of ``C S C^T + R``, its
+    whitening map and gains, the quadratic-form error covariances floored by
+    ``ensure_spd``, the log-space Bayes weights, then the face of cheapest
+    components."""
+    n, m = model.state_dim, model.meas_dim
+    c, r, means, covs = model.C, model.R, prior.means, prior.covs
+    w, v = np.linalg.eigh(c @ covs @ c.T + r)
+    white = np.swapaxes(v, -1, -2) / np.sqrt(w)[..., None]
+    gains = np.swapaxes(white @ (c @ covs), -1, -2) @ white
+    innovations = y - means @ c.T
+    post_means = means + (gains @ innovations[..., None])[..., 0]
+    g = np.eye(n) - gains @ c
+    errors = g @ covs @ np.swapaxes(g, -1, -2) + gains @ r @ np.swapaxes(gains, -1, -2)
+    costs = np.trace(errors, axis1=-2, axis2=-1)
+    z = (white @ innovations[:, :, None])[:, :, 0]
+    log_like = -0.5 * (m * np.log(2.0 * np.pi) + np.log(w).sum(axis=-1) + (z * z).sum(axis=1))
+    log_w = np.log(prior.weights) + log_like
+    shifted = np.exp(log_w - log_w[np.isfinite(log_w)].max())
+    weights = shifted / shifted.sum()
+    low = costs.min()
+    face = costs <= low + min(2 * (3 * n + 2 * m) * np.finfo(float).eps * abs(low), 1e-12)
+    face_weights = face / face.sum()
+    return {"weights": weights, "means": post_means, "covs": ensure_spd(errors),
+            "gains": gains, "costs": costs, "face_weights": face_weights,
+            "warm_cost": np.array(float(weights @ costs)),
+            "final_cost": np.array(float(face_weights @ costs))}
+
+
+class TestUpdatePathBits:
+    """``gsf_update``, ``ngsf_solve`` and ``apply_ngsf_solution`` give the bits
+    of the update's formulas written out, and the nGSF posterior keeps the GSF
+    posterior's nodes."""
+
+    @pytest.mark.parametrize("order", [1, 3, 10])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_bit_for_bit_the_written_out_formulas(self, order, n, m):
+        rng = np.random.default_rng(1000 * order + 10 * n + m)
+        for _ in range(4):
+            prior = random_mixture(rng, order, n)
+            model = LinearMeasurementModel(rng.standard_normal((m, n)),
+                                           random_spd(rng, m, base=0.3))
+            y = rng.standard_normal(m)
+            old = _written_out_update(prior, model, y)
+            warm = gsf_update(prior, model, y)
+            problem = NgsfProblem.from_gsf(prior, model, y, gsf_result=warm)
+            solution = ngsf_solve(problem)
+            res = apply_ngsf_solution(problem, solution)
+            new = {"weights": warm.posterior.weights, "means": warm.posterior.means,
+                   "covs": warm.posterior.covs, "gains": warm.gains,
+                   "costs": warm.component_costs, "face_weights": solution.weights,
+                   "warm_cost": np.array(solution.warm_cost),
+                   "final_cost": np.array(solution.final_cost)}
+            for name, value in old.items():
+                assert new[name].shape == value.shape, name
+                assert new[name].tobytes() == value.tobytes(), name
+            assert res.posterior.weights.tobytes() == old["face_weights"].tobytes()
+            for name in ("means", "covs"):
+                assert getattr(res.posterior, name).tobytes() == old[name].tobytes()
+            assert res.gains.tobytes() == old["gains"].tobytes()
+            assert res.component_costs.tobytes() == old["costs"].tobytes()
+            estimate, cov = mixture_mean_cov(res.posterior)
+            ref = GaussianMixture(old["face_weights"], old["means"], old["covs"], eig_floor=0.0)
+            for a, b in zip((estimate, cov), mixture_mean_cov(ref)):
+                assert a.tobytes() == b.tobytes()
