@@ -24,7 +24,10 @@ symmetrizer, halving before it sums so that finite entries up to the largest
 double stay finite. ``_from_eigh`` is the one rebuild of ``V diag(w) V^T``
 from eigenpairs, symmetrized. ``_negative_beyond_roundoff`` is the one rule
 for a matrix that is PSD only up to roundoff: its smallest eigenvalue may be
-negative, but not below ``-1e-12 * max(1, lambda_max)``.
+negative, but not below ``-1e-12 * max(1, lambda_max)``. Small symmetric
+eigenproblems, one matrix or a stack, go straight to LAPACK's batched gufunc
+through ``_eigh`` and ``_eigvalsh``, which skip ``numpy.linalg``'s Python
+wrapper but keep its bits, its warnings and its errors.
 
 All types are immutable values after construction, so instances are safe to
 share across threads. Input arrays are copied and marked read-only; an input
@@ -45,6 +48,7 @@ from dataclasses import dataclass, field
 from typing import Sequence, get_type_hints
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DegeneracyError, ValidationError
 
@@ -136,9 +140,32 @@ def _check_symmetric(m: np.ndarray, name: str) -> np.ndarray:
     return _symmetric_part(m)
 
 
+def _raise_nonconvergence(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+# numpy.linalg's error state around its eigen gufuncs: LAPACK flags a matrix
+# that did not converge as invalid, which raises; the rest stays silent.
+_eig_errstate = np.errstate(call=_raise_nonconvergence, invalid="call", over="ignore",
+                            divide="ignore", under="ignore")
+
+
+@_eig_errstate
+def _eigh(a: np.ndarray):
+    """numpy.linalg's ``eigh(a)`` of a float symmetric matrix or stack, read from
+    its lower triangle, without the wrapper: ascending eigenvalues and eigenvectors."""
+    return _umath_linalg.eigh_lo(a, signature="d->dd")
+
+
+@_eig_errstate
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """numpy.linalg's ``eigvalsh(a)`` of a float symmetric matrix or stack, without the wrapper."""
+    return _umath_linalg.eigvalsh_lo(a, signature="d->d")
+
+
 def _check_eig_floor(sym: np.ndarray, eig_floor: float) -> None:
     """Reject a symmetric matrix, or a stack, with an eigenvalue below ``eig_floor``."""
-    low = np.linalg.eigvalsh(sym)[..., 0]
+    low = _eigvalsh(sym)[..., 0]
     bad = low < eig_floor
     if bad.any():
         raise DegeneracyError(f"{_where(bad)}covariance eigenvalue {low.flat[np.argmax(bad)]:.6e} "
@@ -184,8 +211,9 @@ def _checked_stacks(weights, means, covs, nodes_checked: bool = False) -> tuple:
         raise ValidationError("covs contains non-finite entries")
     if weights.min() < 0.0:
         raise ValidationError(f"negative mixture weight {weights.min()}")
-    if abs(float(weights.sum()) - 1.0) > _SIMPLEX_ATOL:
-        raise ValidationError(f"mixture weights sum to {weights.sum()!r}, not 1")
+    total = float(weights.sum())
+    if abs(total - 1.0) > _SIMPLEX_ATOL:
+        raise ValidationError(f"mixture weights sum to {total!r}, not 1")
     return weights, means, covs
 
 
@@ -349,7 +377,7 @@ def spd_sqrt(m, eig_floor: float = DEFAULT_EIG_FLOOR) -> np.ndarray:
     (naming the offending eigenvalue) when an eigenvalue falls below
     ``eig_floor``.
     """
-    w, v = np.linalg.eigh(_check_symmetric(_as_matrix(m, "matrix"), "matrix"))
+    w, v = _eigh(_check_symmetric(_as_matrix(m, "matrix"), "matrix"))
     if float(w.min()) < eig_floor:
         raise DegeneracyError(
             f"matrix eigenvalue {w.min():.6e} is below the floor {eig_floor:.1e}; not positive-definite"
@@ -363,7 +391,7 @@ def psd_sqrt(m) -> np.ndarray:
     Lenient companion to :func:`spd_sqrt` for matrices that are PSD only up to
     roundoff (inner Wasserstein products, singular noise covariances).
     """
-    w, v = np.linalg.eigh(_symmetric_part(_as_matrix(m, "matrix")))
+    w, v = _eigh(_symmetric_part(_as_matrix(m, "matrix")))
     return _from_eigh(np.sqrt(np.clip(w, 0.0, None)), v)
 
 
@@ -377,23 +405,25 @@ def ensure_spd(cov: np.ndarray) -> np.ndarray:
     analytically but can drift a hair negative; a matrix negative beyond
     roundoff (:func:`_negative_beyond_roundoff`) is genuinely broken and
     raises :class:`DegeneracyError` (for the first such matrix). One batched
-    ``eigvalsh`` flags the matrices below their floor, and only those are
-    factored with ``eigh``, whose eigenpairs rebuild them with the
-    eigenvalues lifted. The matrices above their floor come back symmetrized
-    only. The EM's absolute covariance floor is :func:`_floored_eigh`.
+    :func:`_eigvalsh` flags the matrices below their floor, and only those are
+    factored with :func:`_eigh`, whose eigenpairs rebuild them with the
+    eigenvalues lifted. A broken matrix is below its floor too, so the
+    roundoff rule runs only when some matrix is. The matrices above their
+    floor come back symmetrized only. The EM's absolute covariance floor is
+    :func:`_floored_eigh`.
     """
     cov = _symmetric_part(cov)
-    w = np.linalg.eigvalsh(cov)
+    w = _eigvalsh(cov)
     low_w = w[..., 0]
-    broken = _negative_beyond_roundoff(w)
-    if broken.any():
-        raise DegeneracyError(f"covariance eigenvalue {low_w[broken][0]:.6e} "
-                              "is negative beyond roundoff tolerance")
     low = low_w < 1e-14 * np.maximum(w[..., -1], 0.0)
     if low.any():
+        broken = _negative_beyond_roundoff(w)
+        if broken.any():
+            raise DegeneracyError(f"covariance eigenvalue {low_w[broken][0]:.6e} "
+                                  "is negative beyond roundoff tolerance")
         # Boolean rows of a stack; a single matrix indexed by a 0-d mask is a
         # stack of one.
-        w_low, v_low = np.linalg.eigh(cov[low])
+        w_low, v_low = _eigh(cov[low])
         cov[low] = _from_eigh(np.maximum(w_low, 1e-14 * np.maximum(w_low[:, -1:], 0.0)), v_low)
     return cov
 
@@ -437,14 +467,14 @@ def _floored_eigh(cov: np.ndarray, floor: float):
     ``floor`` (the EM's covariance floor), negative ones included: the EM
     forms a covariance as ``E[x x^T] - mu mu^T``, PSD in exact arithmetic
     but, for a tight component far from the cloud's mean, below zero by up to
-    about ``eps * E|x|^2`` in floating point. One batched ``eigh`` factors
+    about ``eps * E|x|^2`` in floating point. One batched :func:`_eigh` factors
     every matrix and :func:`_lift` applies the floor. Returns the floored
     matrices, their ascending eigenvalues ``(..., n)`` with the lifted ones
     at the floor, and their eigenvectors ``(..., n, n)``, which factor the
     returned matrices up to the rebuild's roundoff; the matrices above the
     floor come back symmetrized only."""
     cov = _symmetric_part(cov)
-    return _lift(cov, *np.linalg.eigh(cov), floor)
+    return _lift(cov, *_eigh(cov), floor)
 
 
 def _component_logpdfs(points: np.ndarray, means: np.ndarray, covs: np.ndarray) -> np.ndarray:

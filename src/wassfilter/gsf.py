@@ -59,10 +59,10 @@ class GsfUpdateResult:
 
 
 def _normalize_log_weights(log_w: np.ndarray) -> np.ndarray:
-    finite = np.isfinite(log_w)
-    if not finite.any():
+    peak = np.fmax.reduce(log_w)  # skips NaN
+    if not peak > -np.inf:
         raise WeightUnderflowError("all posterior weight likelihoods underflowed to zero")
-    shifted = np.exp(log_w - log_w[finite].max())
+    shifted = np.exp(log_w - peak)
     return shifted / shifted.sum()
 
 

@@ -46,8 +46,8 @@ from typing import get_type_hints
 import numpy as np
 
 from .errors import HarnessError, ValidationError
-from .gaussian import (GaussianMixture, _as_vector, _check_field_types, mixture_mean_cov,
-                       _readonly, psd_sqrt, sample_mixture)
+from .gaussian import (GaussianMixture, _as_vector, _check_field_types, _eigvalsh,
+                       mixture_mean_cov, _readonly, psd_sqrt, sample_mixture)
 from .kalman import LinearMeasurementModel
 from .gsf import gsf_update
 from .ngsf import DOMINANCE_ATOL, NgsfProblem, apply_ngsf_solution, ngsf_solve
@@ -167,7 +167,7 @@ class ExperimentConfig:
         # Positive definite to working precision: numpy's matrix_rank
         # tolerance on the signed eigenvalues, since a gram negative by
         # roundoff has full rank. Cholesky factors some singular grams.
-        w = np.linalg.eigvalsh(gram)
+        w = _eigvalsh(gram)
         if not w[0] > w[-1] * (self.measurement.meas_dim * np.finfo(float).eps):
             raise ValidationError(
                 "measurement C C^T + R is not positive definite, so the innovation "

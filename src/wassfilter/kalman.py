@@ -16,17 +16,18 @@ solve) and the exact stationary orthogonality residuals ``E[e+ x-^T]`` and
 Numerical policy: the gains and the update work on one ``(n, n)`` prior
 covariance or on a ``(K, n, n)`` stack of them, written once for both with
 ``...`` indexing. Each innovation covariance ``V diag(lambda) V^T`` is
-factored once, by one (batched) ``eigh`` call: the eigenvalues give the
-condition guard, whose error names the failing component of a stack, and the
-log-determinant, and the whitening map ``diag(lambda)^-1/2 V^T`` gives the
-gains and the whitened innovations. Posterior-error covariances take the
-quadratic form of ``_error_covs``, whose traces are the costs, and are
-symmetrized, so updates chain without drift. One check, ``_check_update``,
-holds the rules for an update's measurement and prior dimension. The matrix
-hygiene is :mod:`.gaussian`'s: its one symmetrizer takes the symmetric part
-of the noise covariances, of the Riccati and Lyapunov solutions and of the
-floored posteriors, and its one roundoff rule decides when a noise
-covariance counts as PSD.
+factored once, by one call of :mod:`.gaussian`'s ``_eigh``, which sends the
+matrix or the whole stack to LAPACK's batched gufunc and keeps numpy's
+errors: the eigenvalues give the condition guard, whose error names the
+failing component of a stack, and the log-determinant, and the whitening map
+``diag(lambda)^-1/2 V^T`` gives the gains and the whitened innovations.
+Posterior-error covariances take the quadratic form of ``_error_covs``, whose
+traces are the costs, and are symmetrized, so updates chain without drift.
+One check, ``_check_update``, holds the rules for an update's measurement and
+prior dimension. The matrix hygiene is :mod:`.gaussian`'s: its one
+symmetrizer takes the symmetric part of the noise covariances, of the Riccati
+and Lyapunov solutions and of the floored posteriors, and its one roundoff
+rule decides when a noise covariance counts as PSD.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, DivergenceError, ValidationError
-from .gaussian import (Gaussian, _as_matrix, _as_vector, _check_symmetric,
+from .gaussian import (Gaussian, _as_matrix, _as_vector, _check_symmetric, _eigh, _eigvalsh,
                        _negative_beyond_roundoff, _readonly, _symmetric_part, _where, ensure_spd)
 
 # Innovation covariances with condition numbers above this are rejected.
@@ -47,7 +48,7 @@ def _check_psd(m: np.ndarray, name: str) -> np.ndarray:
     """The symmetric part of a noise covariance that is PSD up to roundoff. It
     may be singular, e.g. exactly zero for deterministic diagnostics."""
     sym = _check_symmetric(m, name)
-    w = np.linalg.eigvalsh(sym)
+    w = _eigvalsh(sym)
     if _negative_beyond_roundoff(w):
         raise ValidationError(f"{name} has negative eigenvalue {w.min():.6e}")
     return sym
@@ -126,13 +127,13 @@ def _innovation_gains(covs: np.ndarray, model: LinearMeasurementModel):
     """For one ``(n, n)`` covariance ``S`` or a ``(K, n, n)`` stack of them, the
     whitening maps ``W = diag(lambda)^-1/2 V^T`` and log-determinants
     ``sum(log lambda)`` of ``C S C^T + R = V diag(lambda) V^T``, and the gains
-    ``H = S C^T W^T W``, all from one (batched) ``eigh``.
+    ``H = S C^T W^T W``, all from one (batched) ``_eigh``.
 
     The guard's :class:`ConditioningError` names the first failing covariance
     of a stack as ``component i: ``; for one matrix it has no prefix.
     """
     cs = model.C @ covs
-    w, v = np.linalg.eigh(cs @ model.C.T + model.R)
+    w, v = _eigh(cs @ model.C.T + model.R)
     # Written so that the NaN eigenvalues of an overflowed matrix fail too, and
     # as a quotient, which cannot overflow for a finite lambda_max.
     bad = ~((w[..., 0] > 0.0) & (w[..., -1] / MAX_INNOVATION_CONDITION <= w[..., 0]))

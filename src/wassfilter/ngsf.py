@@ -174,7 +174,7 @@ class NgsfSolution:
 def _check_dominance(warm_cost: float, final_cost: float) -> None:
     if final_cost > warm_cost + DOMINANCE_ATOL:
         raise ValidationError(
-            f"final cost {final_cost!r} is above the warm-start cost {warm_cost!r}")
+            f"final cost {float(final_cost)!r} is above the warm-start cost {float(warm_cost)!r}")
 
 
 def ngsf_solve(problem: NgsfProblem) -> NgsfSolution:
@@ -199,7 +199,7 @@ def ngsf_solve(problem: NgsfProblem) -> NgsfSolution:
     low = costs.min()
     terms = 3 * problem.model.state_dim + 2 * problem.model.meas_dim
     face = costs <= low + min(2 * terms * _EPS * abs(low), DOMINANCE_ATOL)
-    weights = face / face.sum()
+    weights = face / np.count_nonzero(face)
     return NgsfSolution._trusted(weights, problem.warm_gains,
                                  warm_cost=float(problem.warm_weights @ costs),
                                  final_cost=float(weights @ costs))
@@ -211,7 +211,8 @@ def apply_ngsf_solution(problem: NgsfProblem, solution: NgsfSolution) -> GsfUpda
     With the Kalman gains kept, the nodes, gains and costs are the GSF's. Raises
     :class:`ValidationError` when ``solution.gains`` are not the warm gains.
     """
-    if not np.array_equal(solution.gains, problem.warm_gains):
+    if not (solution.gains is problem.warm_gains
+            or np.array_equal(solution.gains, problem.warm_gains)):
         raise ValidationError("nGSF solution gains are not the warm-start (Kalman) gains")
     warm = problem.warm
     # The solver's weights are already on the simplex; renormalizing them

@@ -46,10 +46,11 @@ own ``(K, ·) @ (·, ·)`` product, so its bits do not depend on the other rows
 and are those of a one-cloud, one-restart fit. (OpenBLAS can round the rows
 of a flat ``(R K, a) @ (a, b)`` product differently in the last bits when
 ``K`` is not a multiple of 4.) Each M-step factors its covariance stack
-with one batched ``eigh``, and those eigenpairs give the next E-step every
-precision and log-determinant: no other factorization. The covariance
-floor, which the config requires to be positive, acts where the
-covariances are read: the E-step lifts the eigenvalues below it, and the
+with one batched ``eigh``, sent straight to LAPACK's gufunc by
+``gaussian._eigh``, which keeps numpy's errors, and those eigenpairs give the
+next E-step every precision and log-determinant: no other factorization.
+The covariance floor, which the config requires to be positive, acts where
+the covariances are read: the E-step lifts the eigenvalues below it, and the
 fit's end rebuilds the matrices that had one (``gaussian._lift``), so every
 covariance is positive definite and no pass rebuilds a matrix. Each
 restart's returned parameters are scored once with the whitened residuals
@@ -66,7 +67,7 @@ import numpy as np
 
 from .errors import DivergenceError, FitError, ValidationError
 from .gaussian import (_LOG_2PI, GaussianMixture, _as_float_array, _check_field_types,
-                       _component_logpdfs, _floored_eigh, _lift)
+                       _component_logpdfs, _eigh, _floored_eigh, _lift)
 
 # Fraction of total responsibility mass below which a component counts as
 # collapsed and gets reseeded.
@@ -477,7 +478,7 @@ def _m_step(work: _EmWork, resp_t: np.ndarray, mass=None):
     mu = moments[..., 1:1 + dim]
     covs = moments[..., work.pair_feature]
     covs -= mu[..., :, None] * mu[..., None, :]
-    evals, evecs = np.linalg.eigh(covs)
+    evals, evecs = _eigh(covs)
     return mass, work.center + mu, (covs, evals, evecs)
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .gaussian import (DiracPoint, Gaussian, GaussianMixture, _component_logpdfs,
+from .gaussian import (DiracPoint, Gaussian, GaussianMixture, _component_logpdfs, _eigvalsh,
                        mixture_mean_cov, sample_mixture, spd_sqrt)
 from .harness import ExperimentConfig, run_experiment
 from .kalman import (LinearMeasurementModel, LinearPropagationModel, _orthogonality,
@@ -104,7 +104,7 @@ def _suite_gsf(rng):
         res = gsf_update(prior, LinearMeasurementModel([[1.0, 0.0]], [[0.4]]), rng.standard_normal(1))
         w = res.posterior.weights
         if abs(w.sum() - 1.0) > 1e-12 or w.min() < 0.0:
-            return False, f"posterior weights off simplex: sum={w.sum()!r}"
+            return False, f"posterior weights off simplex: sum={float(w.sum())!r}"
         traces = [np.trace(mix.covs, axis1=1, axis2=2) for mix in (prior, res.posterior)]
         if np.any(traces[1] > traces[0] + 1e-12):
             return False, "posterior trace exceeded prior trace"
@@ -140,7 +140,7 @@ def _grid_bayes(prior: GaussianMixture, model: LinearMeasurementModel, y, points
     covariance.
     """
     means, covs = prior.means, prior.covs
-    half = 10.0 * np.sqrt(np.linalg.eigvalsh(covs).max())
+    half = 10.0 * np.sqrt(_eigvalsh(covs).max())
     axes = [np.linspace(lo - half, hi + half, points)
             for lo, hi in zip(means.min(axis=0), means.max(axis=0))]
     x = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)

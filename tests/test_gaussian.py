@@ -1,5 +1,8 @@
 """Tests for the Gaussian/mixture primitives."""
 
+import types
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +11,8 @@ from hypothesis import strategies as st
 from wassfilter import (DegeneracyError, DiracPoint, Gaussian, GaussianMixture,
                         ValidationError, gaussian_logpdf, mixture_mean_cov,
                         sample_gaussian, sample_mixture, spd_sqrt)
-from wassfilter.gaussian import _floored_eigh, ensure_spd, psd_sqrt
+from wassfilter import gaussian
+from wassfilter.gaussian import _eigh, _eigvalsh, _floored_eigh, ensure_spd, psd_sqrt
 
 from conftest import random_gaussian, random_spd
 
@@ -334,6 +338,17 @@ class TestEnsureSpdStack:
         with pytest.raises(DegeneracyError, match="-1.000000e-03"):
             ensure_spd(stack)
 
+    def test_low_matrix_before_a_broken_one(self):
+        # The roundoff rule runs only once some matrix is below its floor; a
+        # matrix that is only low, ahead of the broken ones, changes nothing
+        # in the error, which names the first broken matrix.
+        stack = np.stack([np.diag([1.0, 0.0]), np.diag([1.0, -1e-13]), np.eye(2),
+                          np.diag([1.0, -1e-3]), np.diag([1.0, -1.0])])
+        with pytest.raises(DegeneracyError) as info:
+            ensure_spd(stack)
+        assert str(info.value) == ("covariance eigenvalue -1.000000e-03 "
+                                   "is negative beyond roundoff tolerance")
+
 
 def _old_rebuild(w, v):
     root = (v * w[..., None, :]) @ np.swapaxes(v, -1, -2)
@@ -394,6 +409,50 @@ class TestMatrixHygiene:
         with np.errstate(all="raise"):
             np.testing.assert_allclose(root(np.diag([1e308, 1.0])), np.diag([1e154, 1.0]),
                                        rtol=1e-15)
+
+
+class TestEigenHelpers:
+    """``_eigh`` and ``_eigvalsh`` call numpy.linalg's LAPACK gufuncs without
+    its wrapper, and keep its bits, its warnings and its errors."""
+
+    @pytest.mark.parametrize("shape", [(2, 2), (10, 1, 1), (10, 2, 2), (5, 3, 3), (2, 2, 10, 2, 2)])
+    def test_bit_for_bit_numpy(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        raw = rng.standard_normal(shape)
+        # A PSD stack, and the raw one, of which both read the lower triangle.
+        for a in (raw @ np.swapaxes(raw, -1, -2), raw):
+            w, v = _eigh(a)
+            ref_w, ref_v = np.linalg.eigh(a)
+            assert w.shape == ref_w.shape and v.shape == ref_v.shape
+            assert w.tobytes() == ref_w.tobytes() and v.tobytes() == ref_v.tobytes()
+            assert _eigvalsh(a).tobytes() == np.linalg.eigvalsh(a).tobytes()
+
+    def test_inf_entry_gives_nan_without_warning(self):
+        a = np.array([[np.inf, 0.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, v = _eigh(a)
+            values = _eigvalsh(a)
+        assert np.isnan(w).all() and np.isnan(values).all()
+        ref_w, ref_v = np.linalg.eigh(a)
+        np.testing.assert_array_equal(w, ref_w)
+        np.testing.assert_array_equal(v, ref_v)
+        np.testing.assert_array_equal(values, np.linalg.eigvalsh(a))
+
+    def test_nonconvergence_raises_numpys_error(self, monkeypatch):
+        # LAPACK reports a matrix that did not converge by raising the
+        # invalid flag, as the square root of -1 does.
+        def not_converged(a, signature):
+            return np.sqrt(np.array(-1.0))
+
+        monkeypatch.setattr(gaussian, "_umath_linalg",
+                            types.SimpleNamespace(eigh_lo=not_converged, eigvalsh_lo=not_converged))
+        before = np.geterr()
+        for helper in (_eigh, _eigvalsh):
+            with pytest.raises(np.linalg.LinAlgError) as info:
+                helper(np.eye(2))
+            assert str(info.value) == "Eigenvalues did not converge"
+        assert np.geterr() == before
 
 
 class TestTrustedStacks:

@@ -170,8 +170,18 @@ class TestGsfUpdate:
             gsf_update(prior, model, np.zeros(2))
 
     def test_all_underflow_raises(self):
-        with pytest.raises(WeightUnderflowError):
-            _normalize_log_weights(np.array([-np.inf, -np.inf]))
+        # NaN entries count as underflowed when no entry is finite.
+        for log_w in ([-np.inf, -np.inf], [-np.inf, np.nan], [np.nan, np.nan]):
+            with pytest.raises(WeightUnderflowError):
+                _normalize_log_weights(np.array(log_w))
+
+    @pytest.mark.parametrize("log_w", [[-np.inf, np.nan, -3.0, -1.0], [-np.inf, -3.0, -1.0]])
+    def test_shift_by_the_largest_finite_entry(self, log_w):
+        # The rule written out: shift by the largest finite entry. A NaN entry
+        # makes every weight NaN, which the mixture check then rejects.
+        log_w = np.array(log_w)
+        shifted = np.exp(log_w - log_w[np.isfinite(log_w)].max())
+        assert _normalize_log_weights(log_w).tobytes() == (shifted / shifted.sum()).tobytes()
 
 
 class TestBoundCost:

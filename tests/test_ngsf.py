@@ -272,8 +272,29 @@ class TestUpdate:
             with pytest.raises(ValidationError, match="warm-start"):
                 apply_ngsf_solution(problem, solution)
 
+    def test_accepts_an_equal_copy_of_the_warm_gains(self, rng):
+        problem = _problem(rng, order=3)
+        solution = ngsf_solve(problem)
+        copied = NgsfSolution(weights=solution.weights, gains=problem.warm_gains.copy(),
+                              warm_cost=solution.warm_cost, final_cost=solution.final_cost)
+        assert copied.gains is not problem.warm_gains
+        res = apply_ngsf_solution(problem, copied)
+        assert res.posterior.weights.tobytes() == solution.weights.tobytes()
+        moved = NgsfSolution(weights=solution.weights, gains=problem.warm_gains + 1e-9,
+                             warm_cost=solution.warm_cost, final_cost=solution.final_cost)
+        with pytest.raises(ValidationError) as info:
+            apply_ngsf_solution(problem, moved)
+        assert str(info.value) == "nGSF solution gains are not the warm-start (Kalman) gains"
+
+    def test_dominance_message_prints_plain_floats(self, rng):
+        problem = _problem(rng, order=3)
+        with pytest.raises(ValidationError) as info:
+            NgsfSolution(weights=problem.warm_weights, gains=problem.warm_gains,
+                         warm_cost=np.float64(1.0), final_cost=np.float64(1.25))
+        assert str(info.value) == "final cost 1.25 is above the warm-start cost 1.0"
+
     @pytest.mark.parametrize("weights, message", [
-        ([0.5, 0.25, 0.5], "mixture weights sum to np.float64(1.25), not 1"),
+        ([0.5, 0.25, 0.5], "mixture weights sum to 1.25, not 1"),
         ([1.5, -0.5, 0.0], "negative mixture weight -0.5"),
         ([np.nan, 0.5, 0.5], "weights contains non-finite entries"),
         ([np.inf, 0.0, 0.0], "weights contains non-finite entries"),
