@@ -28,8 +28,11 @@ ends, and summary.json last, also when a stage fails. Worker work takes one
 path: a run submits its cloud writes, and :func:`monte_carlo_compare` its
 member runs, to the executor of :func:`_worker_pool`, which alone reads the
 CPU count: worker processes with two or more usable CPUs, this process with
-one. A failed cloud write is reported when the run ends, naming its step, and
-the outputs, partial trees included, are the same bytes either way.
+one. When the last step ends, this process writes, newest first, the clouds
+the worker has not started, so the run does not wait behind the worker's
+backlog. A failed cloud write is reported when the run ends, naming its step,
+whichever process made it, and the outputs, partial trees included, are the
+same bytes either way.
 """
 
 from __future__ import annotations
@@ -322,10 +325,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     Each cloud write is submitted to the executor of :func:`_worker_pool`:
     one worker process writes the clouds while the later steps run, or, with
-    one usable CPU, each write runs when it is submitted. A failed write is
-    reported when the run ends, naming its step. Any other module failure
-    aborts the run with the step index and module named. Either way the
-    summary of the steps so far is written first.
+    one usable CPU, each write runs when it is submitted. When the last step
+    ends, this process takes back the writes the worker has not started,
+    newest first, and makes them itself while the worker finishes the rest.
+    A failed write is reported when the run ends, naming its step. Any other
+    module failure aborts the run with the step index and module named.
+    Either way the summary of the steps so far is written first.
     """
     if config.output_dir is None or not config.save_clouds:
         return _run_experiment(config, None)
@@ -344,7 +349,7 @@ def _run_experiment(config: ExperimentConfig, pool) -> ExperimentResult:
 
     initial_cloud = np.empty((0, 2))
     records: list[StepRecord] = []
-    # (step, future) of each cloud write submitted to the pool.
+    # (step, future, args) of each cloud write submitted to the pool.
     pending: list = []
 
     def _result() -> ExperimentResult:
@@ -359,15 +364,15 @@ def _run_experiment(config: ExperimentConfig, pool) -> ExperimentResult:
         except Exception as exc:
             if directory is not None:
                 with suppress(OSError):
-                    for _, future in pending:
+                    for _, future, _ in pending:
                         future.exception()  # waits; a failed write raises in its own stage
                     _write_summary(_result(), directory)
             raise HarnessError(f"step {step}, module {module}: {exc}") from exc
 
     def write_cloud(cloud, names):
         # The records so far count the step that a failed write names.
-        future = pool.submit(_write_cloud, directory / "clouds", cloud, names)
-        pending.append((len(records), future))
+        args = (directory / "clouds", cloud, names)
+        pending.append((len(records), pool.submit(_write_cloud, *args), args))
 
     if directory is not None:
         with _stage(0, "output"):
@@ -445,7 +450,14 @@ def _run_experiment(config: ExperimentConfig, pool) -> ExperimentResult:
 
     result = _result()
     if directory is not None:
-        for step, future in pending:
+        # This process writes, newest first, the clouds the worker has not
+        # started, instead of waiting behind the ones it has.
+        for i in reversed(range(len(pending))):
+            step, future, args = pending[i]
+            if not future.cancel():
+                break
+            pending[i] = (step, _InProcessExecutor.submit(_write_cloud, *args), args)
+        for step, future, _ in pending:
             with _stage(step, "output"):
                 future.result()
         with _stage(config.horizon_steps, "output"):

@@ -135,8 +135,9 @@ def _innovation_gains(covs: np.ndarray, model: LinearMeasurementModel):
     cs = model.C @ covs
     w, v = _eigh(cs @ model.C.T + model.R)
     # Written so that the NaN eigenvalues of an overflowed matrix fail too, and
-    # as a quotient, which cannot overflow for a finite lambda_max.
-    bad = ~((w[..., 0] > 0.0) & (w[..., -1] / MAX_INNOVATION_CONDITION <= w[..., 0]))
+    # so does an infinite lambda_max, which the quotient alone lets through.
+    bad = ~((w[..., 0] > 0.0) & (w[..., -1] < np.inf)
+            & (w[..., -1] / MAX_INNOVATION_CONDITION <= w[..., 0]))
     if bad.any():
         lo, hi = w.reshape(-1, w.shape[-1])[np.argmax(bad), [0, -1]]
         raise ConditioningError(f"{_where(bad)}innovation covariance condition number exceeds "

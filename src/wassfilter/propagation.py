@@ -7,10 +7,13 @@ consume the fitted mixtures.
 
 The Duffing cube is written as two products (see :func:`duffing_rhs`), which
 keeps RK4, a large-ensemble run's main cost, on numpy's vectorized multiply
-and the vector field exactly odd. :func:`integrate_rk4` advances the state in
+and the vector field exactly odd; the field computes in its output's first
+column and allocates nothing. :func:`integrate_rk4` advances the state in
 place: it copies the start once into a Fortran-ordered array, so each state
 column ``x[..., j]`` is contiguous, and its field callback ``rhs(x, out=buf)``
-writes each slope into one of four buffers allocated once per call. A substep
+writes each slope into one of two buffers allocated once per call, beside a
+third for the stage state: the first slope starts a running sum, and each
+later one is added to it as soon as its stage is formed. A substep
 allocates no state-sized array, and every operation keeps the order of the
 textbook ``x + (dt/6) (k1 + 2 k2 + 2 k3 + k4)``, so the result is bit for bit
 that of an allocating loop.
@@ -108,7 +111,9 @@ def duffing_rhs(x, damping: float = 0.25, cubic: float = 1.0, *, out=None) -> np
     ``None``. The cube is two products, not ``x1**3``: numpy's ``power`` can
     leave its SIMD path for a negative base (about 75 times slower on 20 000
     states), and its last bit can then depend on the sign, while the products
-    keep the field exactly odd, ``rhs(-x) == -rhs(x)``.
+    keep the field exactly odd, ``rhs(-x) == -rhs(x)``. ``out[..., 0]`` holds
+    the damping and cube terms before it takes ``x2``, so no temporary is
+    allocated; ``out`` must not share memory with ``x``.
     """
     x = _as_float_array(x, "x")
     if x.shape[-1:] != (2,):
@@ -118,11 +123,13 @@ def duffing_rhs(x, damping: float = 0.25, cubic: float = 1.0, *, out=None) -> np
     elif out.shape != x.shape:
         raise ValidationError(f"out must have the state's shape {x.shape}, got {out.shape}")
     x1, x2 = x[..., 0], x[..., 1]
-    out[..., 0] = x2
-    v = out[..., 1]
+    u, v = out[..., 0], out[..., 1]
     np.negative(x1, out=v)
-    v -= damping * x2
-    v -= cubic * (x1 * x1 * x1)
+    v -= np.multiply(x2, damping, out=u)
+    np.multiply(x1, x1, out=u)
+    u *= x1
+    v -= np.multiply(u, cubic, out=u)
+    u[...] = x2
     return out
 
 
@@ -168,10 +175,13 @@ def integrate_rk4(x0, rhs, dt: float, steps: int) -> np.ndarray:
     ``rhs(x, out=buf)`` writes the field at ``x`` into ``buf``, an array of
     ``x``'s shape, so a whole ensemble is advanced in one call. ``x0`` is
     copied once into a Fortran-ordered float array, which keeps each state
-    column ``x[..., j]`` contiguous; the four slopes and the stage state are
-    buffers of that layout allocated once per call, and each substep updates
-    them in place. The result is a new C-ordered array, ``steps == 0``
-    included, and ``x0`` is never written. Raises :class:`DivergenceError` if
+    column ``x[..., j]`` contiguous; the running slope sum, the current slope
+    and the stage state are three buffers of that layout allocated once per
+    call, and each substep updates them in place: the sum starts at ``k1``,
+    and ``2 k2``, ``2 k3`` and ``k4`` join it in that order, each as soon as
+    the next stage has been formed from its slope, which keeps the
+    textbook's summation order. The result is a new C-ordered array,
+    ``steps == 0`` included, and ``x0`` is never written. Raises :class:`DivergenceError` if
     the state leaves the finite range, naming the first non-finite row of a
     stacked state; the overflow on the way there is not also reported as a
     numpy warning.
@@ -181,31 +191,28 @@ def integrate_rk4(x0, rhs, dt: float, steps: int) -> np.ndarray:
     if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 0:
         raise ValidationError(f"steps must be an integer >= 0, got {steps!r}")
     x = np.array(_as_float_array(x0, "x0"), order="F")
-    k1, k2, k3, k4, stage = (np.empty_like(x) for _ in range(5))
+    acc, k, stage = (np.empty_like(x) for _ in range(3))
     finite = np.empty(x.shape, dtype=bool, order="F")
     half, sixth = 0.5 * dt, dt / 6.0
     # Each line is the allocating loop's operation with its operands
     # commuted, which is exact: stage = x + (dt/2) k1, ..., and
-    # x = x + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), summed in that order.
+    # x = x + (dt/6) (((k1 + 2 k2) + 2 k3) + k4), summed in that order as
+    # each slope's stage is formed.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
-            rhs(x, out=k1)
-            np.multiply(k1, half, out=stage)
+            rhs(x, out=acc)
+            np.multiply(acc, half, out=stage)
             stage += x
-            rhs(stage, out=k2)
-            np.multiply(k2, half, out=stage)
-            stage += x
-            rhs(stage, out=k3)
-            np.multiply(k3, dt, out=stage)
-            stage += x
-            rhs(stage, out=k4)
-            k2 *= 2.0
-            k1 += k2
-            k3 *= 2.0
-            k1 += k3
-            k1 += k4
-            k1 *= sixth
-            x += k1
+            for scale in (half, dt):
+                rhs(stage, out=k)
+                np.multiply(k, scale, out=stage)
+                stage += x
+                k *= 2.0
+                acc += k
+            rhs(stage, out=k)
+            acc += k
+            acc *= sixth
+            x += acc
             if not np.isfinite(x, out=finite).all():
                 if x.ndim == 2:
                     bad = int(np.nonzero(~finite.all(axis=1))[0][0])
@@ -333,7 +340,16 @@ class _EmWork:
     def __init__(self, points: np.ndarray, k: int, floor: float, restarts: int):
         n_clouds, n, dim = points.shape
         self.points = points
-        centers = np.stack([cloud.mean(axis=0) for cloud in points])
+        # Each sum of a cloud's centered squares, over its points and up to
+        # (2 x)^2 per axis in the k-means++ distances, must stay finite.
+        bound = np.sqrt(np.finfo(float).max / (4 * dim * n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            centers = np.stack([cloud.mean(axis=0) for cloud in points])
+            centered = points - centers[:, None]
+        reach = np.maximum(centered.max(), -centered.min())
+        if not reach < bound:
+            raise ValidationError(f"cloud reaches {reach:.3g} from its mean on an axis, beyond "
+                                  f"the {bound:.3g} within which EM's sums of squares stay finite")
         # (F, 1, 1, d), so that it broadcasts over each cloud's restarts and components.
         self.center = centers[:, None, None]
         self.rows, self.cols = np.triu_indices(dim)
@@ -344,8 +360,7 @@ class _EmWork:
         self.pair_feature[self.rows, self.cols] = 1 + dim + np.arange(self.rows.size)
         self.pair_feature[self.cols, self.rows] = self.pair_feature[self.rows, self.cols]
         self.feats = np.empty((n_clouds, 1 + dim + self.rows.size, n))
-        for feats, cloud, center in zip(self.feats, points, centers):
-            x = (cloud - center).T
+        for feats, x in zip(self.feats, np.swapaxes(centered, 1, 2)):
             feats[0] = 1.0
             feats[1:1 + dim] = x
             np.multiply(x[self.rows], x[self.cols], out=feats[1 + dim:])

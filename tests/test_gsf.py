@@ -169,6 +169,15 @@ class TestGsfUpdate:
                 pytest.raises(ConditioningError, match="^component 0: "):
             gsf_update(prior, model, np.zeros(2))
 
+    def test_infinite_innovation_names_component(self):
+        # A scalar sensor's C S C^T overflows to inf, whose one eigenvalue is
+        # inf, not NaN; without the guard every weight underflowed instead.
+        prior = GaussianMixture([0.5, 0.5], np.zeros((2, 2)), [np.eye(2), np.eye(2)])
+        model = LinearMeasurementModel([[1e200, 0.0]], [[1.0]])
+        with np.errstate(over="ignore"), \
+                pytest.raises(ConditioningError, match="^component 0: innovation covariance "):
+            gsf_update(prior, model, [0.0])
+
     def test_all_underflow_raises(self):
         # NaN entries count as underflowed when no entry is finite.
         for log_w in ([-np.inf, -np.inf], [-np.inf, np.nan], [np.nan, np.nan]):

@@ -12,9 +12,11 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from dataclasses import fields, is_dataclass, replace
 from datetime import timedelta
+from functools import partial
 from pathlib import Path
 from typing import get_type_hints
 
@@ -65,6 +67,26 @@ def _member_failing_from_run_3(config: ExperimentConfig, run: int):
     if run >= 3:
         config = replace(config, duffing=DuffingModel(cubic=1e200))
     return _REAL_MEMBER(config, run)
+
+
+_REAL_WRITE_CLOUD = harness._write_cloud
+
+
+def _gated_write_cloud(main_pid: int, gate: Path, taken: list, cloud_dir, cloud, names):
+    """A cloud write that holds a worker process until ``gate`` exists, so
+    every later write waits behind it. In process ``main_pid`` it makes
+    ``gate`` and records ``names`` in ``taken`` before it writes. A worker
+    makes ``gate`` itself after 30 s, so a run whose calling process takes
+    no write waits once, not once per write."""
+    if os.getpid() == main_pid:
+        gate.touch()
+        taken.append(names)
+    else:
+        deadline = time.monotonic() + 30.0
+        while not gate.exists() and time.monotonic() < deadline:
+            time.sleep(0.005)
+        gate.touch()
+    _REAL_WRITE_CLOUD(cloud_dir, cloud, names)
 
 
 def _snapshot(root: Path) -> dict:
@@ -460,8 +482,10 @@ class TestCloudWorker:
             result = run_experiment(config)
             trees[cpus] = _snapshot(out)
             # The initial cloud, the step-1 cloud all filters share, then one
-            # per filter at steps 2 and 3; the worker formats all of them.
-            assert len(formatted) == (0 if cpus > 1 else 8)
+            # per filter at steps 2 and 3. With a worker, this process formats
+            # only the writes the worker has not started when the last step
+            # ends, and the worker starts the initial cloud's at once.
+            assert len(formatted) == 8 if cpus == 1 else len(formatted) < 8
             # emit writes the same tree from the result and returns every
             # file of it, the clouds included.
             other = tmp_path / "emit"
@@ -569,6 +593,61 @@ class TestCloudWorker:
         assert errors[2] == errors[1]
         assert trees[2] == trees[1]
         assert multiprocessing.active_children() == []
+
+    @staticmethod
+    def _gated_runs(tmp_path, monkeypatch, blocked: str | None = None) -> dict:
+        """``{cpus: (error text or None, tree, names written in this process)}``
+        for one 3-step, three-filter run under 2 and 1 CPUs, with a directory
+        at ``clouds/<blocked>`` when given. The worker is held at its first
+        write until this process writes a cloud itself, so when the last step
+        ends every later write waits behind it."""
+        out = tmp_path / "run"
+        config = _small_config(horizon_steps=3, output_dir=str(out),
+                               filters=("gsf", "ngsf", "kf_momentmatch"))
+        runs = {}
+        for cpus in (2, 1):
+            gate, taken = tmp_path / f"gate{cpus}", []
+            monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+            # Patched before the pool forks its worker.
+            monkeypatch.setattr(harness, "_write_cloud",
+                                partial(_gated_write_cloud, os.getpid(), gate, taken))
+            if blocked is not None:
+                (out / "clouds" / blocked).mkdir(parents=True)
+            error = None
+            try:
+                run_experiment(config)
+            except HarnessError as exc:
+                error = str(exc)
+            runs[cpus] = (error, _snapshot(out), taken)
+            shutil.rmtree(out)
+        assert multiprocessing.active_children() == []
+        return runs
+
+    def test_unstarted_writes_run_here_with_the_same_tree(self, tmp_path, monkeypatch):
+        runs = self._gated_runs(tmp_path, monkeypatch)
+        assert runs[2][0] is None and runs[1][0] is None
+        assert runs[2][1] == runs[1][1]
+        assert len([p for p in runs[1][1] if p.parent.name == "clouds"]) == 10
+        # One CPU writes all 8 clouds here in step order. With a worker, this
+        # process takes, newest first, writes the worker has not started:
+        # the newest at least, never the initial cloud's, which holds it.
+        taken = runs[2][2]
+        assert len(runs[1][2]) == 8 and 1 <= len(taken) < 8
+        assert taken == runs[1][2][::-1][:len(taken)]
+
+    def test_failed_write_taken_here_is_reported_at_the_end_alike(self, tmp_path,
+                                                                  monkeypatch):
+        # The newest write of the last step, which this process takes, meets
+        # a directory: the run names step 3 when it ends, on either CPU count.
+        blocked = "step003_kf_momentmatch_prior.csv"
+        runs = self._gated_runs(tmp_path, monkeypatch, blocked)
+        assert runs[2][2][0] == [blocked]
+        assert runs[2][0] == runs[1][0] == (
+            f"step 3, module output: [Errno 21] Is a directory: "
+            f"'{tmp_path / 'run' / 'clouds' / blocked}'")
+        assert json.loads(runs[1][1][Path("summary.json")])["steps"] == 3
+        assert Path("clouds/step003_ngsf_prior.csv") in runs[1][1]
+        assert runs[2][1] == runs[1][1]
 
     def test_no_worker_without_cloud_files(self, tmp_path, monkeypatch):
         # Runs without an output tree (compare's members) or without clouds

@@ -86,6 +86,15 @@ class TestKalmanGains:
             with pytest.raises(ConditioningError, match="^innovation covariance condition"):
                 update()
 
+    def test_infinite_innovation_raises(self):
+        # A scalar sensor's C S C^T overflows to inf, whose one eigenvalue is
+        # inf, not NaN; without the guard the gain came out 0 and the update
+        # returned the prior unchanged, though the sensor pins x1.
+        model = LinearMeasurementModel([[1e200, 0.0]], [[1.0]])
+        with np.errstate(over="ignore"), pytest.raises(
+                ConditioningError, match=r"^innovation covariance condition .*\[inf, inf\]\)$"):
+            kalman_update(Gaussian(np.zeros(2), np.eye(2)), np.eye(2), model, [0.0])
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             kalman_gains(np.eye(3), LinearMeasurementModel([[1.0, 0.0]], [[1.0]]))

@@ -98,6 +98,16 @@ class TestDuffingRhs:
         np.testing.assert_array_equal(buf, duffing_rhs(states, 0.3, 1.7))
         np.testing.assert_array_equal(buf, _ref_duffing_rhs(states, 0.3, 1.7))
 
+    @pytest.mark.parametrize("damping, cubic", [(0.3, 1.7), (0.0, 0.0)])
+    def test_stale_first_column_is_never_read(self, rng, damping, cubic):
+        # The field computes in out[..., 0] before it copies x2 there; a NaN
+        # left in the buffer would reach the second column if it were read.
+        # The buffers are Fortran-ordered, as integrate_rk4's are.
+        states = np.asfortranarray(rng.standard_normal((500, 2)) * 3.0)
+        buf = np.full(states.shape, np.nan, order="F")
+        duffing_rhs(states, damping, cubic, out=buf)
+        np.testing.assert_array_equal(buf, _ref_duffing_rhs(states, damping, cubic))
+
     def test_rejects_out_of_another_shape(self):
         # A larger buffer would otherwise take the broadcast field silently.
         with pytest.raises(ValidationError, match="shape"):
@@ -384,6 +394,15 @@ class TestFitGmmEm:
     def test_rejects_malformed_cloud(self, cloud, message):
         with pytest.raises(ValidationError, match=message):
             fit_gmm_em(cloud, EmFitConfig(n_components=2), np.random.default_rng(0))
+
+    def test_rejects_cloud_far_from_the_origin(self, rng):
+        # At 1e200 the cloud's mean is off by about 1e185, so its centered
+        # squares overflow: the fit used to warn and then blame its covs.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"^cloud reaches \S+ from its mean"):
+                fit_gmm_em(rng.standard_normal((200, 2)) + 1e200, EmFitConfig(n_components=2),
+                           np.random.default_rng(0))
 
     def test_rejects_undersized_cloud(self, rng):
         with pytest.raises(ValidationError):
