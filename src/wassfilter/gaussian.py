@@ -91,6 +91,12 @@ def _check_field_types(obj) -> None:
 
 
 def _as_float_array(x, name: str) -> np.ndarray:
+    """``x`` as a float64 array; raises :class:`ValidationError` for ragged or
+    non-numeric input. An exact ``np.ndarray`` of float64 is returned itself,
+    the object ``asarray`` and ``astype(float, copy=False)`` would return,
+    without those calls; anything else takes their path."""
+    if type(x) is np.ndarray and x.dtype == float:
+        return x
     try:
         a = np.asarray(x)
         if a.dtype.kind in "iuf":
@@ -104,7 +110,7 @@ def _as_vector(x, name: str) -> np.ndarray:
     v = _as_float_array(x, name)
     if v.ndim != 1:
         raise ValidationError(f"{name} must be a 1-D vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
+    if not np.logical_and.reduce(np.isfinite(v), axis=None):
         raise ValidationError(f"{name} contains non-finite entries")
     return v
 
@@ -113,7 +119,7 @@ def _as_matrix(x, name: str) -> np.ndarray:
     m = _as_float_array(x, name)
     if m.ndim != 2:
         raise ValidationError(f"{name} must be a 2-D matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
+    if not np.logical_and.reduce(np.isfinite(m), axis=None):
         raise ValidationError(f"{name} contains non-finite entries")
     return m
 
@@ -175,8 +181,7 @@ def _check_eig_floor(sym: np.ndarray, eig_floor: float) -> None:
 def _readonly(a) -> np.ndarray:
     """``a`` as a read-only float array that no other handle can write: ``a``
     itself when it already is one that owns its data, else a copy."""
-    if (isinstance(a, np.ndarray) and a.dtype == float and a.flags.owndata
-            and not a.flags.writeable):
+    if isinstance(a, np.ndarray) and a.dtype == float and a.flags.owndata and not a.flags.writeable:
         return a
     a = np.array(a, dtype=float, copy=True)
     a.setflags(write=False)
@@ -194,26 +199,35 @@ def _trusted_new(cls, **values):
     return obj
 
 
-def _checked_stacks(weights, means, covs, nodes_checked: bool = False) -> tuple:
-    """The mixture checks that cost O(K): shapes, finite entries and weights on
-    the simplex. Returns the three stacks as float arrays, uncopied where possible.
-    ``nodes_checked`` takes ``means`` and ``covs`` as a mixture's checked stacks
-    and checks only the weights, against their shapes."""
-    weights = _as_vector(weights, "weights")
-    if not nodes_checked:
-        means = _as_matrix(means, "means")
-        covs = _as_float_array(covs, "covs")
-    k = weights.shape[0]
+def _check_order(k: int, means: np.ndarray, covs: np.ndarray) -> None:
+    """Reject ``k`` weights that do not match the ``(K, n)`` means and ``(K, n, n)``
+    covariances, or ``k = 0``."""
     if k < 1 or means.shape[0] != k or covs.shape != (k,) + means.shape[1:] * 2:
         raise ValidationError(f"{k} weights need means of shape ({k}, n) and covs of shape "
                               f"({k}, n, n), got {means.shape} and {covs.shape}")
-    if not (nodes_checked or np.isfinite(covs).all()):
-        raise ValidationError("covs contains non-finite entries")
+
+
+def _check_on_simplex(weights: np.ndarray) -> None:
+    """Reject a non-empty finite weight vector with a negative entry or a sum
+    that misses 1 by more than ``_SIMPLEX_ATOL``."""
     if weights.min() < 0.0:
         raise ValidationError(f"negative mixture weight {weights.min()}")
     total = float(weights.sum())
     if abs(total - 1.0) > _SIMPLEX_ATOL:
         raise ValidationError(f"mixture weights sum to {total!r}, not 1")
+
+
+def _checked_stacks(weights, means, covs) -> tuple:
+    """The mixture checks that cost O(K): shapes, finite entries and weights on
+    the simplex. Returns the three stacks as float arrays, each the argument
+    itself when it already is a float64 ``np.ndarray`` (see ``_as_float_array``)."""
+    weights = _as_vector(weights, "weights")
+    means = _as_matrix(means, "means")
+    covs = _as_float_array(covs, "covs")
+    _check_order(weights.shape[0], means, covs)
+    if not np.logical_and.reduce(np.isfinite(covs), axis=None):
+        raise ValidationError("covs contains non-finite entries")
+    _check_on_simplex(weights)
     return weights, means, covs
 
 
@@ -237,8 +251,7 @@ class Gaussian:
         sym = _check_symmetric(cov, "cov")
         if cov.shape[0] != mean.shape[0]:
             raise ValidationError(
-                f"mean has dimension {mean.shape[0]} but cov is {cov.shape[0]}x{cov.shape[1]}"
-            )
+                f"mean has dimension {mean.shape[0]} but cov is {cov.shape[0]}x{cov.shape[1]}")
         _check_eig_floor(sym, self.eig_floor)
         object.__setattr__(self, "mean", _readonly(mean))
         object.__setattr__(self, "cov", _readonly(cov))
@@ -304,13 +317,6 @@ class GaussianMixture:
         it alone holds or that are read-only already."""
         weights, means, covs = _checked_stacks(weights, means, covs)
         return _trusted_new(cls, weights=weights, means=means, covs=covs, eig_floor=eig_floor)
-
-    def _reweighted(self, weights) -> "GaussianMixture":
-        """This mixture's nodes, the same read-only arrays, under new ``weights``,
-        of which only the weights are checked."""
-        weights = _checked_stacks(weights, self.means, self.covs, nodes_checked=True)[0]
-        return _trusted_new(GaussianMixture, weights=weights, means=self.means, covs=self.covs,
-                            eig_floor=self.eig_floor)
 
     @classmethod
     def from_unnormalized(cls, weights, nodes: Sequence[Gaussian]) -> "GaussianMixture":
@@ -380,8 +386,7 @@ def spd_sqrt(m, eig_floor: float = DEFAULT_EIG_FLOOR) -> np.ndarray:
     w, v = _eigh(_check_symmetric(_as_matrix(m, "matrix"), "matrix"))
     if float(w.min()) < eig_floor:
         raise DegeneracyError(
-            f"matrix eigenvalue {w.min():.6e} is below the floor {eig_floor:.1e}; not positive-definite"
-        )
+            f"matrix eigenvalue {w.min():.6e} is below the floor {eig_floor:.1e}; not positive-definite")
     return _from_eigh(np.sqrt(w), v)
 
 

@@ -66,6 +66,10 @@ def _normalize_log_weights(log_w: np.ndarray) -> np.ndarray:
     return shifted / shifted.sum()
 
 
+# A zero prior weight has log -inf. An input near the edge of the float range
+# can overflow to inf or NaN on the way; the condition guard or the
+# posterior's finiteness checks then raise, with no numpy warning.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def gsf_update(prior: GaussianMixture, model: LinearMeasurementModel, y) -> GsfUpdateResult:
     """One GSF measurement update: per-component Kalman updates plus reweighting."""
     y = _check_update(prior.dim, model, y)
@@ -77,8 +81,7 @@ def gsf_update(prior: GaussianMixture, model: LinearMeasurementModel, y) -> GsfU
     # log w_i- + log N(y; C mu_i-, C S_i- C^T + R) from the whitened innovations.
     z = (white @ innovations[:, :, None])[:, :, 0]
     log_like = -0.5 * (model.meas_dim * _LOG_2PI + log_det + (z * z).sum(axis=1))
-    with np.errstate(divide="ignore"):
-        weights = _normalize_log_weights(np.log(prior.weights) + log_like)
+    weights = _normalize_log_weights(np.log(prior.weights) + log_like)
 
     # ensure_spd has just certified post_covs, so the mixture skips that pass;
     # the gains and costs are fresh arrays whose shapes hold by construction,

@@ -66,8 +66,7 @@ class LinearMeasurementModel:
         R = _check_psd(_as_matrix(self.R, "R"), "R")
         if R.shape[0] != C.shape[0]:
             raise ValidationError(
-                f"C maps to dimension {C.shape[0]} but R is {R.shape[0]}x{R.shape[1]}"
-            )
+                f"C maps to dimension {C.shape[0]} but R is {R.shape[0]}x{R.shape[1]}")
         object.__setattr__(self, "C", _readonly(C))
         object.__setattr__(self, "R", _readonly(R))
         # The state-dimension identity, built once for state_gain's I - H C.
@@ -136,9 +135,10 @@ def _innovation_gains(covs: np.ndarray, model: LinearMeasurementModel):
     w, v = _eigh(cs @ model.C.T + model.R)
     # Written so that the NaN eigenvalues of an overflowed matrix fail too, and
     # so does an infinite lambda_max, which the quotient alone lets through.
-    bad = ~((w[..., 0] > 0.0) & (w[..., -1] < np.inf)
-            & (w[..., -1] / MAX_INNOVATION_CONDITION <= w[..., 0]))
-    if bad.any():
+    low, high = w[..., 0], w[..., -1]
+    ok = (low > 0.0) & (high < np.inf) & (high / MAX_INNOVATION_CONDITION <= low)
+    if not np.logical_and.reduce(ok, axis=None):
+        bad = ~ok
         lo, hi = w.reshape(-1, w.shape[-1])[np.argmax(bad), [0, -1]]
         raise ConditioningError(f"{_where(bad)}innovation covariance condition number exceeds "
                                 f"{MAX_INNOVATION_CONDITION:.0e} (eigenvalues in [{lo:.3e}, {hi:.3e}])")
@@ -164,6 +164,10 @@ def state_gain(H: np.ndarray, model: LinearMeasurementModel) -> np.ndarray:
     return model._eye - H @ model.C
 
 
+# An input near the edge of the float range can overflow to inf or NaN on the
+# way; the condition guard or the posterior's finiteness check then raises,
+# with no numpy warning. kalman_update has the same error state.
+@np.errstate(over="ignore", invalid="ignore")
 def kalman_gains(prior_err_cov, model: LinearMeasurementModel) -> GainPair:
     """Wasserstein-optimal gain pair ``(G*, H*)`` for a given prior error covariance."""
     sigma = _as_matrix(prior_err_cov, "prior_err_cov")
@@ -193,6 +197,7 @@ def _apply_linear_update(means: np.ndarray, covs: np.ndarray, gains: np.ndarray,
     return means, ensure_spd(errors), errors.trace(axis1=-2, axis2=-1)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def kalman_update(prior: Gaussian, prior_err_cov, model: LinearMeasurementModel, y) -> Gaussian:
     """Posterior Gaussian after assimilating measurement ``y``.
 
@@ -292,12 +297,10 @@ def _closed_loop_stationary(gains: GainPair, model: LinearMeasurementModel,
     radius = float(np.abs(np.linalg.eigvals(f)).max())
     if radius >= 1.0 - 1e-12:
         raise DivergenceError(
-            f"closed-loop spectral radius {radius:.6f} >= 1; error covariance diverges"
-        )
+            f"closed-loop spectral radius {radius:.6f} >= 1; error covariance diverges")
     ahra = a @ gains.H @ model.R @ gains.H.T @ a.T
     noise = np.block([[q, -q], [-q, q + ahra]])
-    cov = solve_discrete_lyapunov(f, noise)
-    return _symmetric_part(cov)
+    return _symmetric_part(solve_discrete_lyapunov(f, noise))
 
 
 def _orthogonality(gains: GainPair, model: LinearMeasurementModel,

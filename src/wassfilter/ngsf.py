@@ -16,6 +16,11 @@ suboptimality explicit: the nGSF puts all weight on the cheapest components.
 ``ngsf_cost``, ``ngsf_gradients`` and ``kkt_residuals`` evaluate the objective
 at arbitrary points as diagnostics. The posterior is the GSF result reweighted
 onto that face in O(K); the costs depend on the prior covariances, C and R only.
+
+Each array is checked where it is built: ``NgsfSolution`` checks its weights
+on the simplex as a mixture does, and ``apply_ngsf_solution`` checks only that
+the solution's gains are the warm gains and that it has one weight per
+component, then shares the GSF posterior's checked nodes.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .gaussian import GaussianMixture, _as_float_array, _readonly, _trusted_new
+from .gaussian import (GaussianMixture, _as_float_array, _as_vector, _check_on_simplex, _check_order,
+                       _readonly, _trusted_new)
 from .gsf import GsfUpdateResult, gsf_update
 from .kalman import LinearMeasurementModel, _check_update, state_gain, update_error_cost
 
@@ -39,18 +45,14 @@ DOMINANCE_ATOL = 1e-12
 _EPS = np.finfo(float).eps
 
 
-def _check_simplex(weights: np.ndarray) -> np.ndarray:
+def _check_problem_dims(weights, gains, prior: GaussianMixture, model: LinearMeasurementModel):
+    """The weights, checked on the simplex to the looser tolerances above, and
+    the gains as one ``(K, n, m)`` stack."""
     w = _as_float_array(weights, "weights")
     if w.ndim != 1:
         raise ValidationError(f"weights must be a vector, got shape {w.shape}")
     if abs(float(w.sum()) - 1.0) > _SUM_ATOL or float(w.min()) < -_NEG_ATOL:
         raise ValidationError(f"weights {w!r} are off the probability simplex")
-    return w
-
-
-def _check_problem_dims(weights, gains, prior: GaussianMixture, model: LinearMeasurementModel):
-    """The checked weights and the gains as one ``(K, n, m)`` stack."""
-    w = _check_simplex(weights)
     h = _as_float_array(gains, "gains")
     expected = (prior.order, model.state_dim, model.meas_dim)
     if w.shape[0] != prior.order or h.shape != expected:
@@ -140,15 +142,19 @@ class NgsfProblem:
             gsf_result = gsf_update(prior, model, y)
         expected = (prior.order, model.state_dim, model.meas_dim)
         if gsf_result.gains.shape != expected:
-            raise ValidationError(f"expected gains of shape {expected}, "
-                                  f"got {gsf_result.gains.shape}")
+            raise ValidationError(f"expected gains of shape {expected}, got {gsf_result.gains.shape}")
         return _trusted_new(cls, prior=prior, model=model, y=_readonly(y), warm=gsf_result)
 
 
 @dataclass(frozen=True, eq=False)
 class NgsfSolution:
     """Solver output: the minimizing weights and ``(K, n, m)`` gains, with the warm
-    and final costs."""
+    and final costs.
+
+    Construction checks that the final cost is no worse than the warm cost and
+    that the weights are a finite vector on the simplex, raising the mixture's
+    :class:`ValidationError` messages; an empty vector passes here and fails
+    :func:`apply_ngsf_solution`'s check of one weight per component."""
 
     weights: np.ndarray
     gains: np.ndarray
@@ -157,15 +163,19 @@ class NgsfSolution:
 
     def __post_init__(self):
         _check_dominance(self.warm_cost, self.final_cost)
-        object.__setattr__(self, "weights", _readonly(_as_float_array(self.weights, "weights")))
+        weights = _as_vector(self.weights, "weights")
+        if weights.size:
+            _check_on_simplex(weights)
+        object.__setattr__(self, "weights", _readonly(weights))
         object.__setattr__(self, "gains", _readonly(_as_float_array(self.gains, "gains")))
 
     @classmethod
     def _trusted(cls, weights: np.ndarray, gains: np.ndarray, warm_cost: float,
                  final_cost: float) -> "NgsfSolution":
         """A solution over float arrays that the caller alone holds or that are
-        read-only already: checks the costs but marks the arrays read-only in
-        place instead of copying them."""
+        read-only already, with weights on the simplex by construction: checks
+        the costs but neither the weights nor the gains, and marks the arrays
+        read-only in place instead of copying them."""
         _check_dominance(warm_cost, final_cost)
         return _trusted_new(cls, weights=weights, gains=gains, warm_cost=warm_cost,
                             final_cost=final_cost)
@@ -208,18 +218,22 @@ def ngsf_solve(problem: NgsfProblem) -> NgsfSolution:
 def apply_ngsf_solution(problem: NgsfProblem, solution: NgsfSolution) -> GsfUpdateResult:
     """The nGSF posterior: the GSF posterior with the solution's weights swapped in.
 
-    With the Kalman gains kept, the nodes, gains and costs are the GSF's. Raises
-    :class:`ValidationError` when ``solution.gains`` are not the warm gains.
+    With the Kalman gains kept, the nodes, gains and costs are the GSF's. The
+    solution checked its weights when it was built, so this checks only that
+    ``solution.gains`` are the warm gains and that there is one weight per
+    component, each failure a :class:`ValidationError`. The posterior shares
+    the GSF posterior's read-only ``means`` and ``covs``; the weights are not
+    renormalized, which could move each by an ulp away from the weights it costed.
     """
     if not (solution.gains is problem.warm_gains
             or np.array_equal(solution.gains, problem.warm_gains)):
         raise ValidationError("nGSF solution gains are not the warm-start (Kalman) gains")
-    warm = problem.warm
-    # The solver's weights are already on the simplex; renormalizing them
-    # could move each by an ulp away from the weights it costed. The nodes are
-    # the checked GSF posterior's arrays, shared, so only the weights are checked.
-    return _trusted_new(GsfUpdateResult, posterior=warm.posterior._reweighted(solution.weights),
-                        gains=warm.gains, component_costs=warm.component_costs)
+    warm, nodes = problem.warm, problem.warm.posterior
+    _check_order(solution.weights.shape[0], nodes.means, nodes.covs)
+    posterior = _trusted_new(GaussianMixture, weights=solution.weights, means=nodes.means,
+                             covs=nodes.covs, eig_floor=nodes.eig_floor)
+    return _trusted_new(GsfUpdateResult, posterior=posterior, gains=warm.gains,
+                        component_costs=warm.component_costs)
 
 
 def ngsf_update(problem: NgsfProblem) -> GsfUpdateResult:

@@ -113,7 +113,8 @@ def duffing_rhs(x, damping: float = 0.25, cubic: float = 1.0, *, out=None) -> np
     states), and its last bit can then depend on the sign, while the products
     keep the field exactly odd, ``rhs(-x) == -rhs(x)``. ``out[..., 0]`` holds
     the damping and cube terms before it takes ``x2``, so no temporary is
-    allocated; ``out`` must not share memory with ``x``.
+    allocated; an ``out`` that may share memory with ``x`` (``x`` itself or an
+    overlapping view) raises :class:`ValidationError`.
     """
     x = _as_float_array(x, "x")
     if x.shape[-1:] != (2,):
@@ -122,6 +123,8 @@ def duffing_rhs(x, damping: float = 0.25, cubic: float = 1.0, *, out=None) -> np
         out = np.empty_like(x)
     elif out.shape != x.shape:
         raise ValidationError(f"out must have the state's shape {x.shape}, got {out.shape}")
+    elif np.may_share_memory(x, out):
+        raise ValidationError("out must not share memory with the state x")
     x1, x2 = x[..., 0], x[..., 1]
     u, v = out[..., 0], out[..., 1]
     np.negative(x1, out=v)
@@ -158,8 +161,7 @@ class DuffingModel:
                 f"substeps per sample; at most {MAX_STEPS_PER_SAMPLE} are allowed")
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ValidationError(
-                f"sample_time {self.sample_time} is not an integer multiple of dt {self.dt}"
-            )
+                f"sample_time {self.sample_time} is not an integer multiple of dt {self.dt}")
 
     @property
     def steps_per_sample(self) -> int:
@@ -649,8 +651,7 @@ def _fit_gmm_em_stack(points, config: EmFitConfig, rngs) -> list:
     if points.shape[1] < MIN_POINTS_PER_COMPONENT * config.n_components:
         raise ValidationError(
             f"{points.shape[1]} points cannot support {config.n_components} components "
-            f"(need at least {MIN_POINTS_PER_COMPONENT} per component)"
-        )
+            f"(need at least {MIN_POINTS_PER_COMPONENT} per component)")
     work = _EmWork(points, config.n_components, config.covariance_floor, config.restarts)
     return _em_run(work, config, rngs)
 

@@ -519,6 +519,18 @@ class TestTrustedStacks:
         with pytest.raises(ValidationError):
             GaussianMixture._trusted(np.array([1.0]), means.copy(), covs.copy(), 0.0)
 
+    def test_float_arrays_pass_through_unconverted(self):
+        a = np.arange(6.0).reshape(2, 3)
+        assert gaussian._as_float_array(a, "a") is a
+        for raw in ([[0, 1, 2], [3, 4, 5]], np.arange(6).reshape(2, 3), a.astype(np.float32),
+                    a.astype(">f8")):
+            out = gaussian._as_float_array(raw, "a")
+            assert type(out) is np.ndarray and out.dtype == np.float64
+            np.testing.assert_array_equal(out, a)
+        with pytest.raises(ValidationError) as info:
+            gaussian._as_float_array([[0.0, 1.0], [2.0]], "a")
+        assert str(info.value) == "a must be a numeric array, got [[0.0, 1.0], [2.0]]"
+
     def test_caller_inputs_cannot_write_the_mixture(self, rng):
         weights, means = np.array([0.25, 0.75]), rng.standard_normal((2, 2))
         covs = np.stack([random_spd(rng, 2) for _ in range(2)])

@@ -305,14 +305,29 @@ class TestUpdate:
         ([[0.5, 0.25, 0.25]], "weights must be a 1-D vector, got shape (1, 3)"),
     ])
     def test_rejects_a_hand_built_solutions_weights(self, rng, weights, message):
-        # NgsfSolution does not check its weights, so applying a hand-built
-        # one is where weights off the simplex or of the wrong length fail.
+        # NgsfSolution checks its weights when it is built, so weights off the
+        # simplex, non-finite or not a vector fail there; only a vector of the
+        # wrong length, the empty one included, reaches apply_ngsf_solution.
         problem = _problem(rng, order=3)
-        solution = NgsfSolution(weights=weights, gains=problem.warm_gains,
-                                warm_cost=1.0, final_cost=1.0)
+        solution = None
         with pytest.raises(ValidationError) as info:
+            solution = NgsfSolution(weights=weights, gains=problem.warm_gains,
+                                    warm_cost=1.0, final_cost=1.0)
             apply_ngsf_solution(problem, solution)
         assert str(info.value) == message
+        assert (solution is not None) == (np.shape(weights) in ((2,), (0,)))
+
+    def test_solver_and_public_solutions_give_the_same_posterior(self, rng):
+        problem = _problem(rng, order=4)
+        solved = ngsf_solve(problem)
+        public = NgsfSolution(weights=solved.weights.tolist(), gains=problem.warm_gains,
+                              warm_cost=solved.warm_cost, final_cost=solved.final_cost)
+        nodes = problem.warm.posterior
+        for solution in (solved, public):
+            posterior = apply_ngsf_solution(problem, solution).posterior
+            assert posterior.weights.tobytes() == solved.weights.tobytes()
+            assert posterior.means is nodes.means and posterior.covs is nodes.covs
+            assert posterior.eig_floor == nodes.eig_floor
 
     def test_random_problems_posterior_psd(self, rng):
         for _ in range(100):

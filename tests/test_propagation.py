@@ -113,6 +113,21 @@ class TestDuffingRhs:
         with pytest.raises(ValidationError, match="shape"):
             duffing_rhs(np.ones(2), out=np.empty((5, 2)))
 
+    def test_rejects_out_that_shares_memory_with_the_state(self):
+        # Writing the field into the state would read half-written entries: on
+        # [[1, 2], [0.5, -1]] it returned [[-0.754, -0.754], [-0.375, -0.375]]
+        # where the field is [[2, -2.5], [-1, -0.375]].
+        states = np.array([[1.0, 2.0], [0.5, -1.0]])
+        np.testing.assert_array_equal(duffing_rhs(states), [[2.0, -2.5], [-1.0, -0.375]])
+        wide = np.zeros((3, 3))
+        wide[:2, :2] = states
+        for x, out in ((states, states), (wide[:2, :2], wide[1:, 1:])):
+            before = x.copy()
+            with pytest.raises(ValidationError,
+                               match="^out must not share memory with the state x$"):
+                duffing_rhs(x, out=out)
+            np.testing.assert_array_equal(x, before)
+
     @settings(max_examples=200, deadline=None, database=None)
     @given(states=arrays(np.float64, st.tuples(st.integers(1, 64), st.just(2)),
                          elements=st.floats(-1e100, 1e100)),
